@@ -1,13 +1,12 @@
 //! Criterion wall-clock benchmarks of the simulator itself: how fast the
-//! cycle-accurate pipeline, the functional interpreter, the
-//! block-compiled executor and the loop-nest superblock executor run
-//! the benchmark kernels (engineering metric, not a paper artifact).
+//! cycle-accurate pipeline, the functional interpreter and the
+//! loop-nest superblock executor run the benchmark kernels (engineering
+//! metric, not a paper artifact).
 //!
-//! Besides the criterion timings, a side-by-side table reports all four
+//! Besides the criterion timings, a side-by-side table reports all three
 //! executor tiers in instructions per second so every speedup — the
-//! functional interpreter over the pipeline, the block-compiled tier
-//! over the interpreter, and the superblock tier over the blocks — is a
-//! tracked artifact of every bench run. Full (non `--test`) runs also
+//! functional interpreter over the pipeline and the superblock tier
+//! over the interpreter — is a tracked artifact of every bench run. Full (non `--test`) runs also
 //! rewrite `BENCH_throughput.json` at the repo root with the same rows
 //! in machine-readable form.
 
@@ -113,7 +112,30 @@ fn instrs_per_sec(built: &BuiltKernel, kind: ExecutorKind, reps: u32) -> (f64, u
     (f64::from(reps) * retired as f64 / secs.max(1e-9), retired)
 }
 
-/// The tracked artifact: the four executor tiers side by side, in
+/// Prints one side-by-side row and returns its JSON form. `ips` holds
+/// instructions/sec per tier, in [`ExecutorKind::ALL`] order.
+fn row(kernel: &str, target: &str, retired: u64, ips: [f64; 3]) -> Json {
+    let [pipe, func, nest] = ips;
+    println!(
+        "{kernel:<10} {target:<10} {retired:>8} {pipe:>13.0} {func:>13.0} {nest:>13.0} {:>6.1}x {:>6.1}x",
+        func / pipe,
+        nest / func
+    );
+    Json::Obj(vec![
+        ("kernel".into(), Json::Str(kernel.into())),
+        ("target".into(), Json::Str(target.into())),
+        ("retired".into(), Json::u64(retired)),
+        ("pipeline_ips".into(), Json::f64(pipe.round())),
+        ("functional_ips".into(), Json::f64(func.round())),
+        ("nest_ips".into(), Json::f64(nest.round())),
+        (
+            "nest_over_functional".into(),
+            Json::f64((nest / func * 100.0).round() / 100.0),
+        ),
+    ])
+}
+
+/// The tracked artifact: the three executor tiers side by side, in
 /// instructions per second, with per-cell speedups of each tier over
 /// the previous one. Full runs also rewrite `BENCH_throughput.json` at
 /// the repo root so the numbers are diffable without scraping stdout.
@@ -121,17 +143,8 @@ fn side_by_side(test_mode: bool) {
     let reps = if test_mode { 1 } else { 20 };
     println!("\nexecutor throughput side by side ({reps} runs/cell):");
     println!(
-        "{:<10} {:<10} {:>8} {:>13} {:>13} {:>13} {:>13} {:>7} {:>7} {:>7}",
-        "kernel",
-        "target",
-        "instrs",
-        "pipeline i/s",
-        "funct. i/s",
-        "compiled i/s",
-        "nest i/s",
-        "f/p",
-        "c/f",
-        "n/c"
+        "{:<10} {:<10} {:>8} {:>13} {:>13} {:>13} {:>7} {:>7}",
+        "kernel", "target", "instrs", "pipeline i/s", "funct. i/s", "nest i/s", "f/p", "n/f"
     );
     let mut rows = Vec::new();
     for name in KERNELS {
@@ -139,71 +152,17 @@ fn side_by_side(test_mode: bool) {
             let built = build(name, &target);
             let (pipe, retired) = instrs_per_sec(&built, ExecutorKind::CycleAccurate, reps);
             let (func, _) = instrs_per_sec(&built, ExecutorKind::Functional, reps);
-            let (comp, _) = instrs_per_sec(&built, ExecutorKind::Compiled, reps);
             let (nest, _) = instrs_per_sec(&built, ExecutorKind::Nest, reps);
-            println!(
-                "{:<10} {:<10} {:>8} {:>13.0} {:>13.0} {:>13.0} {:>13.0} {:>6.1}x {:>6.1}x {:>6.1}x",
-                name,
-                label,
-                retired,
-                pipe,
-                func,
-                comp,
-                nest,
-                func / pipe,
-                comp / func,
-                nest / comp
-            );
-            rows.push(Json::Obj(vec![
-                ("kernel".into(), Json::Str(name.into())),
-                ("target".into(), Json::Str(label.into())),
-                ("retired".into(), Json::u64(retired)),
-                ("pipeline_ips".into(), Json::f64(pipe.round())),
-                ("functional_ips".into(), Json::f64(func.round())),
-                ("compiled_ips".into(), Json::f64(comp.round())),
-                ("nest_ips".into(), Json::f64(nest.round())),
-                (
-                    "nest_over_compiled".into(),
-                    Json::f64((nest / comp * 100.0).round() / 100.0),
-                ),
-            ]));
+            rows.push(row(name, label, retired, [pipe, func, nest]));
         }
     }
     // The deep-nest synthetic: the tentpole shape for the superblock
     // tier, measured through the raw session API (no kernel harness).
-    {
-        let prog = deep_nest();
-        let (pipe, retired) = nest_instrs_per_sec(&prog, ExecutorKind::CycleAccurate, reps);
-        let (func, _) = nest_instrs_per_sec(&prog, ExecutorKind::Functional, reps);
-        let (comp, _) = nest_instrs_per_sec(&prog, ExecutorKind::Compiled, reps);
-        let (nest, _) = nest_instrs_per_sec(&prog, ExecutorKind::Nest, reps);
-        println!(
-            "{:<10} {:<10} {:>8} {:>13.0} {:>13.0} {:>13.0} {:>13.0} {:>6.1}x {:>6.1}x {:>6.1}x",
-            "deep_nest",
-            "baseline",
-            retired,
-            pipe,
-            func,
-            comp,
-            nest,
-            func / pipe,
-            comp / func,
-            nest / comp
-        );
-        rows.push(Json::Obj(vec![
-            ("kernel".into(), Json::Str("deep_nest".into())),
-            ("target".into(), Json::Str("baseline".into())),
-            ("retired".into(), Json::u64(retired)),
-            ("pipeline_ips".into(), Json::f64(pipe.round())),
-            ("functional_ips".into(), Json::f64(func.round())),
-            ("compiled_ips".into(), Json::f64(comp.round())),
-            ("nest_ips".into(), Json::f64(nest.round())),
-            (
-                "nest_over_compiled".into(),
-                Json::f64((nest / comp * 100.0).round() / 100.0),
-            ),
-        ]));
-    }
+    let prog = deep_nest();
+    let (pipe, retired) = nest_instrs_per_sec(&prog, ExecutorKind::CycleAccurate, reps);
+    let (func, _) = nest_instrs_per_sec(&prog, ExecutorKind::Functional, reps);
+    let (nest, _) = nest_instrs_per_sec(&prog, ExecutorKind::Nest, reps);
+    rows.push(row("deep_nest", "baseline", retired, [pipe, func, nest]));
     if !test_mode {
         let doc = Json::Obj(vec![
             (

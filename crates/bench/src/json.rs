@@ -158,12 +158,23 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest. The deepest document the
+/// repository writes nests well under ten levels; the limit keeps a
+/// hostile document (a `zolcd` frame of a million `[`s) from
+/// overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
 /// garbage is an error).
+///
+/// # Errors
+///
+/// A [`JsonError`] at the first malformed byte, or at the bracket that
+/// nests deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Json, JsonError> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing garbage after document"));
@@ -193,12 +204,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses a value nested inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -283,7 +298,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -296,7 +311,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -310,7 +325,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -319,7 +334,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -380,6 +395,19 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("\"abc").is_err());
         assert!(parse("+-3").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_with_a_positioned_error() {
+        let deep = "[".repeat(1_000_000);
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert!(e.msg.contains("nesting"), "{e}");
+        let e = parse(&"{\"k\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        // The limit itself still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! generated baseline programs on `zolc-oracle`: an analyzer that
 //! derives final machine states from the ISA spec alone, sharing no
 //! code with the executors' semantics core. Every program the oracle
-//! claims to analyze is run on all four executor tiers and must
+//! claims to analyze is run on all three executor tiers and must
 //! bit-match the summary — registers, data memory, retire and branch
 //! counts. Refusals are tallied by [`Reason`](zolc_oracle::Reason)
 //! label so coverage regressions show up as a shifted distribution,
@@ -30,7 +30,7 @@ use zolc_sim::{run_session, CpuConfig, ExecutorKind, NullEngine};
 pub struct OracleReport {
     /// Generated baseline programs checked.
     pub programs: usize,
-    /// Programs the oracle summarized — every one bit-matched all four
+    /// Programs the oracle summarized — every one bit-matched all three
     /// executors (a mismatch panics the sweep, it is never recorded).
     pub covered: usize,
     /// Refusal tallies by [`Reason`](zolc_oracle::Reason) label,
@@ -58,7 +58,7 @@ impl OracleReport {
             )
         };
         let mut rows = vec![vec![
-            "covered (bit-matched 4 executors)".to_string(),
+            "covered (bit-matched 3 executors)".to_string(),
             share(self.covered),
         ]];
         for (label, n) in &self.refusals {
@@ -73,7 +73,7 @@ impl fmt::Display for OracleReport {
         writeln!(
             f,
             "oracle cross-check: {} of {} baseline programs summarized in closed form \
-             ({:.1}% coverage), every summary bit-matched all four executors\n",
+             ({:.1}% coverage), every summary bit-matched all three executors\n",
             self.covered,
             self.programs,
             self.coverage_percent()
@@ -84,7 +84,7 @@ impl fmt::Display for OracleReport {
 
 /// Runs the oracle cross-check over the sweep's generated baseline
 /// programs: summarize each, and where the oracle claims analyzability,
-/// hold all four executors to the summary bit-for-bit.
+/// hold all three executors to the summary bit-for-bit.
 ///
 /// # Panics
 ///
@@ -118,7 +118,7 @@ pub fn run_oracle_check(cfg: &SweepConfig) -> OracleReport {
 }
 
 /// Checks one generated program; returns the refusal label, or `None`
-/// after a verified bit-match against all four executors.
+/// after a verified bit-match against all three executors.
 fn check_one(g: &GeneratedProgram) -> Option<&'static str> {
     let source = g.program.source();
     let mem_size = CpuConfig::default().mem_size;

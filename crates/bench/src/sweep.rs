@@ -55,8 +55,8 @@ pub struct GeneratedProgram {
     pub name: String,
     /// The shape the program was assembled from.
     pub spec: ProgramSpec,
-    /// The assembled baseline (software-loop) program, predecoded and
-    /// block-compiled once; every cell that measures it (and every
+    /// The assembled baseline (software-loop) program, predecoded
+    /// once; every cell that measures it (and every
     /// daemon job that replays it) opens a session over this one
     /// `Arc`-shared [`CompiledProgram`].
     pub program: Arc<CompiledProgram>,

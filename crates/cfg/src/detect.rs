@@ -1,4 +1,4 @@
-//! Counted-loop detection and automatic ZOLC mapping.
+//! Counted-loop detection and task-chain planning.
 //!
 //! This is the analysis direction of the compiler support the paper
 //! assumes: given *software-loop* machine code (the `XRdefault` form), it
@@ -12,20 +12,15 @@
 //! ```
 //!
 //! (or the `dbnz` equivalent of `XRhrdwil` code), extracts the loop
-//! parameters, and proposes a [`ZolcImage`] — the task-switching entries
-//! and loop records a ZOLC port of the same program would use. The
-//! proposal is cross-checked against the original structure by
-//! [`crate::verify::verify_image`] and, in the test-suite, against the
-//! known IR of the benchmark kernels.
-//!
-//! [`map_to_zolc`] is the *advisory* half (a table image against the
-//! original, unmodified addresses); [`crate::retarget`] is the
-//! *executable* half, which also removes the software loop control and
-//! produces a runnable program/overlay pair.
+//! parameters, and plans the task-switching successors a ZOLC port of
+//! the same program would use. [`crate::retarget`] turns both into an
+//! executable program/overlay pair: it removes the software loop control
+//! and synthesizes the [`ZolcImage`](zolc_core::ZolcImage) against the
+//! relocated addresses.
 
 use crate::graph::Cfg;
 use crate::loops::{LoopForest, NaturalLoop};
-use zolc_core::{LimitSrc, LoopSpec, TaskSpec, ZolcImage, TASK_NONE};
+use zolc_core::TASK_NONE;
 use zolc_isa::{Instr, Program, Reg, INSTR_BYTES};
 
 /// A register-sourced trip count found in a loop preheader
@@ -86,7 +81,7 @@ impl CountedLoop {
 /// Scans a program's loop forest for counted loops.
 ///
 /// Loops whose latch does not match the pattern are skipped (they remain
-/// in the forest; the mapper reports them as unhandled).
+/// in the forest; [`crate::retarget`] reports them as unhandled).
 ///
 /// # Examples
 ///
@@ -194,8 +189,8 @@ fn match_counted(program: &Program, cfg: &Cfg, l: &NaturalLoop) -> Option<Counte
 }
 
 /// The task-switching successors of a counted-loop set, in `counted`
-/// order (shared by the advisory mapper and the retargeter — the graph
-/// is address-independent; only the recorded addresses differ).
+/// order (the graph is address-independent, so the retargeter plans it
+/// on the original program and records relocated addresses).
 #[derive(Debug, Clone)]
 pub(crate) struct TaskChain {
     /// Successor task when the loop iterates.
@@ -290,74 +285,6 @@ pub(crate) fn plan_task_chain(
     }
 }
 
-/// The result of automatically mapping a software-loop program onto the
-/// ZOLC.
-#[derive(Debug, Clone)]
-pub struct MappedProgram {
-    /// The proposed table image (loop records + task entries).
-    pub image: ZolcImage,
-    /// The counted loops backing each image loop, in image order.
-    pub counted: Vec<CountedLoop>,
-    /// Natural loops that did not match the counted pattern.
-    pub unhandled: Vec<usize>,
-}
-
-/// Proposes a ZOLC table image for a software-loop program.
-///
-/// Loop records use the *body* region (header start to the instruction
-/// before the counting code); task entries chain by nesting, exactly as
-/// the forward lowering would emit them. Loops without a recognizable
-/// trip count use a register-sourced limit.
-///
-/// The image is *advisory*: it describes the original program, whose
-/// software loop control is still in place. Use [`crate::retarget`] to
-/// produce a runnable excised program plus matching overlay.
-pub fn map_to_zolc(program: &Program, cfg: &Cfg, forest: &LoopForest) -> MappedProgram {
-    let counted = detect_counted_loops(program, cfg, forest);
-    let unhandled: Vec<usize> = forest
-        .loops
-        .iter()
-        .map(|l| l.id)
-        .filter(|id| counted.iter().all(|c| c.loop_id != *id))
-        .collect();
-
-    // order image loops by forest order (forest sorts by body size,
-    // parents first)
-    let mut image = ZolcImage::default();
-    for c in &counted {
-        image.loops.push(LoopSpec {
-            init: 0,
-            step: 0,
-            limit: match c.trips {
-                Some(n) => LimitSrc::Const(n),
-                None => match c.limit_reg {
-                    Some(rl) => LimitSrc::Reg(rl.reg),
-                    None => LimitSrc::Reg(c.counter),
-                },
-            },
-            index_reg: None,
-            start: c.start.into(),
-            end: c.body_end().into(),
-        });
-    }
-    let chain = plan_task_chain(cfg, forest, &counted);
-    for (k, _) in counted.iter().enumerate() {
-        image.tasks.push(TaskSpec {
-            end: image.loops[k].end,
-            loop_id: k as u8,
-            next_iter: chain.next_iter[k],
-            next_fallthru: chain.next_fallthru[k],
-        });
-    }
-    image.initial_task = chain.initial_task;
-
-    MappedProgram {
-        image,
-        counted,
-        unhandled,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,23 +353,23 @@ mod tests {
             halt
         ",
         );
-        let m = map_to_zolc(&p, &cfg, &f);
-        assert_eq!(m.counted.len(), 1);
-        assert_eq!(m.counted[0].trips, None);
+        let c = detect_counted_loops(&p, &cfg, &f);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c[0].trips, None);
+        assert_eq!(c[0].init_addr, None);
         assert_eq!(
-            m.counted[0].limit_reg,
+            c[0].limit_reg,
             Some(RegLimit {
                 reg: reg(9),
                 addr: 0
             })
         );
-        assert!(matches!(m.image.loops[0].limit, LimitSrc::Reg(r) if r == reg(9)));
     }
 
     #[test]
     fn latch_at_text_start_does_not_underflow() {
         // degenerate: the latch opens the text segment (no preheader, no
-        // body) — mapping must not panic, and the advisory end saturates
+        // body) — detection must not panic, and the body end saturates
         let (p, cfg, f) = analyze(
             "
       top:  addi r11, r11, -1
@@ -450,9 +377,9 @@ mod tests {
             halt
         ",
         );
-        let m = map_to_zolc(&p, &cfg, &f);
-        assert_eq!(m.counted.len(), 1);
-        assert_eq!(m.counted[0].body_end(), 0);
+        let c = detect_counted_loops(&p, &cfg, &f);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c[0].body_end(), 0);
     }
 
     #[test]
@@ -465,9 +392,11 @@ mod tests {
             halt
         ",
         );
-        let m = map_to_zolc(&p, &cfg, &f);
-        assert!(m.counted.is_empty());
-        assert_eq!(m.unhandled.len(), 1);
+        assert!(detect_counted_loops(&p, &cfg, &f).is_empty());
+        assert_eq!(f.loops.len(), 1, "the loop stays in the forest");
+        let r = crate::retarget(&p, &zolc_core::ZolcConfig::lite()).unwrap();
+        assert!(r.counted.is_empty());
+        assert_eq!(r.unhandled.len(), 1);
     }
 
     #[test]
@@ -484,19 +413,21 @@ mod tests {
             halt
         ",
         );
-        let m = map_to_zolc(&p, &cfg, &f);
-        assert_eq!(m.counted.len(), 2);
-        assert!(m.unhandled.is_empty());
-        assert_eq!(m.image.loops.len(), 2);
+        let c = detect_counted_loops(&p, &cfg, &f);
+        assert_eq!(c.len(), 2);
         // outer first (forest orders by body size)
-        assert!(matches!(m.image.loops[0].limit, LimitSrc::Const(3)));
-        assert!(matches!(m.image.loops[1].limit, LimitSrc::Const(4)));
+        assert_eq!(c[0].trips, Some(3));
+        assert_eq!(c[1].trips, Some(4));
+        let chain = plan_task_chain(&cfg, &f, &c);
         // outer's next_iter descends into the inner task
-        assert_eq!(m.image.tasks[0].next_iter, 1);
-        assert_eq!(m.image.tasks[1].next_fallthru, 0);
-        assert_eq!(m.image.initial_task, 1);
-        // validates against the lite configuration
-        m.image.validate(&zolc_core::ZolcConfig::lite()).unwrap();
+        assert_eq!(chain.next_iter[0], 1);
+        assert_eq!(chain.next_fallthru[1], 0);
+        assert_eq!(chain.initial_task, 1);
+        // the retargeted image validates against the lite configuration
+        let lite = zolc_core::ZolcConfig::lite();
+        let r = crate::retarget(&p, &lite).unwrap();
+        assert!(r.unhandled.is_empty());
+        r.image.validate(&lite).unwrap();
     }
 
     #[test]
@@ -521,22 +452,18 @@ mod tests {
             halt
         ",
         );
-        let m = map_to_zolc(&p, &cfg, &f);
-        assert_eq!(m.counted.len(), 3);
-        // image order is forest order (biggest first): b, bi, a
-        let start_of = |k: usize| m.image.loops[k].start.abs().unwrap();
-        let a = (0..3).find(|&k| start_of(k) == 4).unwrap();
-        let b_outer = (0..3)
-            .find(|&k| matches!(m.image.loops[k].limit, LimitSrc::Const(3)))
-            .unwrap();
-        let b_inner = (0..3)
-            .find(|&k| matches!(m.image.loops[k].limit, LimitSrc::Const(4)))
-            .unwrap();
+        let c = detect_counted_loops(&p, &cfg, &f);
+        assert_eq!(c.len(), 3);
+        // task order is forest order (biggest first): b, bi, a
+        let a = (0..3).find(|&k| c[k].start == 4).unwrap();
+        let b_outer = (0..3).find(|&k| c[k].trips == Some(3)).unwrap();
+        let b_inner = (0..3).find(|&k| c[k].trips == Some(4)).unwrap();
+        let chain = plan_task_chain(&cfg, &f, &c);
         // activation starts at the first nest in address order
-        assert_eq!(m.image.initial_task, a as u8);
+        assert_eq!(chain.initial_task, a as u8);
         // `a` falls through to the *inner* task of the second nest
-        assert_eq!(m.image.tasks[a].next_fallthru, b_inner as u8);
-        assert_eq!(m.image.tasks[b_inner].next_fallthru, b_outer as u8);
-        assert_eq!(m.image.tasks[b_outer].next_fallthru, TASK_NONE);
+        assert_eq!(chain.next_fallthru[a], b_inner as u8);
+        assert_eq!(chain.next_fallthru[b_inner], b_outer as u8);
+        assert_eq!(chain.next_fallthru[b_outer], TASK_NONE);
     }
 }

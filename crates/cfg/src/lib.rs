@@ -7,9 +7,8 @@
 //! * [`Dominators`] — dominator tree (iterative algorithm);
 //! * [`LoopForest`] — natural loops, nesting depths, latches and
 //!   multiple-entry detection;
-//! * [`detect_counted_loops`] / [`map_to_zolc`] — recognition of the
-//!   software down-counter and `dbnz` loop patterns and the automatic
-//!   proposal of a ZOLC table image for them;
+//! * [`detect_counted_loops`] — recognition of the software
+//!   down-counter and `dbnz` loop patterns;
 //! * [`retarget`] — the executable end of the toolchain: excise the
 //!   software loop control from a binary, relocate the text, and
 //!   synthesize a runnable, self-initializing program/overlay pair;
@@ -50,7 +49,7 @@ mod loops;
 mod retarget;
 mod verify;
 
-pub use detect::{detect_counted_loops, map_to_zolc, CountedLoop, MappedProgram, RegLimit};
+pub use detect::{detect_counted_loops, CountedLoop, RegLimit};
 pub use dom::Dominators;
 pub use graph::{BasicBlock, Cfg};
 pub use lint::{lint_program, Lint, LintKind, LintReport};

@@ -1,10 +1,8 @@
 //! Automatic ZOLC retargeting: software-loop binary → excised program +
 //! synthesized overlay.
 //!
-//! [`map_to_zolc`](crate::map_to_zolc) stops at a table-image *proposal*
-//! against the original addresses; this module closes the loop the paper's
-//! §2 workflow assumes. Starting from an `XRdefault`- (or `XRhrdwil`-)
-//! lowered [`Program`], [`retarget`]
+//! This module closes the loop the paper's §2 workflow assumes. Starting
+//! from an `XRdefault`- (or `XRhrdwil`-) lowered [`Program`], [`retarget`]
 //!
 //! 1. runs the CFG / dominator / loop-forest analyses and
 //!    [`detect_counted_loops`](crate::detect_counted_loops);

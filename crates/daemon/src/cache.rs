@@ -11,9 +11,11 @@
 //! cold key, one computes while the others block on a condvar, and all
 //! of them receive the one rendered result. Failures are cached too —
 //! a malformed program that cannot be retargeted fails once, not once
-//! per client.
+//! per client — and a computation that panics is one such failure, so
+//! a job bug fails that job without wedging its key or the daemon.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -99,12 +101,14 @@ impl ResultCache {
     /// Returns the cached result for `canon`, computing it with
     /// `compute` on a miss. Concurrent callers with the same `canon`
     /// compute once: the first runs `compute` (outside the lock), the
-    /// rest block until it finishes and share the outcome.
+    /// rest block until it finishes and share the outcome. A panic in
+    /// `compute` is caught and cached as a failure.
     ///
     /// # Errors
     ///
-    /// The error `compute` produced — whether on this call or on the
-    /// earlier call that populated (and failed) this entry.
+    /// The error `compute` produced, or a description of its panic —
+    /// whether on this call or on the earlier call that populated (and
+    /// failed) this entry.
     pub fn get_or_compute(
         &self,
         canon: &[u8],
@@ -146,7 +150,14 @@ impl ResultCache {
         // We own the Building slot; compute outside the lock so other
         // keys proceed, then publish and wake every waiter (waiters on
         // other keys just re-check and sleep again).
-        let outcome = compute();
+        let outcome = catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "no message".into());
+            Err(format!("job panicked: {msg}"))
+        });
         let mut map = self.map.lock().expect("cache poisoned");
         let entry = &mut map.get_mut(&key).expect("building entry vanished")[slot];
         let result = match outcome {
@@ -219,6 +230,25 @@ mod tests {
             cache.get_or_compute(b"bad", || panic!("must not recompute")),
             Err("nope".into())
         );
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_key_instead_of_wedging_it() {
+        let cache = Arc::new(ResultCache::new());
+        let first = cache.get_or_compute(b"boom", || panic!("job bug"));
+        assert_eq!(first, Err("job panicked: job bug".into()));
+        // A later caller for the same key, on another thread, gets the
+        // cached failure promptly instead of waiting on a Building slot.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let c = Arc::clone(&cache);
+        thread::spawn(move || {
+            let _ = tx.send(c.get_or_compute(b"boom", || Ok("late".into())));
+        });
+        let second = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("second caller wedged on the panicked key");
+        assert_eq!(second, Err("job panicked: job bug".into()));
         assert_eq!(cache.stats().entries, 1);
     }
 

@@ -10,13 +10,16 @@
 //! length-prefixed JSON protocol, and the daemon answers repeated jobs
 //! from content-addressed result caches instead of recomputing them.
 //!
-//! The cost model this serves: a retarget is milliseconds, a sweep is
-//! seconds to minutes — and design-space exploration resubmits the
-//! *same* jobs constantly (the same kernel against a grid of
-//! configurations, the same sweep re-requested by every member of a
-//! team or CI shard). Caching at a daemon shares that work across
-//! processes the way [`CompiledProgram`](zolc_sim::CompiledProgram)
-//! shares compiled blocks across sessions within one.
+//! The cost model this serves: a retarget of a kernel-sized or generated
+//! binary is tens of microseconds (about 50 µs per call in the
+//! repository benchmark's traced `e7_sweep` run), a sweep is seconds to
+//! minutes — so most of the work a cache hit saves is sweep work — and
+//! design-space exploration resubmits the *same* jobs constantly (the
+//! same kernel against a grid of configurations, the same sweep
+//! re-requested by every member of a team or CI shard). Caching at a
+//! daemon shares that work across processes the way
+//! [`CompiledProgram`](zolc_sim::CompiledProgram) shares compiled
+//! superblocks across sessions within one.
 //!
 //! Three guarantees shape the design:
 //!

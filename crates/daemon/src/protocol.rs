@@ -45,7 +45,6 @@ use zolc_cfg::{LintReport, Retargeted};
 use zolc_core::{ZolcConfig, ZolcVariant};
 use zolc_gen::GenConfig;
 use zolc_isa::Program;
-use zolc_sim::ExecutorKind;
 
 /// Hard cap on one frame's payload, request or response (64 MiB —
 /// comfortably above any sweep report, far below an allocation bomb).
@@ -252,28 +251,6 @@ pub fn parse_gen_config(doc: &Json) -> Result<GenConfig, String> {
 
 // ---- SweepConfig --------------------------------------------------------
 
-fn executor_name(kind: ExecutorKind) -> &'static str {
-    match kind {
-        ExecutorKind::CycleAccurate => "cycle-accurate",
-        ExecutorKind::Functional => "functional",
-        ExecutorKind::Compiled => "compiled",
-        ExecutorKind::Nest => "nest",
-        // `ExecutorKind` is non_exhaustive; a tier added upstream must
-        // get a wire name here before the daemon can serve it.
-        _ => unreachable!("executor tier without a wire name"),
-    }
-}
-
-fn parse_executor(name: &str) -> Result<ExecutorKind, String> {
-    match name {
-        "cycle-accurate" => Ok(ExecutorKind::CycleAccurate),
-        "functional" => Ok(ExecutorKind::Functional),
-        "compiled" => Ok(ExecutorKind::Compiled),
-        "nest" => Ok(ExecutorKind::Nest),
-        other => Err(format!("sweep: unknown executor `{other}`")),
-    }
-}
-
 /// The canonical JSON encoding of a sweep configuration.
 pub fn sweep_config_json(cfg: &zolc_bench::SweepConfig) -> Json {
     Json::Obj(vec![
@@ -294,10 +271,7 @@ pub fn sweep_config_json(cfg: &zolc_bench::SweepConfig) -> Json {
                     .collect(),
             ),
         ),
-        (
-            "executor".into(),
-            Json::Str(executor_name(cfg.executor).into()),
-        ),
+        ("executor".into(), Json::Str(cfg.executor.to_string())),
     ])
 }
 
@@ -333,9 +307,8 @@ pub fn parse_sweep_config(doc: &Json) -> Result<zolc_bench::SweepConfig, String>
         cfg = cfg.with_points(points);
     }
     if let Some(v) = doc.get("executor") {
-        cfg = cfg.with_executor(parse_executor(
-            v.as_str().ok_or("sweep: `executor` is not a string")?,
-        )?);
+        let name = v.as_str().ok_or("sweep: `executor` is not a string")?;
+        cfg = cfg.with_executor(name.parse().map_err(|e| format!("sweep: executor {e}"))?);
     }
     Ok(cfg)
 }
@@ -587,6 +560,7 @@ pub fn parse_retargeted_program(doc: &Json) -> Result<Arc<Program>, String> {
 mod tests {
     use super::*;
     use zolc_bench::json;
+    use zolc_sim::ExecutorKind;
 
     #[test]
     fn frames_roundtrip_and_reject_oversize() {
@@ -655,10 +629,15 @@ mod tests {
     #[test]
     fn every_executor_tier_has_a_wire_name_that_roundtrips() {
         for kind in ExecutorKind::ALL {
-            let back = parse_executor(executor_name(kind)).unwrap();
-            assert_eq!(back, kind);
+            let cfg = zolc_bench::SweepConfig::new().with_executor(kind);
+            let back = parse_sweep_config(&sweep_config_json(&cfg)).unwrap();
+            assert_eq!(back.executor, kind);
         }
-        assert!(parse_executor("superscalar").is_err());
+        for name in ["superscalar", "compiled"] {
+            let doc = Json::Obj(vec![("executor".into(), Json::Str(name.into()))]);
+            let err = parse_sweep_config(&doc).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
     }
 
     #[test]

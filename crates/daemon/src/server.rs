@@ -3,7 +3,6 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -96,26 +95,9 @@ pub fn lint_result(program: &Program, config: Option<&ZolcConfig>) -> Result<Str
 }
 
 /// Computes the canonical result document for a sweep job (see
-/// [`retarget_result`] — same contract, for sweeps).
-///
-/// # Errors
-///
-/// A description of the panic, if the sweep harness panicked.
-pub fn sweep_result(cfg: &SweepConfig) -> Result<String, String> {
-    // A generator or executor bug must fail the one job, not the
-    // daemon: the sweep runs under catch_unwind and the panic is
-    // cached like any other failure.
-    match catch_unwind(AssertUnwindSafe(|| run_sweep(cfg))) {
-        Ok(report) => Ok(zolc_bench::report_json(&report).render()),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "sweep panicked".into());
-            Err(format!("sweep panicked: {msg}"))
-        }
-    }
+/// [`retarget_result`] — same contract, for sweeps, which cannot fail).
+pub fn sweep_result(cfg: &SweepConfig) -> String {
+    zolc_bench::report_json(&run_sweep(cfg)).render()
 }
 
 /// The complete, byte-exact response a daemon sends for a retarget
@@ -140,10 +122,7 @@ pub fn offline_lint_response(program: &Program, config: Option<&ZolcConfig>) -> 
 /// The complete, byte-exact response a daemon sends for a sweep job —
 /// computed locally (see [`offline_retarget_response`]).
 pub fn offline_sweep_response(cfg: &SweepConfig) -> Vec<u8> {
-    match sweep_result(cfg) {
-        Ok(doc) => ok_response(&doc),
-        Err(e) => err_response(&e),
-    }
+    ok_response(&sweep_result(cfg))
 }
 
 struct Shared {
@@ -260,7 +239,7 @@ impl Shared {
         let canon = sweep_config_json(&cfg).render();
         match self
             .sweeps
-            .get_or_compute(canon.as_bytes(), || sweep_result(&cfg))
+            .get_or_compute(canon.as_bytes(), || Ok(sweep_result(&cfg)))
         {
             Ok(doc) => ok_response(&doc),
             Err(e) => err_response(&e),
@@ -522,10 +501,37 @@ mod tests {
         );
         let r = c.request_raw(b"{\"op\":\"dance\"}").unwrap();
         assert!(r.starts_with(b"{\"ok\":false"));
-        // the connection survived both
+        // `compiled` names no executor tier
+        let r = c
+            .request_raw(b"{\"op\":\"sweep\",\"config\":{\"executor\":\"compiled\"}}")
+            .unwrap();
+        let body = String::from_utf8_lossy(&r);
+        assert!(body.starts_with("{\"ok\":false"), "{body}");
+        assert!(body.contains("compiled"), "{body}");
+        // the connection survived all three
         assert!(c.ping().unwrap());
 
         c.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn deeply_nested_frames_do_not_kill_the_daemon() {
+        let (addr, handle) = spawn_daemon();
+        let mut c = Client::connect(addr).unwrap();
+        // One frame of a million `[`: an error response (or, at worst,
+        // a dropped connection) — never a stack overflow that aborts
+        // the whole process.
+        if let Ok(r) = c.request_raw("[".repeat(1_000_000).as_bytes()) {
+            let body = String::from_utf8_lossy(&r);
+            assert!(body.starts_with("{\"ok\":false"), "{body}");
+            assert!(body.contains("nesting"), "{body}");
+        }
+        // Shutdown drains open connections, so close this one first.
+        drop(c);
+        let mut fresh = Client::connect(addr).unwrap();
+        assert!(fresh.ping().unwrap());
+        fresh.shutdown().unwrap();
         handle.join().unwrap().unwrap();
     }
 

@@ -135,7 +135,7 @@ impl BuiltKernel {
     /// controller for ZOLC targets, [`NullEngine`] otherwise). `fuel`
     /// bounds retired instructions with the same meaning on every
     /// executor (see [`zolc_sim::Executor::run`]). On the functional
-    /// tiers ([`ExecutorKind::Functional`] / [`ExecutorKind::Compiled`])
+    /// tiers ([`ExecutorKind::Functional`] / [`ExecutorKind::Nest`])
     /// the returned statistics carry no cycle counts but identical
     /// architectural event counts.
     ///
@@ -260,11 +260,7 @@ mod tests {
             let slow = built.run(10_000_000, ExecutorKind::CycleAccurate).unwrap();
             assert!(slow.is_correct(), "{target}: {:?}", slow.mismatches);
             assert!(slow.stats.cycles > 0);
-            for kind in [
-                ExecutorKind::Functional,
-                ExecutorKind::Compiled,
-                ExecutorKind::Nest,
-            ] {
+            for kind in [ExecutorKind::Functional, ExecutorKind::Nest] {
                 let fast = built.run(10_000_000, kind).unwrap();
                 assert!(fast.is_correct(), "{target}/{kind}: {:?}", fast.mismatches);
                 assert_eq!(slow.stats.retired, fast.stats.retired, "{target}/{kind}");

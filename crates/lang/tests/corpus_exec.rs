@@ -1,11 +1,11 @@
 //! End-to-end differential gate over the bundled corpus.
 //!
 //! Every corpus program is compiled, lowered for all three hand targets
-//! plus the auto-retarget path, and executed on all four executor tiers;
+//! plus the auto-retarget path, and executed on all three executor tiers;
 //! each run is judged bit-exactly against the AST interpreter's
 //! reference state, and the tiers must also agree on the retire count.
 //! Where `zolc-oracle` claims the baseline binary analyzable, its
-//! closed-form summary is held to the executed outcome as a fifth arm —
+//! closed-form summary is held to the executed outcome as a further arm —
 //! and coverage itself is pinned per program in the corpus table, so the
 //! analyzable fragment cannot silently shrink.
 
@@ -17,13 +17,6 @@ use zolc_lang::{compile, corpus, CompiledUnit};
 use zolc_sim::{run_session, CompiledProgram, Executor, ExecutorKind, Finished, NullEngine};
 
 const FUEL: u64 = 50_000_000;
-
-const ALL_EXECUTORS: [ExecutorKind; 4] = [
-    ExecutorKind::CycleAccurate,
-    ExecutorKind::Functional,
-    ExecutorKind::Compiled,
-    ExecutorKind::Nest,
-];
 
 fn compile_entry(name: &str, source: &str) -> CompiledUnit {
     compile(name, source).unwrap_or_else(|e| panic!("{name}: {e}"))
@@ -61,7 +54,7 @@ fn corpus_is_bit_exact_on_every_target_and_executor() {
                 .build(&target)
                 .unwrap_or_else(|err| panic!("{}/{target}: {err}", e.name));
             let mut retired = None;
-            for kind in ALL_EXECUTORS {
+            for kind in ExecutorKind::ALL {
                 let run = built
                     .run(FUEL, kind)
                     .unwrap_or_else(|err| panic!("{}/{target}/{kind}: {err}", e.name));
@@ -99,7 +92,7 @@ fn corpus_auto_retargets_with_the_recorded_handled_count() {
             e.name, auto.stats.unhandled, auto.stats.excised
         );
         let mut retired = None;
-        for kind in ALL_EXECUTORS {
+        for kind in ExecutorKind::ALL {
             let run = auto
                 .built
                 .run(FUEL, kind)

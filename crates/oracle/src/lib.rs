@@ -13,8 +13,8 @@
 //! The crate depends only on `zolc-isa`: its semantics are derived
 //! from the ISA reference (instruction documentation and the memory
 //! model), **not** from any executor implementation. That independence
-//! is the point — the differential suites use the oracle as a fifth
-//! arm that would catch a semantics bug shared by all four executor
+//! is the point — the differential suites use the oracle as an extra
+//! arm that would catch a semantics bug shared by all three executor
 //! tiers, which mutual cross-checking cannot.
 //!
 //! # The analyzable fragment

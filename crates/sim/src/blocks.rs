@@ -1,71 +1,24 @@
-//! The block-compiled functional executor: basic-block superinstructions
-//! over the shared step core.
+//! The shared instruction lowering of the nest executor: straight-line
+//! instructions become pre-lowered [`Op`]s and control transfers become
+//! [`Terminator`]s.
 //!
-//! [`CompiledCpu`] is the third executor tier. Where [`FunctionalCpu`]
-//! interprets one instruction per step (fetch, build an
-//! [`Effect`](crate::Effect), match on it), this tier predecodes the
-//! [`TextImage`] into **basic blocks** on first entry: the straight-line
-//! prefix becomes a dense vector of pre-lowered [`Op`]s — operands
-//! extracted, immediates pre-extended, ALU semantics reduced to a
-//! function pointer — and the block's control transfer is handled once
-//! by a precomputed [`Terminator`]. Executing a block is a tight loop
-//! over that vector with a single fuel check and a single retire-count
-//! update per block, which is what makes this tier the fastest way to
-//! get architectural results at sweep scale.
-//!
-//! # Caching and fallback
-//!
-//! Blocks are cached by **entry pc × loop-engine passivity** in the
-//! shared, evictable cache of the session's
-//! [`CompiledProgram`](crate::CompiledProgram) — compiled once, shared
-//! by every concurrent session, memoized locally per session so the
-//! dispatch loop stays lock-free. Only the
-//! passive side of the key ever holds compiled blocks: an active engine
-//! (see [`LoopEngine::is_passive`]) must observe `on_fetch`/`on_execute`
-//! for every instruction, so the active side of the cache degenerates —
-//! by construction, not by accident — to the per-instruction step core
-//! ([`Machine::step_instr`]), the exact interpreter `FunctionalCpu`
-//! runs. The same fallback handles everything a block cannot express:
-//!
-//! * `zwr`/`zctl`/`dbnz` — loop-controller interactions (and the fused
-//!   branch-decrement) terminate the block and execute via the step
-//!   core;
-//! * fetch faults — a block reaching a misaligned or out-of-text pc
-//!   defers to the step core, which raises the architectural
-//!   [`RunError`];
-//! * retire tracing (`trace_retire`) — per-instruction events cannot be
-//!   batched, so traced runs take the step core throughout;
-//! * the fuel boundary — when the remaining fuel cannot cover a whole
-//!   block, execution finishes per-instruction so
-//!   [`RunError::OutOfFuel`] fires at exactly the same instruction as
-//!   on [`FunctionalCpu`].
-//!
-//! Because compiled blocks mutate the same [`Machine`] state the step
-//! core does, the two functional tiers are bit-exact on registers,
-//! memory, retire counts and every architectural event counter — the
-//! four-way `prop_exec_equiv` suite holds all executors to it.
+//! [`lower`] turns one predecoded instruction into either an op —
+//! operands extracted, immediates pre-extended to the exact `u32` the
+//! semantics core computes, ALU semantics reduced to a function pointer
+//! — or the terminator that ends a straight-line run, with branch
+//! targets and link values precomputed. The nest tier
+//! ([`NestCpu`](crate::NestCpu)) embeds these ops in its superblocks;
+//! every fn below mirrors one arm of [`crate::exec::step`] exactly, and
+//! `zwr`/`zctl`/`dbnz` lower to [`Terminator::StepFrom`] so they run
+//! through the step core.
 
-use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError};
-use crate::engine::LoopEngine;
-use crate::exec::{LoadOp, StoreOp, TextImage};
-use crate::functional::Machine;
-use crate::mem::{MemError, Memory};
-use crate::program::CompiledProgram;
-use crate::regfile::RegFile;
-use crate::stats::Stats;
-use std::sync::Arc;
+use crate::exec::{LoadOp, StoreOp};
 use zolc_isa::{Instr, Reg};
-
-/// Upper bound on ops per block: bounds compile latency and keeps a
-/// pathological straight-line program from producing one giant block
-/// (the tail past the cap chains into the next block).
-const MAX_BLOCK_OPS: usize = 4096;
 
 pub(crate) type AluFn = fn(u32, u32) -> u32;
 pub(crate) type CondFn = fn(u32, u32) -> bool;
 
-/// One pre-lowered straight-line instruction. Shared with the nest
-/// tier (`crate::nest`), whose superblocks embed the same ops.
+/// One pre-lowered straight-line instruction.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
     /// `dst = f(regs[a], regs[b])`.
@@ -97,12 +50,12 @@ pub(crate) enum Op {
     Nop,
 }
 
-/// How a block ends. Targets and link values are precomputed at compile
-/// time, so the terminator costs one match at run time.
+/// How a straight-line run ends. Targets and link values are
+/// precomputed at lowering time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Terminator {
     /// Re-enter the per-instruction step core at the terminator pc:
-    /// `zwr`/`zctl`/`dbnz`, fetch faults, or the block-length cap.
+    /// `zwr`/`zctl`/`dbnz`.
     StepFrom,
     /// `halt` retires here.
     Halt,
@@ -121,28 +74,6 @@ pub(crate) enum Terminator {
     },
     /// `jr` — target read from the register file at run time.
     Jr { rs: Reg },
-}
-
-/// One compiled basic block. Immutable once compiled, so the shared
-/// cache in [`CompiledProgram`] hands out `Arc<Block>`s to any number
-/// of concurrent sessions.
-#[derive(Debug)]
-pub(crate) struct Block {
-    /// Byte address of the first op.
-    entry: u32,
-    /// The straight-line prefix.
-    ops: Box<[Op]>,
-    term: Terminator,
-    /// Instructions this block retires when it runs to completion
-    /// (`ops.len()`, plus one when the terminator retires in-block).
-    cost: u64,
-}
-
-impl Block {
-    /// Byte address of the terminator (first address after the ops).
-    fn term_pc(&self) -> u32 {
-        self.entry + 4 * self.ops.len() as u32
-    }
 }
 
 // ---- ALU semantics as named fn items (coerce to fn pointers) ----------
@@ -227,7 +158,7 @@ pub(crate) enum Lowered {
     Term(Terminator),
 }
 
-/// Lowers one instruction at `pc` into a block op or terminator.
+/// Lowers one instruction at `pc` into an op or a terminator.
 pub(crate) fn lower(instr: Instr, pc: u32) -> Lowered {
     use Instr::*;
     let alu = |dst, a, b, f| Lowered::Op(Op::Alu { dst, a, b, f });
@@ -337,365 +268,114 @@ fn branch(instr: Instr, pc: u32, rs: Reg, rt: Reg, cond: CondFn) -> Lowered {
     })
 }
 
-/// Compiles the basic block entered at `entry`.
-pub(crate) fn compile(text: &TextImage, entry: u32) -> Block {
-    let mut ops = Vec::new();
-    let mut pc = entry;
-    let term = loop {
-        let Ok(instr) = text.fetch(pc) else {
-            // The step core raises the architectural fetch fault.
-            break Terminator::StepFrom;
-        };
-        match lower(instr, pc) {
-            Lowered::Op(op) => {
-                ops.push(op);
-                pc = pc.wrapping_add(4);
-                if ops.len() >= MAX_BLOCK_OPS {
-                    break Terminator::StepFrom;
-                }
-            }
-            Lowered::Term(t) => break t,
-        }
-    };
-    let cost = ops.len() as u64
-        + match term {
-            Terminator::StepFrom => 0,
-            _ => 1,
-        };
-    Block {
-        entry,
-        ops: ops.into_boxed_slice(),
-        term,
-        cost,
-    }
-}
-
-/// How one block execution left the machine.
-enum BlockExit {
-    /// Continue with block dispatch at the new pc.
-    Continue,
-    /// Execute one instruction through the step core, then continue.
-    Step,
-    /// `halt` retired.
-    Halted,
-}
-
-/// Runs one compiled block against the machine state. The caller has
-/// already checked that the remaining fuel covers `b.cost`.
-///
-/// The op loop works on the raw register array: indices are masked to
-/// 31 (every [`Reg`] is < 32, so the mask is a no-op that elides the
-/// bounds check) and writes go through unconditionally, with slot 0
-/// re-zeroed afterwards — branchless discard of `r0` destinations.
-fn run_block(m: &mut Machine, b: &Block) -> Result<BlockExit, RunError> {
-    let Machine {
-        regs: rf,
-        mem,
-        stats,
-        pc,
-        ..
-    } = m;
-    let regs = rf.raw_mut();
-    for (k, op) in b.ops.iter().enumerate() {
-        match *op {
-            Op::Alu { dst, a, b: rb, f } => {
-                let v = f(regs[a.index() & 31], regs[rb.index() & 31]);
-                regs[dst.index() & 31] = v;
-                regs[0] = 0;
-            }
-            Op::AluImm { dst, a, imm, f } => {
-                let v = f(regs[a.index() & 31], imm);
-                regs[dst.index() & 31] = v;
-                regs[0] = 0;
-            }
-            Op::Load { dst, base, off, op } => {
-                let addr = regs[base.index() & 31].wrapping_add(off);
-                match op.read(mem, addr) {
-                    Ok(v) => {
-                        regs[dst.index() & 31] = v;
-                        regs[0] = 0;
-                    }
-                    Err(e) => return Err(fault(stats, pc, b, k, e)),
-                }
-            }
-            Op::Store { val, base, off, op } => {
-                let addr = regs[base.index() & 31].wrapping_add(off);
-                let v = regs[val.index() & 31];
-                if let Err(e) = op.write(mem, addr, v) {
-                    return Err(fault(stats, pc, b, k, e));
-                }
-            }
-            Op::Nop => {}
-        }
-    }
-    stats.retired += b.ops.len() as u64;
-    let term_pc = b.term_pc();
-    match b.term {
-        Terminator::StepFrom => {
-            *pc = term_pc;
-            Ok(BlockExit::Step)
-        }
-        Terminator::Halt => {
-            stats.retired += 1;
-            // As in the step core, the pc parks on the `halt` itself.
-            *pc = term_pc;
-            Ok(BlockExit::Halted)
-        }
-        Terminator::Branch {
-            rs,
-            rt,
-            cond,
-            taken,
-        } => {
-            stats.retired += 1;
-            stats.branches += 1;
-            if cond(regs[rs.index() & 31], regs[rt.index() & 31]) {
-                stats.taken_branches += 1;
-                *pc = taken;
-            } else {
-                *pc = term_pc.wrapping_add(4);
-            }
-            Ok(BlockExit::Continue)
-        }
-        Terminator::Jump { target, link } => {
-            if let Some((r, v)) = link {
-                regs[r.index() & 31] = v;
-                regs[0] = 0;
-            }
-            stats.retired += 1;
-            *pc = target;
-            Ok(BlockExit::Continue)
-        }
-        Terminator::Jr { rs } => {
-            stats.retired += 1;
-            *pc = regs[rs.index() & 31];
-            Ok(BlockExit::Continue)
-        }
-    }
-}
-
-/// A data fault at op `k`: ops before it have committed, the faulting
-/// instruction has not retired, and the pc parks on it — exactly the
-/// step core's fault state.
-fn fault(stats: &mut Stats, pc: &mut u32, b: &Block, k: usize, e: MemError) -> RunError {
-    stats.retired += k as u64;
-    *pc = b.entry + 4 * k as u32;
-    RunError::Mem(e)
-}
-
-/// The block-compiled simulated processor (see the module docs).
-///
-/// # Examples
-///
-/// ```
-/// use zolc_sim::{CompiledCpu, CompiledProgram, CpuConfig, NullEngine};
-/// let program = zolc_isa::assemble("
-///     li   r1, 5
-///     li   r2, 0
-/// top: add  r2, r2, r1
-///     addi r1, r1, -1
-///     bne  r1, r0, top
-///     halt
-/// ").unwrap();
-/// let prog = CompiledProgram::compile(program);
-/// let mut cpu = CompiledCpu::session(&prog, CpuConfig::default())?;
-/// let stats = cpu.run(&mut NullEngine, 10_000).unwrap();
-/// assert_eq!(cpu.regs().read(zolc_isa::reg(2)), 5 + 4 + 3 + 2 + 1);
-/// assert_eq!(stats.cycles, 0); // no timing model
-/// assert_eq!(stats.retired, 2 + 3 * 5 + 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct CompiledCpu {
-    m: Machine,
-    /// Session-local memo of blocks already fetched from the shared
-    /// cache, dense by instruction index: the steady-state dispatch
-    /// loop resolves its block without touching the cache lock, and a
-    /// block evicted from the shared cache stays valid here (text is
-    /// immutable) for as long as this session runs.
-    local: Vec<Option<Arc<Block>>>,
-}
-
-impl CompiledCpu {
-    /// Opens a fresh run session over a shared compiled program: text
-    /// and data written into new memory, pc at the start of text,
-    /// zeroed registers and statistics. Sessions sharing one
-    /// [`CompiledProgram`] also share its block cache — each basic
-    /// block is compiled once, by whichever session gets there first.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MemError`] if a segment does not fit in memory.
-    pub fn session(
-        prog: &Arc<CompiledProgram>,
-        config: CpuConfig,
-    ) -> Result<CompiledCpu, MemError> {
-        let m = Machine::session(prog, config)?;
-        let local = vec![None; m.prog.text().len()];
-        Ok(CompiledCpu { m, local })
-    }
-
-    /// The data memory.
-    pub fn mem(&self) -> &Memory {
-        &self.m.mem
-    }
-
-    /// Mutable access to data memory (for seeding test inputs).
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.m.mem
-    }
-
-    /// The register file.
-    pub fn regs(&self) -> &RegFile {
-        &self.m.regs
-    }
-
-    /// Mutable access to the register file (for seeding test inputs).
-    pub fn regs_mut(&mut self) -> &mut RegFile {
-        &mut self.m.regs
-    }
-
-    /// Statistics of the run so far (`cycles` is always 0; event counters
-    /// match the pipeline's architectural counts).
-    pub fn stats(&self) -> &Stats {
-        &self.m.stats
-    }
-
-    /// The retire-order trace (empty unless `trace_retire` was set); the
-    /// `cycle` field holds the retire ordinal.
-    pub fn retire_log(&self) -> &[RetireEvent] {
-        &self.m.retire_log
-    }
-
-    /// Runs until `halt` retires or `fuel` instructions retire.
-    ///
-    /// Active engines and retire-traced runs take the step core for the
-    /// whole run (see the module docs); passive untraced runs — the
-    /// sweep workload — dispatch compiled blocks.
-    ///
-    /// # Errors
-    ///
-    /// * [`RunError::OutOfFuel`] if `halt` is not reached in budget;
-    /// * [`RunError::PcOutOfText`] if execution leaves the text segment;
-    /// * [`RunError::MisalignedFetch`] on a non-4-aligned pc;
-    /// * [`RunError::Mem`] on a data access fault.
-    pub fn run(&mut self, engine: &mut dyn LoopEngine, fuel: u64) -> Result<Stats, RunError> {
-        if !engine.is_passive() || self.m.config.trace_retire {
-            return self.m.run(engine, fuel);
-        }
-        let limit = self.m.stats.retired + fuel;
-        loop {
-            if self.m.stats.retired >= limit {
-                return Err(RunError::OutOfFuel { fuel });
-            }
-            let Some(idx) = self.m.prog.block_index(self.m.pc) else {
-                // Misaligned or out-of-text pc: raise the architectural
-                // fault (the cache index fails exactly when fetch does).
-                let e = self
-                    .m
-                    .prog
-                    .text()
-                    .fetch(self.m.pc)
-                    .expect_err("cache index and fetch agree on bad pcs");
-                return Err(RunError::from_fetch(e, self.m.pc));
-            };
-            if self.local[idx].is_none() {
-                self.local[idx] = Some(self.m.prog.block_at(self.m.pc));
-            }
-            let block = self.local[idx].as_deref().expect("just resolved");
-            if limit - self.m.stats.retired < block.cost.max(1) {
-                // Not enough fuel for the whole block: finish per
-                // instruction so OutOfFuel fires at the exact boundary.
-                if self.m.step_instr::<true>(engine)? {
-                    return Ok(self.m.stats);
-                }
-                continue;
-            }
-            match run_block(&mut self.m, block)? {
-                BlockExit::Continue => {}
-                BlockExit::Halted => return Ok(self.m.stats),
-                BlockExit::Step => {
-                    // The terminator was not covered by the pre-block
-                    // fuel check (StepFrom blocks have cost = ops only),
-                    // so re-check before stepping it.
-                    if self.m.stats.retired >= limit {
-                        return Err(RunError::OutOfFuel { fuel });
-                    }
-                    if self.m.step_instr::<true>(engine)? {
-                        return Ok(self.m.stats);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Executor for CompiledCpu {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Compiled
-    }
-
-    fn run(&mut self, engine: &mut dyn LoopEngine, fuel: u64) -> Result<Stats, RunError> {
-        CompiledCpu::run(self, engine, fuel)
-    }
-
-    fn regs(&self) -> &RegFile {
-        CompiledCpu::regs(self)
-    }
-
-    fn regs_mut(&mut self) -> &mut RegFile {
-        CompiledCpu::regs_mut(self)
-    }
-
-    fn mem(&self) -> &Memory {
-        CompiledCpu::mem(self)
-    }
-
-    fn mem_mut(&mut self) -> &mut Memory {
-        CompiledCpu::mem_mut(self)
-    }
-
-    fn stats(&self) -> &Stats {
-        CompiledCpu::stats(self)
-    }
-
-    fn retire_log(&self) -> &[RetireEvent] {
-        CompiledCpu::retire_log(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::{CpuConfig, RunError};
     use crate::engine::NullEngine;
-    use crate::FunctionalCpu;
+    use crate::exec::{step, Effect};
+    use crate::{CompiledProgram, FunctionalCpu, NestCpu};
     use zolc_isa::{assemble, reg, Program};
 
-    fn compiled_session(p: &Program) -> CompiledCpu {
-        CompiledCpu::session(&CompiledProgram::compile(p.clone()), CpuConfig::default()).unwrap()
+    /// Register values the lowering checks read: distinct, with both
+    /// signs, zeros and small shift amounts, so every branch condition
+    /// and ALU fn is exercised on non-trivial operands.
+    fn operand_sets() -> Vec<[u32; 32]> {
+        let spread: [u32; 32] = std::array::from_fn(|i| (i as u32).wrapping_mul(0x9E37_79B9));
+        let small: [u32; 32] = std::array::from_fn(|i| (i as u32).wrapping_sub(16));
+        let mut zero = spread;
+        zero[1..8].fill(0);
+        vec![spread, small, zero]
     }
 
-    fn run_compiled(src: &str) -> (CompiledCpu, Stats) {
-        let p = assemble(src).expect("assembles");
-        let mut cpu = compiled_session(&p);
-        let stats = cpu.run(&mut NullEngine, 1_000_000).expect("runs");
-        (cpu, stats)
+    /// Every instruction of `p` lowers to an op or terminator with
+    /// exactly the architectural effect `exec::step` computes for it.
+    fn assert_lowers_like_step(p: &Program) {
+        for regs in operand_sets() {
+            let read = |r: Reg| if r.is_zero() { 0 } else { regs[r.index()] };
+            for (i, &instr) in p.text().iter().enumerate() {
+                let pc = 4 * i as u32;
+                let want = step(instr, pc, read);
+                let got = match lower(instr, pc) {
+                    Lowered::Op(Op::Alu { dst, a, b, f }) => Effect::Write {
+                        dst,
+                        value: f(read(a), read(b)),
+                    },
+                    Lowered::Op(Op::AluImm { dst, a, imm, f }) => Effect::Write {
+                        dst,
+                        value: f(read(a), imm),
+                    },
+                    Lowered::Op(Op::Load { dst, base, off, op }) => Effect::Load {
+                        dst,
+                        addr: read(base).wrapping_add(off),
+                        op,
+                    },
+                    Lowered::Op(Op::Store { val, base, off, op }) => Effect::Store {
+                        addr: read(base).wrapping_add(off),
+                        value: read(val),
+                        op,
+                    },
+                    Lowered::Op(Op::Nop) => Effect::Nop,
+                    Lowered::Term(Terminator::Branch {
+                        rs,
+                        rt,
+                        cond,
+                        taken,
+                    }) => Effect::Branch {
+                        taken: cond(read(rs), read(rt)),
+                        target: taken,
+                        decrement: None,
+                    },
+                    Lowered::Term(Terminator::Jump { target, link }) => {
+                        Effect::Jump { target, link }
+                    }
+                    Lowered::Term(Terminator::Jr { rs }) => Effect::Jump {
+                        target: read(rs),
+                        link: None,
+                    },
+                    Lowered::Term(Terminator::Halt) => Effect::Halt,
+                    Lowered::Term(Terminator::StepFrom) => {
+                        assert!(
+                            matches!(
+                                want,
+                                Effect::Zwr { .. }
+                                    | Effect::Zctl { .. }
+                                    | Effect::Branch {
+                                        decrement: Some(_),
+                                        ..
+                                    }
+                            ),
+                            "{instr:?} deferred to the step core"
+                        );
+                        continue;
+                    }
+                };
+                assert_eq!(got, want, "{instr:?} at {pc:#x}");
+            }
+        }
     }
 
+    /// The lowering checked per instruction, then executed by its one
+    /// consumer, the nest tier, against the functional reference.
     fn assert_matches_functional(p: &Program, fuel: u64) {
+        assert_lowers_like_step(p);
         let prog = CompiledProgram::compile(p.clone());
         let mut f = FunctionalCpu::session(&prog, CpuConfig::default()).unwrap();
         let fr = f.run(&mut NullEngine, fuel);
-        let mut c = CompiledCpu::session(&prog, CpuConfig::default()).unwrap();
-        let cr = c.run(&mut NullEngine, fuel);
-        assert_eq!(fr, cr, "run results differ");
-        assert_eq!(f.regs().snapshot(), c.regs().snapshot(), "registers");
-        assert_eq!(f.stats(), c.stats(), "stats");
+        let mut n = NestCpu::session(&prog, CpuConfig::default()).unwrap();
+        let nr = n.run(&mut NullEngine, fuel);
+        assert_eq!(fr, nr, "run results differ (fuel {fuel})");
+        assert_eq!(f.regs().snapshot(), n.regs().snapshot(), "registers");
+        assert_eq!(f.stats(), n.stats(), "stats");
+    }
+
+    fn nest_session(p: &Program) -> NestCpu {
+        NestCpu::session(&CompiledProgram::compile(p.clone()), CpuConfig::default()).unwrap()
     }
 
     #[test]
     fn countdown_loop_matches_functional() {
-        let (cpu, stats) = run_compiled(
+        let p = assemble(
             "
             li   r1, 10
             li   r2, 0
@@ -704,7 +384,11 @@ mod tests {
             bne  r1, r0, top
             halt
         ",
-        );
+        )
+        .unwrap();
+        assert_matches_functional(&p, 1_000_000);
+        let mut cpu = nest_session(&p);
+        let stats = cpu.run(&mut NullEngine, 1_000_000).unwrap();
         assert_eq!(cpu.regs().read(reg(2)), (1..=10).sum::<u32>());
         assert_eq!(stats.cycles, 0);
         assert_eq!(stats.retired, 2 + 3 * 10 + 1);
@@ -714,7 +398,7 @@ mod tests {
 
     #[test]
     fn dbnz_jumps_and_calls_take_the_fallback() {
-        let (cpu, stats) = run_compiled(
+        let p = assemble(
             "
             li   r1, 4
             jal  sub
@@ -724,7 +408,23 @@ mod tests {
       sub:  addi r5, r0, 9
             jr   r31
         ",
-        );
+        )
+        .unwrap();
+        // `dbnz` defers to the step core; `jal` precomputes its link.
+        assert!(matches!(
+            lower(p.text()[3], 12),
+            Lowered::Term(Terminator::StepFrom)
+        ));
+        assert!(matches!(
+            lower(p.text()[1], 4),
+            Lowered::Term(Terminator::Jump {
+                target: 20,
+                link: Some((Reg::RA, 8)),
+            })
+        ));
+        assert_matches_functional(&p, 1_000_000);
+        let mut cpu = nest_session(&p);
+        let stats = cpu.run(&mut NullEngine, 1_000_000).unwrap();
         assert_eq!(cpu.regs().read(reg(2)), 4);
         assert_eq!(cpu.regs().read(reg(5)), 9);
         assert_eq!(stats.dbnz_retired, 4);
@@ -734,7 +434,7 @@ mod tests {
     fn mid_block_fault_commits_the_prefix() {
         // The store to a misaligned data address faults with the two
         // earlier ALU results already committed and the pc parked on the
-        // faulting instruction — on both functional tiers.
+        // faulting instruction.
         let p = assemble(
             "
             li   r1, 2
@@ -745,13 +445,13 @@ mod tests {
         )
         .unwrap();
         assert_matches_functional(&p, 1000);
-        let mut c = compiled_session(&p);
+        let mut n = nest_session(&p);
         assert!(matches!(
-            c.run(&mut NullEngine, 1000),
+            n.run(&mut NullEngine, 1000),
             Err(RunError::Mem(_))
         ));
-        assert_eq!(c.regs().read(reg(2)), 77);
-        assert_eq!(c.stats().retired, 2);
+        assert_eq!(n.regs().read(reg(2)), 77);
+        assert_eq!(n.stats().retired, 2);
     }
 
     #[test]
@@ -778,16 +478,18 @@ mod tests {
             assert_matches_functional(&p, 1000);
         }
         let p = assemble("li r1, 6\njr r1\nhalt").unwrap();
-        let mut c = compiled_session(&p);
-        let err = c.run(&mut NullEngine, 1000).unwrap_err();
+        let mut n = nest_session(&p);
+        let err = n.run(&mut NullEngine, 1000).unwrap_err();
         assert_eq!(err, RunError::MisalignedFetch { pc: 6 });
     }
 
     #[test]
     fn trace_retire_falls_back_to_the_step_core() {
         let p = assemble("nop\nnop\nhalt").unwrap();
-        let mut cpu = CompiledCpu::session(
-            &CompiledProgram::compile(p),
+        assert_lowers_like_step(&p);
+        let prog = CompiledProgram::compile(p);
+        let mut cpu = NestCpu::session(
+            &prog,
             CpuConfig {
                 trace_retire: true,
                 ..CpuConfig::default()
@@ -797,13 +499,15 @@ mod tests {
         cpu.run(&mut NullEngine, 100).unwrap();
         let ords: Vec<u64> = cpu.retire_log().iter().map(|e| e.cycle).collect();
         assert_eq!(ords, vec![1, 2, 3]);
+        // Traced runs never compile a superblock.
+        assert_eq!(prog.nest_cache_stats().misses, 0);
     }
 
     #[test]
     fn blocks_are_reused_across_iterations() {
-        // A long-running loop must compile its body exactly once: the
-        // shared cache registers one miss per distinct block and no
-        // per-iteration traffic (the session-local memo absorbs it).
+        // A long-running loop lowers its body exactly once: the shared
+        // cache registers a bounded number of misses and no
+        // per-iteration recompilation.
         let p = assemble(
             "
             li   r1, 1000
@@ -814,20 +518,20 @@ mod tests {
         ",
         )
         .unwrap();
+        assert_lowers_like_step(&p);
         let prog = CompiledProgram::compile(p);
-        let mut c = CompiledCpu::session(&prog, CpuConfig::default()).unwrap();
-        c.run(&mut NullEngine, 1_000_000).unwrap();
-        assert_eq!(c.regs().read(reg(2)), 3000);
-        let stats = prog.cache_stats();
-        assert!(stats.misses >= 2, "loop head and entry blocks compiled");
-        assert!(stats.misses <= 4, "no per-iteration recompilation blowup");
-        assert_eq!(stats.resident as u64, stats.misses, "nothing evicted");
-        assert_eq!(stats.evictions, 0);
+        let mut n = NestCpu::session(&prog, CpuConfig::default()).unwrap();
+        n.run(&mut NullEngine, 1_000_000).unwrap();
+        assert_eq!(n.regs().read(reg(2)), 3000);
+        let stats = prog.nest_cache_stats();
+        assert!(stats.misses >= 1, "the entry region is compiled");
+        assert!(stats.misses <= 2, "no per-iteration recompilation");
+        assert_eq!(stats.resident as u64, stats.misses, "nothing dropped");
         // A second session over the same program compiles nothing new.
-        let mut c2 = CompiledCpu::session(&prog, CpuConfig::default()).unwrap();
-        c2.run(&mut NullEngine, 1_000_000).unwrap();
-        assert_eq!(c2.regs().read(reg(2)), 3000);
-        assert_eq!(prog.cache_stats().misses, stats.misses);
-        assert!(prog.cache_stats().hits > stats.hits, "reused shared blocks");
+        let mut n2 = NestCpu::session(&prog, CpuConfig::default()).unwrap();
+        n2.run(&mut NullEngine, 1_000_000).unwrap();
+        assert_eq!(n2.regs().read(reg(2)), 3000);
+        assert_eq!(prog.nest_cache_stats().misses, stats.misses);
+        assert!(prog.nest_cache_stats().hits > stats.hits, "reused");
     }
 }

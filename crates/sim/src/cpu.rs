@@ -3,13 +3,12 @@
 //! points.
 //!
 //! The simulator is layered (see the crate docs): the predecode and
-//! semantics layers live in [`crate::exec`], and four interchangeable
+//! semantics layers live in [`crate::exec`], and three interchangeable
 //! executors implement the [`Executor`] trait on top of them — the
-//! cycle-accurate 5-stage [`Cpu`](crate::Cpu), the fast
-//! [`FunctionalCpu`](crate::FunctionalCpu), the block-compiled
-//! [`CompiledCpu`](crate::CompiledCpu) and the loop-nest superblock
-//! [`NestCpu`](crate::NestCpu). This module holds everything they
-//! share.
+//! cycle-accurate 5-stage [`Cpu`](crate::Cpu), the functional
+//! reference [`FunctionalCpu`](crate::FunctionalCpu) and the loop-nest
+//! superblock [`NestCpu`](crate::NestCpu). This module holds everything
+//! they share.
 
 use crate::engine::LoopEngine;
 use crate::mem::{MemError, Memory};
@@ -20,6 +19,7 @@ use crate::{Cpu, FunctionalCpu};
 use zolc_isa::{Instr, Program, Reg, DATA_BASE};
 
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Configuration of the simulated core.
@@ -29,14 +29,6 @@ pub struct CpuConfig {
     pub mem_size: usize,
     /// Whether to collect a retire-order trace (costs memory).
     pub trace_retire: bool,
-    /// Let the nest executor route an eligible run (passive engine,
-    /// untraced, fresh session at the start of text) through the
-    /// `zolc-oracle` closed-form summarizer, applying the final state
-    /// in O(1) instead of executing. Off by default; when the oracle
-    /// refuses (or the summary exceeds the fuel budget) the run falls
-    /// back to normal execution, so the architectural outcome is
-    /// identical either way.
-    pub oracle_fast_path: bool,
 }
 
 impl Default for CpuConfig {
@@ -44,7 +36,6 @@ impl Default for CpuConfig {
         CpuConfig {
             mem_size: (DATA_BASE as usize) + (1 << 20),
             trace_retire: false,
-            oracle_fast_path: false,
         }
     }
 }
@@ -149,7 +140,7 @@ pub struct RetireEvent {
 /// [`RunError::OutOfFuel`] the moment it would need to retire more than
 /// `fuel` instructions. Because retirement is architectural, the same
 /// program exhausts the same fuel at the same instruction on the
-/// cycle-accurate, functional and compiled executors — a matrix budget
+/// cycle-accurate, functional and nest executors — a matrix budget
 /// times out at one well-defined point regardless of backend. (The
 /// cycle-accurate executor additionally caps *cycles* at a large
 /// documented multiple of `fuel` purely as a liveness valve against
@@ -199,13 +190,9 @@ pub trait Executor {
 ///   registers, memory and retire counts, no cycle counts; ~3–5× faster
 ///   than the pipeline on controller-less cores, ~1.5× under a ZOLC
 ///   controller (whose modeling cost dominates every executor);
-/// * [`ExecutorKind::Compiled`] — the block-compiled functional
-///   executor: same architectural results as `Functional` (the
-///   four-way `prop_exec_equiv` suite enforces it), dispatching
-///   predecoded basic-block superinstructions instead of single
-///   instructions. Degenerates to the functional step core under an
-///   active loop controller;
-/// * [`ExecutorKind::Nest`] — the loop-nest superblock executor: whole
+/// * [`ExecutorKind::Nest`] — the loop-nest superblock executor: same
+///   architectural results as `Functional` (the three-way
+///   `prop_exec_equiv` suite enforces it), with whole
 ///   engine-passive regions (counted loop nests included) compiled once
 ///   into trip-parameterized, direct-threaded op arrays with the
 ///   canonical counted-loop latches fused into counted-repeat ops — no
@@ -222,9 +209,6 @@ pub enum ExecutorKind {
     CycleAccurate,
     /// The fast functional executor ([`FunctionalCpu`]).
     Functional,
-    /// The block-compiled functional executor
-    /// ([`CompiledCpu`](crate::CompiledCpu)).
-    Compiled,
     /// The loop-nest superblock executor ([`NestCpu`](crate::NestCpu)).
     Nest,
 }
@@ -233,8 +217,8 @@ impl ExecutorKind {
     /// Opens a fresh run session of this kind over a shared compiled
     /// program (see [`CompiledProgram`]): new memory with the text and
     /// data segments written, pc at the start of text, zeroed registers
-    /// and statistics. The program — including the compiled tier's
-    /// basic-block cache — is shared; the session is the cheap per-run
+    /// and statistics. The program — including the nest tier's
+    /// superblock cache — is shared; the session is the cheap per-run
     /// half.
     ///
     /// # Errors
@@ -248,17 +232,15 @@ impl ExecutorKind {
         Ok(match self {
             ExecutorKind::CycleAccurate => Box::new(Cpu::session(prog, config)?),
             ExecutorKind::Functional => Box::new(FunctionalCpu::session(prog, config)?),
-            ExecutorKind::Compiled => Box::new(crate::CompiledCpu::session(prog, config)?),
             ExecutorKind::Nest => Box::new(crate::NestCpu::session(prog, config)?),
         })
     }
 
     /// All executor kinds, in speed order (slowest first) — the axis the
     /// differential suites and throughput benches iterate over.
-    pub const ALL: [ExecutorKind; 4] = [
+    pub const ALL: [ExecutorKind; 3] = [
         ExecutorKind::CycleAccurate,
         ExecutorKind::Functional,
-        ExecutorKind::Compiled,
         ExecutorKind::Nest,
     ];
 }
@@ -268,9 +250,23 @@ impl fmt::Display for ExecutorKind {
         f.write_str(match self {
             ExecutorKind::CycleAccurate => "cycle-accurate",
             ExecutorKind::Functional => "functional",
-            ExecutorKind::Compiled => "compiled",
             ExecutorKind::Nest => "nest",
         })
+    }
+}
+
+/// Parses the [`Display`](fmt::Display) names, plus `pipeline` for
+/// [`ExecutorKind::CycleAccurate`].
+impl FromStr for ExecutorKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<ExecutorKind, String> {
+        match s {
+            "pipeline" | "cycle-accurate" => Ok(ExecutorKind::CycleAccurate),
+            "functional" => Ok(ExecutorKind::Functional),
+            "nest" => Ok(ExecutorKind::Nest),
+            other => Err(format!("`{other}` is not one of pipeline|functional|nest")),
+        }
     }
 }
 
@@ -348,11 +344,7 @@ mod tests {
     fn functional_tiers_report_no_cycles() {
         let p = assemble("nop\nhalt").unwrap();
         let prog = CompiledProgram::compile(p);
-        for kind in [
-            ExecutorKind::Functional,
-            ExecutorKind::Compiled,
-            ExecutorKind::Nest,
-        ] {
+        for kind in [ExecutorKind::Functional, ExecutorKind::Nest] {
             let f = run_session(kind, &prog, &mut NullEngine, 100).unwrap();
             assert_eq!(f.stats.cycles, 0);
         }
@@ -364,9 +356,13 @@ mod tests {
     fn executor_kind_labels() {
         assert_eq!(ExecutorKind::CycleAccurate.to_string(), "cycle-accurate");
         assert_eq!(ExecutorKind::Functional.to_string(), "functional");
-        assert_eq!(ExecutorKind::Compiled.to_string(), "compiled");
         assert_eq!(ExecutorKind::Nest.to_string(), "nest");
         assert_eq!(ExecutorKind::default(), ExecutorKind::CycleAccurate);
-        assert_eq!(ExecutorKind::ALL.len(), 4);
+        assert_eq!(ExecutorKind::ALL.len(), 3);
+        for kind in ExecutorKind::ALL {
+            assert_eq!(kind.to_string().parse::<ExecutorKind>(), Ok(kind));
+        }
+        assert_eq!("pipeline".parse(), Ok(ExecutorKind::CycleAccurate));
+        assert!("compiled".parse::<ExecutorKind>().is_err());
     }
 }

@@ -11,9 +11,9 @@
 //!
 //! The architectural machine state plus the per-instruction step core
 //! live in the crate-private [`Machine`], which this executor wraps
-//! one-to-one and the block-compiled tier ([`crate::CompiledCpu`])
-//! reuses as its fallback interpreter — one step core, bit-exact by
-//! construction across both functional tiers.
+//! one-to-one and the nest tier ([`crate::NestCpu`]) reuses as its
+//! fallback interpreter — one step core, shared by both functional
+//! tiers.
 //!
 //! Use it wherever architectural results are the point and cycles are
 //! not: correctness sweeps over many inputs, differential testing,
@@ -51,9 +51,8 @@ use zolc_isa::{Reg, DATA_BASE, TEXT_BASE};
 /// the one-instruction step core both dispatch through.
 ///
 /// `FunctionalCpu` is a thin wrapper running `step_instr` in a loop; the
-/// block-compiled executor mutates the same state from its compiled
-/// blocks and falls back to `step_instr` for everything a block cannot
-/// express — so the two tiers cannot drift apart architecturally.
+/// nest executor mutates the same state from its superblocks and falls
+/// back to `step_instr` for everything a superblock cannot express.
 #[derive(Debug)]
 pub(crate) struct Machine {
     pub(crate) config: CpuConfig,

@@ -24,13 +24,6 @@
 //!      ZOLC controller attached, whose modeling cost dominates every
 //!      executor. Use it for correctness sweeps and differential
 //!      testing; use the pipeline whenever cycles are the answer.
-//!    * [`CompiledCpu`] — the block-compiled functional executor: the
-//!      text segment is compiled on first entry into basic-block
-//!      superinstructions (pre-lowered op vectors, terminator handled
-//!      once) cached by entry pc × engine passivity, falling back to
-//!      the shared step core for `zwr`/`zctl`/`dbnz`, fetch faults and
-//!      active engines. Same architectural results as `FunctionalCpu`,
-//!      another ~2–3× faster on passive engines.
 //!    * [`NestCpu`] — the loop-nest superblock executor: whole
 //!      engine-passive regions — counted loop nests included — are
 //!      compiled once into trip-parameterized, direct-threaded op
@@ -39,8 +32,9 @@
 //!      straight-line bodies. No per-iteration block lookup or
 //!      terminator dispatch; bails to the step core on
 //!      `zwr`/`zctl`/`dbnz`, faults and the fuel boundary at an
-//!      instruction-exact resume point. The fastest tier on passive
-//!      engines — the sweep workhorse.
+//!      instruction-exact resume point. Same architectural results as
+//!      `FunctionalCpu`; the fastest tier on passive engines — the
+//!      sweep workhorse.
 //!
 //! All executors enforce one **fuel semantic**: the budget passed to
 //! [`Executor::run`] counts *retired instructions* everywhere, so a
@@ -56,7 +50,7 @@
 //! # Sessions over shared compiled programs
 //!
 //! The immutable half of an executor — the predecoded text image and
-//! the compiled tier's block cache — lives in an `Arc`-shareable
+//! the nest tier's superblock cache — lives in an `Arc`-shareable
 //! [`CompiledProgram`]; an executor is a cheap per-run **session**
 //! (registers, data memory, pc, statistics) opened over it with
 //! [`ExecutorKind::new_session`] or the concrete `session`
@@ -105,7 +99,6 @@ mod program;
 mod regfile;
 mod stats;
 
-pub use blocks::CompiledCpu;
 pub use cpu::{
     run_program, run_session, CpuConfig, Executor, ExecutorKind, Finished, RetireEvent, RunError,
 };
@@ -115,6 +108,6 @@ pub use functional::FunctionalCpu;
 pub use mem::{MemError, MemErrorKind, Memory};
 pub use nest::NestCpu;
 pub use pipeline::Cpu;
-pub use program::{BlockCacheConfig, BlockCacheStats, CompiledProgram};
+pub use program::{BlockCacheStats, CompiledProgram};
 pub use regfile::RegFile;
 pub use stats::Stats;

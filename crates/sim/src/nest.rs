@@ -1,14 +1,13 @@
 //! The loop-nest superblock executor: whole counted nests compiled
 //! into trip-parameterized op arrays.
 //!
-//! [`NestCpu`] is the fourth executor tier. The block-compiled tier
-//! ([`CompiledCpu`](crate::CompiledCpu)) still pays a per-iteration
-//! block-cache lookup and terminator re-dispatch on every loop
-//! back-edge; this tier exploits what ZOLC makes static: when execution
+//! [`NestCpu`] is the fast executor tier. Where
+//! [`FunctionalCpu`](crate::FunctionalCpu) interprets one instruction
+//! per step, this tier exploits what ZOLC makes static: when execution
 //! reaches the entry of an engine-passive region, the **entire region —
 //! a whole counted loop nest included — is compiled once** into a
-//! *superblock*: a direct-threaded array of pre-lowered ops (the same
-//! lowering as `blocks.rs`) in which control transfers are op-array
+//! *superblock*: a direct-threaded array of pre-lowered ops (the
+//! lowering in `blocks.rs`) in which control transfers are op-array
 //! indices, and each canonical counted-loop latch
 //! (`addi c, c, -1; bne c, r0, top`) is fused into one counted
 //! [`NOp::Repeat`] op. Steady-state execution is a tight loop over the
@@ -45,14 +44,14 @@
 //!   [`RunError::OutOfFuel`] fires at exactly the same instruction as
 //!   on [`FunctionalCpu`](crate::FunctionalCpu).
 //!
-//! Superblocks live in the shared, evictable, stats-counted cache of
-//! the session's [`CompiledProgram`](crate::CompiledProgram)
-//! (`nest_cache_stats`), compiled once and shared by every concurrent
-//! session; regions that start on an instruction the superblock cannot
-//! contain are cached negatively ([`NestEntry::Step`]) and
-//! single-stepped. The four-way `prop_exec_equiv` suite holds this tier
-//! bit-exact — registers, memory, retire counts and every architectural
-//! event counter — against the other three.
+//! Superblocks live in the shared, stats-counted cache of the session's
+//! [`CompiledProgram`](crate::CompiledProgram) (`nest_cache_stats`),
+//! compiled once and shared by every concurrent session; regions that
+//! start on an instruction the superblock cannot contain are cached
+//! negatively ([`NestEntry::Step`]) and single-stepped. The three-way
+//! `prop_exec_equiv` suite holds this tier bit-exact — registers,
+//! memory, retire counts and every architectural event counter —
+//! against the other two.
 
 use crate::blocks::{lower, AluFn, CondFn, Lowered, Op, Terminator};
 use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError};
@@ -65,7 +64,7 @@ use crate::regfile::RegFile;
 use crate::stats::Stats;
 use std::collections::HashMap;
 use std::sync::Arc;
-use zolc_isa::{Instr, Reg, TEXT_BASE};
+use zolc_isa::{Instr, Reg};
 
 /// Upper bound on ops per superblock: bounds compile latency and the
 /// size of any one cache entry (the tail past the cap exits into the
@@ -199,8 +198,8 @@ fn bulk_cost(ops: &[NOp], body: usize, latch: usize, counter: Reg) -> u32 {
 
 /// Compiles the region entered at `entry` into a superblock.
 ///
-/// The scan lowers instructions linearly from `entry` (the same
-/// lowering as the block compiler), turning control transfers into
+/// The scan lowers instructions linearly from `entry` (see
+/// `crate::blocks`), turning control transfers into
 /// op-index references: backward targets resolve immediately, forward
 /// targets through fixups, and targets outside the region (or never
 /// reached by the scan) become [`NOp::Exit`] ops. When a backward
@@ -791,9 +790,7 @@ pub struct NestCpu {
     m: Machine,
     /// Session-local memo of nest entries already fetched from the
     /// shared cache, dense by instruction index — the dispatch loop
-    /// resolves its superblock without touching the cache lock, and an
-    /// evicted entry stays valid here (text is immutable) for as long
-    /// as this session runs.
+    /// resolves its superblock without touching the cache lock.
     local: Vec<Option<Arc<NestEntry>>>,
 }
 
@@ -861,9 +858,6 @@ impl NestCpu {
         if !engine.is_passive() || self.m.config.trace_retire {
             return self.m.run(engine, fuel);
         }
-        if self.m.config.oracle_fast_path && self.try_oracle_fast_path(fuel) {
-            return Ok(self.m.stats);
-        }
         let limit = self.m.stats.retired + fuel;
         loop {
             if self.m.stats.retired >= limit {
@@ -910,43 +904,6 @@ impl NestCpu {
                 }
             }
         }
-    }
-
-    /// Attempts to complete the run in O(1) via the `zolc-oracle`
-    /// closed-form summarizer. Returns `true` with the final machine
-    /// state applied, or `false` (state untouched) when the run is not
-    /// a fresh session at the start of text, the oracle refuses the
-    /// program, or the summary would not fit in `fuel` — the caller
-    /// then executes normally, reaching the identical outcome (or the
-    /// exact `OutOfFuel` boundary) instruction by instruction.
-    fn try_oracle_fast_path(&mut self, fuel: u64) -> bool {
-        if self.m.pc != TEXT_BASE || self.m.stats != Stats::default() {
-            return false;
-        }
-        let Ok(image) = self.m.mem.read_bytes(0, self.m.mem.size()) else {
-            return false;
-        };
-        let snapshot = self.m.regs.snapshot();
-        let Ok(s) = zolc_oracle::summarize_state(self.m.prog.source(), snapshot, image) else {
-            return false;
-        };
-        if s.retired > fuel {
-            return false;
-        }
-        for (j, &v) in s.final_regs.iter().enumerate().skip(1) {
-            self.m.regs.write(zolc_isa::reg(j as u8), v);
-        }
-        for &(addr, byte) in &s.touched_mem {
-            self.m
-                .mem
-                .write_bytes(addr, &[byte])
-                .expect("oracle stores stay in bounds of the analyzed image");
-        }
-        self.m.pc = s.final_pc;
-        self.m.stats.retired = s.retired;
-        self.m.stats.branches = s.branches;
-        self.m.stats.taken_branches = s.taken_branches;
-        true
     }
 }
 
@@ -1078,7 +1035,6 @@ mod tests {
         let cs = prog.nest_cache_stats();
         assert_eq!(cs.misses, 1, "whole nest = one superblock");
         assert_eq!(cs.resident, 1);
-        assert_eq!(cs.evictions, 0);
     }
 
     #[test]
@@ -1123,6 +1079,18 @@ mod tests {
       top:  addi r2, r2, 1
             dbnz r1, top
             halt
+        ",
+        );
+        // A `jal`/`jr` call and return around the `dbnz` loop.
+        fuel_sweep(
+            "
+            li   r1, 4
+            jal  sub
+      top:  addi r2, r2, 1
+            dbnz r1, top
+            halt
+      sub:  addi r5, r0, 9
+            jr   r31
         ",
         );
     }
@@ -1396,7 +1364,6 @@ mod tests {
         assert_eq!(n.regs().read(reg(2)), 3000);
         let stats = prog.nest_cache_stats();
         assert_eq!(stats.misses, 1, "one superblock covers the whole program");
-        assert_eq!(stats.evictions, 0);
         // A second session over the same program compiles nothing new.
         let mut n2 = NestCpu::session(&prog, CpuConfig::default()).unwrap();
         n2.run(&mut NullEngine, 1_000_000).unwrap();
@@ -1406,86 +1373,5 @@ mod tests {
             prog.nest_cache_stats().hits > stats.hits,
             "reused shared superblocks"
         );
-    }
-
-    #[test]
-    fn oracle_fast_path_is_architecturally_invisible() {
-        // The same program, with and without `oracle_fast_path`: the
-        // closed-form route must land on bit-identical registers,
-        // statistics, final pc and data memory.
-        let p = assemble(
-            "
-            li   r1, 12
-            li   r3, 0x40000
-      top:  addi r2, r2, 5
-            sw   r2, 0(r3)
-            addi r1, r1, -1
-            bne  r1, r0, top
-            halt
-        ",
-        )
-        .unwrap();
-        let prog = CompiledProgram::compile(p);
-        let mut plain = NestCpu::session(&prog, CpuConfig::default()).unwrap();
-        let ps = plain.run(&mut NullEngine, 1_000_000).unwrap();
-        let mut fast = NestCpu::session(
-            &prog,
-            CpuConfig {
-                oracle_fast_path: true,
-                ..CpuConfig::default()
-            },
-        )
-        .unwrap();
-        // The fast path must actually engage on this program (a fresh
-        // passive session of an oracle-analyzable loop).
-        assert!(fast.try_oracle_fast_path(1_000_000));
-        assert_eq!(ps, *fast.stats());
-        assert_eq!(plain.regs().snapshot(), fast.regs().snapshot());
-        assert_eq!(plain.m.pc, fast.m.pc);
-        let window = 64usize;
-        assert_eq!(
-            plain.mem().read_bytes(zolc_isa::DATA_BASE, window).unwrap(),
-            fast.mem().read_bytes(zolc_isa::DATA_BASE, window).unwrap()
-        );
-    }
-
-    #[test]
-    fn oracle_fast_path_declines_ineligible_runs() {
-        // A `dbnz` latch is outside the oracle's fragment: the fast
-        // path must decline and leave the machine untouched, and the
-        // normal dispatch must still produce the right answer.
-        let src = "
-            li   r1, 8
-      top:  addi r2, r2, 2
-            dbnz r1, top
-            halt
-        ";
-        let p = assemble(src).unwrap();
-        let prog = CompiledProgram::compile(p);
-        let mut cpu = NestCpu::session(
-            &prog,
-            CpuConfig {
-                oracle_fast_path: true,
-                ..CpuConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(!cpu.try_oracle_fast_path(1_000_000));
-        assert_eq!(*cpu.stats(), Stats::default(), "decline leaves no trace");
-        cpu.run(&mut NullEngine, 1_000_000).unwrap();
-        assert_eq!(cpu.regs().read(reg(2)), 16);
-        // A mid-run machine (stats no longer pristine) also declines,
-        // as does a summary that does not fit in the fuel budget.
-        assert!(!cpu.try_oracle_fast_path(1_000_000));
-        let p2 = assemble("li r1, 5\nhalt").unwrap();
-        let mut small =
-            NestCpu::session(&CompiledProgram::compile(p2), CpuConfig::default()).unwrap();
-        assert!(
-            !small.try_oracle_fast_path(1),
-            "summary needs 2 retirements"
-        );
-        assert!(small.try_oracle_fast_path(2));
-        assert_eq!(small.regs().read(reg(1)), 5);
-        assert_eq!(small.stats().retired, 2);
     }
 }

@@ -1,82 +1,37 @@
 //! The immutable, shareable side of an executor: [`CompiledProgram`].
 //!
-//! The session redesign splits what used to be one mutable core into
-//! two halves with very different lifetimes:
+//! The session design splits an executor into two halves with very
+//! different lifetimes:
 //!
 //! * [`CompiledProgram`] — everything derived from the program bytes
 //!   and nothing else: the predecoded [`TextImage`], the encoded text
-//!   bytes (sessions copy them into simulated memory), the basic-block
-//!   cache of the compiled tier and the nest-superblock cache of the
-//!   nest tier. It is immutable after construction and `Arc`-shared,
-//!   so one compile serves any number of concurrent sessions — the
-//!   daemon's whole reason to exist.
+//!   bytes (sessions copy them into simulated memory) and the
+//!   nest-superblock cache of the nest tier. It is immutable after
+//!   construction and `Arc`-shared, so one compile serves any number of
+//!   concurrent sessions — the daemon's whole reason to exist.
 //! * a **session** (one of [`Cpu`](crate::Cpu),
-//!   [`FunctionalCpu`](crate::FunctionalCpu),
-//!   [`CompiledCpu`](crate::CompiledCpu),
+//!   [`FunctionalCpu`](crate::FunctionalCpu) and
 //!   [`NestCpu`](crate::NestCpu), created through
 //!   [`ExecutorKind::new_session`](crate::ExecutorKind::new_session))
 //!   — the cheap per-run half: registers, data memory, pc, statistics.
 //!
-//! # The shared caches
+//! # The shared cache
 //!
-//! The block-compiled tier used to keep its compiled blocks in a dense
-//! per-core vector, recompiled for every `load_program`. Both compile
-//! caches now live here, keyed by entry pc, lazily populated under a
-//! mutex and bounded by [`BlockCacheConfig::max_blocks`] with FIFO
-//! eviction. Sessions keep a private memo of `Arc`s they have already
-//! looked up, so the steady-state dispatch loops never touch the lock;
-//! an evicted entry stays alive (and correct — text is immutable) for
-//! as long as any session still holds it.
-//! [`CompiledProgram::cache_stats`] and
-//! [`CompiledProgram::nest_cache_stats`] expose hit/miss/eviction
-//! counters for tests and capacity tuning.
+//! Superblocks are keyed by entry pc and lazily populated under a
+//! mutex. Every key is an instruction address, so the cache never holds
+//! more entries than the text has instructions. Sessions keep a private
+//! memo of `Arc`s they have already looked up, so the steady-state
+//! dispatch loop never touches the lock.
+//! [`CompiledProgram::nest_cache_stats`] exposes hit/miss counters.
 
-use crate::blocks::{compile, Block};
 use crate::exec::TextImage;
 use crate::nest::NestEntry;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use zolc_isa::{Program, TEXT_BASE};
 
-/// Capacity knob for the shared compile caches of a
-/// [`CompiledProgram`] (applied independently to the basic-block cache
-/// and the nest-superblock cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct BlockCacheConfig {
-    /// Maximum number of resident entries per cache; the oldest entry
-    /// is evicted (FIFO) when an insert would exceed it. Clamped to at
-    /// least 1. Defaults to unbounded.
-    pub max_blocks: usize,
-}
-
-impl BlockCacheConfig {
-    /// An unbounded cache — the default: entry count is already capped
-    /// by the text segment size.
-    pub fn new() -> BlockCacheConfig {
-        BlockCacheConfig {
-            max_blocks: usize::MAX,
-        }
-    }
-
-    /// Caps each cache at `max_blocks` resident entries (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_max_blocks(mut self, max_blocks: usize) -> BlockCacheConfig {
-        self.max_blocks = max_blocks.max(1);
-        self
-    }
-}
-
-impl Default for BlockCacheConfig {
-    fn default() -> Self {
-        BlockCacheConfig::new()
-    }
-}
-
-/// Counters of a shared compile cache (see
-/// [`CompiledProgram::cache_stats`] and
+/// Counters of the shared superblock cache (see
 /// [`CompiledProgram::nest_cache_stats`]).
 ///
 /// Hits and misses count *shared-cache* lookups: a session's private
@@ -89,49 +44,24 @@ pub struct BlockCacheStats {
     pub hits: u64,
     /// Lookups that had to compile (and insert) the entry.
     pub misses: u64,
-    /// Entries evicted to stay under [`BlockCacheConfig::max_blocks`].
-    pub evictions: u64,
     /// Entries currently resident.
     pub resident: usize,
 }
 
-/// The mutable interior of a shared cache: resident entries by entry
-/// pc plus FIFO insertion order for eviction.
+/// A concurrent, lazily populated superblock cache keyed by entry pc.
 #[derive(Debug)]
-struct CacheInner<T> {
-    map: HashMap<u32, Arc<T>>,
-    order: VecDeque<u32>,
-}
-
-impl<T> Default for CacheInner<T> {
-    fn default() -> Self {
-        CacheInner {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-}
-
-/// A concurrent, lazily populated, capacity-bounded compile cache,
-/// keyed by entry pc. Shared by the basic-block cache (`T = Block`)
-/// and the nest-superblock cache (`T = NestEntry`).
-#[derive(Debug)]
-pub(crate) struct SharedCache<T> {
-    max_entries: usize,
-    inner: Mutex<CacheInner<T>>,
+struct SharedCache {
+    map: Mutex<HashMap<u32, Arc<NestEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
-impl<T> SharedCache<T> {
-    fn new(config: BlockCacheConfig) -> SharedCache<T> {
+impl SharedCache {
+    fn new() -> SharedCache {
         SharedCache {
-            max_entries: config.max_blocks.max(1),
-            inner: Mutex::new(CacheInner::default()),
+            map: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -140,50 +70,28 @@ impl<T> SharedCache<T> {
     /// race on the same entry the first insert wins and the loser's
     /// compile is discarded (both results are identical — text is
     /// immutable).
-    fn get_or_compile(&self, entry: u32, make: impl FnOnce() -> T) -> Arc<T> {
-        if let Some(b) = self
-            .inner
-            .lock()
-            .expect("compile cache poisoned")
-            .map
-            .get(&entry)
-        {
+    fn get_or_compile(&self, entry: u32, make: impl FnOnce() -> NestEntry) -> Arc<NestEntry> {
+        if let Some(b) = self.map.lock().expect("compile cache poisoned").get(&entry) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(b);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let compiled = Arc::new(make());
-        let mut g = self.inner.lock().expect("compile cache poisoned");
-        if let Some(b) = g.map.get(&entry) {
-            return Arc::clone(b);
-        }
-        g.map.insert(entry, Arc::clone(&compiled));
-        g.order.push_back(entry);
-        // FIFO eviction; the just-inserted entry sits at the back, so
-        // with max_entries ≥ 1 it is never the one popped.
-        while g.map.len() > self.max_entries {
-            let Some(old) = g.order.pop_front() else {
-                break;
-            };
-            g.map.remove(&old);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        compiled
+        let mut map = self.map.lock().expect("compile cache poisoned");
+        Arc::clone(map.entry(entry).or_insert(compiled))
     }
 
     fn stats(&self) -> BlockCacheStats {
         BlockCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident: self.inner.lock().expect("compile cache poisoned").map.len(),
+            resident: self.map.lock().expect("compile cache poisoned").len(),
         }
     }
 }
 
 /// An immutable, `Arc`-shareable compiled program: the predecoded text
-/// image plus the shared basic-block and nest-superblock caches (see
-/// the module docs).
+/// image plus the shared nest-superblock cache (see the module docs).
 ///
 /// Compile once, then open any number of concurrent sessions against
 /// it:
@@ -211,24 +119,13 @@ pub struct CompiledProgram {
     source: Arc<Program>,
     text: TextImage,
     text_bytes: Vec<u8>,
-    blocks: SharedCache<Block>,
-    nests: SharedCache<NestEntry>,
+    nests: SharedCache,
 }
 
 impl CompiledProgram {
     /// Predecodes `program` into a shareable compiled form. Accepts an
     /// owned [`Program`] or an `Arc<Program>` (shared without copying).
     pub fn compile(program: impl Into<Arc<Program>>) -> Arc<CompiledProgram> {
-        CompiledProgram::compile_with(program, BlockCacheConfig::new())
-    }
-
-    /// [`CompiledProgram::compile`] with an explicit compile-cache
-    /// capacity (tests and memory-tight sweeps; the default is
-    /// unbounded).
-    pub fn compile_with(
-        program: impl Into<Arc<Program>>,
-        cache: BlockCacheConfig,
-    ) -> Arc<CompiledProgram> {
         let source = program.into();
         let text = TextImage::new(&source);
         let text_bytes = source.text_bytes();
@@ -236,8 +133,7 @@ impl CompiledProgram {
             source,
             text,
             text_bytes,
-            blocks: SharedCache::new(cache),
-            nests: SharedCache::new(cache),
+            nests: SharedCache::new(),
         })
     }
 
@@ -262,11 +158,6 @@ impl CompiledProgram {
         &self.text_bytes
     }
 
-    /// Shared basic-block cache counters; see [`BlockCacheStats`].
-    pub fn cache_stats(&self) -> BlockCacheStats {
-        self.blocks.stats()
-    }
-
     /// Shared nest-superblock cache counters; see [`BlockCacheStats`].
     /// A *miss* is one superblock compilation (positive or negative);
     /// `resident` counts cached entries including negative ones.
@@ -282,12 +173,6 @@ impl CompiledProgram {
         }
         let idx = (pc.wrapping_sub(TEXT_BASE) / 4) as usize;
         (idx < self.text.len()).then_some(idx)
-    }
-
-    /// The compiled block entered at `entry` (compiling on first use).
-    pub(crate) fn block_at(&self, entry: u32) -> Arc<Block> {
-        self.blocks
-            .get_or_compile(entry, || compile(&self.text, entry))
     }
 
     /// The nest-superblock entry at `entry` (compiling on first use;

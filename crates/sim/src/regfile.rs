@@ -43,7 +43,7 @@ impl RegFile {
         self.regs
     }
 
-    /// Raw access for the block-compiled executor's hot loop, which
+    /// Raw access for the nest executor's hot loop, which
     /// avoids the per-access `r0` branch by unconditionally re-zeroing
     /// slot 0 after every write. Callers must leave `regs[0] == 0`.
     pub(crate) fn raw_mut(&mut self) -> &mut [u32; 32] {

@@ -7,8 +7,8 @@
 //! * **Fuel** — the budget passed to [`Executor::run`] counts retired
 //!   instructions identically on every executor, so
 //!   [`RunError::OutOfFuel`] fires at exactly the same instruction on
-//!   the pipeline, the functional interpreter, the block-compiled
-//!   executor and the loop-nest superblock executor.
+//!   the pipeline, the functional interpreter and the loop-nest
+//!   superblock executor.
 
 use zolc_isa::assemble;
 use zolc_sim::{run_session, CompiledProgram, ExecutorKind, NullEngine, RunError};

@@ -13,13 +13,13 @@
 //! cargo run --release --example explore -- --out sweep-out --shards 8
 //! cargo run --release --example explore -- --out sweep-out --shards 8 --stop-after 2
 //! # closed-form cross-check: every oracle-analyzable program must
-//! # bit-match all four executors; exit 1 below the coverage floor
+//! # bit-match all three executors; exit 1 below the coverage floor
 //! cargo run --release --example explore -- --no-dbnz --oracle-check --oracle-floor 50
 //! ```
 //!
 //! Knobs: `--programs N`, `--seed S`, `--trips T`, `--depth D`,
 //! `--loops L`, `--no-skips`, `--no-reg-bounds`, `--no-dbnz`,
-//! `--executor <pipeline|functional|compiled|nest>`, `--show SEED`,
+//! `--executor <pipeline|functional|nest>`, `--show SEED`,
 //! `--analyze SEED`, `--out DIR`, `--shards N`, `--stop-after K`,
 //! `--oracle-check`, `--oracle-floor PCT`. Flags the chosen mode would
 //! ignore — e.g. `--show` or `--oracle-check` with `--executor` or the
@@ -31,7 +31,6 @@ use zolc::bench::{run_oracle_check, run_sweep, run_sweep_sharded, ShardedOutcome
 use zolc::cfg::retarget;
 use zolc::core::ZolcConfig;
 use zolc::gen::{GenConfig, ProgramSpec};
-use zolc::sim::ExecutorKind;
 
 /// Takes the flag's value argument, exiting with a one-line error (and
 /// status 2, like any other usage error here) when it is missing or
@@ -45,21 +44,6 @@ fn parse_flag<T: std::str::FromStr>(args: &mut std::env::Args, flag: &str) -> T 
         eprintln!("{flag}: `{raw}` is not a valid value");
         std::process::exit(2);
     })
-}
-
-/// Maps an `--executor` name to its tier, exiting with a usage error
-/// (status 2) on anything else.
-fn parse_executor(name: &str) -> ExecutorKind {
-    match name {
-        "pipeline" | "cycle-accurate" => ExecutorKind::CycleAccurate,
-        "functional" => ExecutorKind::Functional,
-        "compiled" => ExecutorKind::Compiled,
-        "nest" => ExecutorKind::Nest,
-        other => {
-            eprintln!("--executor: `{other}` is not one of pipeline|functional|compiled|nest");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -87,7 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--no-dbnz" => cfg.gen.dbnz = false,
             "--executor" => {
                 let name: String = parse_flag(&mut args, "--executor");
-                cfg.executor = parse_executor(&name);
+                cfg.executor = name.parse().unwrap_or_else(|e| {
+                    eprintln!("--executor: {e}");
+                    std::process::exit(2);
+                });
                 executor_flag = true;
             }
             "--show" => show = Some(parse_flag(&mut args, "--show")),
@@ -148,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if oracle_check {
         reject(
             executor_flag,
-            "--oracle-check always cross-checks all four executors; it cannot be combined with --executor",
+            "--oracle-check always cross-checks all three executors; it cannot be combined with --executor",
         );
         reject(
             sharding,
@@ -166,7 +153,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if oracle_check {
         // Cross-check mode: summarize each generated baseline program
-        // in closed form and hold all four executors to the summary.
+        // in closed form and hold all three executors to the summary.
         // A bit-mismatch panics inside the check; a coverage shortfall
         // against `--oracle-floor` exits 1 so CI can gate on it.
         println!(

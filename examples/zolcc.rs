@@ -18,7 +18,7 @@
 //!
 //! Knobs: `FILE.zl` or `--corpus NAME`, `--target
 //! <baseline|hwloop|zolc|auto>`, `--emit <ir|asm|bin>`, `--executor
-//! <pipeline|functional|compiled|nest>`, `--lint`, `--list-corpus`,
+//! <pipeline|functional|nest>`, `--lint`, `--list-corpus`,
 //! `--check-corpus`. Usage errors exit 2 with a one-line message;
 //! compile diagnostics and verification failures exit 1.
 //!
@@ -30,7 +30,7 @@
 //!
 //! `--check-corpus` is the CI `frontend-corpus` gate: every bundled
 //! program must compile with its pinned loop shape, run bit-exact on
-//! all four executor tiers for every hand target, and auto-retarget
+//! all three executor tiers for every hand target, and auto-retarget
 //! with its pinned handled-loop count (again bit-exact on all tiers).
 
 use zolc::core::ZolcConfig;
@@ -48,21 +48,6 @@ fn flag_value(args: &mut std::env::Args, flag: &str) -> String {
         eprintln!("{flag} needs a value (see the example header for knobs)");
         std::process::exit(2);
     })
-}
-
-/// Maps an `--executor` name to its tier, exiting with a usage error
-/// (status 2) on anything else — same spelling as `explore`.
-fn parse_executor(name: &str) -> ExecutorKind {
-    match name {
-        "pipeline" | "cycle-accurate" => ExecutorKind::CycleAccurate,
-        "functional" => ExecutorKind::Functional,
-        "compiled" => ExecutorKind::Compiled,
-        "nest" => ExecutorKind::Nest,
-        other => {
-            eprintln!("--executor: `{other}` is not one of pipeline|functional|compiled|nest");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// What to print instead of running.
@@ -128,7 +113,14 @@ fn main() {
                     }
                 });
             }
-            "--executor" => executor = parse_executor(&flag_value(&mut args, "--executor")),
+            "--executor" => {
+                executor = flag_value(&mut args, "--executor")
+                    .parse()
+                    .unwrap_or_else(|e| {
+                        eprintln!("--executor: {e}");
+                        std::process::exit(2);
+                    })
+            }
             "--lint" => lint = true,
             "--list-corpus" => list_corpus = true,
             "--check-corpus" => check_corpus = true,
@@ -349,8 +341,12 @@ fn check_whole_corpus() {
         }
         if problems.is_empty() {
             println!(
-                "{:<12} ok  ({}/{} loops, {} on ZOLC hardware, 4 executors bit-exact)",
-                e.name, e.counted_loops, e.while_loops, e.handled_loops
+                "{:<12} ok  ({}/{} loops, {} on ZOLC hardware, {} executors bit-exact)",
+                e.name,
+                e.counted_loops,
+                e.while_loops,
+                e.handled_loops,
+                ExecutorKind::ALL.len()
             );
         } else {
             failures += 1;
@@ -366,7 +362,7 @@ fn check_whole_corpus() {
     println!("{} corpus programs verified", corpus().len());
 }
 
-/// Runs one hand build on all four executor tiers, collecting any
+/// Runs one hand build on all three executor tiers, collecting any
 /// divergence into `problems`.
 fn run_everywhere(unit: &CompiledUnit, target: &Target, label: &str, problems: &mut Vec<String>) {
     let built = match unit.build(target) {

@@ -171,11 +171,11 @@ fn init_overhead_is_small() {
     }
 }
 
-/// The automatic mapper (cfg crate) recovers counted loops from the
-/// baseline binaries of single-counter kernels.
+/// Automatic retargeting (cfg crate) recovers every counted loop from
+/// the baseline binaries of single-counter kernels.
 #[test]
 fn auto_mapper_recovers_counted_loops() {
-    use zolc::cfg::map_to_zolc;
+    use zolc::cfg::retarget;
     // kernels whose every loop uses the plain down-counter pattern
     for name in ["vec_mac", "fir", "matmul", "crc32"] {
         let k = kernels().iter().find(|k| k.name == name).unwrap();
@@ -183,13 +183,13 @@ fn auto_mapper_recovers_counted_loops() {
         let g = Cfg::build(built.program.source());
         let d = Dominators::compute(&g);
         let f = LoopForest::analyze(&g, &d);
-        let mapped = map_to_zolc(built.program.source(), &g, &f);
+        let r = retarget(built.program.source(), &ZolcConfig::lite()).unwrap();
         assert_eq!(
-            mapped.counted.len(),
+            r.counted.len(),
             f.len(),
-            "{name}: mapper missed loops: {:?}",
-            mapped.unhandled
+            "{name}: retarget missed loops: {:?}",
+            r.unhandled
         );
-        assert!(mapped.image.validate(&ZolcConfig::lite()).is_ok());
+        assert!(r.image.validate(&ZolcConfig::lite()).is_ok());
     }
 }

@@ -138,24 +138,31 @@ fn explore_sweep_and_show_paths() {
     assert_eq!(r.unhandled.len(), spec.predicted_unhandled());
 }
 
-/// The `explore` example's retired executor aliases: `--functional` and
-/// `--compiled` were deprecated redirects to `--executor` and have been
-/// removed — they must now be ordinary unknown-argument usage errors
-/// (one line, exit 2), not silently accepted legacy spellings.
+/// The `explore` example's retired executor spellings: `--functional`
+/// and `--compiled` were deprecated redirects to `--executor` and have
+/// been removed, as has the block-compiled `compiled` tier — they must
+/// now be ordinary usage errors (one line, exit 2), not silently
+/// accepted legacy spellings.
 #[test]
 fn explore_removed_aliases_are_usage_errors() {
     use std::process::Command;
 
-    for alias in ["--functional", "--compiled"] {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--functional"], "unknown argument"),
+        (&["--compiled"], "unknown argument"),
+        (&["--executor", "compiled"], "is not one of"),
+    ];
+    for (alias, message) in cases {
         let out = Command::new(env!("CARGO"))
             .args(["run", "--quiet", "--example", "explore", "--"])
-            .args(["--programs", "4", alias])
+            .args(["--programs", "4"])
+            .args(*alias)
             .output()
             .expect("spawns the explore example");
         assert_eq!(
             out.status.code(),
             Some(2),
-            "explore {alias} should be an unknown-argument error: stdout {:?} stderr {:?}",
+            "explore {alias:?} should be a usage error: stdout {:?} stderr {:?}",
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&out.stderr)
         );
@@ -163,11 +170,11 @@ fn explore_removed_aliases_are_usage_errors() {
         assert_eq!(
             stderr.lines().count(),
             1,
-            "explore {alias}: usage errors are one line: {stderr:?}"
+            "explore {alias:?}: usage errors are one line: {stderr:?}"
         );
         assert!(
-            stderr.contains("unknown argument"),
-            "explore {alias}: unexpected message {stderr:?}"
+            stderr.contains(message),
+            "explore {alias:?}: unexpected message {stderr:?}"
         );
     }
 }
@@ -318,6 +325,7 @@ fn zolcc_compiles_runs_and_rejects_usage_errors() {
     for extra in [
         &["--corpus", "no-such-program"] as &[&str],
         &["--corpus", "dot", "--executor", "warp"],
+        &["--corpus", "dot", "--executor", "compiled"],
         &["--corpus", "dot", "--emit", "elf"],
         &["--corpus", "dot", "--target", "mystery"],
         &["--corpus", "dot", "--lint", "--emit", "asm"],

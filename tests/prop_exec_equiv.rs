@@ -1,28 +1,27 @@
 //! Differential property test: the cycle-accurate pipeline against the
-//! functional interpreter against the block-compiled executor against
-//! the loop-nest superblock executor — plus, wherever it claims
-//! analyzability, the closed-form `zolc-oracle` summarizer as a fifth
-//! arm that shares *no* code with the executors' semantics core.
+//! functional interpreter against the loop-nest superblock executor —
+//! plus, wherever it claims analyzability, the closed-form
+//! `zolc-oracle` summarizer as a further arm that shares *no* code with
+//! the executors' semantics core.
 //!
-//! The four executors share one semantics core (`zolc_sim::exec::step`)
+//! The three executors share one semantics core (`zolc_sim::exec::step`)
 //! but schedule it completely differently — five speculative pipeline
 //! stages with forwarding and flushes, a strict one-instruction
-//! interpreter, basic-block superinstruction dispatch with a step-core
-//! fallback, and whole-nest superblocks with fused counted-repeat
-//! latches. Architecturally those differences must be invisible: for
-//! any program, final register file, data memory and retire count must
-//! be bit-identical across all four. Checked four ways: random
-//! straight-line programs (shared generators with `prop_pipeline`),
-//! random `zolc-gen` loop structures round-tripped through `retarget`
-//! — whose ZOLC engine is *active*, forcing both compiled tiers onto
-//! their fallback paths — all benchmark kernels on all three Fig. 2
+//! interpreter, and whole-nest superblocks with fused counted-repeat
+//! latches and a step-core fallback. Architecturally those differences
+//! must be invisible: for any program, final register file, data memory
+//! and retire count must be bit-identical across all three. Checked four
+//! ways: random straight-line programs (shared generators with
+//! `prop_pipeline`), random `zolc-gen` loop structures round-tripped
+//! through `retarget` — whose ZOLC engine is *active*, forcing the nest
+//! tier onto its fallback path — all benchmark kernels on all three Fig. 2
 //! targets plus the ablation extras on `ZOLCfull` (which exercises
 //! branches, `dbnz`, jumps and the ZOLC engine integration end to
 //! end), and a fuel sweep over a counted nest that must time out at
 //! the same instruction on every tier — including mid-superblock.
 //!
 //! The oracle arm converts the suite from N-version voting into
-//! spec-anchored verification: a semantics bug shared by all four
+//! spec-anchored verification: a semantics bug shared by all three
 //! executors (they share `zolc_sim::exec::step`) would still disagree
 //! with the oracle, whose summaries are derived from the ISA reference
 //! alone. Where the oracle refuses, a regression corpus asserts the
@@ -46,11 +45,11 @@ use zolc::sim::{
 
 const BUDGET: u64 = 50_000_000;
 
-/// The fifth differential arm: where the oracle claims analyzability,
+/// The oracle differential arm: where the oracle claims analyzability,
 /// its closed-form summary must bit-match the executors' architectural
 /// outcome. Returns whether the program was covered. The caller has
-/// already established four-way executor equivalence, so one finished
-/// run stands for all four.
+/// already established three-way executor equivalence, so one finished
+/// run stands for all three.
 fn oracle_arm(
     program: &Arc<CompiledProgram>,
     fin: &Finished<Box<dyn Executor>>,
@@ -118,9 +117,9 @@ fn run_on(
     }
 }
 
-/// Asserts bit-identical architectural outcomes across all four
+/// Asserts bit-identical architectural outcomes across all three
 /// executors; returns the pipeline's and the functional interpreter's
-/// stats (the compiled tiers' are additionally held equal to the
+/// stats (the nest tier's are additionally held equal to the
 /// functional interpreter's in full).
 fn assert_equivalent(
     program: &Arc<CompiledProgram>,
@@ -130,11 +129,7 @@ fn assert_equivalent(
     let slow = run_on(ExecutorKind::CycleAccurate, program, target)
         .unwrap_or_else(|e| panic!("{context}: pipeline failed: {e}"));
     let mut functional_stats = None;
-    for kind in [
-        ExecutorKind::Functional,
-        ExecutorKind::Compiled,
-        ExecutorKind::Nest,
-    ] {
+    for kind in [ExecutorKind::Functional, ExecutorKind::Nest] {
         let fast = run_on(kind, program, target)
             .unwrap_or_else(|e| panic!("{context}: {kind} failed: {e}"));
         assert_eq!(
@@ -169,7 +164,7 @@ fn assert_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// Pipeline == functional == compiled executor on random
+    /// Pipeline == functional == nest executor on random
     /// straight-line programs: identical registers, memory, retire
     /// counts; cycles only on the pipeline.
     #[test]
@@ -191,7 +186,7 @@ proptest! {
         );
     }
 
-    /// The oracle against all four executors on random `zolc-gen`
+    /// The oracle against all three executors on random `zolc-gen`
     /// counted-loop programs (software-loop originals, passive engine):
     /// wherever it claims analyzability, the closed form must bit-match
     /// — registers, data memory, retire/branch counts — with proptest
@@ -235,12 +230,11 @@ proptest! {
     /// optional nesting, possibly empty bodies), the excised program plus
     /// synthesized overlay retires to the same architectural state as the
     /// original software-loop program — full data memory and every
-    /// register except the freed down-counters — on all four executors,
+    /// register except the freed down-counters — on all three executors,
     /// with zero controller-consistency violations. The retargeted run
-    /// attaches an *active* `Zolc` engine, which forces both compiled
-    /// tiers onto their step-core fallback paths — so this property is
-    /// also the fallbacks' differential coverage over `zolc-gen`
-    /// programs.
+    /// attaches an *active* `Zolc` engine, which forces the nest tier
+    /// onto its step-core fallback path — so this property is also the
+    /// fallback's differential coverage over `zolc-gen` programs.
     #[test]
     fn retargeted_programs_match_their_originals(
         loops in prop::collection::vec(gen_loop(), 1..3)
@@ -302,7 +296,7 @@ proptest! {
 
 /// Every Fig. 2 kernel on every Fig. 2 target: the full benchmark suite
 /// (loop nests, `dbnz` loops, ZOLC redirects and index riders) retires
-/// to identical architectural state on all four executors.
+/// to identical architectural state on all three executors.
 #[test]
 fn executors_agree_on_all_fig2_kernels() {
     for k in kernels() {
