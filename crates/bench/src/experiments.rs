@@ -511,8 +511,6 @@ pub fn e6_auto_retarget() -> String {
 /// verify, or if a measured loop count / oracle verdict disagrees with
 /// the pinned corpus metadata.
 pub fn e8_frontend() -> String {
-    use zolc_sim::CpuConfig;
-
     let units: Vec<_> = zolc_lang::corpus()
         .iter()
         .map(|e| {
@@ -546,7 +544,6 @@ pub fn e8_frontend() -> String {
     }
     let results = matrix.run();
 
-    let mem_size = CpuConfig::default().mem_size;
     let mut rows = Vec::new();
     let mut covered = 0usize;
     let mut hw_total = 0usize;
@@ -566,7 +563,7 @@ pub fn e8_frontend() -> String {
         let built = unit
             .build(&Target::Baseline)
             .unwrap_or_else(|err| panic!("{}: baseline build failed: {err}", e.name));
-        let oracle = match zolc_oracle::summarize(built.program.source(), mem_size) {
+        let oracle = match zolc_oracle::summarize(built.program.source(), zolc_sim::MEM_SIZE) {
             Ok(_) => {
                 covered += 1;
                 "ok".to_owned()

@@ -2,8 +2,8 @@
 //! fragments (`shard.rs`).
 //!
 //! The build environment has no crates.io access, so — like the
-//! vendored `proptest`/`criterion` shims — serialization is hand-rolled
-//! here instead of pulling in `serde`. The subset is exactly what the
+//! vendored `proptest` shim — serialization is hand-rolled here instead
+//! of pulling in `serde`. The subset is exactly what the
 //! fragments need: objects, arrays, strings, booleans, null, and
 //! numbers kept as **raw decimal strings**. Numbers round-trip
 //! losslessly by construction: `u64` writes via `Display`, and `f64`

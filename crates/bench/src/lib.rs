@@ -14,7 +14,6 @@
 //! | [`e6_auto_retarget`] | §2 automatic task-data generation | `benches/auto_retarget.rs` |
 //! | [`e7_design_space`] | title claim at scale: generated loop structures × configurations | `benches/design_space.rs` |
 //! | [`e8_frontend`] | §2 end-to-end: the `zolc-lang` corpus through compile/retarget/oracle | `benches/frontend.rs` |
-//! | simulator throughput | (engineering) | `benches/sim_throughput.rs` (criterion) |
 //!
 //! Run them all with `cargo bench`.
 //!

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use zolc_gen::ProgramSpec;
 use zolc_isa::DATA_BASE;
-use zolc_sim::{run_session, CpuConfig, ExecutorKind, NullEngine};
+use zolc_sim::{run_session, ExecutorKind, NullEngine, MEM_SIZE};
 
 /// The outcome of one oracle cross-check sweep (render with
 /// `Display`; the coverage percentage backs CI's recorded floor).
@@ -121,8 +121,7 @@ pub fn run_oracle_check(cfg: &SweepConfig) -> OracleReport {
 /// after a verified bit-match against all three executors.
 fn check_one(g: &GeneratedProgram) -> Option<&'static str> {
     let source = g.program.source();
-    let mem_size = CpuConfig::default().mem_size;
-    let summary = match zolc_oracle::summarize(source, mem_size) {
+    let summary = match zolc_oracle::summarize(source, MEM_SIZE) {
         Ok(s) => s,
         Err(e) => return Some(e.0.label()),
     };
@@ -133,7 +132,7 @@ fn check_one(g: &GeneratedProgram) -> Option<&'static str> {
     }
     // The summary's touched bytes over the initial image must
     // reconstruct the entire final data window of every executor.
-    let window = mem_size - DATA_BASE as usize;
+    let window = MEM_SIZE - DATA_BASE as usize;
     let mut expect_mem = vec![0u8; window];
     expect_mem[..source.data().len()].copy_from_slice(source.data());
     for &(addr, byte) in &summary.touched_mem {

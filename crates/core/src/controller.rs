@@ -69,7 +69,6 @@ pub struct Zolc {
     spec: DynState,
     journal: VecDeque<(u32, Decision)>,
     violations: Vec<String>,
-    check: bool,
 }
 
 impl Zolc {
@@ -81,7 +80,6 @@ impl Zolc {
             spec: DynState::default(),
             journal: VecDeque::new(),
             violations: Vec::new(),
-            check: true,
         }
     }
 
@@ -95,8 +93,9 @@ impl Zolc {
         &self.tables
     }
 
-    /// Mutable table access for direct image loading (bypassing the
-    /// instruction interface; used by [`crate::ZolcImage::load_into`]).
+    /// Mutable table access for test set-up (bypassing the instruction
+    /// interface).
+    #[cfg(test)]
     pub(crate) fn tables_mut(&mut self) -> &mut ZolcTables {
         &mut self.tables
     }
@@ -115,15 +114,6 @@ impl Zolc {
     /// far (empty on a correct run).
     pub fn violations(&self) -> &[String] {
         &self.violations
-    }
-
-    /// Enables or disables the fetch/retire consistency journal (enabled
-    /// by default; disable only for throughput measurements).
-    pub fn set_consistency_check(&mut self, on: bool) {
-        self.check = on;
-        if !on {
-            self.journal.clear();
-        }
     }
 
     /// Activates the controller directly (equivalent to executing
@@ -156,7 +146,7 @@ impl Zolc {
 impl LoopEngine for Zolc {
     fn on_fetch(&mut self, pc: u32) -> FetchDecision {
         let d = decide(&self.tables, &mut self.spec, pc);
-        if self.check && !d.is_trivial() {
+        if !d.is_trivial() {
             self.journal.push_back((pc, d));
         }
         FetchDecision {
@@ -168,7 +158,7 @@ impl LoopEngine for Zolc {
     fn on_execute(&mut self, pc: u32, event: ExecEvent) {
         // Replay the decision on architectural state.
         let d = decide(&self.tables, &mut self.arch, pc);
-        if self.check && !d.is_trivial() {
+        if !d.is_trivial() {
             match self.journal.pop_front() {
                 Some((jpc, jd)) if jpc == pc && jd == d => {}
                 Some((jpc, jd)) => self.record_violation(format!(
@@ -361,16 +351,5 @@ mod tests {
         z.exec_zctl(ZolcCtl::Deactivate);
         let d = z.on_fetch(0x18);
         assert_eq!(d.redirect, None);
-    }
-
-    #[test]
-    fn consistency_check_can_be_disabled() {
-        let mut z = controller_with_loop();
-        z.set_consistency_check(false);
-        let _ = z.on_fetch(0x18);
-        z.exec_zwr(ZolcRegion::Loop, 0, loop_field::LIMIT, 1);
-        z.on_execute(0x18, ExecEvent::Plain);
-        // inconsistent, but unchecked
-        assert!(z.violations().is_empty());
     }
 }

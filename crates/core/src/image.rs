@@ -8,8 +8,6 @@
 //!   ([`ZolcImage::emit_init`]) — a short run of `zwr` writes bracketed by
 //!   `zctl` operations, executed **outside** the loop nest (this is the
 //!   "very small cycle overhead" of §2, measured by experiment E4);
-//! * loaded directly into a controller ([`ZolcImage::load_into`]) for
-//!   tests that bypass the instruction interface;
 //! * validated against a hardware configuration
 //!   ([`ZolcImage::validate`]).
 //!
@@ -18,8 +16,6 @@
 //! latter once layout is final.
 
 use crate::config::{ZolcConfig, TASK_NONE};
-use crate::controller::Zolc;
-use crate::tables::{EntryRecord, ExitRecord, LoopRecord, TaskRecord};
 use std::fmt;
 use zolc_isa::{
     entry_field, exit_field, loop_field, task_field, Asm, Instr, Label, Reg, ZolcCtl, ZolcRegion,
@@ -634,77 +630,6 @@ impl ZolcImage {
             instructions: ((asm.here() - before) / 4) as usize,
         }
     }
-
-    /// Loads the image directly into a controller and activates it
-    /// (bypassing the instruction interface; for tests and verification).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ImageError`] if validation fails or any address is
-    /// unresolved.
-    pub fn load_into(&self, zolc: &mut Zolc) -> Result<(), ImageError> {
-        self.validate(zolc.config())?;
-        let abs = |a: AddrVal| a.abs().ok_or(ImageError::Unresolved);
-        let cfg_tasks = zolc.config().tasks();
-        let cfg_entry_slots = zolc.config().entry_slots();
-        let cfg_exit_slots = zolc.config().exit_slots();
-        let tables = zolc.tables_mut();
-        tables.reset();
-        for (k, l) in self.loops.iter().enumerate() {
-            let limit = match l.limit {
-                LimitSrc::Const(v) => v,
-                LimitSrc::Reg(_) => {
-                    return Err(ImageError::BadReference(
-                        "register-sourced limits cannot be loaded directly; use emit_init".into(),
-                    ))
-                }
-            };
-            tables.loops_mut()[k] = LoopRecord {
-                init: l.init as u32,
-                step: l.step as u32,
-                limit,
-                index_reg: l.index_reg,
-                start: abs(l.start)?,
-                end: abs(l.end)?,
-                flags: 0,
-            };
-        }
-        for (k, t) in self.tasks.iter().enumerate() {
-            if cfg_tasks == 0 {
-                break;
-            }
-            tables.tasks_mut()[k] = TaskRecord {
-                end: abs(t.end)?,
-                loop_id: t.loop_id,
-                next_iter: t.next_iter,
-                next_fallthru: t.next_fallthru,
-                valid: true,
-                flags: 0,
-            };
-        }
-        for e in &self.entries {
-            let idx = usize::from(e.loop_id) * cfg_entry_slots + usize::from(e.slot);
-            tables.entries_mut()[idx] = EntryRecord {
-                addr: abs(e.addr)?,
-                task: e.task,
-                init_mask: e.init_mask,
-                redirect: e.redirect.map(abs).transpose()?.unwrap_or(0),
-                valid: true,
-            };
-        }
-        for x in &self.exits {
-            let idx = usize::from(x.loop_id) * cfg_exit_slots + usize::from(x.slot);
-            tables.exits_mut()[idx] = ExitRecord {
-                branch: abs(x.branch)?,
-                target_task: x.target_task,
-                clear_mask: x.clear_mask,
-                target: x.target.map(abs).transpose()?.unwrap_or(0),
-                valid: true,
-            };
-        }
-        zolc.activate(self.initial_task);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -882,23 +807,5 @@ mod tests {
         assert!(asm.finish().is_ok());
         // unresolved lookup fails
         assert!(img.resolve(|_| None).is_err());
-    }
-
-    #[test]
-    fn load_into_controller() {
-        let img = one_loop_image();
-        let mut z = Zolc::new(ZolcConfig::lite());
-        img.load_into(&mut z).unwrap();
-        assert!(z.arch_state().active);
-        assert_eq!(z.tables().loop_rec(0).unwrap().limit, 4);
-        assert!(z.tables().task(0).unwrap().valid);
-    }
-
-    #[test]
-    fn load_into_rejects_register_limits() {
-        let mut img = one_loop_image();
-        img.loops[0].limit = LimitSrc::Reg(reg(9));
-        let mut z = Zolc::new(ZolcConfig::lite());
-        assert!(img.load_into(&mut z).is_err());
     }
 }

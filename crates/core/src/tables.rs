@@ -253,21 +253,20 @@ impl ZolcTables {
         self.exits.iter().find(|e| e.valid && e.branch == pc)
     }
 
-    /// Direct mutable access for image loading (tests / the loader).
+    /// Direct mutable access for test set-up, bypassing `zwr`.
+    #[cfg(test)]
     pub(crate) fn loops_mut(&mut self) -> &mut [LoopRecord] {
         &mut self.loops
     }
 
+    #[cfg(test)]
     pub(crate) fn tasks_mut(&mut self) -> &mut [TaskRecord] {
         &mut self.tasks
     }
 
+    #[cfg(test)]
     pub(crate) fn entries_mut(&mut self) -> &mut [EntryRecord] {
         &mut self.entries
-    }
-
-    pub(crate) fn exits_mut(&mut self) -> &mut [ExitRecord] {
-        &mut self.exits
     }
 
     /// Applies a `zwr` write.

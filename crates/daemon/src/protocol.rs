@@ -38,6 +38,7 @@
 //! cache entry.
 
 use std::io::{self, Read, Write};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use zolc_bench::json::Json;
 use zolc_bench::SweepPoint;
@@ -49,6 +50,17 @@ use zolc_isa::Program;
 /// Hard cap on one frame's payload, request or response (64 MiB —
 /// comfortably above any sweep report, far below an allocation bomb).
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
+
+/// Most programs one sweep job may ask for: ten times the largest sweep
+/// the repository records (10,000 programs, `crates/bench/BENCH_sweep.json`).
+/// A sweep allocates per-program result slots up front, and a failed
+/// allocation aborts the whole daemon, so larger requests are refused
+/// at decode.
+pub const MAX_SWEEP_PROGRAMS: usize = 100_000;
+
+/// Largest accepted `max_body` and `max_children` generator knob (the
+/// defaults are 5 and 2): bounds the size of every generated program.
+pub const MAX_GEN_WIDTH: usize = 256;
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
 /// boundary.
@@ -195,23 +207,45 @@ pub fn gen_config_json(gen: &GenConfig) -> Json {
     ])
 }
 
+/// Decodes the optional integer field `key` of `doc`: `Ok(None)` when
+/// it is absent, an error naming `ctx` and the field when it is not an
+/// integer in `range` that fits `T`.
+fn int_field<T: TryFrom<u64>>(
+    doc: &Json,
+    ctx: &str,
+    key: &str,
+    range: RangeInclusive<u64>,
+) -> Result<Option<T>, String> {
+    let Some(v) = doc.get(key) else {
+        return Ok(None);
+    };
+    let v = v
+        .as_u64()
+        .ok_or(format!("{ctx}: `{key}` is not an integer"))?;
+    match T::try_from(v) {
+        Ok(t) if range.contains(&v) => Ok(Some(t)),
+        _ => Err(format!(
+            "{ctx}: `{key}` = {v} is outside {}..={}",
+            range.start(),
+            range.end()
+        )),
+    }
+}
+
 /// Decodes generator knobs; absent fields keep their defaults, so a
 /// client may send only what it overrides.
 ///
 /// # Errors
 ///
-/// A message naming the field with a non-integer / non-boolean value.
+/// A message naming the field with a non-integer / non-boolean value,
+/// or with an integer outside its documented range: `max_top`,
+/// `max_depth` and `max_trips` are at least 1, `max_trips` fits a
+/// `u32`, and `max_body` and `max_children` are at most
+/// [`MAX_GEN_WIDTH`].
 pub fn parse_gen_config(doc: &Json) -> Result<GenConfig, String> {
     let mut gen = GenConfig::new();
-    let int = |key: &str| -> Result<Option<u64>, String> {
-        match doc.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or(format!("gen: `{key}` is not an integer")),
-        }
-    };
+    let width = 0..=MAX_GEN_WIDTH as u64;
+    let int = |key: &str, range| int_field(doc, "gen", key, range);
     let flag = |key: &str| -> Result<Option<bool>, String> {
         match doc.get(key) {
             None => Ok(None),
@@ -219,23 +253,23 @@ pub fn parse_gen_config(doc: &Json) -> Result<GenConfig, String> {
             Some(_) => Err(format!("gen: `{key}` is not a boolean")),
         }
     };
-    if let Some(v) = int("max_top")? {
-        gen = gen.with_max_top(v as usize);
+    if let Some(v) = int("max_top", 1..=u64::MAX)? {
+        gen = gen.with_max_top(v);
     }
-    if let Some(v) = int("max_depth")? {
-        gen = gen.with_max_depth(v as usize);
+    if let Some(v) = int("max_depth", 1..=u64::MAX)? {
+        gen = gen.with_max_depth(v);
     }
-    if let Some(v) = int("max_children")? {
-        gen = gen.with_max_children(v as usize);
+    if let Some(v) = int("max_children", width.clone())? {
+        gen = gen.with_max_children(v);
     }
-    if let Some(v) = int("max_body")? {
-        gen = gen.with_max_body(v as usize);
+    if let Some(v) = int("max_body", width)? {
+        gen = gen.with_max_body(v);
     }
-    if let Some(v) = int("max_trips")? {
-        gen = gen.with_max_trips(v as u32);
+    if let Some(v) = int_field(doc, "gen", "max_trips", 1..=u64::from(u32::MAX))? {
+        gen = gen.with_max_trips(v);
     }
-    if let Some(v) = int("max_loops")? {
-        gen = gen.with_max_loops(v as usize);
+    if let Some(v) = int("max_loops", 0..=u64::MAX)? {
+        gen = gen.with_max_loops(v);
     }
     if let Some(v) = flag("reg_bounds")? {
         gen = gen.with_reg_bounds(v);
@@ -280,11 +314,12 @@ pub fn sweep_config_json(cfg: &zolc_bench::SweepConfig) -> Json {
 ///
 /// # Errors
 ///
-/// A message naming the missing or invalid field.
+/// A message naming the missing or invalid field; `programs` is at most
+/// [`MAX_SWEEP_PROGRAMS`].
 pub fn parse_sweep_config(doc: &Json) -> Result<zolc_bench::SweepConfig, String> {
     let mut cfg = zolc_bench::SweepConfig::new();
-    if let Some(v) = doc.get("programs") {
-        cfg = cfg.with_programs(v.as_u64().ok_or("sweep: `programs` is not an integer")? as usize);
+    if let Some(v) = int_field(doc, "sweep", "programs", 0..=MAX_SWEEP_PROGRAMS as u64)? {
+        cfg = cfg.with_programs(v);
     }
     if let Some(v) = doc.get("base_seed") {
         cfg = cfg.with_base_seed(v.as_u64().ok_or("sweep: `base_seed` is not an integer")?);
@@ -624,6 +659,27 @@ mod tests {
         assert_eq!(back.gen.max_trips, 24);
         assert!(!back.gen.dbnz);
         assert_eq!(back.executor, ExecutorKind::Functional);
+    }
+
+    #[test]
+    fn out_of_range_knobs_are_refused_naming_the_field() {
+        let w = MAX_GEN_WIDTH as u64;
+        for (key, v) in [
+            ("max_top", 0),
+            ("max_depth", 0),
+            ("max_trips", 0),
+            ("max_trips", 1 << 32),
+            ("max_children", w + 1),
+            ("max_body", w + 1),
+        ] {
+            let err = parse_gen_config(&Json::Obj(vec![(key.into(), Json::u64(v))])).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
+        assert!(parse_gen_config(&Json::Obj(vec![("max_body".into(), Json::u64(w))])).is_ok());
+        let programs = |n: usize| Json::Obj(vec![("programs".into(), Json::u64(n as u64))]);
+        assert!(parse_sweep_config(&programs(MAX_SWEEP_PROGRAMS)).is_ok());
+        let err = parse_sweep_config(&programs(MAX_SWEEP_PROGRAMS + 1)).unwrap_err();
+        assert!(err.contains("programs"), "{err}");
     }
 
     #[test]

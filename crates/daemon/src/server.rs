@@ -508,7 +508,23 @@ mod tests {
         let body = String::from_utf8_lossy(&r);
         assert!(body.starts_with("{\"ok\":false"), "{body}");
         assert!(body.contains("compiled"), "{body}");
-        // the connection survived all three
+        // Sizes that would abort the daemon on allocation are refused at
+        // decode, naming the field.
+        for (frame, field) in [
+            (
+                &b"{\"op\":\"sweep\",\"config\":{\"programs\":1000000000000}}"[..],
+                "programs",
+            ),
+            (
+                b"{\"op\":\"sweep\",\"config\":{\"gen\":{\"max_body\":4000000000}}}",
+                "max_body",
+            ),
+        ] {
+            let body = String::from_utf8(c.request_raw(frame).unwrap()).unwrap();
+            assert!(body.starts_with("{\"ok\":false"), "{body}");
+            assert!(body.contains(field), "{body}");
+        }
+        // the connection survived all five
         assert!(c.ping().unwrap());
 
         c.shutdown().unwrap();

@@ -255,16 +255,20 @@ mod tests {
 
     #[test]
     fn all_executors_agree_on_a_kernel() {
-        for target in fig2_targets() {
-            let built = crate::build_vec_mac(&target).expect("builds");
-            let slow = built.run(10_000_000, ExecutorKind::CycleAccurate).unwrap();
-            assert!(slow.is_correct(), "{target}: {:?}", slow.mismatches);
-            assert!(slow.stats.cycles > 0);
-            for kind in [ExecutorKind::Functional, ExecutorKind::Nest] {
-                let fast = built.run(10_000_000, kind).unwrap();
-                assert!(fast.is_correct(), "{target}/{kind}: {:?}", fast.mismatches);
-                assert_eq!(slow.stats.retired, fast.stats.retired, "{target}/{kind}");
-                assert_eq!(fast.stats.cycles, 0);
+        for k in crate::kernels() {
+            for target in fig2_targets() {
+                let name = k.name;
+                let built = (k.build)(&target).expect("builds");
+                let slow = built.run(10_000_000, ExecutorKind::CycleAccurate).unwrap();
+                assert!(slow.is_correct(), "{name}/{target}: {:?}", slow.mismatches);
+                assert!(slow.stats.cycles > 0);
+                for kind in [ExecutorKind::Functional, ExecutorKind::Nest] {
+                    let fast = built.run(10_000_000, kind).unwrap();
+                    let ctx = format!("{name}/{target}/{kind}");
+                    assert!(fast.is_correct(), "{ctx}: {:?}", fast.mismatches);
+                    assert_eq!(slow.stats.retired, fast.stats.retired, "{ctx}");
+                    assert_eq!(fast.stats.cycles, 0);
+                }
             }
         }
     }

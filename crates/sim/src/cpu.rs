@@ -22,22 +22,15 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
+/// Memory size in bytes of every session: the text and data segments
+/// below [`DATA_BASE`] plus 1 MiB of data memory.
+pub const MEM_SIZE: usize = (DATA_BASE as usize) + (1 << 20);
+
 /// Configuration of the simulated core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuConfig {
-    /// Memory size in bytes (must cover the data segment base).
-    pub mem_size: usize,
     /// Whether to collect a retire-order trace (costs memory).
     pub trace_retire: bool,
-}
-
-impl Default for CpuConfig {
-    fn default() -> Self {
-        CpuConfig {
-            mem_size: (DATA_BASE as usize) + (1 << 20),
-            trace_retire: false,
-        }
-    }
 }
 
 /// Errors terminating a simulation.
@@ -187,9 +180,7 @@ pub trait Executor {
 /// * [`ExecutorKind::CycleAccurate`] — the 5-stage pipeline: exact cycle
 ///   counts (the paper's metric), slowest to simulate;
 /// * [`ExecutorKind::Functional`] — architecture only: identical final
-///   registers, memory and retire counts, no cycle counts; ~3–5× faster
-///   than the pipeline on controller-less cores, ~1.5× under a ZOLC
-///   controller (whose modeling cost dominates every executor);
+///   registers, memory and retire counts, no cycle counts;
 /// * [`ExecutorKind::Nest`] — the loop-nest superblock executor: same
 ///   architectural results as `Functional` (the three-way
 ///   `prop_exec_equiv` suite enforces it), with whole
@@ -237,7 +228,7 @@ impl ExecutorKind {
     }
 
     /// All executor kinds, in speed order (slowest first) — the axis the
-    /// differential suites and throughput benches iterate over.
+    /// differential suites iterate over.
     pub const ALL: [ExecutorKind; 3] = [
         ExecutorKind::CycleAccurate,
         ExecutorKind::Functional,
@@ -330,13 +321,42 @@ mod tests {
 
     #[test]
     fn run_session_selects_the_executor() {
-        let p = assemble("li r1, 7\naddi r1, r1, 35\nhalt").unwrap();
-        let prog = CompiledProgram::compile(p);
-        for kind in ExecutorKind::ALL {
-            let f = run_session(kind, &prog, &mut NullEngine, 10_000).unwrap();
-            assert_eq!(f.cpu.kind(), kind);
-            assert_eq!(f.cpu.regs().read(reg(1)), 42);
-            assert_eq!(f.stats.retired, 3);
+        // (source, result register, its value, retired instructions)
+        let programs = [
+            ("li r1, 7\naddi r1, r1, 35\nhalt", 1, 42, 3),
+            // A 4-deep counted nest: one superblock on the nest tier,
+            // with the innermost body in closed form.
+            (
+                "
+                li   r10, 0
+                li   r1, 20
+          l1:   li   r2, 20
+          l2:   li   r3, 20
+          l3:   li   r4, 25
+          l4:   addi r10, r10, 1
+                addi r4, r4, -1
+                bne  r4, r0, l4
+                addi r3, r3, -1
+                bne  r3, r0, l3
+                addi r2, r2, -1
+                bne  r2, r0, l2
+                addi r1, r1, -1
+                bne  r1, r0, l1
+                halt
+                ",
+                10,
+                20 * 20 * 20 * 25,
+                625_263,
+            ),
+        ];
+        for (src, r, value, retired) in programs {
+            let prog = CompiledProgram::compile(assemble(src).unwrap());
+            for kind in ExecutorKind::ALL {
+                let f = run_session(kind, &prog, &mut NullEngine, 10_000_000).unwrap();
+                assert_eq!(f.cpu.kind(), kind);
+                assert_eq!(f.cpu.regs().read(reg(r)), value, "{kind}");
+                assert_eq!(f.stats.retired, retired, "{kind}");
+            }
         }
     }
 

@@ -18,11 +18,7 @@
 //! Use it wherever architectural results are the point and cycles are
 //! not: correctness sweeps over many inputs, differential testing,
 //! reference runs for new kernels. On passive engines (no controller —
-//! see [`LoopEngine::is_passive`]) the hook calls vanish statically and
-//! it executes ~3–5× more instructions per second than the pipeline;
-//! with a ZOLC controller attached the controller model dominates both
-//! executors and the gain is ~1.5× (`cargo bench --bench sim_throughput`
-//! tracks the ratio per cell).
+//! see [`LoopEngine::is_passive`]) the hook calls vanish statically.
 //!
 //! # Engine-driving contract
 //!
@@ -37,7 +33,7 @@
 //! against the pipeline's speculative calling pattern observe a legal,
 //! wrong-path-free schedule and need no changes.
 
-use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError};
+use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError, MEM_SIZE};
 use crate::engine::{ExecEvent, LoopEngine};
 use crate::exec::{step, Effect};
 use crate::mem::{MemError, Memory};
@@ -69,7 +65,7 @@ impl Machine {
         Machine {
             config,
             prog: CompiledProgram::empty(),
-            mem: Memory::new(config.mem_size),
+            mem: Memory::new(MEM_SIZE),
             regs: RegFile::new(),
             pc: TEXT_BASE,
             stats: Stats::default(),
@@ -466,10 +462,7 @@ mod tests {
         let p = assemble("nop\nnop\nhalt").unwrap();
         let mut cpu = FunctionalCpu::session(
             &CompiledProgram::compile(p),
-            CpuConfig {
-                trace_retire: true,
-                ..CpuConfig::default()
-            },
+            CpuConfig { trace_retire: true },
         )
         .unwrap();
         cpu.run(&mut NullEngine, 100).unwrap();

@@ -17,13 +17,11 @@
 //!      penalty), ID-resolved jumps and hardware-loop `dbnz` (1-cycle
 //!      penalty). It stands in for the XiRisc soft core of *Kavvadias &
 //!      Nikolaidis, DATE 2005* and produces the paper's metric: cycles.
-//!    * [`FunctionalCpu`] — the fast functional executor: identical
-//!      final registers, memory and retire counts, no cycle counts.
-//!      Several times faster than the pipeline — ~3–5× on cores without
-//!      a loop controller (the passive-engine fast path), ~1.5× with a
-//!      ZOLC controller attached, whose modeling cost dominates every
-//!      executor. Use it for correctness sweeps and differential
-//!      testing; use the pipeline whenever cycles are the answer.
+//!    * [`FunctionalCpu`] — the functional executor: identical final
+//!      registers, memory and retire counts, no cycle counts, and no
+//!      engine hook calls on cores without a loop controller. Use it for
+//!      correctness sweeps and differential testing; use the pipeline
+//!      whenever cycles are the answer.
 //!    * [`NestCpu`] — the loop-nest superblock executor: whole
 //!      engine-passive regions — counted loop nests included — are
 //!      compiled once into trip-parameterized, direct-threaded op
@@ -74,8 +72,8 @@
 //! // Cycle-accurate: the paper's metric.
 //! let finished = run_program(&program, &mut NullEngine, 1_000_000)?;
 //! assert_eq!(finished.cpu.regs().read(zolc_isa::reg(2)), (1..=100).sum::<u32>());
-//! // Functional: same architecture, no cycles, much faster — a fresh
-//! // session over the shared compiled program.
+//! // Functional: same architecture, no cycles, no pipeline model — a
+//! // fresh session over the shared compiled program.
 //! let prog = CompiledProgram::compile(program);
 //! let fast = run_session(ExecutorKind::Functional, &prog, &mut NullEngine, 1_000_000)?;
 //! assert_eq!(fast.cpu.regs().read(zolc_isa::reg(2)), (1..=100).sum::<u32>());
@@ -87,13 +85,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod blocks;
 mod cpu;
 mod engine;
 pub mod exec;
 mod functional;
 mod mem;
 mod nest;
+/// Superblock-lowering tests: every instruction's [`nest`] lowering is
+/// checked against `exec::step`, then run on the nest tier against the
+/// functional tier.
+#[cfg(test)]
+mod blocks {
+    mod tests;
+}
 mod pipeline;
 mod program;
 mod regfile;
@@ -101,6 +105,7 @@ mod stats;
 
 pub use cpu::{
     run_program, run_session, CpuConfig, Executor, ExecutorKind, Finished, RetireEvent, RunError,
+    MEM_SIZE,
 };
 pub use engine::{ExecEvent, FetchDecision, LoopEngine, NullEngine, RegWrites};
 pub use exec::{Effect, FetchError, TextImage};

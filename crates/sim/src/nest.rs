@@ -6,12 +6,12 @@
 //! per step, this tier exploits what ZOLC makes static: when execution
 //! reaches the entry of an engine-passive region, the **entire region —
 //! a whole counted loop nest included — is compiled once** into a
-//! *superblock*: a direct-threaded array of pre-lowered ops (the
-//! lowering in `blocks.rs`) in which control transfers are op-array
-//! indices, and each canonical counted-loop latch
-//! (`addi c, c, -1; bne c, r0, top`) is fused into one counted
-//! [`NOp::Repeat`] op. Steady-state execution is a tight loop over the
-//! array: no per-iteration block lookup, no terminator dispatch, and —
+//! *superblock*: a direct-threaded array of pre-lowered ops in which
+//! control transfers are op-array indices, and each canonical
+//! counted-loop latch (`addi c, c, -1; bne c, r0, top`) is fused into
+//! one counted [`NOp::Repeat`] op. Steady-state execution is a tight
+//! loop over the array: no per-iteration block lookup, no terminator
+//! dispatch, and —
 //! for an innermost all-straight-line body — a **bulk path** that runs
 //! every remaining iteration the fuel budget covers with *zero*
 //! per-iteration dispatch or fuel checks.
@@ -53,7 +53,6 @@
 //! memory, retire counts and every architectural event counter —
 //! against the other two.
 
-use crate::blocks::{lower, AluFn, CondFn, Lowered, Op, Terminator};
 use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError};
 use crate::engine::LoopEngine;
 use crate::exec::{LoadOp, StoreOp, TextImage};
@@ -73,7 +72,8 @@ const MAX_NEST_OPS: usize = 4096;
 
 /// One direct-threaded superblock op. Control transfers hold **op-array
 /// indices**, not pcs — taking a branch is one assignment to the
-/// interpreter's instruction pointer.
+/// interpreter's instruction pointer. (Straight out of `lower` they hold
+/// pcs, until [`compile_nest`] resolves them.)
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum NOp {
     /// `dst = f(regs[a], regs[b])`; retires 1.
@@ -160,18 +160,172 @@ pub(crate) enum NestEntry {
     Sb(Superblock),
 }
 
-fn plain(instr: Instr, op: Op) -> NOp {
-    match (instr, op) {
-        // The adds keep the lowering's own operands — only the indirect
-        // function call is replaced by an inline wrapping add.
-        (Instr::Add { .. }, Op::Alu { dst, a, b, .. }) => NOp::Add { dst, a, b },
-        (Instr::Addi { .. }, Op::AluImm { dst, a, imm, .. }) => NOp::AddImm { dst, a, imm },
-        (_, Op::Alu { dst, a, b, f }) => NOp::Alu { dst, a, b, f },
-        (_, Op::AluImm { dst, a, imm, f }) => NOp::AluImm { dst, a, imm, f },
-        (_, Op::Load { dst, base, off, op }) => NOp::Load { dst, base, off, op },
-        (_, Op::Store { val, base, off, op }) => NOp::Store { val, base, off, op },
-        (_, Op::Nop) => NOp::Nop,
-    }
+type AluFn = fn(u32, u32) -> u32;
+type CondFn = fn(u32, u32) -> bool;
+
+// ---- ALU semantics and branch conditions as named fn items -------------
+// Each mirrors one arm of `crate::exec::step` exactly.
+
+fn f_sub(a: u32, b: u32) -> u32 {
+    a.wrapping_sub(b)
+}
+fn f_and(a: u32, b: u32) -> u32 {
+    a & b
+}
+fn f_or(a: u32, b: u32) -> u32 {
+    a | b
+}
+fn f_xor(a: u32, b: u32) -> u32 {
+    a ^ b
+}
+fn f_nor(a: u32, b: u32) -> u32 {
+    !(a | b)
+}
+fn f_slt(a: u32, b: u32) -> u32 {
+    ((a as i32) < (b as i32)) as u32
+}
+fn f_sltu(a: u32, b: u32) -> u32 {
+    (a < b) as u32
+}
+fn f_sllv(a: u32, b: u32) -> u32 {
+    a << (b & 31)
+}
+fn f_srlv(a: u32, b: u32) -> u32 {
+    a >> (b & 31)
+}
+fn f_srav(a: u32, b: u32) -> u32 {
+    ((a as i32) >> (b & 31)) as u32
+}
+fn f_sll(a: u32, b: u32) -> u32 {
+    a << b
+}
+fn f_srl(a: u32, b: u32) -> u32 {
+    a >> b
+}
+fn f_sra(a: u32, b: u32) -> u32 {
+    ((a as i32) >> b) as u32
+}
+fn f_mul(a: u32, b: u32) -> u32 {
+    a.wrapping_mul(b)
+}
+fn f_mulh(a: u32, b: u32) -> u32 {
+    ((i64::from(a as i32) * i64::from(b as i32)) >> 32) as u32
+}
+fn f_snd(_a: u32, b: u32) -> u32 {
+    b
+}
+
+fn c_eq(a: u32, b: u32) -> bool {
+    a == b
+}
+fn c_ne(a: u32, b: u32) -> bool {
+    a != b
+}
+fn c_lez(a: u32, _b: u32) -> bool {
+    (a as i32) <= 0
+}
+fn c_gtz(a: u32, _b: u32) -> bool {
+    (a as i32) > 0
+}
+fn c_ltz(a: u32, _b: u32) -> bool {
+    (a as i32) < 0
+}
+fn c_gez(a: u32, _b: u32) -> bool {
+    (a as i32) >= 0
+}
+
+/// Lowers the instruction at `pc` into its superblock op, or `None` for
+/// the instructions the step core owns (`zwr`/`zctl`/`dbnz`).
+///
+/// Operands are extracted, immediates pre-extended to the exact `u32`
+/// the semantics core computes, ALU semantics reduced to a function
+/// pointer (`add`/`addi` to the inline [`NOp::Add`]/[`NOp::AddImm`]) and
+/// `jal` link values precomputed. Transfer targets come out as **pcs**;
+/// [`compile_nest`] resolves them to op indices.
+pub(crate) fn lower(instr: Instr, pc: u32) -> Option<NOp> {
+    use Instr::*;
+    let alu = |dst, a, b, f| NOp::Alu { dst, a, b, f };
+    let imm = |dst, a, imm, f| NOp::AluImm { dst, a, imm, f };
+    let sext = |v: i16| v as i32 as u32;
+    let load = |dst, base, off: i16, op| NOp::Load {
+        dst,
+        base,
+        off: sext(off),
+        op,
+    };
+    let store = |val, base, off: i16, op| NOp::Store {
+        val,
+        base,
+        off: sext(off),
+        op,
+    };
+    let branch = |rs, rt, cond| NOp::Br {
+        rs,
+        rt,
+        cond,
+        taken: instr.branch_target(pc).expect("branch has target"),
+    };
+    Some(match instr {
+        Add { rd, rs, rt } => NOp::Add {
+            dst: rd,
+            a: rs,
+            b: rt,
+        },
+        Sub { rd, rs, rt } => alu(rd, rs, rt, f_sub),
+        And { rd, rs, rt } => alu(rd, rs, rt, f_and),
+        Or { rd, rs, rt } => alu(rd, rs, rt, f_or),
+        Xor { rd, rs, rt } => alu(rd, rs, rt, f_xor),
+        Nor { rd, rs, rt } => alu(rd, rs, rt, f_nor),
+        Slt { rd, rs, rt } => alu(rd, rs, rt, f_slt),
+        Sltu { rd, rs, rt } => alu(rd, rs, rt, f_sltu),
+        Sllv { rd, rt, rs } => alu(rd, rt, rs, f_sllv),
+        Srlv { rd, rt, rs } => alu(rd, rt, rs, f_srlv),
+        Srav { rd, rt, rs } => alu(rd, rt, rs, f_srav),
+        Mul { rd, rs, rt } => alu(rd, rs, rt, f_mul),
+        Mulh { rd, rs, rt } => alu(rd, rs, rt, f_mulh),
+        Sll { rd, rt, sh } => imm(rd, rt, u32::from(sh), f_sll),
+        Srl { rd, rt, sh } => imm(rd, rt, u32::from(sh), f_srl),
+        Sra { rd, rt, sh } => imm(rd, rt, u32::from(sh), f_sra),
+        Addi { rt, rs, imm: v } => NOp::AddImm {
+            dst: rt,
+            a: rs,
+            imm: sext(v),
+        },
+        Slti { rt, rs, imm: v } => imm(rt, rs, sext(v), f_slt),
+        Sltiu { rt, rs, imm: v } => imm(rt, rs, sext(v), f_sltu),
+        Andi { rt, rs, imm: v } => imm(rt, rs, u32::from(v), f_and),
+        Ori { rt, rs, imm: v } => imm(rt, rs, u32::from(v), f_or),
+        Xori { rt, rs, imm: v } => imm(rt, rs, u32::from(v), f_xor),
+        Lui { rt, imm: v } => imm(rt, Reg::ZERO, u32::from(v) << 16, f_snd),
+        Lb { rt, rs, off } => load(rt, rs, off, LoadOp::Byte),
+        Lbu { rt, rs, off } => load(rt, rs, off, LoadOp::ByteUnsigned),
+        Lh { rt, rs, off } => load(rt, rs, off, LoadOp::Half),
+        Lhu { rt, rs, off } => load(rt, rs, off, LoadOp::HalfUnsigned),
+        Lw { rt, rs, off } => load(rt, rs, off, LoadOp::Word),
+        Sb { rt, rs, off } => store(rt, rs, off, StoreOp::Byte),
+        Sh { rt, rs, off } => store(rt, rs, off, StoreOp::Half),
+        Sw { rt, rs, off } => store(rt, rs, off, StoreOp::Word),
+        Nop => NOp::Nop,
+        Beq { rs, rt, .. } => branch(rs, rt, c_eq),
+        Bne { rs, rt, .. } => branch(rs, rt, c_ne),
+        Blez { rs, .. } => branch(rs, Reg::ZERO, c_lez),
+        Bgtz { rs, .. } => branch(rs, Reg::ZERO, c_gtz),
+        Bltz { rs, .. } => branch(rs, Reg::ZERO, c_ltz),
+        Bgez { rs, .. } => branch(rs, Reg::ZERO, c_gez),
+        J { target } => NOp::Jmp {
+            target: target << 2,
+        },
+        Jal { target } => NOp::Jl {
+            dst: Reg::RA,
+            value: pc.wrapping_add(4),
+            target: target << 2,
+        },
+        Jr { rs } => NOp::JrExit { rs },
+        Halt => NOp::Halt,
+        // Loop-controller interactions and the fused branch-decrement
+        // run through the step core.
+        Dbnz { .. } | Zwr { .. } | Zctl { .. } => return None,
+    })
 }
 
 /// The bulk-path retire cost of one (body + latch) iteration, or 0 when
@@ -198,16 +352,14 @@ fn bulk_cost(ops: &[NOp], body: usize, latch: usize, counter: Reg) -> u32 {
 
 /// Compiles the region entered at `entry` into a superblock.
 ///
-/// The scan lowers instructions linearly from `entry` (see
-/// `crate::blocks`), turning control transfers into
-/// op-index references: backward targets resolve immediately, forward
-/// targets through fixups, and targets outside the region (or never
-/// reached by the scan) become [`NOp::Exit`] ops. When a backward
-/// `bne c, r0, top` directly follows `addi c, c, -1` on the same
-/// counter, the pair fuses into one [`NOp::Repeat`] at the `addi`'s op
-/// index — entering at either latch instruction, or branching to the
-/// `addi` (a tail-skip), still lands on correct decrement-and-test
-/// semantics. The scan stops at `zwr`/`zctl`/`dbnz`, a fetch fault
+/// The scan lowers instructions linearly from `entry`; once it stops,
+/// fixups turn every control-transfer target pc into an op index, and
+/// targets outside the region (or never reached by the scan) become
+/// [`NOp::Exit`] ops. When a backward `bne c, r0, top` directly
+/// follows `addi c, c, -1` on the same counter, the pair fuses into one
+/// [`NOp::Repeat`] at the `addi`'s op index — entering at either latch
+/// instruction, or branching to the `addi` (a tail-skip), still lands
+/// on correct decrement-and-test semantics. The scan stops at `zwr`/`zctl`/`dbnz`, a fetch fault
 /// (end of text) or the op cap, appending a terminal `Exit` so
 /// execution resumes there through dispatch.
 pub(crate) fn compile_nest(text: &TextImage, entry: u32) -> NestEntry {
@@ -216,8 +368,6 @@ pub(crate) fn compile_nest(text: &TextImage, entry: u32) -> NestEntry {
     // instruction pc -> op index (fused `bne`s are absent by design:
     // a transfer to one exits the superblock and re-enters there)
     let mut by_pc: HashMap<u32, u32> = HashMap::new();
-    // (op index, target pc) pairs whose target was not yet scanned
-    let mut fixups: Vec<(usize, u32)> = Vec::new();
     let mut pc = entry;
     loop {
         if ops.len() >= MAX_NEST_OPS {
@@ -226,69 +376,23 @@ pub(crate) fn compile_nest(text: &TextImage, entry: u32) -> NestEntry {
         let Ok(instr) = text.fetch(pc) else {
             break;
         };
-        let lowered = lower(instr, pc);
-        if matches!(lowered, Lowered::Term(Terminator::StepFrom)) {
-            // zwr/zctl/dbnz (or anything else the step core owns).
+        let Some(op) = lower(instr, pc) else {
+            // zwr/zctl/dbnz: the step core runs them.
             break;
-        }
-        let ix = ops.len() as u32;
-        by_pc.insert(pc, ix);
-        pcs.push(pc);
-        match lowered {
-            Lowered::Op(op) => ops.push(plain(instr, op)),
-            Lowered::Term(Terminator::StepFrom) => unreachable!("handled above"),
-            Lowered::Term(Terminator::Halt) => ops.push(NOp::Halt),
-            Lowered::Term(Terminator::Jr { rs }) => ops.push(NOp::JrExit { rs }),
-            Lowered::Term(Terminator::Jump { target, link }) => {
-                let t = match by_pc.get(&target) {
-                    Some(&t) => t,
-                    None => {
-                        fixups.push((ops.len(), target));
-                        u32::MAX
-                    }
-                };
-                ops.push(match link {
-                    Some((dst, value)) => NOp::Jl {
-                        dst,
-                        value,
-                        target: t,
-                    },
-                    None => NOp::Jmp { target: t },
-                });
-            }
-            Lowered::Term(Terminator::Branch {
-                rs,
-                rt,
-                cond,
-                taken,
-            }) => {
-                if let Some((counter, body, latch)) = fuse_latch(text, &by_pc, &ops, instr, pc) {
-                    // Drop this op slot again: the Repeat replaces the
-                    // addi in place and the bne maps to no op.
-                    by_pc.remove(&pc);
-                    pcs.pop();
-                    let bulk = bulk_cost(&ops, body as usize, latch, counter);
-                    ops[latch] = NOp::Repeat {
-                        counter,
-                        body,
-                        bulk,
-                    };
-                } else {
-                    let t = match by_pc.get(&taken) {
-                        Some(&t) => t,
-                        None => {
-                            fixups.push((ops.len(), taken));
-                            u32::MAX
-                        }
-                    };
-                    ops.push(NOp::Br {
-                        rs,
-                        rt,
-                        cond,
-                        taken: t,
-                    });
-                }
-            }
+        };
+        if let Some((counter, body, latch)) = fuse_latch(text, &by_pc, &ops, instr, pc) {
+            // The Repeat replaces the addi in place and the bne maps to
+            // no op.
+            let bulk = bulk_cost(&ops, body as usize, latch, counter);
+            ops[latch] = NOp::Repeat {
+                counter,
+                body,
+                bulk,
+            };
+        } else {
+            by_pc.insert(pc, ops.len() as u32);
+            pcs.push(pc);
+            ops.push(op);
         }
         pc = pc.wrapping_add(4);
     }
@@ -297,11 +401,18 @@ pub(crate) fn compile_nest(text: &TextImage, entry: u32) -> NestEntry {
     }
     // Terminal exit: the fall-through of the last scanned op resumes at
     // the first unscanned instruction through dispatch.
+    let scanned = ops.len();
     let mut exits: HashMap<u32, u32> = HashMap::new();
-    exits.insert(pc, ops.len() as u32);
+    exits.insert(pc, scanned as u32);
     ops.push(NOp::Exit { pc });
     pcs.push(pc);
-    for (k, target) in fixups {
+    // Fixups: every transfer target is still a pc.
+    for k in 0..scanned {
+        let target = match ops[k] {
+            NOp::Br { taken, .. } => taken,
+            NOp::Jmp { target } | NOp::Jl { target, .. } => target,
+            _ => continue,
+        };
         let ix = match by_pc.get(&target) {
             Some(&ix) => ix,
             None => *exits.entry(target).or_insert_with(|| {
@@ -310,10 +421,10 @@ pub(crate) fn compile_nest(text: &TextImage, entry: u32) -> NestEntry {
                 (ops.len() - 1) as u32
             }),
         };
-        match &mut ops[k] {
-            NOp::Br { taken, .. } => *taken = ix,
-            NOp::Jmp { target } | NOp::Jl { target, .. } => *target = ix,
-            other => unreachable!("fixup on non-transfer op {other:?}"),
+        if let NOp::Br { taken: t, .. } | NOp::Jmp { target: t } | NOp::Jl { target: t, .. } =
+            &mut ops[k]
+        {
+            *t = ix;
         }
     }
     NestEntry::Sb(Superblock {
@@ -443,8 +554,7 @@ enum SbExit {
 ///
 /// Statistics accumulate in locals (`left`, branch deltas) and commit
 /// on every way out, so the hot loops touch only the raw register
-/// array, memory and the op array. As in `blocks.rs`, register indices
-/// are masked to 31 and writes go through unconditionally with slot 0
+/// array, memory and the op array. Register indices are masked to 31 and writes go through unconditionally with slot 0
 /// re-zeroed — branchless discard of `r0` destinations.
 fn run_superblock(m: &mut Machine, sb: &Superblock, limit: u64) -> Result<SbExit, RunError> {
     let Machine {
@@ -1335,10 +1445,7 @@ mod tests {
         let p = assemble("nop\nnop\nhalt").unwrap();
         let mut cpu = NestCpu::session(
             &CompiledProgram::compile(p),
-            CpuConfig {
-                trace_retire: true,
-                ..CpuConfig::default()
-            },
+            CpuConfig { trace_retire: true },
         )
         .unwrap();
         cpu.run(&mut NullEngine, 100).unwrap();

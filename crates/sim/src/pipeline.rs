@@ -35,7 +35,7 @@
 //! EX/MEM/WB stages. The timing model — hazards, flushes, penalties —
 //! is this module's entire subject matter.
 
-use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError};
+use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError, MEM_SIZE};
 use crate::engine::{ExecEvent, LoopEngine, RegWrites};
 use crate::exec::{step, Effect, FetchError, LoadOp, StoreOp};
 use crate::mem::{MemError, Memory};
@@ -144,7 +144,7 @@ impl Cpu {
         let mut cpu = Cpu {
             config,
             prog: Arc::clone(prog),
-            mem: Memory::new(config.mem_size),
+            mem: Memory::new(MEM_SIZE),
             regs: RegFile::new(),
             pc: TEXT_BASE,
             if_id: None,
@@ -887,10 +887,7 @@ mod tests {
         .unwrap();
         let mut cpu = Cpu::session(
             &crate::CompiledProgram::compile(p),
-            CpuConfig {
-                trace_retire: true,
-                ..CpuConfig::default()
-            },
+            CpuConfig { trace_retire: true },
         )
         .unwrap();
         cpu.run(&mut NullEngine, 10_000).unwrap();

@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     // Pre-flight: validate every cell on the functional executor (no
-    // cycle counts, several times faster than the pipeline — ideal for
-    // correctness sweeps).
+    // cycle counts and no pipeline model — the tier for correctness
+    // sweeps).
     let start = Instant::now();
     let mut cells = 0;
     for (kname, build) in &kernels {

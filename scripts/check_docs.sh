@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Fails if any markdown file referenced from another markdown file or a
+# Fails if any markdown file, recorded benchmark file (BENCH_*.json) or
+# bench target (benches/*.rs) referenced from a markdown file or a
 # rustdoc comment does not exist (CI runs this in the docs job; the
 # bench crate additionally enforces its own DESIGN.md/EXPERIMENTS.md from
 # a unit test so tier-1 catches the dangling-reference case too).
 #
 # Scope: every git-tracked .md and .rs file, except the archival files
-# that quote *external* repositories and papers (their .md mentions are
-# not cross-links into this repo).
+# that quote *external* repositories and papers (their mentions are not
+# cross-links into this repo).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -14,7 +15,7 @@ status=0
 scan() {
     local src="$1" dir ref
     dir=$(dirname "$src")
-    for ref in $(grep -ohE '[A-Za-z0-9_./-]+\.md' "$src" | sort -u); do
+    for ref in $(grep -ohE '[A-Za-z0-9_./-]+\.md|[A-Za-z0-9_./-]*(BENCH_[A-Za-z0-9_]+\.json|benches/[A-Za-z0-9_]+\.rs)' "$src" | sort -u); do
         # resolve relative to the referencing file, its crate root, or
         # the repository root
         if [ -e "$ref" ] || [ -e "$dir/$ref" ] || [ -e "$dir/../$ref" ]; then

@@ -52,13 +52,7 @@ const GEN_SEEDS: u64 = 256;
 fn traced_run(program: &Program) -> Vec<RetireEvent> {
     let prog = Arc::new(CompiledProgram::compile(program.clone()));
     let mut cpu = ExecutorKind::Functional
-        .new_session(
-            &prog,
-            CpuConfig {
-                trace_retire: true,
-                ..CpuConfig::default()
-            },
-        )
+        .new_session(&prog, CpuConfig { trace_retire: true })
         .expect("session opens");
     cpu.run(&mut NullEngine, FUEL).expect("program halts");
     cpu.retire_log().to_vec()

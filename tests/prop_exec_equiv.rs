@@ -39,8 +39,8 @@ use zolc::isa::{reg, Asm, Instr, Reg, DATA_BASE};
 use zolc::kernels::{extra_kernels, fig2_targets, kernels};
 use zolc::oracle::{self, Reason};
 use zolc::sim::{
-    run_session, CompiledProgram, CpuConfig, Executor, ExecutorKind, Finished, NullEngine,
-    RunError, Stats,
+    run_session, CompiledProgram, Executor, ExecutorKind, Finished, NullEngine, RunError, Stats,
+    MEM_SIZE,
 };
 
 const BUDGET: u64 = 50_000_000;
@@ -181,7 +181,7 @@ proptest! {
         // construction: coverage here must be total, so a fragment
         // regression (not just a wrong summary) fails the suite.
         prop_assert!(
-            oracle::summarize(program.source(), CpuConfig::default().mem_size).is_ok(),
+            oracle::summarize(program.source(), MEM_SIZE).is_ok(),
             "straightline program must be analyzable"
         );
     }
@@ -211,7 +211,7 @@ proptest! {
         // refuse; generated programs are small, so a budget refusal
         // would be an analyzer bug, not a fragment boundary.
         if !covered {
-            match oracle::summarize(program.source(), CpuConfig::default().mem_size) {
+            match oracle::summarize(program.source(), MEM_SIZE) {
                 Ok(s) => prop_assert!(s.retired > BUDGET),
                 Err(e) => prop_assert!(
                     !matches!(e.0, Reason::OutOfBudget { .. }),
@@ -405,10 +405,9 @@ fn oracle_refusals_carry_the_documented_reason() {
             |r| matches!(r, Reason::VariantAddress { .. }),
         ),
     ];
-    let mem_size = CpuConfig::default().mem_size;
     for (name, src, expected) in corpus {
         let program = zolc::isa::assemble(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let reason = oracle::summarize(&program, mem_size).expect_err(name).0;
+        let reason = oracle::summarize(&program, MEM_SIZE).expect_err(name).0;
         assert!(expected(&reason), "{name}: wrong refusal reason {reason:?}");
         // ...while the executors handle the same program without issue,
         // proving refusal marks the fragment boundary, not a failure.
