@@ -33,15 +33,36 @@
 //!   wrong paths), under which speculative and architectural state never
 //!   diverge and the journal trivially verifies.
 //!
+//! A fetch-time decision made while nothing is in flight (an empty
+//! journal and speculative state equal to architectural) is held as
+//! *pending* instead of journaled: if the very next call is its own
+//! `on_execute`, the replay is known to reproduce it, so the
+//! architectural state adopts the speculative one without deciding
+//! again. Any other call first files the pending decision into the
+//! journal, where it is checked as usual. Under strict alternation every
+//! decision takes this path.
+//!
 //! Both schedules are legal by the trait's contract and produce identical
 //! architectural results (the root `prop_exec_equiv` suite checks this on
 //! every benchmark kernel).
+//!
+//! # Hook footprint
+//!
+//! [`decide`] can only act at a pc that is a valid task end (uZOLC: loop
+//! 0's end), the instruction before some loop record's start (step 3's
+//! entry initialization), or a valid entry address, and the exit check
+//! only at a valid exit branch. While active the controller reports
+//! exactly that set through [`LoopEngine::hook_pcs`] (empty while
+//! inactive), so executors skip both hooks everywhere else. The set is
+//! recomputed on `zctl.on` and on every `zwr` made while active that
+//! writes an address or valid field; initialization sequences run
+//! before activation and so trigger no recomputes.
 
 use crate::config::ZolcConfig;
 use crate::dynamics::{decide, Decision, DynState};
 use crate::tables::{WriteEffect, ZolcTables};
 use std::collections::VecDeque;
-use zolc_isa::{ZolcCtl, ZolcRegion};
+use zolc_isa::{entry_field, exit_field, loop_field, task_field, ZolcCtl, ZolcRegion};
 use zolc_sim::{ExecEvent, FetchDecision, LoopEngine};
 
 /// The zero-overhead loop controller.
@@ -68,7 +89,13 @@ pub struct Zolc {
     arch: DynState,
     spec: DynState,
     journal: VecDeque<(u32, Decision)>,
+    /// A decision made with nothing in flight, not yet journaled (see
+    /// the module docs).
+    pending: Option<(u32, Decision)>,
     violations: Vec<String>,
+    /// The hook footprint of the tables as of the last activation or
+    /// footprint-moving `zwr` while active (sorted, deduplicated).
+    footprint: Vec<u32>,
 }
 
 impl Zolc {
@@ -79,7 +106,9 @@ impl Zolc {
             arch: DynState::default(),
             spec: DynState::default(),
             journal: VecDeque::new(),
+            pending: None,
             violations: Vec::new(),
+            footprint: Vec::new(),
         }
     }
 
@@ -135,6 +164,33 @@ impl Zolc {
         );
     }
 
+    /// Files a pending decision into the journal (a no-op if there is
+    /// none, or if it was trivial).
+    fn file_pending(&mut self) {
+        if let Some((pc, d)) = self.pending.take() {
+            if !d.is_trivial() {
+                self.journal.push_back((pc, d));
+            }
+        }
+    }
+
+    /// Recomputes the hook footprint from the tables (see the module
+    /// docs).
+    fn refresh_footprint(&mut self) {
+        let t = &self.tables;
+        let fp = &mut self.footprint;
+        fp.clear();
+        fp.extend(t.loops().iter().map(|l| l.start.wrapping_sub(4)));
+        if t.config().tasks() == 0 {
+            fp.extend(t.loop_rec(0).map(|l| l.end));
+        }
+        fp.extend(t.tasks().iter().filter(|r| r.valid).map(|r| r.end));
+        fp.extend(t.entries().iter().filter(|e| e.valid).map(|e| e.addr));
+        fp.extend(t.exits().iter().filter(|x| x.valid).map(|x| x.branch));
+        fp.sort_unstable();
+        fp.dedup();
+    }
+
     fn record_violation(&mut self, msg: String) {
         // Bound memory usage on pathological runs.
         if self.violations.len() < 64 {
@@ -145,8 +201,12 @@ impl Zolc {
 
 impl LoopEngine for Zolc {
     fn on_fetch(&mut self, pc: u32) -> FetchDecision {
+        self.file_pending();
+        let idle = self.journal.is_empty() && self.spec == self.arch;
         let d = decide(&self.tables, &mut self.spec, pc);
-        if !d.is_trivial() {
+        if idle {
+            self.pending = Some((pc, d));
+        } else if !d.is_trivial() {
             self.journal.push_back((pc, d));
         }
         FetchDecision {
@@ -156,18 +216,27 @@ impl LoopEngine for Zolc {
     }
 
     fn on_execute(&mut self, pc: u32, event: ExecEvent) {
-        // Replay the decision on architectural state.
-        let d = decide(&self.tables, &mut self.arch, pc);
-        if !d.is_trivial() {
-            match self.journal.pop_front() {
-                Some((jpc, jd)) if jpc == pc && jd == d => {}
-                Some((jpc, jd)) => self.record_violation(format!(
-                    "decision mismatch at {pc:#x}: fetch made {jd:?} at {jpc:#x}, retire replayed {d:?} \
-                     (an in-loop zwr probably executed between the fetch and retire of a task end)"
-                )),
-                None => self.record_violation(format!(
-                    "retire-time decision {d:?} at {pc:#x} had no fetch-time counterpart"
-                )),
+        if matches!(self.pending, Some((ppc, _)) if ppc == pc) {
+            // Nothing ran since the idle fetch of this instruction, so
+            // replaying its decision on architectural state would
+            // reproduce the speculative state exactly.
+            self.pending = None;
+            self.arch = self.spec;
+        } else {
+            self.file_pending();
+            // Replay the decision on architectural state.
+            let d = decide(&self.tables, &mut self.arch, pc);
+            if !d.is_trivial() {
+                match self.journal.pop_front() {
+                    Some((jpc, jd)) if jpc == pc && jd == d => {}
+                    Some((jpc, jd)) => self.record_violation(format!(
+                        "decision mismatch at {pc:#x}: fetch made {jd:?} at {jpc:#x}, retire replayed {d:?} \
+                         (an in-loop zwr probably executed between the fetch and retire of a task end)"
+                    )),
+                    None => self.record_violation(format!(
+                        "retire-time decision {d:?} at {pc:#x} had no fetch-time counterpart"
+                    )),
+                }
             }
         }
 
@@ -195,8 +264,20 @@ impl LoopEngine for Zolc {
     }
 
     fn exec_zwr(&mut self, region: ZolcRegion, index: u8, field: u8, value: u32) {
+        self.file_pending();
         match self.tables.write(region, index, field, value) {
-            Ok(WriteEffect::Static) => {}
+            Ok(WriteEffect::Static) => {
+                let moves_footprint = match region {
+                    ZolcRegion::Loop => matches!(field, loop_field::START | loop_field::END),
+                    ZolcRegion::Task => matches!(field, task_field::END | task_field::CTL),
+                    ZolcRegion::Entry => matches!(field, entry_field::ADDR | entry_field::VALID),
+                    ZolcRegion::Exit => matches!(field, exit_field::BRANCH | exit_field::VALID),
+                    ZolcRegion::Global => false,
+                };
+                if moves_footprint && self.arch.active {
+                    self.refresh_footprint();
+                }
+            }
             Ok(WriteEffect::Count { loop_id, value }) => {
                 let k = usize::from(loop_id);
                 if k < self.arch.counts.len() {
@@ -209,11 +290,13 @@ impl LoopEngine for Zolc {
     }
 
     fn exec_zctl(&mut self, op: ZolcCtl) {
+        self.file_pending();
         match op {
             ZolcCtl::Activate { task } => {
                 self.arch.active = true;
                 self.arch.current_task = task;
                 self.spec = self.arch;
+                self.refresh_footprint();
             }
             ZolcCtl::Deactivate => {
                 self.arch.active = false;
@@ -231,6 +314,15 @@ impl LoopEngine for Zolc {
     fn on_flush(&mut self) {
         self.spec = self.arch;
         self.journal.clear();
+        self.pending = None;
+    }
+
+    fn hook_pcs(&self) -> Option<&[u32]> {
+        Some(if self.arch.active {
+            &self.footprint
+        } else {
+            &[]
+        })
     }
 }
 
@@ -239,7 +331,7 @@ mod tests {
     use super::*;
     use crate::config::TASK_NONE;
     use crate::tables::{LoopRecord, TaskRecord};
-    use zolc_isa::{loop_field, reg};
+    use zolc_isa::reg;
 
     fn controller_with_loop() -> Zolc {
         let mut z = Zolc::new(ZolcConfig::lite());
@@ -343,6 +435,69 @@ mod tests {
         z.exec_zctl(ZolcCtl::Reset);
         assert!(!z.arch_state().active);
         assert_eq!(z.tables().loop_rec(0).unwrap().limit, 0);
+    }
+
+    #[test]
+    fn footprint_is_empty_while_inactive() {
+        let mut z = Zolc::new(ZolcConfig::lite());
+        assert_eq!(z.hook_pcs(), Some(&[][..]));
+        // Init writes before activation leave it empty and uncomputed.
+        z.exec_zwr(ZolcRegion::Loop, 0, loop_field::START, 0x10);
+        z.exec_zwr(ZolcRegion::Task, 0, task_field::END, 0x18);
+        z.exec_zwr(ZolcRegion::Task, 0, task_field::CTL, 1);
+        assert_eq!(z.hook_pcs(), Some(&[][..]));
+        assert!(z.footprint.is_empty());
+        z.activate(0);
+        // Unused loop records start at 0: their entry pc wraps out of text.
+        assert_eq!(z.hook_pcs(), Some(&[0x0c, 0x18, 0xffff_fffc][..]));
+        z.exec_zctl(ZolcCtl::Deactivate);
+        assert_eq!(z.hook_pcs(), Some(&[][..]));
+    }
+
+    #[test]
+    fn footprint_follows_address_writes_while_active() {
+        let mut z = controller_with_loop();
+        assert_eq!(z.hook_pcs(), Some(&[0x0c, 0x18, 0xffff_fffc][..]));
+        z.exec_zwr(ZolcRegion::Task, 0, task_field::END, 0x40);
+        assert_eq!(z.hook_pcs(), Some(&[0x0c, 0x40, 0xffff_fffc][..]));
+        z.exec_zwr(ZolcRegion::Loop, 0, loop_field::START, 0x20);
+        assert_eq!(z.hook_pcs(), Some(&[0x1c, 0x40, 0xffff_fffc][..]));
+        z.exec_zwr(ZolcRegion::Task, 0, task_field::CTL, 0);
+        assert_eq!(z.hook_pcs(), Some(&[0x1c, 0xffff_fffc][..]));
+        // Bounds are not addresses: the footprint stays.
+        z.exec_zwr(ZolcRegion::Loop, 0, loop_field::LIMIT, 9);
+        assert_eq!(z.hook_pcs(), Some(&[0x1c, 0xffff_fffc][..]));
+    }
+
+    #[test]
+    fn micro_footprint_names_loop_zero_end() {
+        let mut z = Zolc::new(ZolcConfig::micro());
+        z.exec_zwr(ZolcRegion::Loop, 0, loop_field::START, 0x10);
+        z.exec_zwr(ZolcRegion::Loop, 0, loop_field::END, 0x18);
+        z.activate(0);
+        assert_eq!(z.hook_pcs(), Some(&[0x0c, 0x18][..]));
+    }
+
+    #[test]
+    fn pending_decision_is_journaled_when_another_call_intervenes() {
+        // Fetch the task end with nothing in flight, then change the
+        // limit before it retires: the pending decision must be checked
+        // against the replay like any journaled one.
+        let mut z = controller_with_loop();
+        let _ = z.on_fetch(0x0c);
+        z.on_execute(0x0c, ExecEvent::Plain);
+        let d = z.on_fetch(0x18);
+        assert_eq!(d.redirect, Some(0x10));
+        z.exec_zwr(ZolcRegion::Loop, 0, loop_field::LIMIT, 1);
+        z.on_execute(0x18, ExecEvent::Plain);
+        assert_eq!(z.violations().len(), 1);
+        // Without the write, the replay is skipped and the states agree.
+        let mut z = controller_with_loop();
+        let _ = z.on_fetch(0x18);
+        z.on_execute(0x18, ExecEvent::Plain);
+        z.assert_consistent();
+        assert_eq!(z.arch_state(), z.spec_state());
+        assert_eq!(z.arch_state().counts[0], 1);
     }
 
     #[test]

@@ -25,9 +25,15 @@
 //!    its index register is initialized through the dedicated write port.
 //!    The write rides on the instruction *preceding* the body so the first
 //!    body instruction already observes it via forwarding.
+//!
+//! A decision carries at most one index write per loop: when a later
+//! step writes a loop's index again, that write replaces the earlier one
+//! (the rider is last-write-wins, so no register's final value changes),
+//! and [`MAX_LOOPS`] rider slots always suffice.
 
 use crate::config::{MAX_LOOPS, TASK_NONE};
 use crate::tables::ZolcTables;
+use zolc_isa::Reg;
 use zolc_sim::RegWrites;
 
 /// Dynamic (mode-dependent) controller state.
@@ -96,6 +102,18 @@ impl Decision {
     }
 }
 
+/// Adds loop `k`'s index write to `d`. `written` marks the loops that
+/// already have one; a second write of the same loop (to the same
+/// register) supersedes the first.
+fn ride(d: &mut Decision, written: &mut u8, k: usize, r: Reg, v: u32) {
+    if *written & (1 << k) != 0 {
+        d.writes.supersede(r, v);
+    } else {
+        *written |= 1 << k;
+        d.writes.push(r, v);
+    }
+}
+
 /// Evaluates the task-selection and index-calculation logic at `pc`,
 /// updating `st` in place.
 ///
@@ -107,6 +125,7 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
     if !st.active {
         return d;
     }
+    let mut written = 0u8;
 
     // 1. Multiple-entry records (ZOLCfull). The entry address is inside
     // the loop body, so it is fetched again on every iteration; the
@@ -124,7 +143,7 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
             if let Some(l) = tables.loop_rec(k).copied() {
                 st.index_cur[ki] = l.init;
                 if let Some(r) = l.index_reg {
-                    d.writes.push(r, l.init);
+                    ride(&mut d, &mut written, ki, r, l.init);
                 }
                 fired = true;
             }
@@ -146,7 +165,7 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
                     st.counts[0] += 1;
                     st.index_cur[0] = st.index_cur[0].wrapping_add(l.step);
                     if let Some(r) = l.index_reg {
-                        d.writes.push(r, st.index_cur[0]);
+                        ride(&mut d, &mut written, 0, r, st.index_cur[0]);
                     }
                     d.redirect = Some(l.start);
                     d.kind = DecisionKind::Iterate {
@@ -175,7 +194,7 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
                 st.counts[lid] += 1;
                 st.index_cur[lid] = st.index_cur[lid].wrapping_add(l.step);
                 if let Some(r) = l.index_reg {
-                    d.writes.push(r, st.index_cur[lid]);
+                    ride(&mut d, &mut written, lid, r, st.index_cur[lid]);
                 }
                 st.current_task = task.next_iter;
                 d.redirect = Some(l.start);
@@ -203,7 +222,7 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
         if l.start == next && st.counts[k] == 0 {
             st.index_cur[k] = l.init;
             if let Some(r) = l.index_reg {
-                d.writes.push(r, l.init);
+                ride(&mut d, &mut written, k, r, l.init);
             }
         }
     }
@@ -413,6 +432,33 @@ mod tests {
         assert_eq!(d.redirect, Some(0x10));
         assert_eq!(d.writes.value_for(reg(5)), Some(100));
         assert_eq!(st.current_task, 0);
+    }
+
+    #[test]
+    fn one_rider_write_per_loop_however_many_steps_write_it() {
+        // Eight loops start right after an entry record that initializes
+        // all of them: steps 1 and 3 both write every index. The later
+        // write replaces the earlier, so eight writes ride, in order.
+        let mut t = ZolcTables::new(ZolcConfig::full());
+        for (k, l) in t.loops_mut().iter_mut().enumerate() {
+            *l = LoopRecord {
+                init: 10 * k as u32,
+                step: 1,
+                limit: 2,
+                index_reg: Some(reg(8 + k as u8)),
+                start: 0x44,
+                end: 0x48,
+                flags: 0,
+            };
+        }
+        let e = &mut t.entries_mut()[0];
+        (e.addr, e.init_mask, e.valid) = (0x40, 0xff, true);
+        let mut st = active_state();
+        let d = decide(&t, &mut st, 0x40);
+        assert_eq!(d.kind, DecisionKind::Entry);
+        let writes: Vec<_> = d.writes.iter().collect();
+        let want: Vec<_> = (0..8u8).map(|k| (reg(8 + k), 10 * u32::from(k))).collect();
+        assert_eq!(writes, want);
     }
 
     #[test]

@@ -608,6 +608,10 @@ fn plan_breaks(
             Ok(())
         }
     }
+    // One slot counter per planned loop: a structure with more loops
+    // than the configuration is refused by the capacity check later,
+    // not here.
+    let loops = plans.len().max(config.loops()).max(1);
     let mut w = Walker {
         asm,
         plans,
@@ -617,7 +621,7 @@ fn plan_breaks(
         stack: Vec::new(),
         out: Vec::new(),
         exits: Vec::new(),
-        slots_used: vec![0; config.loops().max(1)],
+        slots_used: vec![0; loops],
         notes: Vec::new(),
     };
     w.walk(nodes)?;

@@ -183,15 +183,18 @@ pub trait Executor {
 ///   registers, memory and retire counts, no cycle counts;
 /// * [`ExecutorKind::Nest`] — the loop-nest superblock executor: same
 ///   architectural results as `Functional` (the three-way
-///   `prop_exec_equiv` suite enforces it), with whole
-///   engine-passive regions (counted loop nests included) compiled once
-///   into trip-parameterized, direct-threaded op arrays with the
-///   canonical counted-loop latches fused into counted-repeat ops — no
+///   `prop_exec_equiv` suite enforces it), with whole regions free of
+///   engine hooks (counted loop nests included) compiled once into
+///   trip-parameterized, direct-threaded op arrays with the canonical
+///   counted-loop latches fused into counted-repeat ops — no
 ///   per-iteration block lookup or terminator dispatch, and a bulk path
-///   for innermost straight-line bodies. Fastest tier on passive
-///   engines; bails to the step core on `zwr`/`zctl`/`dbnz`, faults,
-///   traced runs and active engines. Use it for the largest correctness
-///   sweeps and design-space exploration.
+///   for innermost straight-line bodies. The engine's hook footprint
+///   ([`LoopEngine::hook_pcs`]) ends superblocks: footprint pcs, plus
+///   `zwr`/`zctl`/`dbnz`, run through the step core with the engine's
+///   hooks, so an active ZOLC runs in superblocks between its task ends.
+///   Faults, traced runs and engines whose footprint is every pc also
+///   take the step core. Use it for the largest correctness sweeps and
+///   design-space exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum ExecutorKind {

@@ -19,8 +19,25 @@
 //! * [`LoopEngine::on_flush`] — any pipeline flush; fetch-time decisions
 //!   made for squashed instructions must be rolled back (speculative state
 //!   returns to architectural state).
+//!
+//! # Hook footprint
+//!
+//! [`LoopEngine::hook_pcs`] names the static set of pcs where `on_fetch`
+//! and `on_execute` can do anything at all — for the ZOLC, the task
+//! ends, loop-entry points and entry/exit records its tables hold. The
+//! set must be a **superset**: at every other pc, whatever the engine's
+//! dynamic state, `on_fetch` must return [`FetchDecision::none`], and a
+//! call to either hook (`on_execute` with any event) must be
+//! indistinguishable from no call. Every executor reads the set when a
+//! run starts and again after each `exec_zwr`/`exec_zctl` (the only
+//! calls that may change it), keeps it as a dense per-instruction flag
+//! map, and skips both hooks outside it. The nest tier goes further:
+//! footprint pcs, not an active engine, are what end its superblocks
+//! and send instructions to the step core. `None` — the default — means
+//! "every pc", which keeps an engine on the per-instruction hook
+//! schedule everywhere.
 
-use zolc_isa::{Reg, ZolcCtl, ZolcRegion};
+use zolc_isa::{Reg, ZolcCtl, ZolcRegion, TEXT_BASE};
 
 /// A small fixed-capacity set of register writes riding on one instruction.
 ///
@@ -54,6 +71,22 @@ impl RegWrites {
         );
         self.items[self.len as usize] = (reg, value);
         self.len += 1;
+    }
+
+    /// Drops the latest write to `reg` and appends `(reg, value)`: for a
+    /// write that supersedes an earlier one to the same register, so the
+    /// capacity in use does not grow. Every register's final value is
+    /// what pushing the write would give. Pushes when no write to `reg`
+    /// is present.
+    pub fn supersede(&mut self, reg: Reg, value: u32) {
+        let n = self.len as usize;
+        match self.items[..n].iter().rposition(|(r, _)| *r == reg) {
+            Some(i) => {
+                self.items.copy_within(i + 1..n, i);
+                self.items[n - 1] = (reg, value);
+            }
+            None => self.push(reg, value),
+        }
     }
 
     /// Number of writes.
@@ -120,9 +153,11 @@ pub enum ExecEvent {
 
 /// A loop controller attached to the pipeline.
 ///
-/// All methods have no-op defaults so simple engines only override what
-/// they need; [`NullEngine`] overrides nothing and models the plain
-/// `XRdefault`/`XRhrdwil` cores (which have no loop controller).
+/// All hooks have no-op defaults so simple engines only override what
+/// they need; the conservative queries default to "not passive" and
+/// "hooks at every pc" (see the module docs). [`NullEngine`] overrides
+/// only those two queries and models the plain `XRdefault`/`XRhrdwil`
+/// cores (which have no loop controller).
 pub trait LoopEngine {
     /// Observe the fetch of the instruction at `pc`; optionally redirect
     /// the next fetch and/or attach an index-register write.
@@ -157,10 +192,89 @@ pub trait LoopEngine {
     ///
     /// A passive engine never redirects, never attaches index writes and
     /// keeps no state, so executors may skip its hooks entirely on hot
-    /// paths (the functional executor does). Defaults to `false`; only
-    /// return `true` when *all* hooks are behaviorally no-ops.
+    /// paths (the functional and nest tiers do). Defaults to `false`;
+    /// only return `true` when *all* hooks are behaviorally no-ops.
     fn is_passive(&self) -> bool {
         false
+    }
+
+    /// The static set of pcs where `on_fetch`/`on_execute` may act (see
+    /// the module docs for the superset contract); `None`, the default,
+    /// means every pc.
+    ///
+    /// Executors re-read it only after `exec_zwr`/`exec_zctl`, so it may
+    /// change only there. Because the nest tier runs the instructions
+    /// between footprint pcs without calling any hook, an engine that
+    /// returns `Some` must also keep `on_flush` a no-op under strict
+    /// `on_fetch`/`on_execute` alternation (the functional schedule,
+    /// where speculative and architectural state never diverge).
+    fn hook_pcs(&self) -> Option<&[u32]> {
+        None
+    }
+}
+
+/// An executor's dense view of an engine's [`LoopEngine::hook_pcs`]:
+/// one flag per text instruction, rebuilt only when the set changes.
+#[derive(Debug, Default)]
+pub(crate) struct HookMap {
+    /// The set last read from the engine (`None` = every pc).
+    set: Option<Vec<u32>>,
+    /// Per instruction index: whether the hooks must run there.
+    bits: Vec<bool>,
+    /// The text indices flagged in `bits`, ascending (empty for `None`).
+    indices: Vec<u32>,
+    /// Bumped on every rebuild, so dependants can tell the set changed.
+    epoch: u64,
+}
+
+impl HookMap {
+    /// Re-reads `engine`'s footprint for a text of `len` instructions,
+    /// rebuilding the flags only when the set (or `len`) changed.
+    pub(crate) fn refresh(&mut self, engine: &dyn LoopEngine, len: usize) {
+        let pcs = engine.hook_pcs();
+        if self.bits.len() == len && pcs == self.set.as_deref() {
+            return;
+        }
+        self.set = pcs.map(<[u32]>::to_vec);
+        self.bits.clear();
+        self.bits.resize(len, pcs.is_none());
+        self.indices.clear();
+        for &pc in pcs.unwrap_or_default() {
+            let ix = pc.wrapping_sub(TEXT_BASE) / 4;
+            if pc.is_multiple_of(4) && (ix as usize) < len && !self.bits[ix as usize] {
+                self.bits[ix as usize] = true;
+                self.indices.push(ix);
+            }
+        }
+        self.indices.sort_unstable();
+        self.epoch += 1;
+    }
+
+    /// Whether the hooks must run at instruction index `ix` (which must
+    /// be in text, and the map refreshed for it).
+    #[inline]
+    pub(crate) fn at(&self, ix: usize) -> bool {
+        self.bits[ix]
+    }
+
+    /// Whether the footprint is every pc (`hook_pcs` returned `None`).
+    pub(crate) fn is_all(&self) -> bool {
+        self.set.is_none()
+    }
+
+    /// The per-instruction flags.
+    pub(crate) fn bits(&self) -> &[bool] {
+        &self.bits
+    }
+
+    /// The flagged text indices, ascending.
+    pub(crate) fn indices(&self) -> &[u32] {
+        &self.indices
+    }
+
+    /// The rebuild counter (0 until the first refresh).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
     }
 }
 
@@ -174,6 +288,10 @@ pub struct NullEngine;
 impl LoopEngine for NullEngine {
     fn is_passive(&self) -> bool {
         true
+    }
+
+    fn hook_pcs(&self) -> Option<&[u32]> {
+        Some(&[])
     }
 }
 
@@ -197,6 +315,48 @@ mod tests {
         struct Custom;
         impl LoopEngine for Custom {}
         assert!(!Custom.is_passive());
+    }
+
+    #[test]
+    fn supersede_keeps_final_values_and_capacity() {
+        let (a, b) = (Reg::new(4).unwrap(), Reg::new(5).unwrap());
+        let mut w = RegWrites::new();
+        w.push(a, 1);
+        w.push(b, 2);
+        w.supersede(a, 3);
+        assert_eq!(w.iter().collect::<Vec<_>>(), [(b, 2), (a, 3)]);
+        w.supersede(Reg::new(6).unwrap(), 7);
+        assert_eq!(w.len(), 3);
+    }
+
+    #[test]
+    fn hook_map_tracks_the_footprint() {
+        struct Fp(Option<Vec<u32>>);
+        impl LoopEngine for Fp {
+            fn hook_pcs(&self) -> Option<&[u32]> {
+                self.0.as_deref()
+            }
+        }
+        let mut m = HookMap::default();
+        assert_eq!(m.epoch(), 0);
+        m.refresh(&Fp(None), 4);
+        assert!(m.is_all() && (0..4).all(|i| m.at(i)));
+        // Misaligned and out-of-text pcs are dropped; duplicates collapse.
+        let e = Fp(Some(vec![
+            TEXT_BASE + 8,
+            TEXT_BASE + 2,
+            TEXT_BASE + 8,
+            TEXT_BASE + 64,
+        ]));
+        m.refresh(&e, 4);
+        assert_eq!(m.epoch(), 2);
+        assert_eq!(m.indices(), &[2]);
+        assert_eq!(m.bits(), &[false, false, true, false]);
+        // An unchanged set does not rebuild.
+        m.refresh(&e, 4);
+        assert_eq!(m.epoch(), 2);
+        m.refresh(&NullEngine, 4);
+        assert!(!m.is_all() && m.indices().is_empty() && m.epoch() == 3);
     }
 
     #[test]

@@ -32,9 +32,16 @@
 //! resolves early in ID without flushing — is harmless.) Engines written
 //! against the pipeline's speculative calling pattern observe a legal,
 //! wrong-path-free schedule and need no changes.
+//!
+//! `on_fetch` and `on_execute` are called only at pcs in the engine's
+//! hook footprint ([`LoopEngine::hook_pcs`]), read when a run starts and
+//! re-read after every `exec_zwr`/`exec_zctl`; each call is checked
+//! against the footprint current at that moment, so an `on_execute`
+//! follows a table write made by its own instruction. `on_flush` is
+//! called at every flush point regardless.
 
 use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError, MEM_SIZE};
-use crate::engine::{ExecEvent, LoopEngine};
+use crate::engine::{ExecEvent, FetchDecision, HookMap, LoopEngine};
 use crate::exec::{step, Effect};
 use crate::mem::{MemError, Memory};
 use crate::program::CompiledProgram;
@@ -58,6 +65,8 @@ pub(crate) struct Machine {
     pub(crate) pc: u32,
     pub(crate) stats: Stats,
     pub(crate) retire_log: Vec<RetireEvent>,
+    /// The active engine's hook footprint over this program's text.
+    pub(crate) hooks: HookMap,
 }
 
 impl Machine {
@@ -70,6 +79,7 @@ impl Machine {
             pc: TEXT_BASE,
             stats: Stats::default(),
             retire_log: Vec::new(),
+            hooks: HookMap::default(),
         }
     }
 
@@ -100,7 +110,7 @@ impl Machine {
     /// passivity: for a passive engine (no controller attached) the
     /// per-instruction hook calls and the `FetchDecision` copy vanish
     /// statically, which is most of the interpreter's overhead on plain
-    /// cores.
+    /// cores. An active engine's hooks run only at its footprint pcs.
     pub(crate) fn run(
         &mut self,
         engine: &mut dyn LoopEngine,
@@ -109,8 +119,14 @@ impl Machine {
         if engine.is_passive() {
             self.run_loop::<true>(engine, fuel)
         } else {
+            self.refresh_hooks(engine);
             self.run_loop::<false>(engine, fuel)
         }
+    }
+
+    /// Re-reads `engine`'s hook footprint (see [`HookMap::refresh`]).
+    pub(crate) fn refresh_hooks(&mut self, engine: &dyn LoopEngine) {
+        self.hooks.refresh(engine, self.prog.text().len());
     }
 
     fn run_loop<const PASSIVE: bool>(
@@ -130,7 +146,8 @@ impl Machine {
     }
 
     /// Executes one instruction to completion. Returns `true` when `halt`
-    /// retires.
+    /// retires. With `PASSIVE` false the hooks run where the footprint
+    /// (which must have been refreshed for this run) says so.
     pub(crate) fn step_instr<const PASSIVE: bool>(
         &mut self,
         engine: &mut dyn LoopEngine,
@@ -143,8 +160,10 @@ impl Machine {
             // un-squashed fault slot retires.
             Err(e) => return Err(RunError::from_fetch(e, pc)),
         };
-        let decision = if PASSIVE {
-            crate::engine::FetchDecision::none()
+        // The fetch succeeded, so `pc` is an aligned in-text address.
+        let ix = (pc.wrapping_sub(TEXT_BASE) / 4) as usize;
+        let decision = if PASSIVE || !self.hooks.at(ix) {
+            FetchDecision::none()
         } else {
             engine.on_fetch(pc)
         };
@@ -210,10 +229,16 @@ impl Machine {
             } => {
                 engine.exec_zwr(region, index, field, value);
                 self.stats.zwr_retired += 1;
+                if !PASSIVE {
+                    self.refresh_hooks(engine);
+                }
             }
             Effect::Zctl { op } => {
                 engine.exec_zctl(op);
                 self.stats.zctl_retired += 1;
+                if !PASSIVE {
+                    self.refresh_hooks(engine);
+                }
                 // Context-synchronizing, like the pipeline's post-zctl
                 // flush: execution continues at the next address.
                 next = pc.wrapping_add(4);
@@ -221,7 +246,7 @@ impl Machine {
             }
         }
 
-        if !PASSIVE {
+        if !PASSIVE && self.hooks.at(ix) {
             engine.on_execute(pc, event);
         }
 
@@ -332,6 +357,13 @@ impl FunctionalCpu {
     /// `cycle` field holds the retire ordinal.
     pub fn retire_log(&self) -> &[RetireEvent] {
         &self.m.retire_log
+    }
+
+    /// The address of the next instruction to execute (after `halt`,
+    /// the `halt` itself; after a fault, the faulting instruction or
+    /// fetch address).
+    pub fn pc(&self) -> u32 {
+        self.m.pc
     }
 
     /// Runs until `halt` retires or `fuel` instructions retire.

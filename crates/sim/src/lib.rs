@@ -18,21 +18,22 @@
 //!      penalty). It stands in for the XiRisc soft core of *Kavvadias &
 //!      Nikolaidis, DATE 2005* and produces the paper's metric: cycles.
 //!    * [`FunctionalCpu`] — the functional executor: identical final
-//!      registers, memory and retire counts, no cycle counts, and no
-//!      engine hook calls on cores without a loop controller. Use it for
+//!      registers, memory and retire counts, no cycle counts, no
+//!      engine hook calls on cores without a loop controller and hook
+//!      calls only at the controller's footprint otherwise. Use it for
 //!      correctness sweeps and differential testing; use the pipeline
 //!      whenever cycles are the answer.
-//!    * [`NestCpu`] — the loop-nest superblock executor: whole
-//!      engine-passive regions — counted loop nests included — are
+//!    * [`NestCpu`] — the loop-nest superblock executor: whole regions
+//!      free of engine hooks — counted loop nests included — are
 //!      compiled once into trip-parameterized, direct-threaded op
 //!      arrays whose canonical counted-loop latches fuse into counted
 //!      repeat ops, with a zero-dispatch bulk path for innermost
 //!      straight-line bodies. No per-iteration block lookup or
 //!      terminator dispatch; bails to the step core on
-//!      `zwr`/`zctl`/`dbnz`, faults and the fuel boundary at an
+//!      `zwr`/`zctl`/`dbnz`, the engine's hook-footprint pcs
+//!      ([`LoopEngine::hook_pcs`]), faults and the fuel boundary at an
 //!      instruction-exact resume point. Same architectural results as
-//!      `FunctionalCpu`; the fastest tier on passive engines — the
-//!      sweep workhorse.
+//!      `FunctionalCpu`; the fastest tier — the sweep workhorse.
 //!
 //! All executors enforce one **fuel semantic**: the budget passed to
 //! [`Executor::run`] counts *retired instructions* everywhere, so a

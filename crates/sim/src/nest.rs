@@ -4,9 +4,9 @@
 //! [`NestCpu`] is the fast executor tier. Where
 //! [`FunctionalCpu`](crate::FunctionalCpu) interprets one instruction
 //! per step, this tier exploits what ZOLC makes static: when execution
-//! reaches the entry of an engine-passive region, the **entire region —
-//! a whole counted loop nest included — is compiled once** into a
-//! *superblock*: a direct-threaded array of pre-lowered ops in which
+//! reaches the entry of a region free of engine hooks, the **entire
+//! region — a whole counted loop nest included — is compiled once**
+//! into a *superblock*: a direct-threaded array of pre-lowered ops in which
 //! control transfers are op-array indices, and each canonical
 //! counted-loop latch (`addi c, c, -1; bne c, r0, top`) is fused into
 //! one counted [`NOp::Repeat`] op. Steady-state execution is a tight
@@ -31,7 +31,22 @@
 //!
 //! * `zwr`/`zctl`/`dbnz` end the compiled region; execution resumes at
 //!   that instruction through the step core;
-//! * an **active engine** (see [`LoopEngine::is_passive`]) or a
+//! * the engine's **hook footprint** ([`LoopEngine::hook_pcs`] — for the
+//!   ZOLC, its task ends, loop-entry points and entry/exit records) ends
+//!   the compiled region too: the scan stops before a footprint pc,
+//!   transfers to one become exits, and latch fusion never covers one.
+//!   Footprint pcs, plus `zwr`/`zctl`/`dbnz`, run through the step core
+//!   with the engine's hooks; everything between them runs in
+//!   superblocks with no hook call at all, which the footprint's
+//!   superset contract makes exact. The footprint is re-read after every
+//!   `zwr`/`zctl`; when it changes, the session drops its memo and
+//!   switches to the superblocks compiled for the new footprint.
+//!   Passive engines share the superblocks of the empty footprint. An
+//!   active engine with an empty footprint — the controller before
+//!   `zctl.on`, running initialization code that a `zwr` splits every
+//!   other instruction — single-steps, as does every run once the
+//!   program has interned its cap of distinct footprints. An engine
+//!   whose footprint is every pc (the `hook_pcs` default) or a
 //!   retire-traced run takes the step core for the whole run;
 //! * a fetch fault raises the architectural [`RunError`] from the step
 //!   core's fetch path;
@@ -46,9 +61,10 @@
 //!
 //! Superblocks live in the shared, stats-counted cache of the session's
 //! [`CompiledProgram`](crate::CompiledProgram) (`nest_cache_stats`),
-//! compiled once and shared by every concurrent session; regions that
-//! start on an instruction the superblock cannot contain are cached
-//! negatively ([`NestEntry::Step`]) and single-stepped. The three-way
+//! keyed by entry pc and footprint id, compiled once and shared by every
+//! concurrent session; regions that start on an instruction the
+//! superblock cannot contain are cached negatively ([`NestEntry::Step`])
+//! and single-stepped. The three-way
 //! `prop_exec_equiv` suite holds this tier bit-exact — registers,
 //! memory, retire counts and every architectural event counter —
 //! against the other two.
@@ -359,10 +375,13 @@ fn bulk_cost(ops: &[NOp], body: usize, latch: usize, counter: Reg) -> u32 {
 /// follows `addi c, c, -1` on the same counter, the pair fuses into one
 /// [`NOp::Repeat`] at the `addi`'s op index — entering at either latch
 /// instruction, or branching to the `addi` (a tail-skip), still lands
-/// on correct decrement-and-test semantics. The scan stops at `zwr`/`zctl`/`dbnz`, a fetch fault
-/// (end of text) or the op cap, appending a terminal `Exit` so
-/// execution resumes there through dispatch.
-pub(crate) fn compile_nest(text: &TextImage, entry: u32) -> NestEntry {
+/// on correct decrement-and-test semantics. The scan stops at
+/// `zwr`/`zctl`/`dbnz`, at a hook-footprint pc (`stops`, one flag per
+/// text instruction; an empty slice stops nowhere), a fetch fault (end
+/// of text) or the op cap, appending a terminal `Exit` so execution
+/// resumes there through dispatch. No footprint pc is ever scanned, so
+/// transfers to one become exits and no fused latch covers one.
+pub(crate) fn compile_nest(text: &TextImage, entry: u32, stops: &[bool]) -> NestEntry {
     let mut ops: Vec<NOp> = Vec::new();
     let mut pcs: Vec<u32> = Vec::new();
     // instruction pc -> op index (fused `bne`s are absent by design:
@@ -376,6 +395,11 @@ pub(crate) fn compile_nest(text: &TextImage, entry: u32) -> NestEntry {
         let Ok(instr) = text.fetch(pc) else {
             break;
         };
+        let ix = (pc.wrapping_sub(zolc_isa::TEXT_BASE) / 4) as usize;
+        if stops.get(ix).copied().unwrap_or(false) {
+            // A hook-footprint pc: the step core runs it with the hooks.
+            break;
+        }
         let Some(op) = lower(instr, pc) else {
             // zwr/zctl/dbnz: the step core runs them.
             break;
@@ -899,9 +923,17 @@ fn run_superblock(m: &mut Machine, sb: &Superblock, limit: u64) -> Result<SbExit
 pub struct NestCpu {
     m: Machine,
     /// Session-local memo of nest entries already fetched from the
-    /// shared cache, dense by instruction index — the dispatch loop
-    /// resolves its superblock without touching the cache lock.
+    /// shared cache for the current footprint, dense by instruction
+    /// index — the dispatch loop resolves its superblock without
+    /// touching the cache lock.
     local: Vec<Option<Arc<NestEntry>>>,
+    /// The hook-map epoch `local` and `footprint` belong to (0: the
+    /// empty footprint of a passive engine).
+    local_epoch: u64,
+    /// The shared-cache id of the current footprint; `None` when an
+    /// active engine's footprint is empty or the program interns no more
+    /// footprints (everything single-steps).
+    footprint: Option<u32>,
 }
 
 impl NestCpu {
@@ -917,7 +949,12 @@ impl NestCpu {
     pub fn session(prog: &Arc<CompiledProgram>, config: CpuConfig) -> Result<NestCpu, MemError> {
         let m = Machine::session(prog, config)?;
         let local = vec![None; m.prog.text().len()];
-        Ok(NestCpu { m, local })
+        Ok(NestCpu {
+            m,
+            local,
+            local_epoch: 0,
+            footprint: Some(0),
+        })
     }
 
     /// The data memory.
@@ -952,11 +989,20 @@ impl NestCpu {
         &self.m.retire_log
     }
 
+    /// The address of the next instruction to execute (after `halt`,
+    /// the `halt` itself; after a fault, the faulting instruction or
+    /// fetch address).
+    pub fn pc(&self) -> u32 {
+        self.m.pc
+    }
+
     /// Runs until `halt` retires or `fuel` instructions retire.
     ///
-    /// Active engines and retire-traced runs take the step core for the
-    /// whole run (see the module docs); passive untraced runs dispatch
-    /// superblocks.
+    /// Untraced runs dispatch superblocks between the engine's
+    /// hook-footprint pcs and run footprint pcs (and `zwr`/`zctl`/`dbnz`)
+    /// through the step core with the engine's hooks; retire-traced runs
+    /// and engines whose footprint is every pc take the step core for the
+    /// whole run (see the module docs).
     ///
     /// # Errors
     ///
@@ -965,8 +1011,15 @@ impl NestCpu {
     /// * [`RunError::MisalignedFetch`] on a non-4-aligned pc;
     /// * [`RunError::Mem`] on a data access fault.
     pub fn run(&mut self, engine: &mut dyn LoopEngine, fuel: u64) -> Result<Stats, RunError> {
-        if !engine.is_passive() || self.m.config.trace_retire {
+        if self.m.config.trace_retire {
             return self.m.run(engine, fuel);
+        }
+        let active = !engine.is_passive();
+        if active {
+            self.m.refresh_hooks(engine);
+            if self.m.hooks.is_all() {
+                return self.m.run(engine, fuel);
+            }
         }
         let limit = self.m.stats.retired + fuel;
         loop {
@@ -984,14 +1037,45 @@ impl NestCpu {
                     .expect_err("cache index and fetch agree on bad pcs");
                 return Err(RunError::from_fetch(e, self.m.pc));
             };
+            if active {
+                if self.m.hooks.at(idx) {
+                    // A footprint pc: one step with the engine's hooks.
+                    if self.m.step_instr::<false>(engine)? {
+                        return Ok(self.m.stats);
+                    }
+                    continue;
+                }
+                self.sync_footprint(self.m.hooks.epoch());
+            } else {
+                self.sync_footprint(0);
+            }
+            let Some(fp) = self.footprint else {
+                if self.m.step_instr::<false>(engine)? {
+                    return Ok(self.m.stats);
+                }
+                continue;
+            };
             if self.local[idx].is_none() {
-                self.local[idx] = Some(self.m.prog.nest_at(self.m.pc));
+                // Footprint 0 is empty: nothing stops the scan.
+                let stops = if fp == 0 {
+                    &[][..]
+                } else {
+                    self.m.hooks.bits()
+                };
+                self.local[idx] = Some(self.m.prog.nest_at(fp, stops, self.m.pc));
             }
             let entry = self.local[idx].as_deref().expect("just resolved");
             match entry {
                 NestEntry::Step => {
-                    // zwr/zctl/dbnz at this pc: one step-core step.
-                    if self.m.step_instr::<true>(engine)? {
+                    // zwr/zctl/dbnz at this pc: one step-core step (with
+                    // the hooks, since a table write may move the
+                    // footprint onto this very pc).
+                    let halted = if active {
+                        self.m.step_instr::<false>(engine)?
+                    } else {
+                        self.m.step_instr::<true>(engine)?
+                    };
+                    if halted {
                         return Ok(self.m.stats);
                     }
                 }
@@ -1004,7 +1088,8 @@ impl NestCpu {
                                 // The first op needs more fuel than
                                 // remains (a Repeat with 1 left): retire
                                 // per-instruction so OutOfFuel lands at
-                                // the exact boundary.
+                                // the exact boundary. The pc is outside
+                                // the footprint, so its hooks are no-ops.
                                 if self.m.step_instr::<true>(engine)? {
                                     return Ok(self.m.stats);
                                 }
@@ -1014,6 +1099,32 @@ impl NestCpu {
                 }
             }
         }
+    }
+}
+
+impl NestCpu {
+    /// Points the session at the superblocks of the footprint with hook
+    /// map epoch `epoch` (0: the empty footprint), dropping the memo of
+    /// the previous one when it changed.
+    fn sync_footprint(&mut self, epoch: u64) {
+        if epoch == self.local_epoch {
+            return;
+        }
+        self.local_epoch = epoch;
+        let indices = self.m.hooks.indices();
+        self.footprint = if epoch == 0 {
+            Some(0)
+        } else if indices.is_empty() {
+            // An active engine with nothing to hook is a controller
+            // before `zctl.on` or after `zctl.off`: initialization code,
+            // split by a `zwr` every other instruction, where one-pair
+            // superblocks cost a compile and a cache entry each and run
+            // no faster than the step core.
+            None
+        } else {
+            self.m.prog.footprint_id(indices)
+        };
+        self.local.fill(None);
     }
 }
 
@@ -1451,6 +1562,84 @@ mod tests {
         cpu.run(&mut NullEngine, 100).unwrap();
         let ords: Vec<u64> = cpu.retire_log().iter().map(|e| e.cycle).collect();
         assert_eq!(ords, vec![1, 2, 3]);
+    }
+
+    /// A non-passive engine that never acts but names a footprint.
+    struct Hooked(Vec<u32>);
+
+    impl LoopEngine for Hooked {
+        fn hook_pcs(&self) -> Option<&[u32]> {
+            Some(&self.0)
+        }
+    }
+
+    #[test]
+    fn footprint_pcs_split_superblocks_and_stay_exact() {
+        let p = assemble(
+            "
+            li   r1, 6
+      top:  addi r2, r2, 3
+            addi r3, r3, 1
+            addi r1, r1, -1
+            bne  r1, r0, top
+            halt
+        ",
+        )
+        .unwrap();
+        let prog = CompiledProgram::compile(p);
+        // Hooking the `addi r3` (pc 8) ends every superblock before it.
+        let footprint = vec![zolc_isa::TEXT_BASE + 8];
+        let full = {
+            let mut f = FunctionalCpu::session(&prog, CpuConfig::default()).unwrap();
+            f.run(&mut NullEngine, 1000).unwrap().retired
+        };
+        for fuel in 1..=full {
+            let mut f = FunctionalCpu::session(&prog, CpuConfig::default()).unwrap();
+            let fr = f.run(&mut Hooked(footprint.clone()), fuel);
+            let mut n = NestCpu::session(&prog, CpuConfig::default()).unwrap();
+            let nr = n.run(&mut Hooked(footprint.clone()), fuel);
+            assert_eq!(fr, nr, "fuel {fuel}");
+            assert_eq!(f.regs().snapshot(), n.regs().snapshot(), "fuel {fuel}");
+            assert_eq!(f.stats(), n.stats(), "fuel {fuel}");
+            assert_eq!(f.pc(), n.pc(), "fuel {fuel}");
+        }
+        // A further session compiles nothing: the footprint's
+        // superblocks are shared.
+        let before = prog.nest_cache_stats();
+        let mut n = NestCpu::session(&prog, CpuConfig::default()).unwrap();
+        n.run(&mut Hooked(footprint), 1000).unwrap();
+        assert_eq!(prog.nest_cache_stats().misses, before.misses);
+        // The scan from `top` stops before the hooked pc, so the loop's
+        // latch is not fused into that superblock; without the stop it is.
+        let top = zolc_isa::TEXT_BASE + 4;
+        let repeats = |e: &NestEntry| match e {
+            NestEntry::Sb(sb) => sb.ops.iter().any(|op| matches!(op, NOp::Repeat { .. })),
+            NestEntry::Step => false,
+        };
+        let stops = [false, false, true, false, false, false];
+        let NestEntry::Sb(sb) = compile_nest(prog.text(), top, &stops) else {
+            panic!("the body compiles");
+        };
+        assert_eq!(&*sb.pcs, &[top, top + 4]);
+        assert!(!repeats(&compile_nest(prog.text(), top, &stops)));
+        assert!(repeats(&compile_nest(prog.text(), top, &[])));
+        assert!(matches!(
+            compile_nest(prog.text(), top + 4, &stops),
+            NestEntry::Step
+        ));
+    }
+
+    #[test]
+    fn footprints_intern_up_to_the_cap() {
+        let prog = CompiledProgram::compile(assemble("nop\nhalt").unwrap());
+        assert_eq!(prog.footprint_id(&[]), Some(0));
+        assert_eq!(prog.footprint_id(&[1]), Some(1));
+        assert_eq!(prog.footprint_id(&[1]), Some(1));
+        for k in 2..crate::program::MAX_FOOTPRINTS as u32 {
+            assert_eq!(prog.footprint_id(&[k]), Some(k));
+        }
+        assert_eq!(prog.footprint_id(&[999]), None);
+        assert_eq!(prog.footprint_id(&[1]), Some(1));
     }
 
     #[test]

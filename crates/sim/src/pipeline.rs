@@ -21,7 +21,10 @@
 //!   redirects cost **zero cycles** — this is precisely the mechanism that
 //!   makes the ZOLC a *zero-overhead* loop controller. Engine state
 //!   advanced for wrong-path fetches is rolled back via
-//!   [`LoopEngine::on_flush`].
+//!   [`LoopEngine::on_flush`]. `on_fetch`/`on_execute` are called only at
+//!   pcs in the engine's hook footprint ([`LoopEngine::hook_pcs`], read
+//!   when a run starts and re-read after each `zwr`/`zctl` executes);
+//!   `on_flush` is called on every flush.
 //! * `zctl` is context-synchronizing: executing it flushes the two younger
 //!   slots so mode changes are visible to the very next fetch.
 //!
@@ -36,7 +39,7 @@
 //! is this module's entire subject matter.
 
 use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError, MEM_SIZE};
-use crate::engine::{ExecEvent, LoopEngine, RegWrites};
+use crate::engine::{ExecEvent, FetchDecision, HookMap, LoopEngine, RegWrites};
 use crate::exec::{step, Effect, FetchError, LoadOp, StoreOp};
 use crate::mem::{MemError, Memory};
 use crate::program::CompiledProgram;
@@ -129,6 +132,8 @@ pub struct Cpu {
     fetch_stopped: bool,
     stats: Stats,
     retire_log: Vec<RetireEvent>,
+    /// The engine's hook footprint over this program's text.
+    hooks: HookMap,
 }
 
 impl Cpu {
@@ -154,6 +159,7 @@ impl Cpu {
             fetch_stopped: false,
             stats: Stats::default(),
             retire_log: Vec::new(),
+            hooks: HookMap::default(),
         };
         cpu.mem.write_bytes(TEXT_BASE, prog.text_bytes())?;
         cpu.mem.write_bytes(DATA_BASE, prog.source().data())?;
@@ -216,6 +222,7 @@ impl Cpu {
             .cycles
             .saturating_add(fuel.saturating_mul(8))
             .saturating_add(64);
+        self.refresh_hooks(engine);
         loop {
             if self.stats.retired >= retire_limit || self.stats.cycles >= cycle_valve {
                 return Err(RunError::OutOfFuel { fuel });
@@ -224,6 +231,17 @@ impl Cpu {
                 return Ok(self.stats);
             }
         }
+    }
+
+    /// Re-reads `engine`'s hook footprint.
+    fn refresh_hooks(&mut self, engine: &dyn LoopEngine) {
+        self.hooks.refresh(engine, self.prog.text().len());
+    }
+
+    /// Whether the engine's hooks must run for the in-text instruction
+    /// at `pc`.
+    fn hooked(&self, pc: u32) -> bool {
+        self.hooks.at((pc.wrapping_sub(TEXT_BASE) / 4) as usize)
     }
 
     /// Advances one clock cycle. Returns `true` when `halt` retires.
@@ -502,17 +520,21 @@ impl Cpu {
             } => {
                 engine.exec_zwr(region, index, field, value);
                 self.stats.zwr_retired += 1;
+                self.refresh_hooks(engine);
             }
             Effect::Zctl { op } => {
                 engine.exec_zctl(op);
                 self.stats.zctl_retired += 1;
+                self.refresh_hooks(engine);
                 // Context-synchronizing: refetch the next instruction so
                 // mode changes are visible at fetch.
                 flush_to = Some(pc.wrapping_add(4));
             }
         }
 
-        engine.on_execute(pc, event);
+        if self.hooked(pc) {
+            engine.on_execute(pc, event);
+        }
         self.ex_mem = Some(out);
         Ok(flush_to)
     }
@@ -559,7 +581,11 @@ impl Cpu {
                 return;
             }
         };
-        let decision = engine.on_fetch(pc);
+        let decision = if self.hooked(pc) {
+            engine.on_fetch(pc)
+        } else {
+            FetchDecision::none()
+        };
         if decision.redirect.is_some() {
             self.stats.zolc_redirects += 1;
         }

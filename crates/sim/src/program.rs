@@ -17,12 +17,19 @@
 //!
 //! # The shared cache
 //!
-//! Superblocks are keyed by entry pc and lazily populated under a
-//! mutex. Every key is an instruction address, so the cache never holds
-//! more entries than the text has instructions. Sessions keep a private
-//! memo of `Arc`s they have already looked up, so the steady-state
-//! dispatch loop never touches the lock.
+//! Superblocks are keyed by entry pc and **footprint id** and lazily
+//! populated under a mutex. A superblock ends before every pc of the
+//! engine's hook footprint ([`LoopEngine::hook_pcs`]), so one entry pc
+//! compiles differently under different footprints. The program interns
+//! each distinct footprint (as text indices) under a small id — id 0 is
+//! the empty footprint of passive engines — and at most
+//! [`MAX_FOOTPRINTS`] are interned, so the cache never holds more than
+//! that many entries per text instruction. Sessions keep a private memo
+//! of `Arc`s they have already looked up, so the steady-state dispatch
+//! loop never touches the lock.
 //! [`CompiledProgram::nest_cache_stats`] exposes hit/miss counters.
+//!
+//! [`LoopEngine::hook_pcs`]: crate::LoopEngine::hook_pcs
 
 use crate::exec::TextImage;
 use crate::nest::NestEntry;
@@ -48,10 +55,15 @@ pub struct BlockCacheStats {
     pub resident: usize,
 }
 
-/// A concurrent, lazily populated superblock cache keyed by entry pc.
+/// Most distinct hook footprints one program interns; sessions whose
+/// footprint finds no id left run on the step core.
+pub(crate) const MAX_FOOTPRINTS: usize = 64;
+
+/// A concurrent, lazily populated superblock cache keyed by (footprint
+/// id, entry pc).
 #[derive(Debug)]
 struct SharedCache {
-    map: Mutex<HashMap<u32, Arc<NestEntry>>>,
+    map: Mutex<HashMap<(u32, u32), Arc<NestEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -65,20 +77,20 @@ impl SharedCache {
         }
     }
 
-    /// Returns the entry compiled at `entry`, building it with `make`
+    /// Returns the entry compiled at `key`, building it with `make`
     /// if absent. Compilation runs outside the lock; when two sessions
     /// race on the same entry the first insert wins and the loser's
-    /// compile is discarded (both results are identical — text is
-    /// immutable).
-    fn get_or_compile(&self, entry: u32, make: impl FnOnce() -> NestEntry) -> Arc<NestEntry> {
-        if let Some(b) = self.map.lock().expect("compile cache poisoned").get(&entry) {
+    /// compile is discarded (both results are identical — text and the
+    /// footprint behind an id are immutable).
+    fn get_or_compile(&self, key: (u32, u32), make: impl FnOnce() -> NestEntry) -> Arc<NestEntry> {
+        if let Some(b) = self.map.lock().expect("compile cache poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(b);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let compiled = Arc::new(make());
         let mut map = self.map.lock().expect("compile cache poisoned");
-        Arc::clone(map.entry(entry).or_insert(compiled))
+        Arc::clone(map.entry(key).or_insert(compiled))
     }
 
     fn stats(&self) -> BlockCacheStats {
@@ -120,6 +132,9 @@ pub struct CompiledProgram {
     text: TextImage,
     text_bytes: Vec<u8>,
     nests: SharedCache,
+    /// Interned hook footprints (ascending text indices); the position
+    /// is the id, and id 0 is the empty footprint.
+    footprints: Mutex<Vec<Box<[u32]>>>,
 }
 
 impl CompiledProgram {
@@ -134,6 +149,7 @@ impl CompiledProgram {
             text,
             text_bytes,
             nests: SharedCache::new(),
+            footprints: Mutex::new(vec![Box::default()]),
         })
     }
 
@@ -175,11 +191,28 @@ impl CompiledProgram {
         (idx < self.text.len()).then_some(idx)
     }
 
-    /// The nest-superblock entry at `entry` (compiling on first use;
+    /// The id of the footprint whose ascending text indices are
+    /// `indices`, interning it on first sight; `None` once
+    /// [`MAX_FOOTPRINTS`] are interned and this one is not among them.
+    pub(crate) fn footprint_id(&self, indices: &[u32]) -> Option<u32> {
+        let mut fps = self.footprints.lock().expect("footprint table poisoned");
+        if let Some(id) = fps.iter().position(|f| **f == *indices) {
+            return Some(id as u32);
+        }
+        if fps.len() >= MAX_FOOTPRINTS {
+            return None;
+        }
+        fps.push(indices.into());
+        Some((fps.len() - 1) as u32)
+    }
+
+    /// The nest-superblock entry at `entry` under footprint `fp`, whose
+    /// per-instruction flags are `stops` (compiling on first use;
     /// negative results — regions not worth a superblock — are cached
     /// too, as [`NestEntry::Step`]).
-    pub(crate) fn nest_at(&self, entry: u32) -> Arc<NestEntry> {
-        self.nests
-            .get_or_compile(entry, || crate::nest::compile_nest(&self.text, entry))
+    pub(crate) fn nest_at(&self, fp: u32, stops: &[bool], entry: u32) -> Arc<NestEntry> {
+        self.nests.get_or_compile((fp, entry), || {
+            crate::nest::compile_nest(&self.text, entry, stops)
+        })
     }
 }

@@ -13,11 +13,11 @@
 //! and retire count must be bit-identical across all three. Checked four
 //! ways: random straight-line programs (shared generators with
 //! `prop_pipeline`), random `zolc-gen` loop structures round-tripped
-//! through `retarget` — whose ZOLC engine is *active*, forcing the nest
-//! tier onto its fallback path — all benchmark kernels on all three Fig. 2
-//! targets plus the ablation extras on `ZOLCfull` (which exercises
-//! branches, `dbnz`, jumps and the ZOLC engine integration end to
-//! end), and a fuel sweep over a counted nest that must time out at
+//! through `retarget` — whose ZOLC engine is *active*, so the nest tier
+//! runs superblocks between the controller's hook pcs — all benchmark
+//! kernels on all three Fig. 2 targets plus the ablation extras on
+//! `ZOLCfull` (which exercises branches, `dbnz`, jumps and the ZOLC
+//! engine integration end to end), and a fuel sweep over a counted nest that must time out at
 //! the same instruction on every tier — including mid-superblock.
 //!
 //! The oracle arm converts the suite from N-version voting into
@@ -232,9 +232,10 @@ proptest! {
     /// original software-loop program — full data memory and every
     /// register except the freed down-counters — on all three executors,
     /// with zero controller-consistency violations. The retargeted run
-    /// attaches an *active* `Zolc` engine, which forces the nest tier
-    /// onto its step-core fallback path — so this property is also the
-    /// fallback's differential coverage over `zolc-gen` programs.
+    /// attaches an *active* `Zolc` engine, so the nest tier splits its
+    /// superblocks at the controller's hook footprint and steps the
+    /// footprint pcs with the hooks — this property is also that path's
+    /// differential coverage over `zolc-gen` programs.
     #[test]
     fn retargeted_programs_match_their_originals(
         loops in prop::collection::vec(gen_loop(), 1..3)
