@@ -24,6 +24,13 @@ use std::sync::Arc;
 
 /// Memory size in bytes of every session: the text and data segments
 /// below [`DATA_BASE`] plus 1 MiB of data memory.
+///
+/// Every address below it reads zero until the program image or a run
+/// writes it, and every access at or beyond it faults with
+/// [`MemErrorKind::OutOfBounds`](crate::MemErrorKind::OutOfBounds).
+/// Sessions do not pay for zeroing all of it: a dropped session's memory
+/// is recycled by the next session on the same thread, with only the
+/// pages the run wrote reset (see [`Memory`]).
 pub const MEM_SIZE: usize = (DATA_BASE as usize) + (1 << 20);
 
 /// Configuration of the simulated core.
