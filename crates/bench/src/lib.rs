@@ -38,18 +38,14 @@
 //! assert!(results.iter().all(|m| m.stats.cycles == 0 && m.stats.retired > 0));
 //! ```
 //!
-//! # Sharded, resumable sweeps
+//! # Design-space sweeps
 //!
-//! Design-space sweeps scale past what one sitting should risk:
-//! [`run_sweep_sharded`] splits a [`SweepConfig`]'s seed range into
-//! deterministic shards, persists each shard's [`SweepReport`] as an
-//! atomically written JSON fragment (hand-rolled in [`json`]; no
-//! crates.io) under an output directory, resumes from whatever a killed
-//! run left behind, and merges into a report **byte-identical** to an
-//! uninterrupted sweep — fingerprint-guarded so fragments from a
-//! different sweep fail loudly instead of contaminating the merge. The
-//! `explore` example drives it from the CLI (`--out DIR --shards N`),
-//! and CI kills/resumes a tiny sweep on every run.
+//! [`run_sweep`] measures a [`SweepConfig`]'s whole seed range in one
+//! pass over the same parallel [`JobMatrix`]; the standard 400-program
+//! sweep takes well under a second, a 10,000-program one a few seconds.
+//! [`report_json`] renders its [`SweepReport`] as JSON (hand-rolled in
+//! [`json`]; no crates.io), savings bit for bit: the document `zolcd`
+//! serves for sweep jobs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +54,6 @@ mod experiments;
 pub mod json;
 mod matrix;
 mod oracle_check;
-mod shard;
 mod sweep;
 mod table;
 
@@ -71,13 +66,9 @@ pub use matrix::{
     JobSource, Measurement, MAX_FUEL,
 };
 pub use oracle_check::{run_oracle_check, OracleReport};
-pub use shard::{
-    fragment_path, merge_reports, report_json, run_sweep_sharded, shard_plan, sweep_fingerprint,
-    ShardPlan, ShardedOutcome,
-};
 pub use sweep::{
-    e7_design_space, run_sweep, GeneratedProgram, PointSummary, SweepConfig, SweepPoint,
-    SweepReport,
+    e7_design_space, report_json, run_sweep, GeneratedProgram, PointSummary, SweepConfig,
+    SweepPoint, SweepReport,
 };
 pub use table::{render_bars, render_table};
 

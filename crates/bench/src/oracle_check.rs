@@ -88,14 +88,16 @@ impl fmt::Display for OracleReport {
 ///
 /// # Panics
 ///
-/// Panics when an executor run fails or any architectural outcome
-/// differs from an oracle summary — by the matrix convention, a
-/// divergence between the spec-derived closed form and the executors is
-/// fatal, never aggregated.
+/// Panics when the seed range overflows ([`SweepConfig::seeds`]), when
+/// an executor run fails, or when any architectural outcome differs
+/// from an oracle summary — by the matrix convention, a divergence
+/// between the spec-derived closed form and the executors is fatal,
+/// never aggregated.
 pub fn run_oracle_check(cfg: &SweepConfig) -> OracleReport {
+    let seeds = cfg.seeds().expect("sweep seed range overflows u64");
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let outcomes: Vec<Option<&'static str>> = par_map(cfg.programs, threads, |i| {
-        let seed = cfg.base_seed + i as u64;
+        let seed = seeds.start + i as u64;
         let spec = ProgramSpec::generate(seed, &cfg.gen);
         check_one(&GeneratedProgram::from_spec(format!("gen{seed:05}"), spec))
     });

@@ -24,9 +24,11 @@
 //! configuration) and the distribution of cycle savings per
 //! configuration.
 
+use crate::json::Json;
 use crate::matrix::{par_map, BuildMode, JobMatrix, MAX_FUEL};
 use crate::table::render_table;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use zolc_core::ZolcConfig;
 use zolc_gen::{Feature, GenConfig, ProgramSpec};
@@ -249,6 +251,16 @@ impl SweepConfig {
     pub fn cells(&self) -> usize {
         self.programs * (1 + self.points.len())
     }
+
+    /// The generator seeds this sweep covers, `base_seed..base_seed +
+    /// programs`; `None` when the end of that range does not fit a
+    /// `u64`.
+    pub fn seeds(&self) -> Option<Range<u64>> {
+        let end = self
+            .base_seed
+            .checked_add(u64::try_from(self.programs).ok()?)?;
+        Some(self.base_seed..end)
+    }
 }
 
 impl Default for SweepConfig {
@@ -270,7 +282,7 @@ fn parse_programs_knob(raw: &str) -> usize {
 /// Per-configuration aggregation of one sweep.
 ///
 /// Equality is exact (including bitwise `f64` comparison of the savings
-/// distribution) — it backs the sharded-sweep byte-identity guarantee.
+/// distribution), as is its rendering in [`report_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointSummary {
     /// Display label of the configuration.
@@ -306,8 +318,8 @@ impl PointSummary {
     }
 }
 
-/// The aggregated result of one sweep (render with `Display`; persist
-/// and resume with [`run_sweep_sharded`](crate::run_sweep_sharded)).
+/// The aggregated result of one sweep (render with `Display`, or as
+/// JSON with [`report_json`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Programs swept.
@@ -326,16 +338,18 @@ pub struct SweepReport {
 ///
 /// # Panics
 ///
-/// Panics if any cell fails to build, run, or verify bit-exactly (the
-/// matrix convention), if a controller reports consistency violations,
-/// or if a full-capacity configuration's software-fallback count
-/// disagrees with `zolc_gen`'s handledness prediction.
+/// Panics if the seed range overflows ([`SweepConfig::seeds`]), if any
+/// cell fails to build, run, or verify bit-exactly (the matrix
+/// convention), if a controller reports consistency violations, or if
+/// a full-capacity configuration's software-fallback count disagrees
+/// with `zolc_gen`'s handledness prediction.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
+    let seeds = cfg.seeds().expect("sweep seed range overflows u64");
     // generation + reference runs are per-seed independent — spread
     // them over the same parallelism the cell matrix uses below
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let generated: Vec<Arc<GeneratedProgram>> = par_map(cfg.programs, threads, |i| {
-        let seed = cfg.base_seed + i as u64;
+        let seed = seeds.start + i as u64;
         let spec = ProgramSpec::generate(seed, &cfg.gen);
         Arc::new(GeneratedProgram::from_spec(format!("gen{seed:05}"), spec))
     });
@@ -498,6 +512,45 @@ impl fmt::Display for SweepReport {
     }
 }
 
+/// The canonical JSON rendering of a [`SweepReport`]: the payload
+/// `zolcd` caches and serves for sweep jobs. Every count is kept, and
+/// every savings value bit for bit (see [`crate::json`]).
+pub fn report_json(r: &SweepReport) -> Json {
+    Json::Obj(vec![
+        ("programs".into(), Json::u64(r.programs as u64)),
+        ("cells".into(), Json::u64(r.cells as u64)),
+        ("total_loops".into(), Json::u64(r.total_loops as u64)),
+        (
+            "points".into(),
+            Json::Arr(r.points.iter().map(point_json).collect()),
+        ),
+    ])
+}
+
+fn point_json(p: &PointSummary) -> Json {
+    Json::Obj(vec![
+        ("label".into(), Json::Str(p.label.clone())),
+        ("hw_loops".into(), Json::u64(p.hw_loops as u64)),
+        ("unhandled".into(), Json::u64(p.unhandled as u64)),
+        (
+            // stored in Feature::ALL order as [handled, total] pairs
+            "coverage".into(),
+            Json::Arr(
+                p.coverage
+                    .iter()
+                    .map(|&(_, handled, total)| {
+                        Json::Arr(vec![Json::u64(handled as u64), Json::u64(total as u64)])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "savings".into(),
+            Json::Arr(p.savings.iter().map(|&s| Json::f64(s)).collect()),
+        ),
+    ])
+}
+
 /// E7 — renders the standard design-space sweep plus the amortization
 /// slice (see the module docs; recorded results live in
 /// `EXPERIMENTS.md`).
@@ -512,6 +565,7 @@ impl fmt::Display for SweepReport {
 pub fn e7_design_space() -> String {
     let cfg = SweepConfig::standard();
     let report = run_sweep(&cfg);
+    let seeds = cfg.seeds().expect("run_sweep checked the seed range");
     let long = SweepConfig::new()
         .with_programs((cfg.programs / 4).max(25))
         .with_base_seed(cfg.base_seed)
@@ -525,8 +579,8 @@ pub fn e7_design_space() -> String {
          \u{20}clean controller-consistency journal; seeds {}..{})\n\n{report}\n\
          \namortization slice — same shape space, trip counts up to 24 ({} programs,\n\
          {} cells): longer-running loops amortize the one-time init sequence\n\n{}",
-        cfg.base_seed,
-        cfg.base_seed + cfg.programs as u64,
+        seeds.start,
+        seeds.end,
         long_report.programs,
         long_report.cells,
         long_report.savings_table()
@@ -550,6 +604,12 @@ mod tests {
     #[test]
     fn small_sweep_is_clean_and_aggregates() {
         let cfg = small_sweep();
+        assert_eq!(cfg.seeds(), Some(100..112));
+        assert_eq!(
+            cfg.clone().with_base_seed(u64::MAX - 12).seeds(),
+            Some(u64::MAX - 12..u64::MAX)
+        );
+        assert_eq!(cfg.clone().with_base_seed(u64::MAX - 11).seeds(), None);
         let report = run_sweep(&cfg);
         assert_eq!(report.programs, 12);
         assert_eq!(report.cells, cfg.cells());
@@ -563,6 +623,47 @@ mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("shape feature"));
         assert!(rendered.contains("ZOLClite"));
+    }
+
+    #[test]
+    fn report_json_roundtrip_preserves_counts_and_savings_bits() {
+        let report = run_sweep(&small_sweep().with_programs(10));
+        assert!(
+            report.points.iter().any(|p| !p.savings.is_empty()),
+            "test needs savings data"
+        );
+        let doc = crate::json::parse(&report_json(&report).render()).unwrap();
+        let count = |d: &Json, key: &str| d.get(key).and_then(Json::as_u64).unwrap() as usize;
+        let arr = |d: &Json, key: &str| d.get(key).and_then(Json::as_arr).unwrap().to_vec();
+        assert_eq!(count(&doc, "programs"), report.programs);
+        assert_eq!(count(&doc, "cells"), report.cells);
+        assert_eq!(count(&doc, "total_loops"), report.total_loops);
+        let points = arr(&doc, "points");
+        assert_eq!(points.len(), report.points.len());
+        for (pdoc, p) in points.iter().zip(&report.points) {
+            assert_eq!(pdoc.get("label").and_then(Json::as_str), Some(&*p.label));
+            assert_eq!(count(pdoc, "hw_loops"), p.hw_loops);
+            assert_eq!(count(pdoc, "unhandled"), p.unhandled);
+            let coverage: Vec<(usize, usize)> = arr(pdoc, "coverage")
+                .iter()
+                .map(|pair| match pair.as_arr() {
+                    Some([handled, total]) => (
+                        handled.as_u64().unwrap() as usize,
+                        total.as_u64().unwrap() as usize,
+                    ),
+                    other => panic!("bad coverage pair {other:?}"),
+                })
+                .collect();
+            let expected: Vec<(usize, usize)> =
+                p.coverage.iter().map(|&(_, h, t)| (h, t)).collect();
+            assert_eq!(coverage, expected, "{}", p.label);
+            let bits: Vec<u64> = arr(pdoc, "savings")
+                .iter()
+                .map(|v| v.as_f64().unwrap().to_bits())
+                .collect();
+            let expected: Vec<u64> = p.savings.iter().map(|s| s.to_bits()).collect();
+            assert_eq!(bits, expected, "{}", p.label);
+        }
     }
 
     #[test]

@@ -315,7 +315,7 @@ pub fn sweep_config_json(cfg: &zolc_bench::SweepConfig) -> Json {
 /// # Errors
 ///
 /// A message naming the missing or invalid field; `programs` is at most
-/// [`MAX_SWEEP_PROGRAMS`].
+/// [`MAX_SWEEP_PROGRAMS`], and `base_seed + programs` must fit a `u64`.
 pub fn parse_sweep_config(doc: &Json) -> Result<zolc_bench::SweepConfig, String> {
     let mut cfg = zolc_bench::SweepConfig::new();
     if let Some(v) = int_field(doc, "sweep", "programs", 0..=MAX_SWEEP_PROGRAMS as u64)? {
@@ -344,6 +344,12 @@ pub fn parse_sweep_config(doc: &Json) -> Result<zolc_bench::SweepConfig, String>
     if let Some(v) = doc.get("executor") {
         let name = v.as_str().ok_or("sweep: `executor` is not a string")?;
         cfg = cfg.with_executor(name.parse().map_err(|e| format!("sweep: executor {e}"))?);
+    }
+    if cfg.seeds().is_none() {
+        return Err(format!(
+            "sweep: `base_seed` {} + `programs` {} does not fit a u64",
+            cfg.base_seed, cfg.programs
+        ));
     }
     Ok(cfg)
 }
@@ -680,6 +686,15 @@ mod tests {
         assert!(parse_sweep_config(&programs(MAX_SWEEP_PROGRAMS)).is_ok());
         let err = parse_sweep_config(&programs(MAX_SWEEP_PROGRAMS + 1)).unwrap_err();
         assert!(err.contains("programs"), "{err}");
+        let seeds = |base: u64| {
+            Json::Obj(vec![
+                ("programs".into(), Json::u64(2)),
+                ("base_seed".into(), Json::u64(base)),
+            ])
+        };
+        assert!(parse_sweep_config(&seeds(u64::MAX - 2)).is_ok());
+        let err = parse_sweep_config(&seeds(u64::MAX)).unwrap_err();
+        assert!(err.contains("base_seed"), "{err}");
     }
 
     #[test]

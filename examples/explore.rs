@@ -8,10 +8,6 @@
 //! cargo run --release --example explore -- --executor nest        # correctness-only, fastest
 //! cargo run --release --example explore -- --show 17     # one seed in detail
 //! cargo run --release --example explore -- --analyze 17  # dataflow facts + lint for one seed
-//! # sharded + resumable: fragments persist under --out; re-running the
-//! # same command resumes at the first missing shard
-//! cargo run --release --example explore -- --out sweep-out --shards 8
-//! cargo run --release --example explore -- --out sweep-out --shards 8 --stop-after 2
 //! # closed-form cross-check: every oracle-analyzable program must
 //! # bit-match all three executors; exit 1 below the coverage floor
 //! cargo run --release --example explore -- --no-dbnz --oracle-check --oracle-floor 50
@@ -20,14 +16,12 @@
 //! Knobs: `--programs N`, `--seed S`, `--trips T`, `--depth D`,
 //! `--loops L`, `--no-skips`, `--no-reg-bounds`, `--no-dbnz`,
 //! `--executor <pipeline|functional|nest>`, `--show SEED`,
-//! `--analyze SEED`, `--out DIR`, `--shards N`, `--stop-after K`,
-//! `--oracle-check`, `--oracle-floor PCT`. Flags the chosen mode would
-//! ignore — e.g. `--show` or `--oracle-check` with `--executor` or the
-//! sharded sweep flags — are usage errors: one line on stderr, exit
-//! status 2.
+//! `--analyze SEED`, `--oracle-check`, `--oracle-floor PCT`. Flags the
+//! chosen mode would ignore — e.g. `--show` or `--oracle-check` with
+//! `--executor` — and a seed range whose end does not fit a `u64` are
+//! usage errors: one line on stderr, exit status 2.
 
-use std::path::PathBuf;
-use zolc::bench::{run_oracle_check, run_sweep, run_sweep_sharded, ShardedOutcome, SweepConfig};
+use zolc::bench::{run_oracle_check, run_sweep, SweepConfig};
 use zolc::cfg::retarget;
 use zolc::core::ZolcConfig;
 use zolc::gen::{GenConfig, ProgramSpec};
@@ -50,9 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SweepConfig::standard();
     let mut show: Option<u64> = None;
     let mut analyze: Option<u64> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut shards: usize = 1;
-    let mut stop_after: Option<usize> = None;
     let mut oracle_check = false;
     let mut oracle_floor: Option<f64> = None;
     let mut executor_flag = false;
@@ -79,9 +70,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             "--show" => show = Some(parse_flag(&mut args, "--show")),
             "--analyze" => analyze = Some(parse_flag(&mut args, "--analyze")),
-            "--out" => out = Some(parse_flag(&mut args, "--out")),
-            "--shards" => shards = parse_flag(&mut args, "--shards"),
-            "--stop-after" => stop_after = Some(parse_flag(&mut args, "--stop-after")),
             "--oracle-check" => oracle_check = true,
             "--oracle-floor" => oracle_floor = Some(parse_flag(&mut args, "--oracle-floor")),
             other => {
@@ -99,15 +87,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::process::exit(2);
         }
     };
-    let sharding = out.is_some() || shards != 1 || stop_after.is_some();
     if show.is_some() {
         reject(
             executor_flag,
             "--show prints one seed without running it; it cannot be combined with --executor",
-        );
-        reject(
-            sharding,
-            "--show cannot be combined with the sharded sweep flags (--out/--shards/--stop-after)",
         );
         reject(
             oracle_check || oracle_floor.is_some(),
@@ -124,10 +107,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--analyze prints dataflow facts without running the seed; it cannot be combined with --executor",
         );
         reject(
-            sharding,
-            "--analyze cannot be combined with the sharded sweep flags (--out/--shards/--stop-after)",
-        );
-        reject(
             oracle_check || oracle_floor.is_some(),
             "--analyze cannot be combined with --oracle-check/--oracle-floor",
         );
@@ -136,10 +115,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reject(
             executor_flag,
             "--oracle-check always cross-checks all three executors; it cannot be combined with --executor",
-        );
-        reject(
-            sharding,
-            "--oracle-check cannot be combined with the sharded sweep flags (--out/--shards/--stop-after)",
         );
     }
 
@@ -151,6 +126,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return analyze_one(seed, &cfg.gen);
     }
 
+    let Some(seeds) = cfg.seeds() else {
+        eprintln!(
+            "--seed {} --programs {}: the seed range does not fit a u64",
+            cfg.base_seed, cfg.programs
+        );
+        std::process::exit(2);
+    };
+
     if oracle_check {
         // Cross-check mode: summarize each generated baseline program
         // in closed form and hold all three executors to the summary.
@@ -158,9 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // against `--oracle-floor` exits 1 so CI can gate on it.
         println!(
             "oracle cross-check over {} generated programs (seeds {}..{})\n",
-            cfg.programs,
-            cfg.base_seed,
-            cfg.base_seed + cfg.programs as u64,
+            cfg.programs, seeds.start, seeds.end,
         );
         let report = run_oracle_check(&cfg);
         println!("{report}");
@@ -184,40 +165,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "sweeping {} generated programs (seeds {}..{}) x {} configurations, {} cells\n",
         cfg.programs,
-        cfg.base_seed,
-        cfg.base_seed + cfg.programs as u64,
+        seeds.start,
+        seeds.end,
         cfg.points.len(),
         cfg.cells(),
     );
-
-    if let Some(dir) = out {
-        // Sharded, resumable mode: fragments persist under --out, a
-        // re-run with the same knobs resumes, and the merged report is
-        // byte-identical to an uninterrupted run.
-        println!(
-            "sharded mode: {shards} shards under {} (resumable){}\n",
-            dir.display(),
-            match stop_after {
-                Some(k) => format!(", stopping after {k} new shards"),
-                None => String::new(),
-            }
-        );
-        match run_sweep_sharded(&cfg, shards, &dir, stop_after)? {
-            ShardedOutcome::Complete(report) => {
-                println!("{report}");
-                println!(
-                    "\nmerged report written to {}",
-                    dir.join("report.json").display()
-                );
-            }
-            stopped => println!("{stopped}"),
-        }
-    } else if shards != 1 || stop_after.is_some() {
-        eprintln!("--shards/--stop-after need --out DIR (fragments must persist somewhere)");
-        std::process::exit(2);
-    } else {
-        println!("{}", run_sweep(&cfg));
-    }
+    println!("{}", run_sweep(&cfg));
     Ok(())
 }
 

@@ -212,30 +212,35 @@ fn explore_analyze_prints_dataflow_view() {
     }
 }
 
-/// The `explore` example's mode/flag exclusions: a flag the chosen mode
-/// would silently ignore must be a usage error — one line on stderr,
-/// exit status 2 (the PR 6 convention) — never a silent default.
+/// The `explore` example's usage errors: a flag the chosen mode would
+/// silently ignore, an unknown flag, or a seed range past `u64::MAX`
+/// must be one line on stderr and exit status 2 — never a silent
+/// default, a wrapped seed or an overflow panic.
 #[test]
 fn explore_rejects_ignored_flag_combinations() {
     use std::process::Command;
 
-    let cases: &[&[&str]] = &[
-        &["--show", "17", "--executor", "functional"],
-        &["--show", "17", "--out", "nowhere"],
-        &["--show", "17", "--shards", "4"],
-        &["--show", "17", "--oracle-check"],
-        &["--show", "17", "--analyze", "17"],
-        &["--analyze", "17", "--executor", "functional"],
-        &["--analyze", "17", "--shards", "4"],
-        &["--analyze", "17", "--oracle-check"],
-        &["--oracle-check", "--executor", "nest"],
-        &["--oracle-check", "--out", "nowhere"],
-        &["--oracle-check", "--stop-after", "1"],
+    const COMBINED: &str = "cannot be combined";
+    const SEEDS: &str = "does not fit a u64";
+    const MAX_SEED: &str = "18446744073709551615"; // u64::MAX
+    let cases: &[(&[&str], &str)] = &[
+        (&["--show", "17", "--executor", "functional"], COMBINED),
+        (&["--show", "17", "--oracle-check"], COMBINED),
+        (&["--show", "17", "--analyze", "17"], COMBINED),
+        (&["--analyze", "17", "--executor", "functional"], COMBINED),
+        (&["--analyze", "17", "--oracle-check"], COMBINED),
+        (&["--oracle-check", "--executor", "nest"], COMBINED),
+        (&["--out", "nowhere"], "unknown argument `--out`"),
+        (&["--seed", MAX_SEED, "--programs", "2"], SEEDS),
+        (
+            &["--seed", MAX_SEED, "--programs", "2", "--oracle-check"],
+            SEEDS,
+        ),
     ];
-    for extra in cases {
+    for &(extra, needle) in cases {
         let out = Command::new(env!("CARGO"))
             .args(["run", "--quiet", "--example", "explore", "--"])
-            .args(*extra)
+            .args(extra)
             .output()
             .expect("spawns the explore example");
         assert_eq!(
@@ -252,7 +257,7 @@ fn explore_rejects_ignored_flag_combinations() {
             "explore {extra:?}: usage errors are one line: {stderr:?}"
         );
         assert!(
-            stderr.contains("cannot be combined"),
+            stderr.contains(needle),
             "explore {extra:?}: unexpected message {stderr:?}"
         );
     }
