@@ -27,6 +27,17 @@
 //!   `on_flush` is called on every flush.
 //! * `zctl` is context-synchronizing: executing it flushes the two younger
 //!   slots so mode changes are visible to the very next fetch.
+//! * The index-register writes an engine attaches at fetch (its *rider*,
+//!   up to eight writes) do not travel in the latches. They sit in a
+//!   four-entry ring on the core, one entry per latch, and each latch
+//!   carries a one-byte ring index (or "none"). Entries are handed out
+//!   round-robin, and only to fetches that get a rider. When a fetch
+//!   takes an entry, at most three older instructions are in flight,
+//!   so the entry it reuses is no longer named by any latch. A squashed
+//!   fetch's entry is simply never read. Most instructions carry no
+//!   rider (none ever does on a build without a loop controller), so
+//!   the latches stay small: 16 bytes for IF/ID and ID/EX, 36 for
+//!   EX/MEM and 28 for MEM/WB, against 68 for one rider.
 //!
 //! The retire point for control purposes is EX: an instruction that enters
 //! EX can no longer be squashed (only EX itself raises flushes, in program
@@ -39,7 +50,7 @@
 //! is this module's entire subject matter.
 
 use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError, MEM_SIZE};
-use crate::engine::{ExecEvent, FetchDecision, HookMap, LoopEngine, RegWrites};
+use crate::engine::{ExecEvent, HookMap, LoopEngine, RegWrites};
 use crate::exec::{step, Effect, FetchError, LoadOp, StoreOp};
 use crate::mem::{MemError, Memory};
 use crate::program::CompiledProgram;
@@ -48,13 +59,50 @@ use crate::stats::Stats;
 use std::sync::Arc;
 use zolc_isa::{Instr, Reg, DATA_BASE, TEXT_BASE};
 
+/// Ring index meaning "no rider". It lies outside the ring, so looking
+/// it up finds nothing.
+const NO_RIDER: u8 = u8::MAX;
+
+/// The index-register writes of the instructions in flight, which the
+/// latches name by a one-byte index (see the module docs).
+#[derive(Debug, Default)]
+struct RiderRing {
+    /// One entry per pipeline latch.
+    entries: [RegWrites; 4],
+    /// The entry the next rider-bearing fetch takes.
+    next: u8,
+}
+
+impl RiderRing {
+    /// Stores `writes` for a fetch and returns its index, reusing the
+    /// entry of the rider-bearing fetch four back (free by then; see
+    /// the module docs).
+    fn push(&mut self, writes: RegWrites) -> u8 {
+        let ix = self.next;
+        self.entries[usize::from(ix)] = writes;
+        self.next = (ix + 1) % self.entries.len() as u8;
+        ix
+    }
+
+    /// The writes at index `ix` (`None` for [`NO_RIDER`]).
+    fn get(&self, ix: u8) -> Option<&RegWrites> {
+        self.entries.get(usize::from(ix))
+    }
+
+    /// The value the writes at `ix` give `r`, if they write it.
+    fn value_for(&self, ix: u8, r: Reg) -> Option<u32> {
+        self.get(ix).and_then(|w| w.value_for(r))
+    }
+}
+
 /// Payload of the IF/ID and ID/EX latches.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     pc: u32,
     instr: Instr,
-    /// Index-register writes attached by the loop engine at fetch.
-    rider: RegWrites,
+    /// Ring index of the index-register writes the loop engine attached
+    /// at fetch, or [`NO_RIDER`].
+    rider: u8,
     /// Fetch fault marker (misaligned or out-of-text): raises the
     /// matching error if it reaches EX un-squashed.
     fault: Option<FetchError>,
@@ -83,7 +131,7 @@ struct MemSlot {
     store_val: u32,
     /// Destination write (loads get their value filled in MEM).
     dst: Option<(Reg, u32)>,
-    rider: RegWrites,
+    rider: u8,
 }
 
 /// Payload of the MEM/WB latch.
@@ -92,7 +140,7 @@ struct WbSlot {
     pc: u32,
     instr: Instr,
     dst: Option<(Reg, u32)>,
-    rider: RegWrites,
+    rider: u8,
 }
 
 /// The cycle-accurate simulated processor.
@@ -127,6 +175,8 @@ pub struct Cpu {
     id_ex: Option<Slot>,
     ex_mem: Option<MemSlot>,
     mem_wb: Option<WbSlot>,
+    /// The in-flight riders, named by the latches' `rider` fields.
+    riders: RiderRing,
     /// Fetch is parked (past `halt`, or after a fetch fault) until a flush
     /// redirects it.
     fetch_stopped: bool,
@@ -156,6 +206,7 @@ impl Cpu {
             id_ex: None,
             ex_mem: None,
             mem_wb: None,
+            riders: RiderRing::default(),
             fetch_stopped: false,
             stats: Stats::default(),
             retire_log: Vec::new(),
@@ -202,9 +253,11 @@ impl Cpu {
     /// functional tiers (see [`Executor::run`]).
     ///
     /// A secondary cycle cap of `8 × fuel + 64` serves purely as a
-    /// liveness valve against simulator deadlock bugs: the in-order
-    /// pipeline's worst case is bounded well below 8 cycles per retired
-    /// instruction (taken branch ≈ 5, load-use stall +1), so no real
+    /// liveness valve against simulator deadlock bugs. A retired
+    /// instruction costs at most 4 cycles: 1 to retire, 2 more when it
+    /// is a taken conditional branch, `jr` or `zctl` (1 for `j`, `jal`
+    /// or a taken `dbnz`), and 1 more when it uses the result of the
+    /// load just before it. With the one-off 4-cycle fill, no real
     /// program can hit the valve before exhausting its fuel.
     ///
     /// # Errors
@@ -253,9 +306,11 @@ impl Cpu {
             if let Some((r, v)) = wb.dst {
                 self.regs.write(r, v);
             }
-            for (r, v) in wb.rider.iter() {
-                self.regs.write(r, v);
-                self.stats.zolc_index_writes += 1;
+            if let Some(rider) = self.riders.get(wb.rider) {
+                for (r, v) in rider.iter() {
+                    self.regs.write(r, v);
+                }
+                self.stats.zolc_index_writes += rider.len() as u64;
             }
             self.stats.retired += 1;
             if self.config.trace_retire {
@@ -287,7 +342,7 @@ impl Cpu {
             if let Some(e) = ex.fault {
                 return Err(RunError::from_fetch(e, ex.pc));
             }
-            flush_to = self.do_ex(ex, engine)?;
+            flush_to = self.do_ex(ex, engine);
         }
 
         if let Some(target) = flush_to {
@@ -303,55 +358,49 @@ impl Cpu {
         }
 
         // ---------------- ID ----------------
+        // EX always drains ID/EX above, so ID can always advance.
         let mut fetch_suppressed = false;
-        if self.id_ex.is_none() {
-            if let Some(slot) = self.if_id {
-                if self.load_use_hazard(&slot) {
-                    self.stats.load_use_stalls += 1;
-                    fetch_suppressed = true; // IF holds this cycle
-                } else {
-                    self.if_id = None;
-                    let mut slot = slot;
-                    // j/jal resolve here: redirect the next fetch
-                    // (1-cycle penalty; the fetch slot this cycle is lost).
-                    match slot.instr {
-                        Instr::J { target } | Instr::Jal { target } => {
-                            self.pc = target << 2;
-                            self.fetch_stopped = false;
-                            fetch_suppressed = true;
-                            self.stats.flushes += 1;
-                            self.stats.flush_cycles += 1;
-                        }
-                        // The XRhrdwil hardware-loop unit resolves the
-                        // branch-decrement in ID: its loop counter has a
-                        // dedicated zero-detect off the ALU path, so a
-                        // taken dbnz costs a single bubble (not the full
-                        // EX-resolved branch penalty). The decrement still
-                        // writes back through EX.
-                        Instr::Dbnz { rs, .. } => {
-                            if let Some(val) = self.peek_operand(rs) {
-                                let taken = val.wrapping_sub(1) != 0;
-                                slot.dbnz_taken = Some(taken);
-                                if taken {
-                                    let target =
-                                        slot.instr.branch_target(slot.pc).expect("dbnz has target");
-                                    self.pc = target;
-                                    self.fetch_stopped = false;
-                                    fetch_suppressed = true;
-                                    self.stats.flushes += 1;
-                                    self.stats.flush_cycles += 1;
-                                }
+        if let Some(mut slot) = self.if_id {
+            if self.load_use_hazard(&slot) {
+                self.stats.load_use_stalls += 1;
+                fetch_suppressed = true; // IF holds this cycle
+            } else {
+                self.if_id = None;
+                // j/jal resolve here: redirect the next fetch
+                // (1-cycle penalty; the fetch slot this cycle is lost).
+                match slot.instr {
+                    Instr::J { target } | Instr::Jal { target } => {
+                        self.pc = target << 2;
+                        self.fetch_stopped = false;
+                        fetch_suppressed = true;
+                        self.stats.flushes += 1;
+                        self.stats.flush_cycles += 1;
+                    }
+                    // The XRhrdwil hardware-loop unit resolves the
+                    // branch-decrement in ID: its loop counter has a
+                    // dedicated zero-detect off the ALU path, so a
+                    // taken dbnz costs a single bubble (not the full
+                    // EX-resolved branch penalty). The decrement still
+                    // writes back through EX.
+                    Instr::Dbnz { rs, .. } => {
+                        if let Some(val) = self.peek_operand(rs) {
+                            let taken = val.wrapping_sub(1) != 0;
+                            slot.dbnz_taken = Some(taken);
+                            if taken {
+                                let target =
+                                    slot.instr.branch_target(slot.pc).expect("dbnz has target");
+                                self.pc = target;
+                                self.fetch_stopped = false;
+                                fetch_suppressed = true;
+                                self.stats.flushes += 1;
+                                self.stats.flush_cycles += 1;
                             }
                         }
-                        _ => {}
                     }
-                    self.id_ex = Some(slot);
+                    _ => {}
                 }
+                self.id_ex = Some(slot);
             }
-        } else {
-            // EX did not drain (cannot happen in this in-order model), or a
-            // bubble was already placed; hold IF regardless.
-            fetch_suppressed = self.if_id.is_some();
         }
 
         // ---------------- IF ----------------
@@ -362,9 +411,10 @@ impl Cpu {
         Ok(false)
     }
 
-    /// True when the instruction now entering EX... (see call site) — the
-    /// classic interlock: `slot` (in ID) consumes the destination of a load
-    /// that has just executed EX and sits in the EX/MEM latch.
+    /// The load-use interlock: whether `slot`, in ID, reads the
+    /// destination of a load that has just left EX and sits in the
+    /// EX/MEM latch. Its value arrives only in MEM, too late for `slot`
+    /// to enter EX this cycle, so `slot` waits one cycle in ID.
     fn load_use_hazard(&self, slot: &Slot) -> bool {
         let Some(exm) = &self.ex_mem else {
             return false;
@@ -388,7 +438,7 @@ impl Cpu {
         if let Some(wb) = &self.mem_wb {
             // Rider writes apply after the instruction's own destination,
             // so they take forwarding priority.
-            if let Some(v) = wb.rider.value_for(r) {
+            if let Some(v) = self.riders.value_for(wb.rider, r) {
                 return v;
             }
             if let Some((dr, v)) = wb.dst {
@@ -410,7 +460,7 @@ impl Cpu {
             return Some(0);
         }
         if let Some(exm) = &self.ex_mem {
-            if let Some(v) = exm.rider.value_for(r) {
+            if let Some(v) = self.riders.value_for(exm.rider, r) {
                 return Some(v);
             }
             if let Some((dr, v)) = exm.dst {
@@ -430,7 +480,7 @@ impl Cpu {
     /// half into the EX/MEM latch, and makes the timing decisions (stats,
     /// flushes, engine events). Returns `Some(target)` when the pipeline
     /// must flush and refetch from `target`.
-    fn do_ex(&mut self, ex: Slot, engine: &mut dyn LoopEngine) -> Result<Option<u32>, RunError> {
+    fn do_ex(&mut self, ex: Slot, engine: &mut dyn LoopEngine) -> Option<u32> {
         let pc = ex.pc;
         let i = ex.instr;
         let effect = step(i, pc, |r| self.operand(r));
@@ -446,10 +496,11 @@ impl Cpu {
         let mut flush_to = None;
         let mut event = ExecEvent::Plain;
 
+        let riders = &self.riders;
         let set_dst = |out: &mut MemSlot, r: Reg, v: u32| {
             if !r.is_zero() {
                 debug_assert!(
-                    out.rider.value_for(r).is_none(),
+                    riders.value_for(ex.rider, r).is_none(),
                     "instruction at {pc:#x} writes the same register as its ZOLC index rider"
                 );
                 out.dst = Some((r, v));
@@ -536,7 +587,7 @@ impl Cpu {
             engine.on_execute(pc, event);
         }
         self.ex_mem = Some(out);
-        Ok(flush_to)
+        flush_to
     }
 
     /// Performs the MEM stage.
@@ -573,7 +624,7 @@ impl Cpu {
                 self.if_id = Some(Slot {
                     pc,
                     instr: Instr::Nop,
-                    rider: RegWrites::new(),
+                    rider: NO_RIDER,
                     fault: Some(e),
                     dbnz_taken: None,
                 });
@@ -581,25 +632,29 @@ impl Cpu {
                 return;
             }
         };
-        let decision = if self.hooked(pc) {
-            engine.on_fetch(pc)
-        } else {
-            FetchDecision::none()
-        };
-        if decision.redirect.is_some() {
-            self.stats.zolc_redirects += 1;
+        let mut next = pc.wrapping_add(4);
+        let mut rider = NO_RIDER;
+        if self.hooked(pc) {
+            let decision = engine.on_fetch(pc);
+            if let Some(target) = decision.redirect {
+                self.stats.zolc_redirects += 1;
+                next = target;
+            }
+            if !decision.index_writes.is_empty() {
+                rider = self.riders.push(decision.index_writes);
+            }
         }
         self.if_id = Some(Slot {
             pc,
             instr,
-            rider: decision.index_writes,
+            rider,
             fault: None,
             dbnz_taken: None,
         });
         if matches!(instr, Instr::Halt) {
             self.fetch_stopped = true;
         } else {
-            self.pc = decision.redirect.unwrap_or(pc.wrapping_add(4));
+            self.pc = next;
         }
     }
 }
@@ -967,6 +1022,141 @@ mod tests {
             Cpu::session(&crate::CompiledProgram::compile(p), CpuConfig::default()).unwrap();
         let s = cpu.run(&mut NullEngine, 100).unwrap();
         assert_eq!(s.cycles, cpu.stats().cycles);
+    }
+}
+
+#[cfg(test)]
+mod rider_tests {
+    use super::*;
+    use crate::engine::FetchDecision;
+    use crate::functional::FunctionalCpu;
+    use zolc_isa::{assemble, reg};
+
+    /// Attaches a one-write rider `(reg, value)` to every fetch of its
+    /// pc, and counts those fetches. Stateless otherwise, so wrong-path
+    /// and architectural fetches decide alike.
+    struct RiderAt {
+        riders: Vec<(u32, Reg, u32)>,
+        fetches: u64,
+    }
+
+    impl RiderAt {
+        fn new(riders: Vec<(u32, Reg, u32)>) -> RiderAt {
+            RiderAt { riders, fetches: 0 }
+        }
+    }
+
+    impl LoopEngine for RiderAt {
+        fn on_fetch(&mut self, pc: u32) -> FetchDecision {
+            let mut d = FetchDecision::none();
+            for &(at, r, v) in &self.riders {
+                if at == pc {
+                    d.index_writes.push(r, v);
+                    self.fetches += 1;
+                }
+            }
+            d
+        }
+    }
+
+    /// Runs `prog` with `riders` on the functional tier and returns its
+    /// core and rider-bearing fetch count.
+    fn functional(prog: &Arc<CompiledProgram>, riders: &[(u32, Reg, u32)]) -> (FunctionalCpu, u64) {
+        let mut e = RiderAt::new(riders.to_vec());
+        let mut f = FunctionalCpu::session(prog, CpuConfig::default()).unwrap();
+        f.run(&mut e, 1_000).expect("halts");
+        (f, e.fetches)
+    }
+
+    /// A rider fetched on the wrong path and squashed in IF/ID, by a
+    /// taken branch or by `zctl`'s synchronizing flush, never writes.
+    #[test]
+    fn squashed_rider_never_applies() {
+        let cases = [
+            // the taken beq squashes the fetch of the `addi` behind it
+            (
+                "li r1, 1\nbeq r1, r1, skip\naddi r2, r0, 7\nskip: halt",
+                8,
+                1,
+                0,
+            ),
+            // zctl squashes the `addi` fetched behind it, which is then
+            // fetched again and retires with a rider of its own
+            ("zctl.off\naddi r2, r0, 7\nhalt", 4, 2, 1),
+        ];
+        for (src, at, fetches, writes) in cases {
+            let prog = CompiledProgram::compile(assemble(src).unwrap());
+            let riders = [(TEXT_BASE + at, reg(20), 99)];
+            let mut e = RiderAt::new(riders.to_vec());
+            let mut cpu = Cpu::session(&prog, CpuConfig::default()).unwrap();
+            let stats = cpu.run(&mut e, 1_000).expect("halts");
+            assert_eq!(e.fetches, fetches, "{src}: rider-bearing fetches");
+            let (f, _) = functional(&prog, &riders);
+            assert_eq!(cpu.regs(), f.regs(), "{src}");
+            assert_eq!(stats.zolc_index_writes, writes, "{src}");
+            assert_eq!(
+                stats.zolc_index_writes,
+                f.stats().zolc_index_writes,
+                "{src}"
+            );
+            assert_eq!(cpu.regs().read(reg(20)), if writes == 0 { 0 } else { 99 });
+        }
+    }
+
+    /// Back-to-back rider-bearing retires fill every latch with a live
+    /// rider at once; the ring hands out four distinct entries and none
+    /// is reused while a latch still names it.
+    #[test]
+    fn riders_in_every_latch_stay_distinct() {
+        let body = "addi r2, r2, 1\n".repeat(10);
+        let prog = CompiledProgram::compile(assemble(&format!("{body}halt")).unwrap());
+        // every instruction writes a register of its own through its rider
+        let riders: Vec<(u32, Reg, u32)> = (0..11u8)
+            .map(|k| {
+                (
+                    TEXT_BASE + 4 * u32::from(k),
+                    reg(10 + k),
+                    100 + u32::from(k),
+                )
+            })
+            .collect();
+        let mut e = RiderAt::new(riders.clone());
+        let mut cpu = Cpu::session(&prog, CpuConfig::default()).unwrap();
+        cpu.refresh_hooks(&e);
+        let mut full_cycles = 0;
+        while !cpu.step(&mut e).expect("no fault") {
+            let mut live: Vec<u8> = [
+                cpu.if_id.map(|s| s.rider),
+                cpu.id_ex.map(|s| s.rider),
+                cpu.ex_mem.map(|m| m.rider),
+                cpu.mem_wb.map(|w| w.rider),
+            ]
+            .into_iter()
+            .flatten()
+            .filter(|&ix| ix != NO_RIDER)
+            .collect();
+            if live.len() == 4 {
+                live.sort_unstable();
+                live.dedup();
+                assert_eq!(live.len(), 4, "two latches share a ring entry");
+                full_cycles += 1;
+            }
+        }
+        assert!(full_cycles > 0, "the latches never all held a rider");
+        let (f, _) = functional(&prog, &riders);
+        assert_eq!(cpu.regs(), f.regs());
+        assert_eq!(cpu.stats().zolc_index_writes, 11);
+        assert_eq!(cpu.stats().zolc_index_writes, f.stats().zolc_index_writes);
+    }
+
+    /// The latches carry a ring index, not the rider itself.
+    #[test]
+    fn latches_are_smaller_than_one_rider() {
+        use std::mem::size_of;
+        let rider = size_of::<RegWrites>();
+        assert!(size_of::<Slot>() < rider);
+        assert!(size_of::<MemSlot>() < rider);
+        assert!(size_of::<WbSlot>() < rider);
     }
 }
 
