@@ -5,13 +5,10 @@
 //! own, which values escape a loop, which code can execute at all. This
 //! crate provides the machinery those proofs are built from — a worklist
 //! dataflow solver over an explicit flow graph plus a small lattice
-//! library — and four concrete analyses on top of it:
+//! library — and three concrete analyses on top of it:
 //!
 //! * [`Liveness`] — backward register liveness ([`RegSet`] facts);
 //! * [`ConstProp`] — forward constant propagation ([`Cv`] facts);
-//! * [`Intervals`] — forward signed value-range analysis with widening
-//!   ([`Interval`] facts, the lattice the `zolc-lang` front end also
-//!   uses for its AST-level range reasoning);
 //! * [`Reachability`] — forward block reachability (`bool` facts).
 //!
 //! A new pass is an [`Analysis`] implementation: a fact type, a join,
@@ -23,13 +20,13 @@
 //! evaluates the instruction through [`zolc_sim::exec::step`] — the same
 //! pure semantics function every executor tier retires through — so the
 //! analyses cannot drift from the machine on concrete arithmetic. Only
-//! the genuinely abstract rules (interval addition, widening, the
-//! top-degradations) are this crate's own, and those are differentially
-//! tested: the root `prop_analysis_sound` suite replays analyzer facts
-//! against functional-executor retire traces on seeded `zolc-gen`
-//! programs (dead registers are never read before redefinition,
-//! intervals contain every observed value, unreachable blocks never
-//! retire an instruction).
+//! the genuinely abstract rules (the top-degradations) are this crate's
+//! own, and those are differentially tested: the root
+//! `prop_analysis_sound` suite replays analyzer facts against
+//! functional-executor retire traces on seeded `zolc-gen` programs
+//! (dead registers are never read before redefinition, pinned
+//! constants match the machine, unreachable blocks never retire an
+//! instruction).
 //!
 //! # The flow graph
 //!
@@ -79,14 +76,12 @@
 
 mod constprop;
 mod graph;
-mod interval;
 mod live;
 mod reach;
 mod solver;
 
 pub use constprop::{ConstFact, ConstProp, Cv};
 pub use graph::{FlowBlock, FlowGraph};
-pub use interval::{Interval, IntervalFact, Intervals};
 pub use live::{Liveness, RegSet};
 pub use reach::{reachable_blocks, Reachability};
-pub use solver::{solve, Analysis, Direction, RegFacts, Solution, WIDEN_AFTER};
+pub use solver::{solve, Analysis, Direction, RegFacts, Solution};

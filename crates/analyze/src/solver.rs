@@ -2,10 +2,8 @@
 //!
 //! An analysis supplies a fact lattice (a `Clone + PartialEq` fact type,
 //! a `bottom`, a `join`) and a per-instruction `transfer` function; the
-//! solver iterates the flow graph to the least fixpoint. Facts that live
-//! in infinite-ascending-chain lattices (intervals) additionally
-//! override [`Analysis::widen`], which the solver substitutes for the
-//! join once a block's input has changed [`WIDEN_AFTER`] times.
+//! solver iterates the flow graph to the least fixpoint. The lattices
+//! must be finite-height: the solver only joins, it never widens.
 
 use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
@@ -17,26 +15,17 @@ use crate::graph::FlowGraph;
 /// Which way facts flow through the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Facts flow from the entry along edges (constants, intervals,
-    /// reachability).
+    /// Facts flow from the entry along edges (constants, reachability).
     Forward,
     /// Facts flow from exits against edges (liveness).
     Backward,
 }
 
-/// Number of input changes after which the solver widens instead of
-/// joining a block's input.
-///
-/// Finite-height lattices never notice (the default [`Analysis::widen`]
-/// *is* the join); interval analysis jumps the moving bound to the
-/// domain extreme, bounding the number of fixpoint rounds.
-pub const WIDEN_AFTER: u32 = 16;
-
 /// One dataflow analysis: a fact lattice plus a transfer function.
 ///
 /// Implementations are small — liveness, constant propagation and
 /// reachability are each well under 50 lines. The solver owns all
-/// iteration concerns (worklists, join accumulation, widening).
+/// iteration concerns (worklists, join accumulation).
 pub trait Analysis {
     /// The fact attached to every program point.
     type Fact: Clone + PartialEq;
@@ -63,14 +52,6 @@ pub trait Analysis {
     /// instruction to the fact *after* it, backward transfers the
     /// reverse.
     fn transfer(&self, instr: Instr, pc: u32, fact: &mut Self::Fact);
-
-    /// Widening operator, substituted for the join after
-    /// [`WIDEN_AFTER`] input changes. Must over-approximate the join.
-    /// The default *is* the join, which is correct for every
-    /// finite-height lattice.
-    fn widen(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool {
-        self.join(into, from)
-    }
 }
 
 /// The fixpoint facts at block granularity, in **program order**:
@@ -124,8 +105,8 @@ impl<F: Clone + PartialEq> Solution<F> {
 /// Classic worklist iteration: every block starts at `⊥` with the
 /// boundary fact seeded at the entry (forward) or at blocks without
 /// successors (backward); a block is reprocessed whenever the fact
-/// flowing into it grows. Terminates for finite-height lattices, and
-/// for infinite ones via [`Analysis::widen`].
+/// flowing into it grows. Terminates for finite-height lattices, which
+/// every analysis in this crate uses.
 pub fn solve<A: Analysis>(g: &FlowGraph, a: &A) -> Solution<A::Fact> {
     let n = g.len();
     let backward = a.direction() == Direction::Backward;
@@ -134,7 +115,6 @@ pub fn solve<A: Analysis>(g: &FlowGraph, a: &A) -> Solution<A::Fact> {
     // backward); `flow_out[b]` where it leaves.
     let mut flow_in: Vec<A::Fact> = (0..n).map(|_| a.bottom()).collect();
     let mut flow_out: Vec<A::Fact> = (0..n).map(|_| a.bottom()).collect();
-    let mut in_changes = vec![0u32; n];
     let mut fresh = vec![true; n];
     let mut queued = vec![true; n];
     let mut queue: VecDeque<usize> = if backward {
@@ -163,14 +143,7 @@ pub fn solve<A: Analysis>(g: &FlowGraph, a: &A) -> Solution<A::Fact> {
                 a.join(&mut incoming, &flow_out[p]);
             }
         }
-        let grew = if in_changes[b] >= WIDEN_AFTER {
-            a.widen(&mut flow_in[b], &incoming)
-        } else {
-            a.join(&mut flow_in[b], &incoming)
-        };
-        if grew {
-            in_changes[b] += 1;
-        }
+        let grew = a.join(&mut flow_in[b], &incoming);
         if !grew && !fresh[b] {
             continue;
         }
@@ -214,9 +187,8 @@ pub fn solve<A: Analysis>(g: &FlowGraph, a: &A) -> Solution<A::Fact> {
 
 /// A per-register table of facts, indexable by [`Reg`].
 ///
-/// The register-file-shaped fact both [`crate::ConstProp`] and
-/// [`crate::Intervals`] wrap in `Option` (where `None` is the
-/// unreachable `⊥`).
+/// The register-file-shaped fact [`crate::ConstProp`] wraps in
+/// `Option` (where `None` is the unreachable `⊥`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegFacts<T>([T; 32]);
 

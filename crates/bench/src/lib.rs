@@ -62,8 +62,7 @@ pub use experiments::{
     e8_frontend, paper,
 };
 pub use matrix::{
-    measure, measure_auto, measure_with, AutoStats, BuildMode, Fig2Report, Fig2Row, Job, JobMatrix,
-    JobSource, Measurement, MAX_FUEL,
+    AutoStats, BuildMode, Fig2Report, Fig2Row, Job, JobMatrix, JobSource, Measurement, MAX_FUEL,
 };
 pub use oracle_check::{run_oracle_check, OracleReport};
 pub use sweep::{

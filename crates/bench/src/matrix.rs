@@ -22,12 +22,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::thread;
-use zolc_cfg::retarget;
 use zolc_core::ZolcConfig;
 use zolc_ir::{LoweredInfo, Target};
-use zolc_kernels::{build_kernel_auto, kernels, BuiltKernel, ExecutorKind, KernelEntry};
+use zolc_kernels::{kernels, BuildError, BuiltKernel, ExecutorKind, KernelEntry};
 use zolc_lang::CompiledUnit;
-use zolc_sim::{CompiledProgram, Stats};
+use zolc_sim::Stats;
 
 /// Fuel budget (retired instructions — the one semantic shared by every
 /// executor, see [`zolc_sim::Executor::run`]) generous enough for every
@@ -73,6 +72,17 @@ impl JobSource {
             JobSource::Corpus(u) => u.name(),
         }
     }
+
+    /// Builds the source's program for `target`: the kernel's
+    /// `BuildFn`, the generated baseline program as-is, or the unit's
+    /// IR lowering.
+    fn build(&self, target: &Target) -> Result<BuiltKernel, BuildError> {
+        match self {
+            JobSource::Kernel(e) => (e.build)(target),
+            JobSource::Generated(g) => Ok(g.as_built(target.clone())),
+            JobSource::Corpus(u) => u.build(target),
+        }
+    }
 }
 
 /// One cell of a [`JobMatrix`]: a program to build and measure on a
@@ -111,114 +121,30 @@ pub struct Measurement {
     pub auto: Option<AutoStats>,
 }
 
-/// Measures one kernel on one target with the cycle-accurate executor.
-///
-/// # Panics
-///
-/// Panics if the kernel fails to build, run, or verify against its
-/// reference model — experiment results are only meaningful for correct
-/// runs, so a mismatch is fatal by design.
-pub fn measure(entry: &KernelEntry, target: &Target) -> Measurement {
-    measure_with(entry, target, ExecutorKind::CycleAccurate)
-}
-
-/// Measures one kernel on one target with the chosen executor.
-///
-/// # Panics
-///
-/// Panics on build, run, or verification failure (see [`measure`]).
-pub fn measure_with(entry: &KernelEntry, target: &Target, executor: ExecutorKind) -> Measurement {
-    measure_cell(
-        &JobSource::Kernel(*entry),
-        target,
-        executor,
-        BuildMode::Lower,
-    )
-}
-
-/// Measures one kernel auto-retargeted from its baseline binary onto a
-/// ZOLC of configuration `config` (the `ZOLCauto` column).
-///
-/// # Panics
-///
-/// Panics on build, retarget, run, or verification failure (see
-/// [`measure`]).
-pub fn measure_auto(
-    entry: &KernelEntry,
-    config: ZolcConfig,
-    executor: ExecutorKind,
-) -> Measurement {
-    measure_cell(
-        &JobSource::Kernel(*entry),
-        &Target::Zolc(config),
-        executor,
-        BuildMode::AutoRetarget,
-    )
-}
-
-/// Builds one cell's program: hand-lowered kernel, auto-retargeted
-/// kernel binary, generated baseline program as-is, or generated
-/// baseline program retargeted onto the cell's ZOLC configuration.
+/// Builds one cell's program: [`BuildMode::Lower`] builds the source
+/// for the cell's target, [`BuildMode::AutoRetarget`] builds it for
+/// [`Target::Baseline`] and retargets that binary onto the cell's ZOLC
+/// configuration ([`BuiltKernel::retarget`]).
 fn build_cell(
     source: &JobSource,
     target: &Target,
     mode: BuildMode,
 ) -> (BuiltKernel, Option<AutoStats>) {
     let name = source.name();
-    match (source, mode) {
-        (JobSource::Kernel(entry), BuildMode::Lower) => (
-            (entry.build)(target).unwrap_or_else(|e| panic!("{name}/{target}: build failed: {e}")),
-            None,
-        ),
-        (JobSource::Kernel(entry), BuildMode::AutoRetarget) => {
-            let Target::Zolc(config) = target else {
-                panic!("{name}: ZOLCauto cells need a ZOLC target")
-            };
-            let a = build_kernel_auto(entry, *config)
-                .unwrap_or_else(|e| panic!("{name}/{target} (auto): retarget failed: {e}"));
-            (a.built, Some(a.stats))
-        }
-        (JobSource::Generated(g), BuildMode::Lower) => (g.as_built(target.clone()), None),
-        (JobSource::Generated(g), BuildMode::AutoRetarget) => {
-            let Target::Zolc(config) = target else {
-                panic!("{name}: auto-retarget cells need a ZOLC target")
-            };
-            let r = retarget(g.program.source(), config)
-                .unwrap_or_else(|e| panic!("{name}/{target} (auto): retarget failed: {e}"));
-            let stats = AutoStats::from(&r);
-            // The prepended init sequence clobbers the scratch register
-            // (chosen untouched by surviving code), which is the one
-            // permitted register difference besides the freed counters
-            // — drop it from the derived expectation, exactly as the
-            // root `prop_exec_equiv` contract does.
-            let mut expect = g.expect.clone();
-            if r.init_instructions > 0 {
-                expect.regs.retain(|(rg, _)| *rg != r.scratch);
-            }
-            let built = BuiltKernel {
-                name: g.name.clone(),
-                program: CompiledProgram::compile(r.program),
-                target: target.clone(),
-                expect,
-                info: LoweredInfo {
-                    image: Some(r.image),
-                    init_instructions: r.init_instructions,
-                    notes: r.notes,
-                },
-            };
-            (built, Some(stats))
-        }
-        (JobSource::Corpus(u), BuildMode::Lower) => (
-            u.build(target)
+    match mode {
+        BuildMode::Lower => (
+            source
+                .build(target)
                 .unwrap_or_else(|e| panic!("{name}/{target}: build failed: {e}")),
             None,
         ),
-        (JobSource::Corpus(u), BuildMode::AutoRetarget) => {
+        BuildMode::AutoRetarget => {
             let Target::Zolc(config) = target else {
                 panic!("{name}: auto-retarget cells need a ZOLC target")
             };
-            let a = u
-                .build_auto(*config)
+            let a = source
+                .build(&Target::Baseline)
+                .and_then(|base| base.retarget(*config))
                 .unwrap_or_else(|e| panic!("{name}/{target} (auto): retarget failed: {e}"));
             (a.built, Some(a.stats))
         }
@@ -402,8 +328,10 @@ impl JobMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if any cell fails to build, run, or verify (see
-    /// [`measure`]); worker panics propagate when the scope joins.
+    /// Panics if any cell fails to build, run, or verify against its
+    /// reference expectation — experiment results are only meaningful
+    /// for correct runs, so a mismatch is fatal by design; worker panics
+    /// propagate when the scope joins.
     pub fn run(&self) -> Vec<Measurement> {
         let threads = thread::available_parallelism().map_or(1, usize::from);
         self.run_threads(threads)
@@ -415,7 +343,7 @@ impl JobMatrix {
     /// # Panics
     ///
     /// Panics if any cell fails to build, run, or verify (see
-    /// [`measure`]).
+    /// [`JobMatrix::run`]).
     pub fn run_threads(&self, threads: usize) -> Vec<Measurement> {
         par_map(self.jobs.len(), threads, |k| {
             let j = &self.jobs[k];
@@ -617,9 +545,16 @@ impl fmt::Display for Fig2Report {
 mod tests {
     use super::*;
 
+    /// Runs a one-cell matrix and returns its measurement.
+    fn one_cell(matrix: &mut JobMatrix) -> Measurement {
+        let mut results = matrix.run_threads(1);
+        assert_eq!(results.len(), 1);
+        results.remove(0)
+    }
+
     #[test]
     fn measure_checks_correctness() {
-        let m = measure(&kernels()[0], &Target::Baseline);
+        let m = one_cell(JobMatrix::new().push(kernels()[0], Target::Baseline));
         assert!(m.stats.cycles > 0);
         assert_eq!(m.kernel, "vec_mac");
         assert_eq!(m.executor, ExecutorKind::CycleAccurate);
@@ -642,11 +577,7 @@ mod tests {
 
     #[test]
     fn auto_cells_measure_correctly() {
-        let m = measure_auto(
-            &kernels()[0],
-            ZolcConfig::lite(),
-            ExecutorKind::CycleAccurate,
-        );
+        let m = one_cell(JobMatrix::new().push_auto(kernels()[0], ZolcConfig::lite()));
         assert_eq!(m.mode, BuildMode::AutoRetarget);
         assert!(m.stats.cycles > 0);
         assert!(m.info.image.is_some());

@@ -111,8 +111,9 @@ impl GeneratedProgram {
     }
 
     /// Wraps the baseline program as a runnable, expectation-carrying
-    /// build for `target` (used by the matrix's `BuildMode::Lower`
-    /// cells).
+    /// build for `target` (how the matrix builds every generated-program
+    /// cell; auto-retarget cells then call
+    /// [`BuiltKernel::retarget`](zolc_kernels::BuiltKernel::retarget)).
     pub fn as_built(&self, target: Target) -> zolc_kernels::BuiltKernel {
         zolc_kernels::BuiltKernel {
             name: self.name.clone(),

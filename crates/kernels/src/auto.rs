@@ -8,10 +8,12 @@
 //! at all — the paper's §2 claim that ZOLC task-to-task data "can be
 //! generated automatically from an existing program".
 //!
-//! The result is an ordinary [`BuiltKernel`], so the whole measurement
-//! stack ([`BuiltKernel::run`], the bench `JobMatrix`) runs it
-//! unchanged; correctness is still judged against the same bit-exact
-//! reference expectation the hand-lowered builds use.
+//! [`BuiltKernel::retarget`] is the one place that derivation happens,
+//! for any baseline build: a registry kernel, a `zolc-lang` unit or a
+//! generated program. The result is an ordinary [`BuiltKernel`], so the
+//! whole measurement stack ([`BuiltKernel::run`], the bench `JobMatrix`)
+//! runs it unchanged; correctness is still judged against the same
+//! bit-exact reference expectation the hand-lowered builds use.
 
 use crate::common::{BuildError, BuiltKernel};
 use crate::KernelEntry;
@@ -38,8 +40,8 @@ pub struct AutoStats {
 }
 
 impl From<&Retargeted> for AutoStats {
-    /// The single derivation of retarget statistics, shared by the
-    /// kernel auto path and the bench matrix's generated-program cells.
+    /// The single derivation of retarget statistics, used by
+    /// [`BuiltKernel::retarget`].
     fn from(r: &Retargeted) -> AutoStats {
         AutoStats {
             unhandled: r.unhandled.len(),
@@ -60,8 +62,56 @@ pub struct AutoKernel {
     pub stats: AutoStats,
 }
 
+impl BuiltKernel {
+    /// Auto-retargets this build's binary onto a ZOLC of configuration
+    /// `config` — the single derivation of every `ZOLCauto` program:
+    /// [`zolc_cfg::retarget`] excises the software loop control and
+    /// synthesizes the overlay, and the result is compiled and gated on
+    /// this build's expectation.
+    ///
+    /// The prepended init sequence clobbers the retargeter's scratch
+    /// register (chosen untouched by surviving code), the one permitted
+    /// register difference besides the freed counters, so it leaves the
+    /// expectation whenever an init sequence is emitted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::Retarget`] if the retargeter rejects the
+    /// binary.
+    pub fn retarget(self, config: ZolcConfig) -> Result<AutoKernel, BuildError> {
+        let r = retarget(self.program.source(), &config)?;
+        let stats = AutoStats::from(&r);
+        let Retargeted {
+            program,
+            image,
+            init_instructions,
+            notes,
+            scratch,
+            ..
+        } = r;
+        let mut expect = self.expect;
+        if init_instructions > 0 {
+            expect.regs.retain(|(rg, _)| *rg != scratch);
+        }
+        Ok(AutoKernel {
+            built: BuiltKernel {
+                name: self.name,
+                program: CompiledProgram::compile(program),
+                target: Target::Zolc(config),
+                expect,
+                info: LoweredInfo {
+                    image: Some(image),
+                    init_instructions,
+                    notes,
+                },
+            },
+            stats,
+        })
+    }
+}
+
 /// Builds `entry` for [`Target::Baseline`] and auto-retargets the binary
-/// onto a ZOLC of configuration `config`.
+/// onto a ZOLC of configuration `config` ([`BuiltKernel::retarget`]).
 ///
 /// # Errors
 ///
@@ -72,30 +122,7 @@ pub fn build_kernel_auto(
     entry: &KernelEntry,
     config: ZolcConfig,
 ) -> Result<AutoKernel, BuildError> {
-    let base = (entry.build)(&Target::Baseline)?;
-    let r = retarget(base.program.source(), &config)?;
-    let stats = AutoStats::from(&r);
-    let Retargeted {
-        program,
-        image,
-        init_instructions,
-        notes,
-        ..
-    } = r;
-    Ok(AutoKernel {
-        built: BuiltKernel {
-            name: base.name,
-            program: CompiledProgram::compile(program),
-            target: Target::Zolc(config),
-            expect: base.expect,
-            info: LoweredInfo {
-                image: Some(image),
-                init_instructions,
-                notes,
-            },
-        },
-        stats,
-    })
+    (entry.build)(&Target::Baseline)?.retarget(config)
 }
 
 #[cfg(test)]

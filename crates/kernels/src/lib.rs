@@ -30,8 +30,9 @@
 //! early exit, runs even on uZOLC).
 //!
 //! Besides the hand lowerings, every kernel can be built through the
-//! **automatic retargeting pipeline** ([`build_kernel_auto`]): the
-//! `XRdefault` binary is excised and overlaid by `zolc_cfg::retarget`,
+//! **automatic retargeting pipeline** ([`build_kernel_auto`], which calls
+//! [`BuiltKernel::retarget`] on the kernel's `XRdefault` build): the
+//! baseline binary is excised and overlaid by `zolc_cfg::retarget`,
 //! with no IR knowledge, and verified against the same reference
 //! expectation.
 //!

@@ -13,9 +13,6 @@ fn main() {
     );
     for e in zolc_lang::corpus() {
         let unit = zolc_lang::compile(e.name, e.source).expect("corpus compiles");
-        let auto = unit
-            .build_auto(zolc_core::ZolcConfig::lite())
-            .expect("corpus retargets");
         let built = unit
             .build(&zolc_ir::Target::Baseline)
             .expect("corpus lowers");
@@ -23,6 +20,9 @@ fn main() {
             Ok(_) => "ok".to_string(),
             Err(refusal) => format!("{refusal}"),
         };
+        let auto = built
+            .retarget(zolc_core::ZolcConfig::lite())
+            .expect("corpus retargets");
         println!(
             "{:<12} {:>7} {:>6} {:>7} {:>9}  {}",
             e.name,

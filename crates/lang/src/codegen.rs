@@ -23,6 +23,7 @@
 
 use crate::ast::{BinOp, Diagnostic, Expr, ExprKind, Pos, Stmt, StmtKind, UnOp};
 use crate::check::Symbols;
+use crate::interval::Interval;
 use std::collections::HashMap;
 use zolc_ir::{Cond, IndexSpec, LoopNode, Node, Trips};
 use zolc_isa::{reg, Instr, Reg};
@@ -52,13 +53,6 @@ fn fits_i16(v: i64) -> bool {
 }
 
 // ========================= interval analysis ============================
-//
-// The range lattice itself lives in `zolc-analyze` ([`Interval`]): the
-// same type backs the binary-level `Intervals` dataflow pass, so the
-// front end's AST-level range reasoning and the analyzer's
-// machine-level reasoning can never drift apart on arithmetic rules.
-
-use zolc_analyze::Interval;
 
 const TOP: Interval = Interval::TOP;
 

@@ -57,6 +57,7 @@ mod check;
 mod codegen;
 mod corpus;
 mod interp;
+mod interval;
 mod lexer;
 mod parser;
 
@@ -64,11 +65,9 @@ pub use ast::{Diagnostic, Pos};
 pub use corpus::{corpus, find_corpus, CorpusEntry};
 
 use std::sync::Arc;
-use zolc_cfg::{retarget, Retargeted};
-use zolc_core::ZolcConfig;
-use zolc_ir::{lower_into, LoopIr, LoweredInfo, Target};
+use zolc_ir::{lower_into, LoopIr, Target};
 use zolc_isa::{Asm, Instr, Reg};
-use zolc_kernels::{AutoKernel, AutoStats, BuildError, BuiltKernel, Expectation};
+use zolc_kernels::{BuildError, BuiltKernel, Expectation};
 use zolc_sim::CompiledProgram;
 
 /// A compiled program: IR plus everything needed to emit and judge
@@ -190,42 +189,6 @@ impl CompiledUnit {
             info,
         })
     }
-
-    /// Builds the baseline binary and auto-retargets it onto a ZOLC of
-    /// configuration `config` — the end-to-end compiler evaluation
-    /// path: source → baseline binary → [`zolc_cfg::retarget`] →
-    /// excised program + synthesized overlay.
-    ///
-    /// # Errors
-    ///
-    /// Propagates baseline [`BuildError`]s and
-    /// [`BuildError::Retarget`] if the retargeter rejects the binary.
-    pub fn build_auto(&self, config: ZolcConfig) -> Result<AutoKernel, BuildError> {
-        let base = self.build(&Target::Baseline)?;
-        let r = retarget(base.program.source(), &config)?;
-        let stats = AutoStats::from(&r);
-        let Retargeted {
-            program,
-            image,
-            init_instructions,
-            notes,
-            ..
-        } = r;
-        Ok(AutoKernel {
-            built: BuiltKernel {
-                name: base.name,
-                program: CompiledProgram::compile(program),
-                target: Target::Zolc(config),
-                expect: base.expect,
-                info: LoweredInfo {
-                    image: Some(image),
-                    init_instructions,
-                    notes,
-                },
-            },
-            stats,
-        })
-    }
 }
 
 /// Compiles `source` into a [`CompiledUnit`].
@@ -301,6 +264,7 @@ pub fn compile_arc(name: &str, source: &str) -> Result<Arc<CompiledUnit>, Diagno
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zolc_core::ZolcConfig;
     use zolc_sim::ExecutorKind;
 
     const FUEL: u64 = 50_000_000;
@@ -321,7 +285,11 @@ mod tests {
                 run.violations
             );
         }
-        let auto = unit.build_auto(ZolcConfig::lite()).expect("retargets");
+        let auto = unit
+            .build(&Target::Baseline)
+            .expect("builds")
+            .retarget(ZolcConfig::lite())
+            .expect("retargets");
         let run = auto
             .built
             .run(FUEL, ExecutorKind::Functional)

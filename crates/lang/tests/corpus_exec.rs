@@ -83,7 +83,8 @@ fn corpus_auto_retargets_with_the_recorded_handled_count() {
     for e in corpus() {
         let unit = compile_entry(e.name, e.source);
         let auto = unit
-            .build_auto(ZolcConfig::lite())
+            .build(&Target::Baseline)
+            .and_then(|base| base.retarget(ZolcConfig::lite()))
             .unwrap_or_else(|err| panic!("{}: {err}", e.name));
         assert_eq!(
             auto.stats.hw_loops, e.handled_loops,
@@ -191,7 +192,10 @@ fn corpus_oracle_coverage_is_pinned_and_summaries_bit_match() {
 fn corpus_auto_runs_keep_the_controller_consistent() {
     for e in corpus() {
         let unit = compile_entry(e.name, e.source);
-        let auto = unit.build_auto(ZolcConfig::lite()).expect("retargets");
+        let auto = unit
+            .build(&Target::Baseline)
+            .and_then(|base| base.retarget(ZolcConfig::lite()))
+            .expect("retargets");
         let mut z = Zolc::new(ZolcConfig::lite());
         run_session(
             ExecutorKind::CycleAccurate,

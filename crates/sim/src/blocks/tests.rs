@@ -1,108 +1,9 @@
 use crate::cpu::{CpuConfig, RunError};
 use crate::engine::NullEngine;
-use crate::exec::{step, Effect};
+use crate::nest::tests::{assert_lowers_like_step, assert_matches_functional, nest_session};
 use crate::nest::{lower, NOp};
-use crate::{CompiledProgram, FunctionalCpu, NestCpu};
-use zolc_isa::{assemble, reg, Program, Reg};
-
-/// Register values the lowering checks read: distinct, with both
-/// signs, zeros and small shift amounts, so every branch condition
-/// and ALU fn is exercised on non-trivial operands.
-fn operand_sets() -> Vec<[u32; 32]> {
-    let spread: [u32; 32] = std::array::from_fn(|i| (i as u32).wrapping_mul(0x9E37_79B9));
-    let small: [u32; 32] = std::array::from_fn(|i| (i as u32).wrapping_sub(16));
-    let mut zero = spread;
-    zero[1..8].fill(0);
-    vec![spread, small, zero]
-}
-
-/// Every instruction of `p` lowers to an op with exactly the
-/// architectural effect `exec::step` computes for it (transfer
-/// targets still pcs), or to `None` where the step core owns it.
-fn assert_lowers_like_step(p: &Program) {
-    for regs in operand_sets() {
-        let read = |r: Reg| if r.is_zero() { 0 } else { regs[r.index()] };
-        for (i, &instr) in p.text().iter().enumerate() {
-            let pc = 4 * i as u32;
-            let want = step(instr, pc, read);
-            let write = |dst, value| Effect::Write { dst, value };
-            let got = match lower(instr, pc) {
-                Some(NOp::Alu { dst, a, b, f }) => write(dst, f(read(a), read(b))),
-                Some(NOp::AluImm { dst, a, imm, f }) => write(dst, f(read(a), imm)),
-                Some(NOp::Add { dst, a, b }) => write(dst, read(a).wrapping_add(read(b))),
-                Some(NOp::AddImm { dst, a, imm }) => write(dst, read(a).wrapping_add(imm)),
-                Some(NOp::Load { dst, base, off, op }) => Effect::Load {
-                    dst,
-                    addr: read(base).wrapping_add(off),
-                    op,
-                },
-                Some(NOp::Store { val, base, off, op }) => Effect::Store {
-                    addr: read(base).wrapping_add(off),
-                    value: read(val),
-                    op,
-                },
-                Some(NOp::Nop) => Effect::Nop,
-                Some(NOp::Br {
-                    rs,
-                    rt,
-                    cond,
-                    taken,
-                }) => Effect::Branch {
-                    taken: cond(read(rs), read(rt)),
-                    target: taken,
-                    decrement: None,
-                },
-                Some(NOp::Jmp { target }) => Effect::Jump { target, link: None },
-                Some(NOp::Jl { dst, value, target }) => Effect::Jump {
-                    target,
-                    link: Some((dst, value)),
-                },
-                Some(NOp::JrExit { rs }) => Effect::Jump {
-                    target: read(rs),
-                    link: None,
-                },
-                Some(NOp::Halt) => Effect::Halt,
-                Some(op @ (NOp::Repeat { .. } | NOp::Exit { .. })) => {
-                    panic!("{instr:?} lowered to {op:?}")
-                }
-                None => {
-                    assert!(
-                        matches!(
-                            want,
-                            Effect::Zwr { .. }
-                                | Effect::Zctl { .. }
-                                | Effect::Branch {
-                                    decrement: Some(_),
-                                    ..
-                                }
-                        ),
-                        "{instr:?} deferred to the step core"
-                    );
-                    continue;
-                }
-            };
-            assert_eq!(got, want, "{instr:?} at {pc:#x}");
-        }
-    }
-}
-
-/// The lowering checked per instruction, then executed by its one
-/// consumer, the nest tier, against the functional reference.
-fn assert_matches_functional(p: &Program, fuel: u64) {
-    assert_lowers_like_step(p);
-    let prog = CompiledProgram::compile(p.clone());
-    let mut f = FunctionalCpu::session(&prog, CpuConfig::default()).unwrap();
-    let fr = f.run(&mut NullEngine, fuel);
-    let mut n = NestCpu::session(&prog, CpuConfig::default()).unwrap();
-    let nr = n.run(&mut NullEngine, fuel);
-    assert_eq!(fr, nr, "run results differ (fuel {fuel})");
-    assert_eq!(f.regs().snapshot(), n.regs().snapshot(), "registers");
-    assert_eq!(f.stats(), n.stats(), "stats");
-}
-
-fn nest_session(p: &Program) -> NestCpu {
-    NestCpu::session(&CompiledProgram::compile(p.clone()), CpuConfig::default()).unwrap()
-}
+use crate::{CompiledProgram, NestCpu};
+use zolc_isa::{assemble, reg, Reg};
 
 #[test]
 fn countdown_loop_matches_functional() {

@@ -13,29 +13,23 @@
 //! cargo run --example zolcc -- prog.zl --executor nest  # pick the executor tier
 //! cargo run --example zolcc -- prog.zl --lint           # binary lint pass
 //! cargo run --example zolcc -- --list-corpus            # bundled program index
-//! cargo run --example zolcc -- --check-corpus           # CI gate (see below)
 //! ```
 //!
 //! Knobs: `FILE.zl` or `--corpus NAME`, `--target
 //! <baseline|hwloop|zolc|auto>`, `--emit <ir|asm|bin>`, `--executor
-//! <pipeline|functional|nest>`, `--lint`, `--list-corpus`,
-//! `--check-corpus`. Usage errors exit 2 with a one-line message;
-//! compile diagnostics and verification failures exit 1.
+//! <pipeline|functional|nest>`, `--lint`, `--list-corpus`. Usage errors
+//! exit 2 with a one-line message; compile diagnostics and verification
+//! failures exit 1.
 //!
 //! `--lint` runs the `zolc-analyze`-backed binary lint pass
 //! ([`zolc::cfg::lint_program`]) over the built program — with the
 //! synthesized table image when the target produces one, so
 //! index-register clobbers are checked too — prints the report, and
 //! exits 1 if there are findings.
-//!
-//! `--check-corpus` is the CI `frontend-corpus` gate: every bundled
-//! program must compile with its pinned loop shape, run bit-exact on
-//! all three executor tiers for every hand target, and auto-retarget
-//! with its pinned handled-loop count (again bit-exact on all tiers).
 
 use zolc::core::ZolcConfig;
 use zolc::ir::Target;
-use zolc::lang::{compile, corpus, find_corpus, CompiledUnit};
+use zolc::lang::{compile, corpus, find_corpus};
 use zolc::sim::ExecutorKind;
 
 /// Generous fuel bound shared with the bench matrix.
@@ -94,7 +88,6 @@ fn main() {
     let mut executor = ExecutorKind::CycleAccurate;
     let mut lint = false;
     let mut list_corpus = false;
-    let mut check_corpus = false;
 
     let mut args = std::env::args();
     args.next(); // program name
@@ -123,7 +116,6 @@ fn main() {
             }
             "--lint" => lint = true,
             "--list-corpus" => list_corpus = true,
-            "--check-corpus" => check_corpus = true,
             other if !other.starts_with('-') => {
                 if file.replace(other.to_owned()).is_some() {
                     eprintln!("zolcc compiles exactly one program per invocation");
@@ -143,7 +135,7 @@ fn main() {
     }
 
     if list_corpus {
-        if file.is_some() || corpus_name.is_some() || check_corpus {
+        if file.is_some() || corpus_name.is_some() {
             eprintln!("--list-corpus takes no program argument");
             std::process::exit(2);
         }
@@ -153,15 +145,6 @@ fn main() {
                 e.name, e.counted_loops, e.while_loops, e.description
             );
         }
-        return;
-    }
-
-    if check_corpus {
-        if file.is_some() || corpus_name.is_some() || emit.is_some() {
-            eprintln!("--check-corpus checks every bundled program; it takes no program or --emit");
-            std::process::exit(2);
-        }
-        check_whole_corpus();
         return;
     }
 
@@ -213,10 +196,13 @@ fn main() {
             (built, None)
         }
         TargetArg::Auto => {
-            let auto = unit.build_auto(ZolcConfig::lite()).unwrap_or_else(|e| {
-                eprintln!("{name}: auto-retarget failed: {e}");
-                std::process::exit(1);
-            });
+            let auto = unit
+                .build(&Target::Baseline)
+                .and_then(|base| base.retarget(ZolcConfig::lite()))
+                .unwrap_or_else(|e| {
+                    eprintln!("{name}: auto-retarget failed: {e}");
+                    std::process::exit(1);
+                });
             (auto.built, Some(auto.stats))
         }
     };
@@ -287,99 +273,6 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-        }
-    }
-}
-
-/// The `--check-corpus` CI gate. Prints one line per program and exits
-/// 1 if anything drifted.
-fn check_whole_corpus() {
-    let hand = ["baseline", "hwloop", "zolc"];
-    let mut failures = 0usize;
-    for e in corpus() {
-        let unit = match compile(e.name, e.source) {
-            Ok(u) => u,
-            Err(d) => {
-                eprintln!("{}: front end rejected corpus program: {d}", e.name);
-                failures += 1;
-                continue;
-            }
-        };
-        let mut problems: Vec<String> = Vec::new();
-        if (unit.counted_loops(), unit.while_loops()) != (e.counted_loops, e.while_loops) {
-            problems.push(format!(
-                "loop shape {}/{} != pinned {}/{}",
-                unit.counted_loops(),
-                unit.while_loops(),
-                e.counted_loops,
-                e.while_loops
-            ));
-        }
-        for t in hand {
-            run_everywhere(&unit, &hand_target(t), t, &mut problems);
-        }
-        match unit.build_auto(ZolcConfig::lite()) {
-            Ok(auto) => {
-                if auto.stats.hw_loops != e.handled_loops {
-                    problems.push(format!(
-                        "auto handled {} loops != pinned {}",
-                        auto.stats.hw_loops, e.handled_loops
-                    ));
-                }
-                for kind in ExecutorKind::ALL {
-                    match auto.built.run(FUEL, kind) {
-                        Ok(run) if run.is_correct() => {}
-                        Ok(run) => problems.push(format!(
-                            "auto/{kind} diverged: {:?} {:?}",
-                            run.mismatches, run.violations
-                        )),
-                        Err(err) => problems.push(format!("auto/{kind} failed: {err}")),
-                    }
-                }
-            }
-            Err(err) => problems.push(format!("auto-retarget failed: {err}")),
-        }
-        if problems.is_empty() {
-            println!(
-                "{:<12} ok  ({}/{} loops, {} on ZOLC hardware, {} executors bit-exact)",
-                e.name,
-                e.counted_loops,
-                e.while_loops,
-                e.handled_loops,
-                ExecutorKind::ALL.len()
-            );
-        } else {
-            failures += 1;
-            for p in &problems {
-                eprintln!("{}: {p}", e.name);
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("{failures} corpus programs failed the check");
-        std::process::exit(1);
-    }
-    println!("{} corpus programs verified", corpus().len());
-}
-
-/// Runs one hand build on all three executor tiers, collecting any
-/// divergence into `problems`.
-fn run_everywhere(unit: &CompiledUnit, target: &Target, label: &str, problems: &mut Vec<String>) {
-    let built = match unit.build(target) {
-        Ok(b) => b,
-        Err(err) => {
-            problems.push(format!("{label}: build failed: {err}"));
-            return;
-        }
-    };
-    for kind in ExecutorKind::ALL {
-        match built.run(FUEL, kind) {
-            Ok(run) if run.is_correct() => {}
-            Ok(run) => problems.push(format!(
-                "{label}/{kind} diverged: {:?} {:?}",
-                run.mismatches, run.violations
-            )),
-            Err(err) => problems.push(format!("{label}/{kind} failed: {err}")),
         }
     }
 }

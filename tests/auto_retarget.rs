@@ -8,13 +8,17 @@
 //! data memory, verify structurally, and actually be *faster* than both
 //! software-loop configurations.
 
-use zolc::cfg::verify_image;
+use zolc::bench::GeneratedProgram;
+use zolc::cfg::{retarget, verify_image};
 use zolc::core::ZolcConfig;
+use zolc::gen::{GenConfig, ProgramSpec};
 use zolc::ir::Target;
 use zolc::isa::DATA_BASE;
 use zolc::kernels::{
-    build_kernel_auto, extra_kernels, kernels, run_kernel, AutoKernel, ExecutorKind, KernelEntry,
+    build_kernel_auto, extra_kernels, kernels, run_kernel, AutoKernel, BuiltKernel, ExecutorKind,
+    KernelEntry,
 };
+use zolc::lang::{compile, corpus};
 use zolc::sim::{run_session, Stats};
 
 const BUDGET: u64 = 50_000_000;
@@ -162,4 +166,59 @@ fn extras_with_early_exits_degrade_gracefully() {
             k.name
         );
     }
+}
+
+/// [`BuiltKernel::retarget`] drops the init sequence's scratch register
+/// from the expectation. No kernel, extra or corpus baseline expectation
+/// names that register on any configuration, so for them the rule
+/// changes no check.
+#[test]
+fn retarget_keeps_kernel_and_corpus_expectations() {
+    let mut baselines: Vec<BuiltKernel> = kernels()
+        .iter()
+        .chain(extra_kernels())
+        .map(|k| (k.build)(&Target::Baseline).expect("kernel builds"))
+        .collect();
+    for e in corpus() {
+        let unit = compile(e.name, e.source).expect("corpus compiles");
+        baselines.push(unit.build(&Target::Baseline).expect("corpus builds"));
+    }
+    let mut retargeted = 0;
+    for base in &baselines {
+        for config in [ZolcConfig::micro(), ZolcConfig::lite(), ZolcConfig::full()] {
+            let Ok(auto) = base.clone().retarget(config) else {
+                continue;
+            };
+            assert_eq!(
+                auto.built.expect, base.expect,
+                "{}/{}: retarget changed the expectation",
+                base.name, auto.built.target
+            );
+            retargeted += 1;
+        }
+    }
+    assert_eq!(retargeted, 117, "successful retargets");
+}
+
+/// A generated program whose expectation covers every body register:
+/// the init sequence's scratch register is one of them, and
+/// [`BuiltKernel::retarget`] removes exactly that register.
+#[test]
+fn retarget_drops_exactly_the_init_scratch_register() {
+    let spec = ProgramSpec::generate(0, &GenConfig::default());
+    let base = GeneratedProgram::from_spec("gen0", spec).as_built(Target::Baseline);
+    let r = retarget(base.program.source(), &ZolcConfig::lite()).expect("retargets");
+    assert!(r.init_instructions > 0, "an init sequence is emitted");
+    let mut want = base.expect.clone();
+    want.regs.retain(|(rg, _)| *rg != r.scratch);
+    assert_eq!(
+        want.regs.len() + 1,
+        base.expect.regs.len(),
+        "the baseline expectation names the scratch register {}",
+        r.scratch
+    );
+    let auto = base.retarget(ZolcConfig::lite()).expect("retargets");
+    assert_eq!(auto.built.expect, want);
+    let run = auto.built.run(BUDGET, ExecutorKind::Functional).unwrap();
+    assert!(run.is_correct(), "{:?}", run.mismatches);
 }

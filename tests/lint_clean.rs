@@ -11,6 +11,7 @@
 
 use zolc::cfg::lint_program;
 use zolc::core::ZolcConfig;
+use zolc::ir::Target;
 use zolc::kernels::{build_kernel_auto, fig2_targets, kernels};
 use zolc::lang::{compile, corpus};
 
@@ -47,7 +48,8 @@ fn all_corpus_programs_lint_clean_on_every_target() {
             }
         }
         let auto = unit
-            .build_auto(ZolcConfig::lite())
+            .build(&Target::Baseline)
+            .and_then(|base| base.retarget(ZolcConfig::lite()))
             .expect("corpus program auto-retargets");
         let report = lint_program(auto.built.program.source(), auto.built.info.image.as_ref());
         if !report.is_clean() {

@@ -11,6 +11,7 @@
 //! deliberately.
 
 use zolc::core::ZolcConfig;
+use zolc::ir::Target;
 use zolc::kernels::{build_kernel_auto, fig2_targets, kernels, BuiltKernel, ExecutorKind};
 use zolc::sim::Stats;
 
@@ -74,7 +75,10 @@ fn table() -> Vec<String> {
             let built = unit.build(&target).expect("corpus program builds");
             rows.push(pipeline_row(&name, &target.to_string(), &built));
         }
-        let auto = unit.build_auto(lite).expect("corpus program retargets");
+        let auto = unit
+            .build(&Target::Baseline)
+            .and_then(|base| base.retarget(lite))
+            .expect("corpus program retargets");
         rows.push(pipeline_row(&name, "auto-ZOLClite", &auto.built));
     }
     rows
