@@ -4,8 +4,14 @@
 //! Every experiment used to walk its (kernel, target) cells serially;
 //! [`JobMatrix`] turns that into data: build the cell list up front,
 //! then [`JobMatrix::run`] measures all cells on a scoped `std::thread`
-//! pool. Cells are independent by construction (each builds its own
-//! program and simulator), results come back in cell order, and a
+//! pool. The pool's work items are *units*, independent by
+//! construction: a maximal run of adjacent cells measuring the same
+//! generated program (the E7 sweep pushes each program's cells next to
+//! each other) is one unit, whose auto-retarget cells share one
+//! [`RetargetPlan`] — the binary is analyzed once and synthesized per
+//! configuration, and the plan is dropped when the unit ends. Every
+//! other cell is a unit of its own. Each cell still builds its own
+//! program and simulator, results come back in cell order, and a
 //! failed cell panics the whole run exactly as the serial loops did —
 //! experiment results are only meaningful when every cell is correct.
 //!
@@ -18,10 +24,12 @@
 
 use crate::sweep::GeneratedProgram;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::thread;
+use zolc_cfg::RetargetPlan;
 use zolc_core::ZolcConfig;
 use zolc_ir::{LoweredInfo, Target};
 use zolc_kernels::{kernels, BuildError, BuiltKernel, ExecutorKind, KernelEntry};
@@ -70,6 +78,14 @@ impl JobSource {
             JobSource::Kernel(e) => e.name,
             JobSource::Generated(g) => &g.name,
             JobSource::Corpus(u) => u.name(),
+        }
+    }
+
+    /// Whether both sources are the same generated program (one `Arc`).
+    fn same_generated(&self, other: &JobSource) -> bool {
+        match (self, other) {
+            (JobSource::Generated(a), JobSource::Generated(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 
@@ -124,11 +140,13 @@ pub struct Measurement {
 /// Builds one cell's program: [`BuildMode::Lower`] builds the source
 /// for the cell's target, [`BuildMode::AutoRetarget`] builds it for
 /// [`Target::Baseline`] and retargets that binary onto the cell's ZOLC
-/// configuration ([`BuiltKernel::retarget`]).
+/// configuration ([`BuiltKernel::retarget_with`]) through the unit's
+/// `plan`, which the unit's first auto cell builds.
 fn build_cell(
     source: &JobSource,
     target: &Target,
     mode: BuildMode,
+    plan: &mut Option<RetargetPlan>,
 ) -> (BuiltKernel, Option<AutoStats>) {
     let name = source.name();
     match mode {
@@ -144,7 +162,13 @@ fn build_cell(
             };
             let a = source
                 .build(&Target::Baseline)
-                .and_then(|base| base.retarget(*config))
+                .and_then(|base| {
+                    let plan = match plan {
+                        Some(plan) => plan,
+                        None => plan.insert(RetargetPlan::new(Arc::clone(base.program.source()))?),
+                    };
+                    base.retarget_with(plan, *config)
+                })
                 .unwrap_or_else(|e| panic!("{name}/{target} (auto): retarget failed: {e}"));
             (a.built, Some(a.stats))
         }
@@ -156,8 +180,9 @@ fn measure_cell(
     target: &Target,
     executor: ExecutorKind,
     mode: BuildMode,
+    plan: &mut Option<RetargetPlan>,
 ) -> Measurement {
-    let (built, auto) = build_cell(source, target, mode);
+    let (built, auto) = build_cell(source, target, mode, plan);
     let name = source.name();
     let run = built
         .run(MAX_FUEL, executor)
@@ -338,17 +363,52 @@ impl JobMatrix {
     }
 
     /// Runs every cell on at most `threads` worker threads (clamped to
-    /// the number of cells; `1` runs inline with no thread overhead).
+    /// the number of units; `1` runs inline with no thread overhead).
+    /// Workers claim whole units (see the module docs), each measuring
+    /// its cells in order; results are in cell order and do not depend
+    /// on `threads`.
     ///
     /// # Panics
     ///
     /// Panics if any cell fails to build, run, or verify (see
     /// [`JobMatrix::run`]).
     pub fn run_threads(&self, threads: usize) -> Vec<Measurement> {
-        par_map(self.jobs.len(), threads, |k| {
-            let j = &self.jobs[k];
-            measure_cell(&j.source, &j.target, j.executor, j.mode)
-        })
+        // one slot per cell, filled by whichever worker runs the cell's
+        // unit: the results then collect in place, so peak memory holds
+        // one copy of them, never a per-unit copy next to a flat one
+        let slots: Vec<Mutex<Option<Measurement>>> =
+            self.jobs.iter().map(|_| Mutex::new(None)).collect();
+        let units = self.units();
+        par_map(units.len(), threads, |u| {
+            let mut plan = None;
+            for k in units[u].clone() {
+                let j = &self.jobs[k];
+                let m = measure_cell(&j.source, &j.target, j.executor, j.mode, &mut plan);
+                *slots[k].lock().expect("result slot poisoned") = Some(m);
+            }
+        });
+        slots
+            .into_iter()
+            .map(|s| {
+                s.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("every unit ran")
+            })
+            .collect()
+    }
+
+    /// The cell ranges [`JobMatrix::run_threads`] hands out: each
+    /// maximal run of adjacent cells whose source is the same
+    /// generated program, and every other cell alone.
+    fn units(&self) -> Vec<Range<usize>> {
+        let mut units: Vec<Range<usize>> = Vec::new();
+        for (k, j) in self.jobs.iter().enumerate() {
+            match units.last_mut() {
+                Some(u) if self.jobs[u.start].source.same_generated(&j.source) => u.end = k + 1,
+                _ => units.push(k..k + 1),
+            }
+        }
+        units
     }
 }
 
@@ -603,6 +663,65 @@ mod tests {
         for (m, j) in parallel.iter().zip(matrix.jobs()) {
             assert_eq!(m.kernel, j.source.name());
             assert_eq!(m.target, j.target);
+        }
+    }
+
+    /// Asserts two measurements of the same cell agree on everything
+    /// they report.
+    fn assert_same(a: &Measurement, b: &Measurement, ctx: &str) {
+        assert_eq!(a.kernel, b.kernel, "{ctx}");
+        assert_eq!(a.target, b.target, "{ctx}");
+        assert_eq!(a.executor, b.executor, "{ctx}");
+        assert_eq!(a.mode, b.mode, "{ctx}");
+        assert_eq!(a.stats, b.stats, "{ctx}: {}/{}", a.kernel, a.target);
+        assert_eq!(a.info.image, b.info.image, "{ctx}: {}", a.kernel);
+        assert_eq!(a.info.init_instructions, b.info.init_instructions, "{ctx}");
+        assert_eq!(a.info.notes, b.info.notes, "{ctx}: {}", a.kernel);
+        assert_eq!(a.auto, b.auto, "{ctx}: {}/{}", a.kernel, a.target);
+    }
+
+    #[test]
+    fn units_share_plans_without_changing_results() {
+        use crate::GeneratedProgram;
+        use zolc_gen::{GenConfig, ProgramSpec};
+        let generated = |seed| {
+            let spec = ProgramSpec::generate(seed, &GenConfig::default());
+            Arc::new(GeneratedProgram::from_spec(format!("gen{seed}"), spec))
+        };
+        let (a, b) = (generated(3), generated(4));
+        let zolc = |config| Target::Zolc(config);
+        let (micro, lite, full) = (ZolcConfig::micro(), ZolcConfig::lite(), ZolcConfig::full());
+        let mut m = JobMatrix::new();
+        m.push_generated(Arc::clone(&a), Target::Baseline, BuildMode::Lower)
+            .push_generated(Arc::clone(&a), zolc(lite), BuildMode::AutoRetarget)
+            .push_generated(Arc::clone(&a), zolc(full), BuildMode::AutoRetarget)
+            .push(kernels()[0], Target::HwLoop)
+            .push_auto(kernels()[0], lite)
+            .push_auto(kernels()[0], micro)
+            .push_generated(Arc::clone(&b), zolc(micro), BuildMode::AutoRetarget)
+            .push_generated(Arc::clone(&b), Target::Baseline, BuildMode::Lower)
+            .push_generated(Arc::clone(&b), zolc(lite), BuildMode::AutoRetarget)
+            .push_generated(Arc::clone(&a), zolc(micro), BuildMode::AutoRetarget)
+            .push_generated(b, zolc(full), BuildMode::AutoRetarget);
+        // adjacent cells of one generated program form a unit; `a`
+        // reappearing later starts a unit of its own, and kernel cells
+        // stay alone
+        assert_eq!(m.units(), vec![0..3, 3..4, 4..5, 5..6, 6..9, 9..10, 10..11]);
+        let alone: Vec<Measurement> = m
+            .jobs()
+            .iter()
+            .map(|j| {
+                one_cell(&mut JobMatrix {
+                    jobs: vec![j.clone()],
+                })
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let results = m.run_threads(threads);
+            assert_eq!(results.len(), alone.len());
+            for (r, one) in results.iter().zip(&alone) {
+                assert_same(r, one, &format!("{threads} threads"));
+            }
         }
     }
 

@@ -11,7 +11,9 @@
 //!   down-counter and `dbnz` loop patterns;
 //! * [`retarget`] — the executable end of the toolchain: excise the
 //!   software loop control from a binary, relocate the text, and
-//!   synthesize a runnable, self-initializing program/overlay pair;
+//!   synthesize a runnable, self-initializing program/overlay pair
+//!   ([`RetargetPlan`] runs the configuration-independent analysis once
+//!   and synthesizes per configuration);
 //! * [`verify_image`] — independent structural verification of any
 //!   [`zolc_core::ZolcImage`] against the program text (used by the test
 //!   suite to cross-check every lowered benchmark);
@@ -54,5 +56,5 @@ pub use dom::Dominators;
 pub use graph::{BasicBlock, Cfg};
 pub use lint::{lint_program, Lint, LintKind, LintReport};
 pub use loops::{IrreducibleRegion, LoopForest, NaturalLoop};
-pub use retarget::{retarget, RetargetError, Retargeted};
+pub use retarget::{retarget, RetargetError, RetargetPlan, Retargeted};
 pub use verify::{verify_image, Finding, FindingKind};

@@ -3,19 +3,39 @@
 //!
 //! This module closes the loop the paper's §2 workflow assumes. Starting
 //! from an `XRdefault`- (or `XRhrdwil`-) lowered [`Program`], [`retarget`]
+//! works in two halves.
 //!
-//! 1. runs the CFG / dominator / loop-forest analyses and
+//! **Analysis**, [`RetargetPlan::new`], reads no configuration, so one
+//! plan serves every ZOLC configuration the binary is retargeted onto:
+//!
+//! 1. rejects unsupported instructions, then runs the CFG / dominator /
+//!    loop-forest analyses and
 //!    [`detect_counted_loops`](crate::detect_counted_loops);
-//! 2. **excises** the software loop control of every handled loop — the
+//! 2. runs the handledness fixpoint over the *virtual post-excision
+//!    program* — software ancestors, region-crossing control flow and
+//!    observable counters pull loops back to software (see
+//!    `filter_handled`).
+//!
+//! **Synthesis**, [`RetargetPlan::retarget`], instantiates the plan for
+//! one configuration:
+//!
+//! 3. trims whole nests to the configuration's capacity (and uZOLC's
+//!    single-loop rule);
+//! 4. **excises** the software loop control of every handled loop — the
 //!    preheader trip-count load, the latch decrement and backward branch
 //!    (or the fused `dbnz`) — while leaving unhandled loops entirely in
 //!    software;
-//! 3. **compacts and relocates** the surviving text, re-linking every
+//! 5. **compacts and relocates** the surviving text, re-linking every
 //!    surviving branch and jump through assembler labels;
-//! 4. **synthesizes** the [`ZolcImage`] against the relocated addresses
+//! 6. **synthesizes** the [`ZolcImage`] against the relocated addresses
 //!    and prepends its initialization-mode sequence, yielding a runnable,
 //!    self-initializing program whose loop control now lives in the
-//!    controller.
+//!    controller, and validates it against the configuration.
+//!
+//! [`retarget`] is exactly `RetargetPlan::new` followed by one
+//! synthesis; a synthesis reads the plan and never changes it, so a
+//! plan reused across configurations gives the same results as fresh
+//! one-shot calls (the root `auto_retarget` suite holds this).
 //!
 //! The result is *architecturally equivalent* to the input: final data
 //! memory and every register except the freed down-counters (and the
@@ -52,7 +72,7 @@ use crate::loops::LoopForest;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-use zolc_analyze::{reachable_blocks, solve, Liveness, RegSet};
+use zolc_analyze::{solve, Liveness, RegSet};
 use zolc_core::{ImageError, LimitSrc, LoopSpec, TaskSpec, ZolcConfig, ZolcImage};
 use zolc_isa::{
     loop_field, Asm, AsmError, Instr, Label, Program, Reg, ZolcRegion, DATA_BASE, INSTR_BYTES,
@@ -103,7 +123,7 @@ impl From<AsmError> for RetargetError {
 }
 
 /// The runnable result of [`retarget`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Retargeted {
     /// The excised, relocated, self-initializing program, behind an
     /// `Arc` so callers (kernel builders, sweep harnesses, the `zolcd`
@@ -215,343 +235,442 @@ fn static_target(instr: &Instr, pc: u32) -> Option<u32> {
 /// assert!(!tail.iter().any(|i| i.is_cond_branch()));
 /// ```
 pub fn retarget(program: &Program, config: &ZolcConfig) -> Result<Retargeted, RetargetError> {
-    let text = program.text();
-    let n = text.len();
-    if n == 0 {
-        return Err(RetargetError::Unsupported("empty text segment".into()));
-    }
-    for (i, instr) in text.iter().enumerate() {
-        let what = match instr {
-            Instr::Jal { .. } | Instr::Jr { .. } => "jal/jr (relocation changes link values)",
-            Instr::Zwr { .. } | Instr::Zctl { .. } => "pre-existing ZOLC instructions",
-            _ => continue,
-        };
-        return Err(RetargetError::Unsupported(format!(
-            "{what} at {:#x}",
-            TEXT_BASE + INSTR_BYTES * i as u32
-        )));
-    }
+    RetargetPlan::new(program.clone())?.retarget(config)
+}
 
-    let cfg = Cfg::build(program);
-    let dom = Dominators::compute(&cfg);
-    let forest = LoopForest::analyze(&cfg, &dom);
-    let all = detect_counted_loops(program, &cfg, &forest);
-    let mut notes = Vec::new();
+/// The configuration-independent half of [`retarget`]: the binary's
+/// CFG, loop forest and counted loops, and the handledness fixpoint's
+/// verdict (see the module docs). Build it once per binary, then call
+/// [`RetargetPlan::retarget`] for each configuration; each call equals a
+/// fresh [`retarget`] of the same binary.
+///
+/// # Examples
+///
+/// ```
+/// use zolc_cfg::{retarget, RetargetPlan};
+/// use zolc_core::ZolcConfig;
+///
+/// let program = zolc_isa::assemble("
+///     li   r11, 3
+/// oth: li   r12, 4
+/// inh: add  r2, r2, r3
+///     addi r12, r12, -1
+///     bne  r12, r0, inh
+///     addi r11, r11, -1
+///     bne  r11, r0, oth
+///     halt
+/// ").unwrap();
+/// let plan = RetargetPlan::new(program.clone()).unwrap();
+/// for config in [ZolcConfig::micro(), ZolcConfig::lite()] {
+///     assert_eq!(plan.retarget(&config), retarget(&program, &config));
+/// }
+/// // the nest does not fit uZOLC, ZOLClite takes both loops
+/// assert!(plan.retarget(&ZolcConfig::micro()).unwrap().counted.is_empty());
+/// assert_eq!(plan.retarget(&ZolcConfig::lite()).unwrap().counted.len(), 2);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RetargetPlan {
+    program: Arc<Program>,
+    cfg: Cfg,
+    forest: LoopForest,
+    /// Loops the fixpoint kept, before any capacity trim.
+    handled: Vec<CountedLoop>,
+    /// The fixpoint's notes; every synthesis starts from these.
+    notes: Vec<String>,
+}
 
-    let mut handled = filter_handled(program, &cfg, &forest, &all, config, &mut notes);
-    let unhandled: Vec<usize> = forest
-        .loops
-        .iter()
-        .map(|l| l.id)
-        .filter(|id| handled.iter().all(|c| c.loop_id != *id))
-        .collect();
-    for &id in &unhandled {
-        let l = &forest.loops[id];
-        notes.push(format!(
-            "loop at {:#x} (depth {}) left in software",
-            cfg.blocks()[l.header].start,
-            l.depth
-        ));
-    }
-    // keep image order deterministic: forest order (detection order)
-    handled.sort_by_key(|c| c.loop_id);
-
-    // ---- emission plan -------------------------------------------------
-    let mut em: Vec<Em> = vec![Em::Keep; n];
-    for (k, c) in handled.iter().enumerate() {
-        for a in excised_addrs(c) {
-            em[text_idx(a)] = Em::Drop;
+impl RetargetPlan {
+    /// Analyzes `program`: rejects unsupported instructions, builds the
+    /// CFG, dominators and loop forest, detects counted loops and runs
+    /// the handledness fixpoint. Nothing here depends on a ZOLC
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RetargetError::Unsupported`] for an empty text segment
+    /// and for programs using `jal`/`jr` or pre-existing ZOLC
+    /// instructions.
+    pub fn new(program: impl Into<Arc<Program>>) -> Result<RetargetPlan, RetargetError> {
+        let program = program.into();
+        let text = program.text();
+        if text.is_empty() {
+            return Err(RetargetError::Unsupported("empty text segment".into()));
         }
-        if let Some(rl) = c.limit_reg {
-            // the preheader counter copy becomes the in-loop limit update
-            em[text_idx(rl.addr)] = Em::Replace(vec![Instr::Zwr {
-                region: ZolcRegion::Loop,
-                index: k as u8,
-                field: loop_field::LIMIT,
-                rs: rl.reg,
-            }]);
-        }
-    }
-
-    let resolve_end = |em: &[Em], c: &CountedLoop| -> usize {
-        (0..=text_idx(c.branch_addr))
-            .rev()
-            .find(|&i| em[i].len() > 0)
-            .expect("loop end resolves: the loop start emission is never empty")
-    };
-
-    // Decide which loops need an inserted `nop` end, innermost-first so
-    // outer resolutions see inner decisions. A fetched *end* instruction
-    // is what iterates a hardware loop, so the end must (a) exist, (b) be
-    // reached on every path — branches into the excised latch would
-    // otherwise skip it — and (c) be a single plain instruction (a
-    // control transfer or `zwr` at the end address would race the
-    // fetch-time decision).
-    for c in handled.iter().rev() {
-        let start_i = text_idx(c.start);
-        let latch_i = text_idx(c.latch_start());
-        let body_len: usize = (start_i..latch_i).map(|i| em[i].len()).sum();
-        // Surviving branches may target the (dropped) latch start — the
-        // if-at-loop-end pattern; they must land on a fetchable loop end.
-        // (Branches targeting the latch *branch* of an `addi`+`bne` form
-        // were rejected by the handledness filter: they skip the
-        // decrement, which a hardware counter cannot reproduce.)
-        let targeted = em[latch_i] == Em::Drop
-            && (0..n).any(|i| {
-                em[i] == Em::Keep
-                    && static_target(&text[i], TEXT_BASE + INSTR_BYTES * i as u32)
-                        == Some(c.latch_start())
-            });
-        let mut need_nop = body_len == 0 || targeted;
-        if !need_nop {
-            let end_i = resolve_end(&em, c);
-            let ok = match &em[end_i] {
-                Em::Keep => {
-                    let i = text[end_i];
-                    !i.is_control_flow() && !matches!(i, Instr::Zwr { .. })
-                }
-                Em::Replace(v) => v.len() == 1 && v[0] == Instr::Nop,
-                Em::Drop => unreachable!("resolve_end skips empty emissions"),
+        for (i, instr) in text.iter().enumerate() {
+            let what = match instr {
+                Instr::Jal { .. } | Instr::Jr { .. } => "jal/jr (relocation changes link values)",
+                Instr::Zwr { .. } | Instr::Zctl { .. } => "pre-existing ZOLC instructions",
+                _ => continue,
             };
-            need_nop = !ok;
-        }
-        if need_nop {
-            // the latch position is where branches into the latch land
-            em[latch_i] = Em::Replace(vec![Instr::Nop]);
-            notes.push(format!("loop at {:#x}: inserted nop loop end", c.start));
-        }
-    }
-
-    // Pad in-loop `zwr` limit updates so the write retires at least 3
-    // instructions before the loop end is fetched (the forward lowering's
-    // lead rule). The static emission count equals the dynamic path only
-    // for straight-line ranges; if a branch inside the range can shorten
-    // the path, assume the worst case — only the range's entry
-    // instruction and the end itself are guaranteed to execute.
-    for c in &handled {
-        let Some(rl) = c.limit_reg else { continue };
-        let zwr_i = text_idx(rl.addr);
-        let end_i = resolve_end(&em, c);
-        let lead: usize = ((zwr_i + 1)..=end_i).map(|i| em[i].len()).sum();
-        let branchy = ((zwr_i + 1)..=end_i).any(|i| em[i] == Em::Keep && text[i].is_control_flow());
-        let min_path = if branchy { lead.min(2) } else { lead };
-        let pads = 3usize.saturating_sub(min_path);
-        if let Em::Replace(v) = &mut em[zwr_i] {
-            v.extend(std::iter::repeat_n(Instr::Nop, pads));
-        }
-    }
-
-    // Choose the scratch register the initialization sequence clobbers:
-    // it must be invisible to the surviving program, so take the lowest
-    // register no emitted instruction touches (a read could observe the
-    // leftover init value — even a read of the architected reset value
-    // counts — and a write-only register may still be checked as an
-    // output). Freed counters typically qualify.
-    let scratch = if handled.is_empty() {
-        // no init sequence will be emitted; the value is nominal
-        Reg::new(1).expect("r1 is a valid register")
-    } else {
-        let mut touched = [false; 32];
-        let mut mark = |instr: &Instr| {
-            for s in instr.srcs().into_iter().flatten() {
-                touched[s.index()] = true;
-            }
-            if let Some(d) = instr.dst() {
-                touched[d.index()] = true;
-            }
-        };
-        for (i, e) in em.iter().enumerate() {
-            match e {
-                Em::Keep => mark(&text[i]),
-                Em::Replace(v) => v.iter().for_each(&mut mark),
-                Em::Drop => {}
-            }
-        }
-        (1..32)
-            .filter_map(Reg::new)
-            .find(|r| !touched[r.index()])
-            .ok_or_else(|| {
-                RetargetError::Unsupported(
-                    "no free scratch register for the initialization sequence".into(),
-                )
-            })?
-    };
-
-    // ---- relocation ----------------------------------------------------
-    let fwd = |em: &[Em], addr: u32| -> Result<usize, RetargetError> {
-        let i0 = text_idx(addr);
-        (i0..n).find(|&i| em[i].len() > 0).ok_or_else(|| {
-            RetargetError::Unsupported(format!(
-                "control transfer to {addr:#x} relocates past the end of text"
-            ))
-        })
-    };
-
-    let mut label_points: BTreeSet<usize> = BTreeSet::new();
-    let mut start_points: BTreeSet<usize> = BTreeSet::new();
-    let mut loop_points: Vec<(usize, usize)> = Vec::new(); // (start_i, end_i) per handled loop
-    for c in &handled {
-        let s = fwd(&em, c.start)?;
-        let e = resolve_end(&em, c);
-        debug_assert_eq!(em[e].len(), 1, "loop ends are single-instruction");
-        label_points.insert(s);
-        label_points.insert(e);
-        start_points.insert(s);
-        loop_points.push((s, e));
-    }
-    let mut branch_dests: BTreeMap<usize, usize> = BTreeMap::new(); // instr idx -> dest point
-    for i in 0..n {
-        if em[i] != Em::Keep || !text[i].is_control_flow() {
-            continue;
-        }
-        let pc = TEXT_BASE + INSTR_BYTES * i as u32;
-        let t = static_target(&text[i], pc).ok_or_else(|| {
-            RetargetError::Unsupported(format!("indirect control transfer at {pc:#x}"))
-        })?;
-        if text_idx(t) >= n {
             return Err(RetargetError::Unsupported(format!(
-                "control transfer at {pc:#x} targets {t:#x}, outside text"
+                "{what} at {:#x}",
+                TEXT_BASE + INSTR_BYTES * i as u32
             )));
         }
-        let p = fwd(&em, t)?;
-        label_points.insert(p);
-        branch_dests.insert(i, p);
+
+        let cfg = Cfg::build(&program);
+        let dom = Dominators::compute(&cfg);
+        let forest = LoopForest::analyze(&cfg, &dom);
+        let all = detect_counted_loops(&program, &cfg, &forest);
+        let mut notes = Vec::new();
+        let handled = filter_handled(&program, &cfg, &forest, &all, &mut notes);
+        Ok(RetargetPlan {
+            program,
+            cfg,
+            forest,
+            handled,
+            notes,
+        })
     }
 
-    let mut asm = Asm::new();
-    let labels: BTreeMap<usize, Label> =
-        label_points.iter().map(|&p| (p, asm.new_label())).collect();
-
-    // data segment and data symbols carry over unchanged; text symbols
-    // would be stale after relocation and are dropped
-    asm.bytes(program.data());
-    for (name, &addr) in program.symbols() {
-        if addr >= DATA_BASE {
-            asm.global_at(name, addr);
-        } else {
-            notes.push(format!("text symbol `{name}` dropped by relocation"));
-        }
+    /// The analyzed binary.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
     }
 
-    // ---- overlay synthesis --------------------------------------------
-    let chain = plan_task_chain(&cfg, &forest, &handled);
-    let image = ZolcImage {
-        loops: handled
+    /// Synthesizes the plan for a ZOLC of configuration `config`: trims
+    /// the handled loops to its capacity, excises, relocates, and
+    /// synthesizes and validates the overlay. Reads the plan only, so
+    /// any number of configurations can share one plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RetargetError::Unsupported`] if no scratch register is
+    /// free or a surviving control transfer cannot be relocated,
+    /// [`RetargetError::Image`] if the synthesized overlay fails
+    /// validation, and [`RetargetError::Asm`] if the relocated text
+    /// cannot be re-linked.
+    pub fn retarget(&self, config: &ZolcConfig) -> Result<Retargeted, RetargetError> {
+        let program = &*self.program;
+        let (cfg, forest) = (&self.cfg, &self.forest);
+        let text = program.text();
+        let n = text.len();
+        let mut notes = self.notes.clone();
+
+        let mut handled = trim_capacity(cfg, forest, self.handled.clone(), config, &mut notes);
+        let unhandled: Vec<usize> = forest
+            .loops
             .iter()
-            .enumerate()
-            .map(|(k, c)| LoopSpec {
-                init: 0,
-                step: 0,
-                limit: match (c.trips, c.limit_reg) {
-                    (Some(t), _) => LimitSrc::Const(t),
-                    (None, Some(rl)) => LimitSrc::Reg(rl.reg),
-                    (None, None) => unreachable!("handled loops have a known bound"),
-                },
-                index_reg: None,
-                start: labels[&loop_points[k].0].into(),
-                end: labels[&loop_points[k].1].into(),
-            })
-            .collect(),
-        tasks: if config.tasks() == 0 {
-            Vec::new()
-        } else {
-            handled
-                .iter()
-                .enumerate()
-                .map(|(k, _)| TaskSpec {
-                    end: labels[&loop_points[k].1].into(),
-                    loop_id: k as u8,
-                    next_iter: chain.next_iter[k],
-                    next_fallthru: chain.next_fallthru[k],
-                })
-                .collect()
-        },
-        entries: vec![],
-        exits: vec![],
-        initial_task: chain.initial_task,
-    };
+            .map(|l| l.id)
+            .filter(|id| handled.iter().all(|c| c.loop_id != *id))
+            .collect();
+        for &id in &unhandled {
+            let l = &forest.loops[id];
+            notes.push(format!(
+                "loop at {:#x} (depth {}) left in software",
+                cfg.blocks()[l.header].start,
+                l.depth
+            ));
+        }
+        // keep image order deterministic: forest order (detection order)
+        handled.sort_by_key(|c| c.loop_id);
 
-    let (init_instructions, after_activate) = if handled.is_empty() {
-        (0, None)
-    } else {
-        let stats = image.emit_init(&mut asm, scratch);
-        (stats.instructions, Some(asm.here()))
-    };
+        // ---- emission plan -------------------------------------------------
+        let mut em: Vec<Em> = vec![Em::Keep; n];
+        for (k, c) in handled.iter().enumerate() {
+            for a in excised_addrs(c) {
+                em[text_idx(a)] = Em::Drop;
+            }
+            if let Some(rl) = c.limit_reg {
+                // the preheader counter copy becomes the in-loop limit update
+                em[text_idx(rl.addr)] = Em::Replace(vec![Instr::Zwr {
+                    region: ZolcRegion::Loop,
+                    index: k as u8,
+                    field: loop_field::LIMIT,
+                    rs: rl.reg,
+                }]);
+            }
+        }
 
-    // ---- emission ------------------------------------------------------
-    for i in 0..n {
-        if em[i].len() == 0 {
-            continue;
-        }
-        // a loop body must not start immediately after `zctl.on`: the
-        // activation becomes visible at the post-sync refetch, which
-        // would miss the entry at this start address (same rule as the
-        // forward lowering)
-        if start_points.contains(&i) && Some(asm.here()) == after_activate {
-            asm.emit(Instr::Nop);
-        }
-        if let Some(&l) = labels.get(&i) {
-            asm.bind(l)?;
-        }
-        match &em[i] {
-            Em::Keep => {
-                let instr = text[i];
-                if let Some(&dest) = branch_dests.get(&i) {
-                    match instr {
-                        Instr::J { .. } => {
-                            asm.jump(labels[&dest]);
-                        }
-                        _ => {
-                            asm.branch(instr, labels[&dest]);
-                        }
+        let resolve_end = |em: &[Em], c: &CountedLoop| -> usize {
+            (0..=text_idx(c.branch_addr))
+                .rev()
+                .find(|&i| em[i].len() > 0)
+                .expect("loop end resolves: the loop start emission is never empty")
+        };
+
+        // Decide which loops need an inserted `nop` end, innermost-first so
+        // outer resolutions see inner decisions. A fetched *end* instruction
+        // is what iterates a hardware loop, so the end must (a) exist, (b) be
+        // reached on every path — branches into the excised latch would
+        // otherwise skip it — and (c) be a single plain instruction (a
+        // control transfer or `zwr` at the end address would race the
+        // fetch-time decision).
+        for c in handled.iter().rev() {
+            let start_i = text_idx(c.start);
+            let latch_i = text_idx(c.latch_start());
+            let body_len: usize = (start_i..latch_i).map(|i| em[i].len()).sum();
+            // Surviving branches may target the (dropped) latch start — the
+            // if-at-loop-end pattern; they must land on a fetchable loop end.
+            // (Branches targeting the latch *branch* of an `addi`+`bne` form
+            // were rejected by the handledness filter: they skip the
+            // decrement, which a hardware counter cannot reproduce.)
+            let targeted = em[latch_i] == Em::Drop
+                && (0..n).any(|i| {
+                    em[i] == Em::Keep
+                        && static_target(&text[i], TEXT_BASE + INSTR_BYTES * i as u32)
+                            == Some(c.latch_start())
+                });
+            let mut need_nop = body_len == 0 || targeted;
+            if !need_nop {
+                let end_i = resolve_end(&em, c);
+                let ok = match &em[end_i] {
+                    Em::Keep => {
+                        let i = text[end_i];
+                        !i.is_control_flow() && !matches!(i, Instr::Zwr { .. })
                     }
-                } else {
-                    asm.emit(instr);
+                    Em::Replace(v) => v.len() == 1 && v[0] == Instr::Nop,
+                    Em::Drop => unreachable!("resolve_end skips empty emissions"),
+                };
+                need_nop = !ok;
+            }
+            if need_nop {
+                // the latch position is where branches into the latch land
+                em[latch_i] = Em::Replace(vec![Instr::Nop]);
+                notes.push(format!("loop at {:#x}: inserted nop loop end", c.start));
+            }
+        }
+
+        // Pad in-loop `zwr` limit updates so the write retires at least 3
+        // instructions before the loop end is fetched (the forward lowering's
+        // lead rule). The static emission count equals the dynamic path only
+        // for straight-line ranges; if a branch inside the range can shorten
+        // the path, assume the worst case — only the range's entry
+        // instruction and the end itself are guaranteed to execute.
+        for c in &handled {
+            let Some(rl) = c.limit_reg else { continue };
+            let zwr_i = text_idx(rl.addr);
+            let end_i = resolve_end(&em, c);
+            let lead: usize = ((zwr_i + 1)..=end_i).map(|i| em[i].len()).sum();
+            let branchy =
+                ((zwr_i + 1)..=end_i).any(|i| em[i] == Em::Keep && text[i].is_control_flow());
+            let min_path = if branchy { lead.min(2) } else { lead };
+            let pads = 3usize.saturating_sub(min_path);
+            if let Em::Replace(v) = &mut em[zwr_i] {
+                v.extend(std::iter::repeat_n(Instr::Nop, pads));
+            }
+        }
+
+        // Choose the scratch register the initialization sequence clobbers:
+        // it must be invisible to the surviving program, so take the lowest
+        // register no emitted instruction touches (a read could observe the
+        // leftover init value — even a read of the architected reset value
+        // counts — and a write-only register may still be checked as an
+        // output). Freed counters typically qualify.
+        let scratch = if handled.is_empty() {
+            // no init sequence will be emitted; the value is nominal
+            Reg::new(1).expect("r1 is a valid register")
+        } else {
+            let mut touched = [false; 32];
+            let mut mark = |instr: &Instr| {
+                for s in instr.srcs().into_iter().flatten() {
+                    touched[s.index()] = true;
+                }
+                if let Some(d) = instr.dst() {
+                    touched[d.index()] = true;
+                }
+            };
+            for (i, e) in em.iter().enumerate() {
+                match e {
+                    Em::Keep => mark(&text[i]),
+                    Em::Replace(v) => v.iter().for_each(&mut mark),
+                    Em::Drop => {}
                 }
             }
-            Em::Replace(v) => {
-                asm.emit_all(v.iter().copied());
-            }
-            Em::Drop => unreachable!("empty emissions are skipped"),
+            (1..32)
+                .filter_map(Reg::new)
+                .find(|r| !touched[r.index()])
+                .ok_or_else(|| {
+                    RetargetError::Unsupported(
+                        "no free scratch register for the initialization sequence".into(),
+                    )
+                })?
+        };
+
+        // ---- relocation ----------------------------------------------------
+        let fwd = |em: &[Em], addr: u32| -> Result<usize, RetargetError> {
+            let i0 = text_idx(addr);
+            (i0..n).find(|&i| em[i].len() > 0).ok_or_else(|| {
+                RetargetError::Unsupported(format!(
+                    "control transfer to {addr:#x} relocates past the end of text"
+                ))
+            })
+        };
+
+        let mut label_points: BTreeSet<usize> = BTreeSet::new();
+        let mut start_points: BTreeSet<usize> = BTreeSet::new();
+        let mut loop_points: Vec<(usize, usize)> = Vec::new(); // (start_i, end_i) per handled loop
+        for c in &handled {
+            let s = fwd(&em, c.start)?;
+            let e = resolve_end(&em, c);
+            debug_assert_eq!(em[e].len(), 1, "loop ends are single-instruction");
+            label_points.insert(s);
+            label_points.insert(e);
+            start_points.insert(s);
+            loop_points.push((s, e));
         }
+        let mut branch_dests: BTreeMap<usize, usize> = BTreeMap::new(); // instr idx -> dest point
+        for i in 0..n {
+            if em[i] != Em::Keep || !text[i].is_control_flow() {
+                continue;
+            }
+            let pc = TEXT_BASE + INSTR_BYTES * i as u32;
+            let t = static_target(&text[i], pc).ok_or_else(|| {
+                RetargetError::Unsupported(format!("indirect control transfer at {pc:#x}"))
+            })?;
+            if text_idx(t) >= n {
+                return Err(RetargetError::Unsupported(format!(
+                    "control transfer at {pc:#x} targets {t:#x}, outside text"
+                )));
+            }
+            let p = fwd(&em, t)?;
+            label_points.insert(p);
+            branch_dests.insert(i, p);
+        }
+
+        let mut asm = Asm::new();
+        let labels: BTreeMap<usize, Label> =
+            label_points.iter().map(|&p| (p, asm.new_label())).collect();
+
+        // data segment and data symbols carry over unchanged; text symbols
+        // would be stale after relocation and are dropped
+        asm.bytes(program.data());
+        for (name, &addr) in program.symbols() {
+            if addr >= DATA_BASE {
+                asm.global_at(name, addr);
+            } else {
+                notes.push(format!("text symbol `{name}` dropped by relocation"));
+            }
+        }
+
+        // ---- overlay synthesis --------------------------------------------
+        let chain = plan_task_chain(cfg, forest, &handled);
+        let image = ZolcImage {
+            loops: handled
+                .iter()
+                .enumerate()
+                .map(|(k, c)| LoopSpec {
+                    init: 0,
+                    step: 0,
+                    limit: match (c.trips, c.limit_reg) {
+                        (Some(t), _) => LimitSrc::Const(t),
+                        (None, Some(rl)) => LimitSrc::Reg(rl.reg),
+                        (None, None) => unreachable!("handled loops have a known bound"),
+                    },
+                    index_reg: None,
+                    start: labels[&loop_points[k].0].into(),
+                    end: labels[&loop_points[k].1].into(),
+                })
+                .collect(),
+            tasks: if config.tasks() == 0 {
+                Vec::new()
+            } else {
+                handled
+                    .iter()
+                    .enumerate()
+                    .map(|(k, _)| TaskSpec {
+                        end: labels[&loop_points[k].1].into(),
+                        loop_id: k as u8,
+                        next_iter: chain.next_iter[k],
+                        next_fallthru: chain.next_fallthru[k],
+                    })
+                    .collect()
+            },
+            entries: vec![],
+            exits: vec![],
+            initial_task: chain.initial_task,
+        };
+
+        let (init_instructions, after_activate) = if handled.is_empty() {
+            (0, None)
+        } else {
+            let stats = image.emit_init(&mut asm, scratch);
+            (stats.instructions, Some(asm.here()))
+        };
+
+        // ---- emission ------------------------------------------------------
+        for i in 0..n {
+            if em[i].len() == 0 {
+                continue;
+            }
+            // a loop body must not start immediately after `zctl.on`: the
+            // activation becomes visible at the post-sync refetch, which
+            // would miss the entry at this start address (same rule as the
+            // forward lowering)
+            if start_points.contains(&i) && Some(asm.here()) == after_activate {
+                asm.emit(Instr::Nop);
+            }
+            if let Some(&l) = labels.get(&i) {
+                asm.bind(l)?;
+            }
+            match &em[i] {
+                Em::Keep => {
+                    let instr = text[i];
+                    if let Some(&dest) = branch_dests.get(&i) {
+                        match instr {
+                            Instr::J { .. } => {
+                                asm.jump(labels[&dest]);
+                            }
+                            _ => {
+                                asm.branch(instr, labels[&dest]);
+                            }
+                        }
+                    } else {
+                        asm.emit(instr);
+                    }
+                }
+                Em::Replace(v) => {
+                    asm.emit_all(v.iter().copied());
+                }
+                Em::Drop => unreachable!("empty emissions are skipped"),
+            }
+        }
+
+        let resolved = image.resolve(|l| asm.label_addr(l))?;
+        resolved.validate(config)?;
+        let excised = em.iter().filter(|e| **e != Em::Keep).count();
+        let counter_regs: Vec<Reg> = {
+            let mut regs: Vec<Reg> = handled.iter().map(|c| c.counter).collect();
+            regs.sort_by_key(|r| r.index());
+            regs.dedup();
+            regs
+        };
+        let program = Arc::new(asm.finish()?);
+
+        Ok(Retargeted {
+            program,
+            image: resolved,
+            counted: handled,
+            unhandled,
+            counter_regs,
+            scratch,
+            excised,
+            init_instructions,
+            notes,
+        })
     }
-
-    let resolved = image.resolve(|l| asm.label_addr(l))?;
-    resolved.validate(config)?;
-    let excised = em.iter().filter(|e| **e != Em::Keep).count();
-    let counter_regs: Vec<Reg> = {
-        let mut regs: Vec<Reg> = handled.iter().map(|c| c.counter).collect();
-        regs.sort_by_key(|r| r.index());
-        regs.dedup();
-        regs
-    };
-    let program = Arc::new(asm.finish()?);
-
-    Ok(Retargeted {
-        program,
-        image: resolved,
-        counted: handled,
-        unhandled,
-        counter_regs,
-        scratch,
-        excised,
-        init_instructions,
-        notes,
-    })
 }
 
 /// Filters the detected counted loops down to the ones the retargeter can
-/// safely move into hardware (see the module docs for the rules).
+/// safely move into hardware on any configuration (see the module docs
+/// for the rules); [`trim_capacity`] then fits them to one.
 fn filter_handled(
     program: &Program,
     cfg: &Cfg,
     forest: &LoopForest,
     all: &[CountedLoop],
-    config: &ZolcConfig,
     notes: &mut Vec<String>,
 ) -> Vec<CountedLoop> {
     let text = program.text();
     let n = text.len();
+
+    // Reachability is a property of the CFG alone, and every virtual
+    // program below has this CFG, so it is computed once.
+    let mut reachable = vec![false; n];
+    for b in cfg.reachable() {
+        let blk = &cfg.blocks()[b];
+        reachable[text_idx(blk.start)..text_idx(blk.end)].fill(true);
+    }
 
     // baseline eligibility: a visible bound and a contiguous body
     let mut handled: Vec<CountedLoop> = all
@@ -633,16 +752,19 @@ fn filter_handled(
                 };
             }
         }
-        let vprog = Program::from_parts(vtext.clone(), Vec::new());
-        let vflow = Cfg::build(&vprog).flow(&vprog);
+        // Excision swaps only non-control instructions (for `nop` or
+        // `zwr`) and latch branches (for a branch with the same
+        // offset), so the virtual program's blocks and edges are the
+        // input's.
+        let vprog = Program::from_parts(vtext, Vec::new());
+        debug_assert_eq!(Cfg::build(&vprog), *cfg, "excision keeps the CFG");
+        let vtext = vprog.text();
         let live = solve(
-            &vflow,
+            &cfg.flow(&vprog),
             &Liveness {
                 at_exit: RegSet::EMPTY,
             },
         );
-        let reachable = reachable_blocks(&vflow);
-        let reachable_pc = |pc: u32| vflow.block_of(pc).map(|b| reachable[b]).unwrap_or(false);
 
         // Control-flow compatibility: the controller visits hardware
         // loops strictly in task-chain order, one end-fetch per
@@ -660,10 +782,10 @@ fn filter_handled(
                 if dropped[i] {
                     return true;
                 }
-                let pc = TEXT_BASE + INSTR_BYTES * i as u32;
-                if !reachable_pc(pc) {
+                if !reachable[i] {
                     return true;
                 }
+                let pc = TEXT_BASE + INSTR_BYTES * i as u32;
                 let Some(t) = static_target(&text[i], pc) else {
                     return !text[i].is_control_flow();
                 };
@@ -713,13 +835,13 @@ fn filter_handled(
             let region_clean = vtext.iter().enumerate().all(|(i, instr)| {
                 let pc = TEXT_BASE + INSTR_BYTES * i as u32;
                 !region.contains(&pc)
-                    || !reachable_pc(pc)
+                    || !reachable[i]
                     || (instr.dst() != Some(c.counter)
                         && !instr.srcs().iter().flatten().any(|&s| s == c.counter))
             });
-            let live_at_exit = vflow
-                .block_of(c.branch_addr + INSTR_BYTES)
-                .is_some_and(|b| live.block_in[b].contains(c.counter));
+            let live_at_exit = cfg
+                .block_containing(c.branch_addr + INSTR_BYTES)
+                .is_some_and(|b| live.block_in[b.id].contains(c.counter));
             region_clean && !live_at_exit
         };
         handled.retain(|c| {
@@ -736,9 +858,19 @@ fn filter_handled(
             break;
         }
     }
+    handled
+}
 
-    // capacity: whole top-level trees are trimmed (last in execution
-    // order first) until the configuration fits
+/// Fits the fixpoint's handled loops to `config`: whole top-level trees
+/// are trimmed (last in execution order first) until the configuration
+/// fits, and uZOLC keeps only a lone single-loop tree.
+fn trim_capacity(
+    cfg: &Cfg,
+    forest: &LoopForest,
+    mut handled: Vec<CountedLoop>,
+    config: &ZolcConfig,
+    notes: &mut Vec<String>,
+) -> Vec<CountedLoop> {
     let top_trees = |handled: &[CountedLoop]| -> Vec<usize> {
         let ids: BTreeSet<usize> = handled.iter().map(|c| c.loop_id).collect();
         let mut tops: Vec<usize> = handled

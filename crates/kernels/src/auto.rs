@@ -10,14 +10,16 @@
 //!
 //! [`BuiltKernel::retarget`] is the one place that derivation happens,
 //! for any baseline build: a registry kernel, a `zolc-lang` unit or a
-//! generated program. The result is an ordinary [`BuiltKernel`], so the
+//! generated program ([`BuiltKernel::retarget_with`] is the same
+//! derivation from a [`RetargetPlan`] shared across configurations). The result is an ordinary [`BuiltKernel`], so the
 //! whole measurement stack ([`BuiltKernel::run`], the bench `JobMatrix`)
 //! runs it unchanged; correctness is still judged against the same
 //! bit-exact reference expectation the hand-lowered builds use.
 
 use crate::common::{BuildError, BuiltKernel};
 use crate::KernelEntry;
-use zolc_cfg::{retarget, Retargeted};
+use std::sync::Arc;
+use zolc_cfg::{RetargetPlan, Retargeted};
 use zolc_core::ZolcConfig;
 use zolc_ir::{LoweredInfo, Target};
 use zolc_sim::CompiledProgram;
@@ -79,7 +81,34 @@ impl BuiltKernel {
     /// Returns [`BuildError::Retarget`] if the retargeter rejects the
     /// binary.
     pub fn retarget(self, config: ZolcConfig) -> Result<AutoKernel, BuildError> {
-        let r = retarget(self.program.source(), &config)?;
+        let plan = RetargetPlan::new(Arc::clone(self.program.source()))?;
+        self.retarget_with(&plan, config)
+    }
+
+    /// [`BuiltKernel::retarget`] from an existing plan of this build's
+    /// binary, so the configurations one binary is retargeted onto
+    /// share a single analysis ([`RetargetPlan`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::Retarget`] if synthesis for `config` fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` was built from a different binary.
+    pub fn retarget_with(
+        self,
+        plan: &RetargetPlan,
+        config: ZolcConfig,
+    ) -> Result<AutoKernel, BuildError> {
+        // `Arc<Program>` equality tries the pointer first, so a plan
+        // of this very binary costs no text comparison
+        assert!(
+            plan.program() == self.program.source(),
+            "{}: retarget plan is not of this build's binary",
+            self.name
+        );
+        let r = plan.retarget(&config)?;
         let stats = AutoStats::from(&r);
         let Retargeted {
             program,
@@ -141,6 +170,15 @@ mod tests {
             let run = auto.built.run(10_000_000, kind).unwrap();
             assert!(run.is_correct(), "{kind}: {:?}", run.mismatches);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "retarget plan is not of this build's binary")]
+    fn plan_of_another_binary_is_refused() {
+        let fir = (find_kernel("fir").unwrap().build)(&Target::Baseline).unwrap();
+        let vec_mac = (find_kernel("vec_mac").unwrap().build)(&Target::Baseline).unwrap();
+        let plan = RetargetPlan::new(Arc::clone(vec_mac.program.source())).unwrap();
+        let _ = fir.retarget_with(&plan, ZolcConfig::lite());
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! against its reference expectation on **both** executors with identical
 //! retire counts, match the hand-lowered `Target::Zolc` build on final
 //! data memory, verify structurally, and actually be *faster* than both
-//! software-loop configurations.
+//! software-loop configurations. One `RetargetPlan` reused across the
+//! E7 configurations must equal a fresh one-shot `retarget` for each.
 
 use zolc::bench::GeneratedProgram;
-use zolc::cfg::{retarget, verify_image};
+use zolc::cfg::{retarget, verify_image, RetargetPlan};
 use zolc::core::ZolcConfig;
 use zolc::gen::{GenConfig, ProgramSpec};
 use zolc::ir::Target;
-use zolc::isa::DATA_BASE;
+use zolc::isa::{Program, DATA_BASE};
 use zolc::kernels::{
     build_kernel_auto, extra_kernels, kernels, run_kernel, AutoKernel, BuiltKernel, ExecutorKind,
     KernelEntry,
@@ -221,4 +222,64 @@ fn retarget_drops_exactly_the_init_scratch_register() {
     assert_eq!(auto.built.expect, want);
     let run = auto.built.run(BUDGET, ExecutorKind::Functional).unwrap();
     assert!(run.is_correct(), "{:?}", run.mismatches);
+}
+
+/// One plan synthesized for each of the four E7 sweep configurations
+/// (uZOLC, ZOLClite, ZOLCfull, custom 2L/8T), in forward and then
+/// reverse order, must equal a fresh one-shot `retarget` per
+/// configuration — whole `Retargeted` values and errors alike. A
+/// synthesis step that mutated shared plan state would make a later
+/// configuration's result depend on the order.
+fn assert_plan_reuse_matches_one_shot(name: &str, program: &Program) -> usize {
+    let configs = [
+        ZolcConfig::micro(),
+        ZolcConfig::lite(),
+        ZolcConfig::full(),
+        ZolcConfig::custom(2, 8, 0, 0).expect("valid custom point"),
+    ];
+    let fresh: Vec<_> = configs.iter().map(|c| retarget(program, c)).collect();
+    let plan = match RetargetPlan::new(program.clone()) {
+        Ok(plan) => plan,
+        Err(e) => {
+            for r in &fresh {
+                assert_eq!(r.as_ref().err(), Some(&e), "{name}: plan error differs");
+            }
+            return 0;
+        }
+    };
+    for k in (0..configs.len()).chain((0..configs.len()).rev()) {
+        assert_eq!(
+            plan.retarget(&configs[k]),
+            fresh[k],
+            "{name}/{}: plan reuse differs from a one-shot retarget",
+            configs[k]
+        );
+    }
+    fresh.iter().filter(|r| r.is_ok()).count()
+}
+
+#[test]
+fn plan_reuse_equals_one_shot_retarget() {
+    let mut ok = 0;
+    for k in kernels().iter().chain(extra_kernels()) {
+        let base = (k.build)(&Target::Baseline).expect("kernel builds");
+        ok += assert_plan_reuse_matches_one_shot(k.name, base.program.source());
+    }
+    for e in corpus() {
+        let unit = compile(e.name, e.source).expect("corpus compiles");
+        let base = unit.build(&Target::Baseline).expect("corpus builds");
+        ok += assert_plan_reuse_matches_one_shot(e.name, base.program.source());
+    }
+    let deep = GenConfig::new()
+        .with_max_top(3)
+        .with_max_depth(5)
+        .with_max_loops(12);
+    for (gen, seeds) in [(GenConfig::default(), 0..200u64), (deep, 0..120)] {
+        for seed in seeds {
+            let spec = ProgramSpec::generate(seed, &gen);
+            let program = spec.assemble().expect("generated specs assemble").program;
+            ok += assert_plan_reuse_matches_one_shot(&format!("gen{seed}"), &program);
+        }
+    }
+    assert!(ok > 1000, "only {ok} successful retargets compared");
 }
