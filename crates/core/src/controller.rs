@@ -46,24 +46,45 @@
 //! architectural results (the root `prop_exec_equiv` suite checks this on
 //! every benchmark kernel).
 //!
-//! # Hook footprint
+//! The journal keeps each decision's redirect and kind, with its rider
+//! writes in a side queue; a pending decision keeps only its pc, its site
+//! and which loops it changed, and is decided again from the (unchanged)
+//! architectural state in the rare case it has to be filed.
+//!
+//! # Hook footprint and site table
 //!
 //! [`decide`] can only act at a pc that is a valid task end (uZOLC: loop
 //! 0's end), the instruction before some loop record's start (step 3's
 //! entry initialization), or a valid entry address, and the exit check
 //! only at a valid exit branch. While active the controller reports
 //! exactly that set through [`LoopEngine::hook_pcs`] (empty while
-//! inactive), so executors skip both hooks everywhere else. The set is
-//! recomputed on `zctl.on` and on every `zwr` made while active that
-//! writes an address or valid field; initialization sequences run
-//! before activation and so trigger no recomputes.
+//! inactive), so executors skip both hooks everywhere else, and a hook
+//! called at any other pc returns the trivial decision at once.
+//!
+//! The hooks do not scan the tables as [`decide`] does. Each footprint pc
+//! has a compiled **site** holding what those scans find there: the
+//! entry record at the pc, the tasks ending there, the loops starting at
+//! the next pc and the exit record at the pc; alongside, per loop and per
+//! entry redirect, the loops that start at that address. A decision walks
+//! the site and reads the fields that can change without moving the
+//! footprint — bounds, step, init, index register, task links, entry and
+//! exit targets and masks — live from the tables. [`decide`] stays the
+//! executable specification: [`Zolc::decide_at`] exposes the compiled
+//! decision, and `crates/core/tests/footprint.rs` holds the two equal.
+//!
+//! The footprint and its sites are rebuilt together on `zctl.on` and on
+//! every `zwr` made while active that writes a record address, a valid
+//! bit or an entry redirect (the one cached field outside the footprint);
+//! initialization sequences run before activation and so trigger no
+//! rebuilds.
 
-use crate::config::ZolcConfig;
-use crate::dynamics::{decide, Decision, DynState};
+use crate::config::{ZolcConfig, MAX_LOOPS};
+use crate::dynamics::{Decision, DynState};
+use crate::sites::{invalidates, Outcome, RiderBuf, SiteTable};
 use crate::tables::{WriteEffect, ZolcTables};
 use std::collections::VecDeque;
-use zolc_isa::{entry_field, exit_field, loop_field, task_field, ZolcCtl, ZolcRegion};
-use zolc_sim::{ExecEvent, FetchDecision, LoopEngine};
+use zolc_isa::{Reg, ZolcCtl, ZolcRegion};
+use zolc_sim::{ExecEvent, FetchDecision, LoopEngine, RegWrites};
 
 /// The zero-overhead loop controller.
 ///
@@ -88,14 +109,42 @@ pub struct Zolc {
     tables: ZolcTables,
     arch: DynState,
     spec: DynState,
-    journal: VecDeque<(u32, Decision)>,
+    /// Set only when `spec == arch` is known without comparing them.
+    synced: bool,
+    journal: VecDeque<Fetched>,
+    /// The riders of the journaled decisions, in journal order.
+    riders: VecDeque<(Reg, u32)>,
     /// A decision made with nothing in flight, not yet journaled (see
     /// the module docs).
-    pending: Option<(u32, Decision)>,
+    pending: Option<Pending>,
     violations: Vec<String>,
-    /// The hook footprint of the tables as of the last activation or
-    /// footprint-moving `zwr` while active (sorted, deduplicated).
-    footprint: Vec<u32>,
+    /// The hook footprint and its sites as of the last activation or
+    /// site-invalidating `zwr` while active.
+    sites: SiteTable,
+}
+
+/// A journaled fetch-time decision: its pc, its outcome and how many
+/// riders it pushed onto [`Zolc::riders`].
+#[derive(Debug, Clone, Copy)]
+struct Fetched {
+    pc: u32,
+    outcome: Outcome,
+    riders: u8,
+}
+
+/// An idle fetch's decision, held by where it was made: nothing runs
+/// between that fetch and the filing or adoption of its decision, so
+/// the architectural state still is the state it was made on.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    pc: u32,
+    /// The site of `pc`.
+    site: usize,
+    /// Whether the decision was non-trivial (and so must be journaled
+    /// if filed).
+    nontrivial: bool,
+    /// The loops whose state the decision changed.
+    touched: u8,
 }
 
 impl Zolc {
@@ -105,10 +154,12 @@ impl Zolc {
             tables: ZolcTables::new(config),
             arch: DynState::default(),
             spec: DynState::default(),
+            synced: true,
             journal: VecDeque::new(),
+            riders: VecDeque::new(),
             pending: None,
             violations: Vec::new(),
-            footprint: Vec::new(),
+            sites: SiteTable::default(),
         }
     }
 
@@ -145,6 +196,20 @@ impl Zolc {
         &self.violations
     }
 
+    /// The decision the controller's hooks make at `pc` in state `st`,
+    /// through its site table, updating `st` in place.
+    ///
+    /// While the controller is active this equals
+    /// [`decide`](crate::decide)`(self.tables(), st, pc)`. The site table
+    /// is maintained only while active, so an inactive controller
+    /// returns the trivial decision and leaves `st` alone.
+    pub fn decide_at(&self, st: &mut DynState, pc: u32) -> Decision {
+        match self.sites.find(pc) {
+            Some(i) if self.arch.active => self.sites.decision(&self.tables, st, i),
+            _ => Decision::default(),
+        }
+    }
+
     /// Activates the controller directly (equivalent to executing
     /// `zctl.on task`).
     pub fn activate(&mut self, task: u8) {
@@ -164,31 +229,144 @@ impl Zolc {
         );
     }
 
+    /// Whether nothing is in flight: an empty journal and speculative
+    /// state equal to architectural.
+    fn idle(&mut self) -> bool {
+        if !self.journal.is_empty() {
+            return false;
+        }
+        self.synced = self.synced || self.spec == self.arch;
+        self.synced
+    }
+
+    /// Makes the architectural state the speculative one, given that
+    /// they differ at most in the current task and the loops `touched`
+    /// (copying just those keeps each load the size of the store that
+    /// last wrote it).
+    fn adopt(&mut self, touched: u8) {
+        self.arch.current_task = self.spec.current_task;
+        let mut m = touched;
+        while m != 0 {
+            let k = m.trailing_zeros() as usize % MAX_LOOPS;
+            m &= m - 1;
+            self.arch.counts[k] = self.spec.counts[k];
+            self.arch.index_cur[k] = self.spec.index_cur[k];
+        }
+        self.synced = true;
+    }
+
+    /// Journals a non-trivial fetch-time decision with riders `riders`.
+    fn journal(&mut self, pc: u32, outcome: Outcome, riders: &RiderBuf) {
+        if riders.len() > 0 {
+            self.riders.extend(riders.iter());
+        }
+        self.journal.push_back(Fetched {
+            pc,
+            outcome,
+            riders: riders.len() as u8,
+        });
+    }
+
     /// Files a pending decision into the journal (a no-op if there is
     /// none, or if it was trivial).
+    #[inline]
     fn file_pending(&mut self) {
-        if let Some((pc, d)) = self.pending.take() {
-            if !d.is_trivial() {
-                self.journal.push_back((pc, d));
+        if let Some(p) = self.pending.take() {
+            if p.nontrivial {
+                self.journal_pending(p);
             }
         }
     }
 
-    /// Recomputes the hook footprint from the tables (see the module
-    /// docs).
-    fn refresh_footprint(&mut self) {
-        let t = &self.tables;
-        let fp = &mut self.footprint;
-        fp.clear();
-        fp.extend(t.loops().iter().map(|l| l.start.wrapping_sub(4)));
-        if t.config().tasks() == 0 {
-            fp.extend(t.loop_rec(0).map(|l| l.end));
+    /// Journals the decision of a non-trivial pending fetch.
+    #[inline(never)]
+    fn journal_pending(&mut self, p: Pending) {
+        // Deciding again on the architectural state, which is the state
+        // the idle fetch decided on, reproduces it.
+        let mut st = self.arch;
+        let mut riders = RiderBuf::default();
+        let o = self
+            .sites
+            .decide(&self.tables, &mut st, p.site, &mut riders);
+        self.journal(p.pc, o, &riders);
+    }
+
+    /// Replays the decision at `pc`, site `i`, on architectural state
+    /// and checks it against the journal.
+    fn replay(&mut self, pc: u32, i: usize) {
+        let mut riders = RiderBuf::default();
+        let o = self
+            .sites
+            .decide(&self.tables, &mut self.arch, i, &mut riders);
+        self.synced = false;
+        if !o.is_trivial(riders.len()) {
+            self.check_replay(pc, o, riders);
         }
-        fp.extend(t.tasks().iter().filter(|r| r.valid).map(|r| r.end));
-        fp.extend(t.entries().iter().filter(|e| e.valid).map(|e| e.addr));
-        fp.extend(t.exits().iter().filter(|x| x.valid).map(|x| x.branch));
-        fp.sort_unstable();
-        fp.dedup();
+    }
+
+    /// Checks a non-trivial retire-time replay against the oldest
+    /// journaled fetch-time decision.
+    #[inline]
+    fn check_replay(&mut self, pc: u32, outcome: Outcome, riders: RiderBuf) {
+        let Some(f) = self.journal.pop_front() else {
+            self.unmatched_replay(pc, outcome, riders);
+            return;
+        };
+        let n = usize::from(f.riders);
+        let same = f.pc == pc
+            && f.outcome.same(&outcome)
+            && n == riders.len()
+            && (n == 0 || self.riders.iter().take(n).copied().eq(riders.iter()));
+        if !same {
+            self.mismatched_replay(pc, outcome, riders, f);
+        }
+        if n > 0 {
+            self.riders.drain(..n);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn unmatched_replay(&mut self, pc: u32, outcome: Outcome, riders: RiderBuf) {
+        let d = outcome.decision(riders.to_writes());
+        self.record_violation(format!(
+            "retire-time decision {d:?} at {pc:#x} had no fetch-time counterpart"
+        ));
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn mismatched_replay(&mut self, pc: u32, outcome: Outcome, riders: RiderBuf, f: Fetched) {
+        let mut jw = RegWrites::new();
+        for &(r, v) in self.riders.iter().take(usize::from(f.riders)) {
+            jw.push(r, v);
+        }
+        let jd = f.outcome.decision(jw);
+        let d = outcome.decision(riders.to_writes());
+        let jpc = f.pc;
+        self.record_violation(format!(
+            "decision mismatch at {pc:#x}: fetch made {jd:?} at {jpc:#x}, retire replayed {d:?} \
+             (an in-loop zwr probably executed between the fetch and retire of a task end)"
+        ));
+    }
+
+    /// Applies the exit record `x` to the architectural state: its
+    /// branch at `pc` was taken to `target`.
+    fn take_exit(&mut self, pc: u32, x: usize, target: u32) {
+        let rec = self.tables.exits()[x];
+        if rec.target != 0 && rec.target != target {
+            self.record_violation(format!(
+                "exit record at {pc:#x} expected target {:#x}, branch went to {target:#x}",
+                rec.target
+            ));
+        }
+        self.arch.current_task = rec.target_task;
+        for k in ZolcTables::loops_in_mask(rec.clear_mask) {
+            self.arch.counts[usize::from(k)] = 0;
+        }
+        self.synced = false;
+        // The taken branch flushes the pipeline right after this call;
+        // on_flush copies arch (with the exit applied) over spec.
     }
 
     fn record_violation(&mut self, msg: String) {
@@ -202,63 +380,69 @@ impl Zolc {
 impl LoopEngine for Zolc {
     fn on_fetch(&mut self, pc: u32) -> FetchDecision {
         self.file_pending();
-        let idle = self.journal.is_empty() && self.spec == self.arch;
-        let d = decide(&self.tables, &mut self.spec, pc);
+        // Outside the footprint every decision is trivial.
+        let Some(site) = self.sites.lookup(pc) else {
+            return FetchDecision::default();
+        };
+        let idle = self.idle();
+        let mut riders = RiderBuf::default();
+        let o = self
+            .sites
+            .decide(&self.tables, &mut self.spec, site, &mut riders);
+        self.synced = false;
+        let nontrivial = !o.is_trivial(riders.len());
         if idle {
-            self.pending = Some((pc, d));
-        } else if !d.is_trivial() {
-            self.journal.push_back((pc, d));
+            self.pending = Some(Pending {
+                pc,
+                site,
+                nontrivial,
+                touched: o.touched,
+            });
+        } else if nontrivial {
+            self.journal(pc, o, &riders);
+        }
+        // Build the decision in place: `default` (unlike `none`) inlines,
+        // and a rider-free decision needs no copy.
+        if riders.len() == 0 {
+            return FetchDecision {
+                redirect: o.redirect,
+                index_writes: RegWrites::default(),
+            };
         }
         FetchDecision {
-            redirect: d.redirect,
-            index_writes: d.writes,
+            redirect: o.redirect,
+            index_writes: riders.to_writes(),
         }
     }
 
     fn on_execute(&mut self, pc: u32, event: ExecEvent) {
-        if matches!(self.pending, Some((ppc, _)) if ppc == pc) {
-            // Nothing ran since the idle fetch of this instruction, so
-            // replaying its decision on architectural state would
-            // reproduce the speculative state exactly.
-            self.pending = None;
-            self.arch = self.spec;
-        } else {
-            self.file_pending();
-            // Replay the decision on architectural state.
-            let d = decide(&self.tables, &mut self.arch, pc);
-            if !d.is_trivial() {
-                match self.journal.pop_front() {
-                    Some((jpc, jd)) if jpc == pc && jd == d => {}
-                    Some((jpc, jd)) => self.record_violation(format!(
-                        "decision mismatch at {pc:#x}: fetch made {jd:?} at {jpc:#x}, retire replayed {d:?} \
-                         (an in-loop zwr probably executed between the fetch and retire of a task end)"
-                    )),
-                    None => self.record_violation(format!(
-                        "retire-time decision {d:?} at {pc:#x} had no fetch-time counterpart"
-                    )),
-                }
+        let site = match self.pending {
+            Some(p) if p.pc == pc => {
+                // Nothing ran since the idle fetch of this instruction, so
+                // replaying its decision on architectural state would
+                // reproduce the speculative state exactly.
+                self.pending = None;
+                self.adopt(p.touched);
+                Some(p.site)
             }
-        }
+            _ => {
+                self.file_pending();
+                let site = self.sites.lookup(pc);
+                if let Some(i) = site {
+                    self.replay(pc, i);
+                }
+                site
+            }
+        };
 
         // Multiple-exit records: a taken branch at a registered address
         // re-targets the current task and clears the exited loops' counters.
         if let ExecEvent::Taken { target } = event {
-            if self.arch.active {
-                if let Some(rec) = self.tables.exit_at(pc).copied() {
-                    if rec.target != 0 && rec.target != target {
-                        self.record_violation(format!(
-                            "exit record at {pc:#x} expected target {:#x}, branch went to {target:#x}",
-                            rec.target
-                        ));
-                    }
-                    self.arch.current_task = rec.target_task;
-                    for k in ZolcTables::loops_in_mask(rec.clear_mask) {
-                        self.arch.counts[usize::from(k)] = 0;
-                    }
-                    // The taken branch flushes the pipeline right after
-                    // this call; on_flush copies arch (with the exit
-                    // applied) over spec.
-                }
+            if !self.arch.active {
+                return;
+            }
+            if let Some(x) = site.and_then(|i| self.sites.exit(i)) {
+                self.take_exit(pc, x, target);
             }
         }
     }
@@ -267,15 +451,8 @@ impl LoopEngine for Zolc {
         self.file_pending();
         match self.tables.write(region, index, field, value) {
             Ok(WriteEffect::Static) => {
-                let moves_footprint = match region {
-                    ZolcRegion::Loop => matches!(field, loop_field::START | loop_field::END),
-                    ZolcRegion::Task => matches!(field, task_field::END | task_field::CTL),
-                    ZolcRegion::Entry => matches!(field, entry_field::ADDR | entry_field::VALID),
-                    ZolcRegion::Exit => matches!(field, exit_field::BRANCH | exit_field::VALID),
-                    ZolcRegion::Global => false,
-                };
-                if moves_footprint && self.arch.active {
-                    self.refresh_footprint();
+                if self.arch.active && invalidates(region, field) {
+                    self.sites.rebuild(&self.tables);
                 }
             }
             Ok(WriteEffect::Count { loop_id, value }) => {
@@ -296,7 +473,7 @@ impl LoopEngine for Zolc {
                 self.arch.active = true;
                 self.arch.current_task = task;
                 self.spec = self.arch;
-                self.refresh_footprint();
+                self.sites.rebuild(&self.tables);
             }
             ZolcCtl::Deactivate => {
                 self.arch.active = false;
@@ -307,19 +484,25 @@ impl LoopEngine for Zolc {
                 self.arch = DynState::default();
                 self.spec = DynState::default();
                 self.journal.clear();
+                self.riders.clear();
             }
         }
+        self.synced = true;
     }
 
     fn on_flush(&mut self) {
-        self.spec = self.arch;
+        if !self.synced {
+            self.spec = self.arch;
+            self.synced = true;
+        }
         self.journal.clear();
+        self.riders.clear();
         self.pending = None;
     }
 
     fn hook_pcs(&self) -> Option<&[u32]> {
         Some(if self.arch.active {
-            &self.footprint
+            self.sites.pcs()
         } else {
             &[]
         })
@@ -331,7 +514,7 @@ mod tests {
     use super::*;
     use crate::config::TASK_NONE;
     use crate::tables::{LoopRecord, TaskRecord};
-    use zolc_isa::reg;
+    use zolc_isa::{loop_field, reg, task_field};
 
     fn controller_with_loop() -> Zolc {
         let mut z = Zolc::new(ZolcConfig::lite());
@@ -446,7 +629,7 @@ mod tests {
         z.exec_zwr(ZolcRegion::Task, 0, task_field::END, 0x18);
         z.exec_zwr(ZolcRegion::Task, 0, task_field::CTL, 1);
         assert_eq!(z.hook_pcs(), Some(&[][..]));
-        assert!(z.footprint.is_empty());
+        assert!(z.sites.pcs().is_empty());
         z.activate(0);
         // Unused loop records start at 0: their entry pc wraps out of text.
         assert_eq!(z.hook_pcs(), Some(&[0x0c, 0x18, 0xffff_fffc][..]));

@@ -105,7 +105,7 @@ impl Decision {
 /// Adds loop `k`'s index write to `d`. `written` marks the loops that
 /// already have one; a second write of the same loop (to the same
 /// register) supersedes the first.
-fn ride(d: &mut Decision, written: &mut u8, k: usize, r: Reg, v: u32) {
+pub(crate) fn ride(d: &mut Decision, written: &mut u8, k: usize, r: Reg, v: u32) {
     if *written & (1 << k) != 0 {
         d.writes.supersede(r, v);
     } else {

@@ -17,8 +17,8 @@
 //!   and next PC (chaining through nested completions in a single cycle)
 //!   and updates loop indices through a dedicated register-file port;
 //! * [`Zolc`] — the controller as a pipeline [`zolc_sim::LoopEngine`],
-//!   with speculative/architectural state separation and a consistency
-//!   journal;
+//!   with speculative/architectural state separation, a consistency
+//!   journal, and [`decide`] compiled into one site per hook-footprint pc;
 //! * [`ZolcImage`] — the software-side table description, its validation,
 //!   the initialization-sequence generator and a direct loader;
 //! * [`area`] — storage/combinational-area/timing models calibrated to the
@@ -81,6 +81,7 @@ mod controller;
 mod dynamics;
 mod image;
 mod perfect;
+mod sites;
 mod tables;
 
 pub use config::{ConfigError, ZolcConfig, ZolcVariant, MAX_LOOPS, MAX_TASKS, TASK_NONE};

@@ -14,12 +14,21 @@
 //! * `on_execute` with a taken-branch event leaves the controller's
 //!   state and violations unchanged, at every point of a random walk
 //!   through its reachable states.
+//!
+//! The same table sets check the controller's compiled decisions (its
+//! per-footprint-pc site table) against the reference `decide`: at
+//! every footprint pc, from the controller's own states and from random
+//! active states, the redirect, the rider writes in order, the decision
+//! kind and the post-state agree, through `Zolc::decide_at` and through
+//! the `on_fetch`/`on_execute` hooks themselves (exit records included).
+//! The random table sets write every field of every record while the
+//! controller is active, so a site left stale by any write shows.
 
 use std::sync::Arc;
-use zolc_core::{decide, DynState, Zolc, ZolcConfig, MAX_LOOPS, TASK_NONE};
+use zolc_core::{decide, DynState, Zolc, ZolcConfig, ZolcTables, MAX_LOOPS, TASK_NONE};
 use zolc_gen::{GenConfig, GenRng, ProgramSpec};
 use zolc_ir::Target;
-use zolc_isa::TEXT_BASE;
+use zolc_isa::{ZolcRegion, TEXT_BASE};
 use zolc_sim::{CompiledProgram, CpuConfig, ExecEvent, FunctionalCpu, LoopEngine, RunError};
 
 /// Instructions single-stepped per program: past every initialization
@@ -49,9 +58,82 @@ fn random_state(rng: &mut GenRng, tasks: usize) -> DynState {
     st
 }
 
-/// Checks the footprint of `z` (active) over a text of `len`
+/// A random dynamic state of an active controller whose counts can
+/// still be incremented: any task id, small or large counts.
+fn deciding_state(rng: &mut GenRng) -> DynState {
+    let mut st = DynState {
+        active: true,
+        current_task: rng.below(32) as u8,
+        ..DynState::default()
+    };
+    for k in 0..MAX_LOOPS {
+        st.counts[k] = if rng.chance(1, 8) {
+            rng.below(u32::MAX - 1)
+        } else {
+            rng.below(6)
+        };
+        st.index_cur[k] = rng.next_u64() as u32;
+    }
+    st
+}
+
+/// Checks the compiled decisions of `z` (active) against `decide` at
+/// every footprint pc; branch targets are drawn from a text of `len`
 /// instructions.
+fn differential(z: &Zolc, len: u32, rng: &mut GenRng, ctx: &str) {
+    let fp = z.hook_pcs().expect("the controller names its footprint");
+    let mut states = vec![*z.arch_state(), *z.spec_state()];
+    states.extend((0..8).map(|_| deciding_state(rng)));
+    for st in states {
+        for &pc in fp {
+            let (mut want_st, mut got_st) = (st, st);
+            let want = decide(z.tables(), &mut want_st, pc);
+            let got = z.decide_at(&mut got_st, pc);
+            assert_eq!(got, want, "{ctx}: decision at {pc:#x} from {st:?}");
+            assert_eq!(got_st, want_st, "{ctx}: post-state at {pc:#x} from {st:?}");
+        }
+    }
+    // The hooks, from the controller's own state: the fetch-time
+    // decision, and the retire-time replay with an exit record's effect.
+    for &pc in fp {
+        let mut w = z.clone();
+        let mut want_st = *w.spec_state();
+        let want = decide(w.tables(), &mut want_st, pc);
+        let got = w.on_fetch(pc);
+        assert_eq!(
+            got.redirect, want.redirect,
+            "{ctx}: on_fetch redirect at {pc:#x}"
+        );
+        assert_eq!(
+            got.index_writes, want.writes,
+            "{ctx}: on_fetch riders at {pc:#x}"
+        );
+        assert_eq!(*w.spec_state(), want_st, "{ctx}: on_fetch state at {pc:#x}");
+
+        let mut w = z.clone();
+        w.on_flush();
+        let mut want_st = *w.arch_state();
+        decide(w.tables(), &mut want_st, pc);
+        if let Some(rec) = w.tables().exit_at(pc).copied() {
+            want_st.current_task = rec.target_task;
+            for k in ZolcTables::loops_in_mask(rec.clear_mask) {
+                want_st.counts[usize::from(k)] = 0;
+            }
+        }
+        let target = TEXT_BASE + 4 * rng.below(len);
+        w.on_execute(pc, ExecEvent::Taken { target });
+        assert_eq!(
+            *w.arch_state(),
+            want_st,
+            "{ctx}: on_execute state at {pc:#x}"
+        );
+    }
+}
+
+/// Checks the footprint of `z` (active) over a text of `len`
+/// instructions, and its compiled decisions.
 fn check(z: &Zolc, len: u32, rng: &mut GenRng, ctx: &str) {
+    differential(z, len, rng, ctx);
     let fp = z
         .hook_pcs()
         .expect("the controller names its footprint")
@@ -134,43 +216,105 @@ fn check_program(
     checks
 }
 
-/// Random tables, written through `zwr` while the controller is active
-/// so every address write refreshes the footprint: loop, task, entry
-/// and exit records aimed at a small text, with random valid bits.
+/// Every (region, field) the random table sets write.
+const FIELDS: [(ZolcRegion, u8); 23] = {
+    use zolc_isa::{entry_field as e, exit_field as x, loop_field as l, task_field as t};
+    use ZolcRegion::{Entry, Exit, Loop, Task};
+    [
+        (Loop, l::INIT),
+        (Loop, l::STEP),
+        (Loop, l::LIMIT),
+        (Loop, l::COUNT),
+        (Loop, l::INDEX_REG),
+        (Loop, l::START),
+        (Loop, l::END),
+        (Loop, l::FLAGS),
+        (Task, t::END),
+        (Task, t::LOOP_ID),
+        (Task, t::NEXT_ITER),
+        (Task, t::NEXT_FALLTHRU),
+        (Task, t::CTL),
+        (Entry, e::ADDR),
+        (Entry, e::TASK),
+        (Entry, e::INIT_MASK),
+        (Entry, e::REDIRECT),
+        (Entry, e::VALID),
+        (Exit, x::BRANCH),
+        (Exit, x::TASK),
+        (Exit, x::CLEAR_MASK),
+        (Exit, x::TARGET),
+        (Exit, x::VALID),
+    ]
+};
+
+/// How many records of `region` the random table sets use: few, so the
+/// same ones take many writes.
+fn records(region: ZolcRegion, config: &ZolcConfig) -> u32 {
+    match region {
+        ZolcRegion::Loop => config.loops() as u32,
+        ZolcRegion::Task => 8,
+        _ => 4,
+    }
+}
+
+/// A random value for `field` of record `index` of `region`: addresses
+/// in (or just past) a text of `len` instructions, valid bits mostly
+/// set, small bounds, and fall-through links only to higher task ids,
+/// so completion chains end.
+fn random_value(rng: &mut GenRng, region: ZolcRegion, field: u8, index: u8, len: u32) -> u32 {
+    use zolc_isa::{entry_field as e, exit_field as x, loop_field as l, task_field as t};
+    let addr = TEXT_BASE + 4 * rng.below(len + 2);
+    let any = rng.next_u64() as u32;
+    match (region, field) {
+        (ZolcRegion::Loop, l::START | l::END)
+        | (ZolcRegion::Task, t::END)
+        | (ZolcRegion::Entry, e::ADDR)
+        | (ZolcRegion::Exit, x::BRANCH) => addr,
+        (ZolcRegion::Entry, e::REDIRECT) | (ZolcRegion::Exit, x::TARGET) => {
+            if rng.chance(1, 4) {
+                0
+            } else {
+                addr
+            }
+        }
+        (ZolcRegion::Task, t::CTL)
+        | (ZolcRegion::Entry, e::VALID)
+        | (ZolcRegion::Exit, x::VALID) => u32::from(rng.chance(3, 4)),
+        (ZolcRegion::Loop, l::LIMIT) => rng.below(5),
+        (ZolcRegion::Loop, l::COUNT) => rng.below(4),
+        (ZolcRegion::Loop, l::STEP) => any >> rng.below(32),
+        (ZolcRegion::Task, t::LOOP_ID) => rng.below(8),
+        (ZolcRegion::Task, t::NEXT_FALLTHRU) => u32::from(index) + 1 + rng.below(8),
+        _ => any,
+    }
+}
+
+/// Random tables: a few records of each kind get every field written
+/// before activation, then random fields are written through `zwr`
+/// while the controller is active, each write followed by the checks,
+/// so a write that leaves the footprint or a site stale shows.
 #[test]
 fn footprint_covers_random_table_sets() {
-    use zolc_isa::{entry_field, exit_field, loop_field, task_field, ZolcRegion};
     const LEN: u32 = 32;
     let mut rng = GenRng::new(0xf009);
-    for round in 0..60 {
+    for round in 0..90 {
         let config = CONFIGS()[round % 3];
+        let ctx = format!("random round {round} {config}");
         let mut z = Zolc::new(config);
-        z.activate(0);
-        for _ in 0..16 {
-            let addr = TEXT_BASE + 4 * rng.below(LEN + 2);
-            let any = rng.next_u64() as u32;
-            let bit = u32::from(rng.chance(3, 4));
-            let k = rng.below(config.loops() as u32) as u8;
-            let writes: [(ZolcRegion, u32, u8, u32); 13] = [
-                (ZolcRegion::Loop, 8, loop_field::START, addr),
-                (ZolcRegion::Loop, 8, loop_field::END, addr),
-                (ZolcRegion::Loop, 8, loop_field::LIMIT, rng.below(5)),
-                (ZolcRegion::Loop, 8, loop_field::INDEX_REG, any & 31),
-                (ZolcRegion::Task, 32, task_field::END, addr),
-                (ZolcRegion::Task, 32, task_field::LOOP_ID, u32::from(k)),
-                (ZolcRegion::Task, 32, task_field::NEXT_ITER, any & 31),
-                (ZolcRegion::Task, 32, task_field::CTL, bit),
-                (ZolcRegion::Entry, 32, entry_field::ADDR, addr),
-                (ZolcRegion::Entry, 32, entry_field::VALID, bit),
-                (ZolcRegion::Entry, 32, entry_field::INIT_MASK, any & 0xff),
-                (ZolcRegion::Exit, 32, exit_field::BRANCH, addr),
-                (ZolcRegion::Exit, 32, exit_field::VALID, bit),
-            ];
-            let (region, n, field, value) = writes[rng.below(13) as usize];
-            z.exec_zwr(region, rng.below(n) as u8, field, value);
-            if z.arch_state().active {
-                check(&z, LEN, &mut rng, &format!("random round {round} {config}"));
+        for &(region, field) in &FIELDS {
+            for index in 0..records(region, &config) as u8 {
+                let value = random_value(&mut rng, region, field, index, LEN);
+                z.exec_zwr(region, index, field, value);
             }
+        }
+        z.activate(rng.below(8) as u8);
+        check(&z, LEN, &mut rng, &ctx);
+        for _ in 0..24 {
+            let (region, field) = FIELDS[rng.below(FIELDS.len() as u32) as usize];
+            let index = rng.below(records(region, &config)) as u8;
+            let value = random_value(&mut rng, region, field, index, LEN);
+            z.exec_zwr(region, index, field, value);
+            check(&z, LEN, &mut rng, &ctx);
         }
     }
 }

@@ -287,15 +287,21 @@ impl Daemon {
     /// already-accepted connections finish their in-flight jobs before
     /// this returns.
     ///
+    /// Each accept first joins the workers whose connections have
+    /// closed, so finished threads do not pile up over a long life.
+    ///
     /// # Errors
     ///
     /// A fatal accept-loop error (per-connection I/O errors only drop
     /// that connection).
     pub fn run(self) -> io::Result<()> {
-        let mut workers = Vec::new();
+        let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
         for conn in self.listener.incoming() {
             if self.shared.stop.load(Ordering::SeqCst) {
                 break;
+            }
+            for done in workers.extract_if(.., |w| w.is_finished()) {
+                let _ = done.join();
             }
             let stream = conn?;
             let shared = Arc::clone(&self.shared);

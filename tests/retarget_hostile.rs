@@ -14,9 +14,13 @@
 //!   instruction;
 //! * give the same result from one reused plan as from fresh one-shot
 //!   calls.
+//!
+//! The same texts, and the texts retargeting makes of them, are linted
+//! (`lint_program`) with no image, with their own image and with another
+//! text's image, and must never panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use zolc::cfg::{retarget, RetargetError, RetargetPlan};
+use zolc::cfg::{lint_program, retarget, RetargetError, RetargetPlan, Retargeted};
 use zolc::core::ZolcConfig;
 use zolc::gen::GenRng;
 use zolc::isa::{decode, loop_field, reg, Instr, Program, Reg, ZolcCtl, ZolcRegion};
@@ -229,5 +233,53 @@ fn hostile_texts_never_panic_and_plans_match_one_shot() {
     assert!(
         mapped > PROGRAMS as usize / 10,
         "{mapped} syntheses map a loop"
+    );
+}
+
+/// Random texts the lint net runs (about 2 s in a debug build).
+const LINTED: u64 = 2000;
+
+/// Hostile-input net for `lint_program`, on the same texts: each text
+/// and each of its retargeted texts is linted with no image, with the
+/// text's own retargeted image and with a foreign text's image, on
+/// every configuration, and must never panic.
+#[test]
+fn hostile_texts_lint_without_panicking() {
+    let configs = [ZolcConfig::micro(), ZolcConfig::lite(), ZolcConfig::full()];
+    // The latest retarget per configuration: the next text's foreign one.
+    let mut foreign: [Option<Retargeted>; 3] = [None, None, None];
+    let (mut linted, mut with_images) = (0, 0);
+    for seed in 0..LINTED {
+        let mut rng = GenRng::new(0x1147_0000 ^ seed);
+        let program = Program::from_parts(hostile_text(&mut rng), Vec::new());
+        for (c, config) in configs.iter().enumerate() {
+            let own = retarget(&program, config).ok();
+            let images = [
+                None,
+                own.as_ref().map(|r| &r.image),
+                foreign[c].as_ref().map(|r| &r.image),
+            ];
+            let texts = std::iter::once(&program).chain(own.as_ref().map(|r| &*r.program));
+            for text in texts {
+                for image in images {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| lint_program(text, image)));
+                    assert!(
+                        outcome.is_ok(),
+                        "seed {seed} {config}: lint panicked on {:?} with {image:?}",
+                        text.text()
+                    );
+                    linted += 1;
+                    with_images += usize::from(image.is_some());
+                }
+            }
+            if own.is_some() {
+                foreign[c] = own;
+            }
+        }
+    }
+    // the net must lint with images as well as without
+    assert!(
+        with_images > linted / 3,
+        "{with_images} of {linted} lints had an image"
     );
 }
