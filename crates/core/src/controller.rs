@@ -46,10 +46,10 @@
 //! architectural results (the root `prop_exec_equiv` suite checks this on
 //! every benchmark kernel).
 //!
-//! The journal keeps each decision's redirect and kind, with its rider
-//! writes in a side queue; a pending decision keeps only its pc, its site
-//! and which loops it changed, and is decided again from the (unchanged)
-//! architectural state in the rare case it has to be filed.
+//! The journal keeps each decision's pc, redirect and kind, with its
+//! rider writes in a side queue, and a flag records when speculative
+//! state is known to equal architectural, so the idle check seldom
+//! compares the two.
 //!
 //! # Hook footprint and site table
 //!
@@ -78,9 +78,9 @@
 //! initialization sequences run before activation and so trigger no
 //! rebuilds.
 
-use crate::config::{ZolcConfig, MAX_LOOPS};
+use crate::config::ZolcConfig;
 use crate::dynamics::{Decision, DynState};
-use crate::sites::{invalidates, Outcome, RiderBuf, SiteTable};
+use crate::sites::{invalidates, Outcome, SiteTable};
 use crate::tables::{WriteEffect, ZolcTables};
 use std::collections::VecDeque;
 use zolc_isa::{Reg, ZolcCtl, ZolcRegion};
@@ -112,39 +112,24 @@ pub struct Zolc {
     /// Set only when `spec == arch` is known without comparing them.
     synced: bool,
     journal: VecDeque<Fetched>,
-    /// The riders of the journaled decisions, in journal order.
+    /// The rider writes of the journaled decisions, in journal order.
     riders: VecDeque<(Reg, u32)>,
     /// A decision made with nothing in flight, not yet journaled (see
     /// the module docs).
-    pending: Option<Pending>,
+    pending: Option<(u32, Outcome, RegWrites)>,
     violations: Vec<String>,
     /// The hook footprint and its sites as of the last activation or
     /// site-invalidating `zwr` while active.
     sites: SiteTable,
 }
 
-/// A journaled fetch-time decision: its pc, its outcome and how many
-/// riders it pushed onto [`Zolc::riders`].
+/// A journaled fetch-time decision without its rider writes, which wait
+/// in [`Zolc::riders`].
 #[derive(Debug, Clone, Copy)]
 struct Fetched {
     pc: u32,
     outcome: Outcome,
     riders: u8,
-}
-
-/// An idle fetch's decision, held by where it was made: nothing runs
-/// between that fetch and the filing or adoption of its decision, so
-/// the architectural state still is the state it was made on.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    pc: u32,
-    /// The site of `pc`.
-    site: usize,
-    /// Whether the decision was non-trivial (and so must be journaled
-    /// if filed).
-    nontrivial: bool,
-    /// The loops whose state the decision changed.
-    touched: u8,
 }
 
 impl Zolc {
@@ -232,6 +217,7 @@ impl Zolc {
     /// Whether nothing is in flight: an empty journal and speculative
     /// state equal to architectural.
     fn idle(&mut self) -> bool {
+        debug_assert!(!self.synced || self.spec == self.arch);
         if !self.journal.is_empty() {
             return false;
         }
@@ -239,31 +225,15 @@ impl Zolc {
         self.synced
     }
 
-    /// Makes the architectural state the speculative one, given that
-    /// they differ at most in the current task and the loops `touched`
-    /// (copying just those keeps each load the size of the store that
-    /// last wrote it).
-    fn adopt(&mut self, touched: u8) {
-        self.arch.current_task = self.spec.current_task;
-        let mut m = touched;
-        while m != 0 {
-            let k = m.trailing_zeros() as usize % MAX_LOOPS;
-            m &= m - 1;
-            self.arch.counts[k] = self.spec.counts[k];
-            self.arch.index_cur[k] = self.spec.index_cur[k];
-        }
-        self.synced = true;
-    }
-
-    /// Journals a non-trivial fetch-time decision with riders `riders`.
-    fn journal(&mut self, pc: u32, outcome: Outcome, riders: &RiderBuf) {
-        if riders.len() > 0 {
-            self.riders.extend(riders.iter());
+    /// Journals a non-trivial fetch-time decision with rider writes `w`.
+    fn journal(&mut self, pc: u32, outcome: Outcome, w: &RegWrites) {
+        if !w.is_empty() {
+            self.riders.extend(w.iter());
         }
         self.journal.push_back(Fetched {
             pc,
             outcome,
-            riders: riders.len() as u8,
+            riders: w.len() as u8,
         });
     }
 
@@ -271,78 +241,64 @@ impl Zolc {
     /// none, or if it was trivial).
     #[inline]
     fn file_pending(&mut self) {
-        if let Some(p) = self.pending.take() {
-            if p.nontrivial {
-                self.journal_pending(p);
+        if let Some((pc, o, w)) = self.pending.take() {
+            if !o.is_trivial(&w) {
+                self.journal(pc, o, &w);
             }
         }
-    }
-
-    /// Journals the decision of a non-trivial pending fetch.
-    #[inline(never)]
-    fn journal_pending(&mut self, p: Pending) {
-        // Deciding again on the architectural state, which is the state
-        // the idle fetch decided on, reproduces it.
-        let mut st = self.arch;
-        let mut riders = RiderBuf::default();
-        let o = self
-            .sites
-            .decide(&self.tables, &mut st, p.site, &mut riders);
-        self.journal(p.pc, o, &riders);
     }
 
     /// Replays the decision at `pc`, site `i`, on architectural state
     /// and checks it against the journal.
     fn replay(&mut self, pc: u32, i: usize) {
-        let mut riders = RiderBuf::default();
-        let o = self
-            .sites
-            .decide(&self.tables, &mut self.arch, i, &mut riders);
+        let mut w = RegWrites::new();
+        let o = self.sites.decide(&self.tables, &mut self.arch, i, &mut w);
         self.synced = false;
-        if !o.is_trivial(riders.len()) {
-            self.check_replay(pc, o, riders);
+        if !o.is_trivial(&w) {
+            self.check_replay(pc, o, w);
         }
     }
 
     /// Checks a non-trivial retire-time replay against the oldest
     /// journaled fetch-time decision.
     #[inline]
-    fn check_replay(&mut self, pc: u32, outcome: Outcome, riders: RiderBuf) {
+    fn check_replay(&mut self, pc: u32, outcome: Outcome, w: RegWrites) {
         let Some(f) = self.journal.pop_front() else {
-            self.unmatched_replay(pc, outcome, riders);
+            self.unmatched_replay(pc, outcome.decision(w));
             return;
         };
         let n = usize::from(f.riders);
         let same = f.pc == pc
-            && f.outcome.same(&outcome)
-            && n == riders.len()
-            && (n == 0 || self.riders.iter().take(n).copied().eq(riders.iter()));
+            && f.outcome == outcome
+            && n == w.len()
+            && (n == 0 || self.riders.iter().take(n).copied().eq(w.iter()));
         if !same {
-            self.mismatched_replay(pc, outcome, riders, f);
+            self.mismatched_replay(pc, outcome.decision(w), f);
         }
         if n > 0 {
             self.riders.drain(..n);
         }
     }
 
+    /// Records a non-trivial replay `d` that no journaled decision awaits.
     #[cold]
     #[inline(never)]
-    fn unmatched_replay(&mut self, pc: u32, outcome: Outcome, riders: RiderBuf) {
-        let d = outcome.decision(riders.to_writes());
+    fn unmatched_replay(&mut self, pc: u32, d: Decision) {
         self.record_violation(format!(
             "retire-time decision {d:?} at {pc:#x} had no fetch-time counterpart"
         ));
     }
 
+    /// Records a replay `d` that differs from the journaled decision `f`
+    /// (whose rider writes still head [`Zolc::riders`]).
     #[cold]
     #[inline(never)]
-    fn mismatched_replay(&mut self, pc: u32, outcome: Outcome, riders: RiderBuf, f: Fetched) {
+    fn mismatched_replay(&mut self, pc: u32, d: Decision, f: Fetched) {
         let mut jw = RegWrites::new();
         for &(r, v) in self.riders.iter().take(usize::from(f.riders)) {
             jw.push(r, v);
         }
         let jd = f.outcome.decision(jw);
-        let d = outcome.decision(riders.to_writes());
         let jpc = f.pc;
         self.record_violation(format!(
             "decision mismatch at {pc:#x}: fetch made {jd:?} at {jpc:#x}, retire replayed {d:?} \
@@ -385,25 +341,19 @@ impl LoopEngine for Zolc {
             return FetchDecision::default();
         };
         let idle = self.idle();
-        let mut riders = RiderBuf::default();
+        let mut w = RegWrites::new();
         let o = self
             .sites
-            .decide(&self.tables, &mut self.spec, site, &mut riders);
+            .decide(&self.tables, &mut self.spec, site, &mut w);
         self.synced = false;
-        let nontrivial = !o.is_trivial(riders.len());
         if idle {
-            self.pending = Some(Pending {
-                pc,
-                site,
-                nontrivial,
-                touched: o.touched,
-            });
-        } else if nontrivial {
-            self.journal(pc, o, &riders);
+            self.pending = Some((pc, o, w));
+        } else if !o.is_trivial(&w) {
+            self.journal(pc, o, &w);
         }
         // Build the decision in place: `default` (unlike `none`) inlines,
         // and a rider-free decision needs no copy.
-        if riders.len() == 0 {
+        if w.is_empty() {
             return FetchDecision {
                 redirect: o.redirect,
                 index_writes: RegWrites::default(),
@@ -411,19 +361,20 @@ impl LoopEngine for Zolc {
         }
         FetchDecision {
             redirect: o.redirect,
-            index_writes: riders.to_writes(),
+            index_writes: w,
         }
     }
 
     fn on_execute(&mut self, pc: u32, event: ExecEvent) {
         let site = match self.pending {
-            Some(p) if p.pc == pc => {
+            Some((ppc, ..)) if ppc == pc => {
                 // Nothing ran since the idle fetch of this instruction, so
                 // replaying its decision on architectural state would
                 // reproduce the speculative state exactly.
                 self.pending = None;
-                self.adopt(p.touched);
-                Some(p.site)
+                self.arch = self.spec;
+                self.synced = true;
+                self.sites.lookup(pc)
             }
             _ => {
                 self.file_pending();

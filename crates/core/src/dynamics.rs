@@ -102,15 +102,15 @@ impl Decision {
     }
 }
 
-/// Adds loop `k`'s index write to `d`. `written` marks the loops that
+/// Adds loop `k`'s index write to `w`. `written` marks the loops that
 /// already have one; a second write of the same loop (to the same
 /// register) supersedes the first.
-pub(crate) fn ride(d: &mut Decision, written: &mut u8, k: usize, r: Reg, v: u32) {
+pub(crate) fn ride(w: &mut RegWrites, written: &mut u8, k: usize, r: Reg, v: u32) {
     if *written & (1 << k) != 0 {
-        d.writes.supersede(r, v);
+        w.supersede(r, v);
     } else {
         *written |= 1 << k;
-        d.writes.push(r, v);
+        w.push(r, v);
     }
 }
 
@@ -143,7 +143,7 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
             if let Some(l) = tables.loop_rec(k).copied() {
                 st.index_cur[ki] = l.init;
                 if let Some(r) = l.index_reg {
-                    ride(&mut d, &mut written, ki, r, l.init);
+                    ride(&mut d.writes, &mut written, ki, r, l.init);
                 }
                 fired = true;
             }
@@ -165,7 +165,7 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
                     st.counts[0] += 1;
                     st.index_cur[0] = st.index_cur[0].wrapping_add(l.step);
                     if let Some(r) = l.index_reg {
-                        ride(&mut d, &mut written, 0, r, st.index_cur[0]);
+                        ride(&mut d.writes, &mut written, 0, r, st.index_cur[0]);
                     }
                     d.redirect = Some(l.start);
                     d.kind = DecisionKind::Iterate {
@@ -194,7 +194,7 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
                 st.counts[lid] += 1;
                 st.index_cur[lid] = st.index_cur[lid].wrapping_add(l.step);
                 if let Some(r) = l.index_reg {
-                    ride(&mut d, &mut written, lid, r, st.index_cur[lid]);
+                    ride(&mut d.writes, &mut written, lid, r, st.index_cur[lid]);
                 }
                 st.current_task = task.next_iter;
                 d.redirect = Some(l.start);
@@ -222,7 +222,7 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
         if l.start == next && st.counts[k] == 0 {
             st.index_cur[k] = l.init;
             if let Some(r) = l.index_reg {
-                ride(&mut d, &mut written, k, r, l.init);
+                ride(&mut d.writes, &mut written, k, r, l.init);
             }
         }
     }

@@ -14,9 +14,9 @@
 //! them, after which the owner must [`SiteTable::rebuild`].
 
 use crate::config::MAX_LOOPS;
-use crate::dynamics::{Decision, DecisionKind, DynState};
+use crate::dynamics::{ride, Decision, DecisionKind, DynState};
 use crate::tables::ZolcTables;
-use zolc_isa::{entry_field, exit_field, loop_field, task_field, Reg, ZolcRegion};
+use zolc_isa::{entry_field, exit_field, loop_field, task_field, ZolcRegion};
 use zolc_sim::RegWrites;
 
 /// What the scans of [`decide`](crate::decide) find at one pc.
@@ -162,20 +162,21 @@ impl SiteTable {
     /// (the ones this table was last rebuilt from, up to fields that do
     /// not [`invalidate`](invalidates) it), as a [`Decision`].
     pub(crate) fn decision(&self, t: &ZolcTables, st: &mut DynState, i: usize) -> Decision {
-        let mut riders = RiderBuf::default();
-        let o = self.decide(t, st, i, &mut riders);
-        o.decision(riders.to_writes())
+        let mut w = RegWrites::new();
+        let o = self.decide(t, st, i, &mut w);
+        o.decision(w)
     }
 
-    /// [`SiteTable::decision`] with the riders added to `riders` (which
-    /// must be empty) rather than returned.
+    /// [`SiteTable::decision`] with the rider writes added to `w` (which
+    /// must be empty) rather than returned, so that callers copy the
+    /// 68-byte [`RegWrites`] only where they keep it.
     #[inline(always)]
     pub(crate) fn decide(
         &self,
         t: &ZolcTables,
         st: &mut DynState,
         i: usize,
-        riders: &mut RiderBuf,
+        w: &mut RegWrites,
     ) -> Outcome {
         let mut o = Outcome::default();
         if !st.active {
@@ -197,9 +198,8 @@ impl SiteTable {
                 }
                 let l = &loops[k];
                 st.index_cur[k] = l.init;
-                o.touched |= 1 << k;
                 if let Some(r) = l.index_reg {
-                    riders.ride(&mut written, k, r, l.init);
+                    ride(w, &mut written, k, r, l.init);
                 }
                 fired = true;
             }
@@ -216,16 +216,14 @@ impl SiteTable {
         if site.micro_end {
             let l = &loops[0];
             if l.limit != 0 {
-                o.touched |= 1;
                 if st.counts[0] + 1 < l.limit {
                     st.counts[0] += 1;
                     st.index_cur[0] = st.index_cur[0].wrapping_add(l.step);
                     if let Some(r) = l.index_reg {
-                        riders.ride(&mut written, 0, r, st.index_cur[0]);
+                        ride(w, &mut written, 0, r, st.index_cur[0]);
                     }
                     o.redirect = Some(l.start);
-                    // The loop just counted an iteration: step 3 skips it.
-                    next = self.start_masks[0] & !1;
+                    next = self.start_masks[0];
                     o.kind = DecisionKind::Iterate {
                         loop_id: 0,
                         chained: 0,
@@ -244,16 +242,15 @@ impl SiteTable {
                 let Some(l) = loops.get(lid) else {
                     break;
                 };
-                o.touched |= 1 << lid;
                 if st.counts[lid] + 1 < l.limit {
                     st.counts[lid] += 1;
                     st.index_cur[lid] = st.index_cur[lid].wrapping_add(l.step);
                     if let Some(r) = l.index_reg {
-                        riders.ride(&mut written, lid, r, st.index_cur[lid]);
+                        ride(w, &mut written, lid, r, st.index_cur[lid]);
                     }
                     st.current_task = task.next_iter;
                     o.redirect = Some(l.start);
-                    next = self.start_masks[lid] & !(1 << lid);
+                    next = self.start_masks[lid];
                     o.kind = DecisionKind::Iterate {
                         loop_id: task.loop_id,
                         chained,
@@ -273,9 +270,8 @@ impl SiteTable {
             if st.counts[k] == 0 {
                 let l = &loops[k];
                 st.index_cur[k] = l.init;
-                o.touched |= 1 << k;
                 if let Some(r) = l.index_reg {
-                    riders.ride(&mut written, k, r, l.init);
+                    ride(w, &mut written, k, r, l.init);
                 }
             }
         }
@@ -284,16 +280,13 @@ impl SiteTable {
     }
 }
 
-/// A [`Decision`] without its riders, and what it changed.
-#[derive(Debug, Clone, Copy, Default)]
+/// A [`Decision`] without its rider writes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Outcome {
     /// [`Decision::redirect`].
     pub(crate) redirect: Option<u32>,
     /// [`Decision::kind`].
     pub(crate) kind: DecisionKind,
-    /// The loops whose count or index shadow the decision wrote (the
-    /// current task aside, it wrote nothing else).
-    pub(crate) touched: u8,
 }
 
 impl Outcome {
@@ -306,93 +299,8 @@ impl Outcome {
         }
     }
 
-    /// Whether two outcomes are the same decision (what they changed
-    /// aside, as [`Decision`] equality has it).
-    pub(crate) fn same(&self, other: &Outcome) -> bool {
-        self.redirect == other.redirect && self.kind == other.kind
-    }
-
-    /// [`Decision::is_trivial`] of this outcome with `riders` riders.
-    pub(crate) fn is_trivial(&self, riders: usize) -> bool {
-        self.redirect.is_none() && riders == 0 && self.kind == DecisionKind::None
-    }
-}
-
-/// A decision's rider writes, in the order and under the supersede rule
-/// of a [`Decision`]'s [`RegWrites`], in arrays that clear with a few wide
-/// stores (a `RegWrites` is built only for a fetch that has riders).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RiderBuf {
-    len: u8,
-    regs: [Reg; MAX_LOOPS],
-    vals: [u32; MAX_LOOPS],
-}
-
-impl RiderBuf {
-    /// Number of writes.
-    pub(crate) fn len(&self) -> usize {
-        usize::from(self.len)
-    }
-
-    /// The writes in order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (Reg, u32)> + '_ {
-        let n = self.len();
-        self.regs[..n]
-            .iter()
-            .copied()
-            .zip(self.vals[..n].iter().copied())
-    }
-
-    /// The same writes as a [`RegWrites`].
-    pub(crate) fn to_writes(self) -> RegWrites {
-        let mut w = RegWrites::new();
-        for (r, v) in self.iter() {
-            w.push(r, v);
-        }
-        w
-    }
-
-    /// Adds loop `k`'s write of `v` to `r`, as `decide`'s `ride` does;
-    /// `written` marks the loops that already have one.
-    #[inline]
-    fn ride(&mut self, written: &mut u8, k: usize, r: Reg, v: u32) {
-        let n = self.len();
-        if *written & (1 << k) != 0 {
-            // RegWrites::supersede: the latest write to `r` moves to the
-            // end with the new value.
-            if let Some(i) = self.regs[..n].iter().rposition(|&x| x == r) {
-                self.regs.copy_within(i + 1..n, i);
-                self.vals.copy_within(i + 1..n, i);
-                self.regs[n - 1] = r;
-                self.vals[n - 1] = v;
-                return;
-            }
-        } else {
-            *written |= 1 << k;
-        }
-        self.regs[n] = r;
-        self.vals[n] = v;
-        self.len += 1;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use zolc_isa::reg;
-
-    #[test]
-    fn rider_buf_rides_like_reg_writes() {
-        // Loops 0 and 2 share r5, so superseding loop 0's write moves
-        // the latest r5 write, as `RegWrites::supersede` does.
-        let rides = [(0, 5, 10), (1, 6, 11), (2, 5, 12), (0, 5, 13), (1, 6, 14)];
-        let (mut d, mut b) = (Decision::default(), RiderBuf::default());
-        let (mut dn, mut bn) = (0u8, 0u8);
-        for (k, r, v) in rides {
-            crate::dynamics::ride(&mut d, &mut dn, k, reg(r), v);
-            b.ride(&mut bn, k, reg(r), v);
-            assert_eq!(b.to_writes(), d.writes);
-        }
-        assert_eq!(b.len(), 3);
+    /// [`Decision::is_trivial`] of this outcome with rider writes `w`.
+    pub(crate) fn is_trivial(&self, w: &RegWrites) -> bool {
+        self.redirect.is_none() && w.is_empty() && self.kind == DecisionKind::None
     }
 }

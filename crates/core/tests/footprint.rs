@@ -21,8 +21,11 @@
 //! active states, the redirect, the rider writes in order, the decision
 //! kind and the post-state agree, through `Zolc::decide_at` and through
 //! the `on_fetch`/`on_execute` hooks themselves (exit records included).
-//! The random table sets write every field of every record while the
-//! controller is active, so a site left stale by any write shows.
+//! The random table sets write every field of records drawn from each
+//! region's whole index space (task 31 = `TASK_NONE` included), also
+//! while the controller is active and between its own hook calls, so a
+//! site or lookup left stale by any write shows. In release builds they
+//! include loop counts of `u32::MAX`, where `count + 1` wraps.
 
 use std::sync::Arc;
 use zolc_core::{decide, DynState, Zolc, ZolcConfig, ZolcTables, MAX_LOOPS, TASK_NONE};
@@ -58,8 +61,25 @@ fn random_state(rng: &mut GenRng, tasks: usize) -> DynState {
     st
 }
 
-/// A random dynamic state of an active controller whose counts can
-/// still be incremented: any task id, small or large counts.
+/// A random count for a loop record: mostly small, sometimes large, and
+/// in release builds sometimes `u32::MAX`. At that count `decide`'s
+/// `count + 1` overflows: debug builds panic, release builds wrap (the
+/// loop iterates and its count wraps to 0), and the compiled decision
+/// must wrap the same way.
+fn random_count(rng: &mut GenRng) -> u32 {
+    // Draw the chance in every build, so both draw the same sequence.
+    let wrap = rng.chance(1, 16);
+    if wrap && !cfg!(debug_assertions) {
+        u32::MAX
+    } else if rng.chance(1, 8) {
+        rng.below(u32::MAX - 1)
+    } else {
+        rng.below(6)
+    }
+}
+
+/// A random dynamic state of an active controller: any task id, small
+/// or large counts.
 fn deciding_state(rng: &mut GenRng) -> DynState {
     let mut st = DynState {
         active: true,
@@ -67,11 +87,7 @@ fn deciding_state(rng: &mut GenRng) -> DynState {
         ..DynState::default()
     };
     for k in 0..MAX_LOOPS {
-        st.counts[k] = if rng.chance(1, 8) {
-            rng.below(u32::MAX - 1)
-        } else {
-            rng.below(6)
-        };
+        st.counts[k] = random_count(rng);
         st.index_cur[k] = rng.next_u64() as u32;
     }
     st
@@ -247,20 +263,39 @@ const FIELDS: [(ZolcRegion, u8); 23] = {
     ]
 };
 
-/// How many records of `region` the random table sets use: few, so the
-/// same ones take many writes.
-fn records(region: ZolcRegion, config: &ZolcConfig) -> u32 {
+/// The record indices a `zwr` to `region` can name: 8 loop records, 32
+/// of each other kind. Indices past a configuration's capacity are
+/// rejected writes.
+fn index_space(region: ZolcRegion) -> u32 {
     match region {
-        ZolcRegion::Loop => config.loops() as u32,
-        ZolcRegion::Task => 8,
-        _ => 4,
+        ZolcRegion::Loop => MAX_LOOPS as u32,
+        _ => 32,
     }
+}
+
+/// The records of `region` a random table set writes every field of
+/// before activation: every loop, and a few other records drawn from the
+/// whole index space (the top one, task 31 = `TASK_NONE` among them, in
+/// every other round).
+fn picked_records(rng: &mut GenRng, region: ZolcRegion) -> Vec<u8> {
+    let space = index_space(region);
+    if region == ZolcRegion::Loop {
+        return (0..space as u8).collect();
+    }
+    let n = if region == ZolcRegion::Task { 8 } else { 4 };
+    let mut picks: Vec<u8> = (0..n).map(|_| rng.below(space) as u8).collect();
+    if rng.chance(1, 2) {
+        picks.push(space as u8 - 1);
+    }
+    picks.sort_unstable();
+    picks.dedup();
+    picks
 }
 
 /// A random value for `field` of record `index` of `region`: addresses
 /// in (or just past) a text of `len` instructions, valid bits mostly
-/// set, small bounds, and fall-through links only to higher task ids,
-/// so completion chains end.
+/// set, small bounds and counts, and fall-through links only to higher
+/// task ids (capped at `TASK_NONE`), so completion chains end.
 fn random_value(rng: &mut GenRng, region: ZolcRegion, field: u8, index: u8, len: u32) -> u32 {
     use zolc_isa::{entry_field as e, exit_field as x, loop_field as l, task_field as t};
     let addr = TEXT_BASE + 4 * rng.below(len + 2);
@@ -281,37 +316,70 @@ fn random_value(rng: &mut GenRng, region: ZolcRegion, field: u8, index: u8, len:
         | (ZolcRegion::Entry, e::VALID)
         | (ZolcRegion::Exit, x::VALID) => u32::from(rng.chance(3, 4)),
         (ZolcRegion::Loop, l::LIMIT) => rng.below(5),
-        (ZolcRegion::Loop, l::COUNT) => rng.below(4),
+        (ZolcRegion::Loop, l::COUNT) => {
+            if rng.chance(1, 2) {
+                rng.below(4)
+            } else {
+                random_count(rng)
+            }
+        }
         (ZolcRegion::Loop, l::STEP) => any >> rng.below(32),
         (ZolcRegion::Task, t::LOOP_ID) => rng.below(8),
-        (ZolcRegion::Task, t::NEXT_FALLTHRU) => u32::from(index) + 1 + rng.below(8),
+        (ZolcRegion::Task, t::NEXT_FALLTHRU) => (u32::from(index) + 1 + rng.below(8)).min(31),
         _ => any,
     }
 }
 
-/// Random tables: a few records of each kind get every field written
-/// before activation, then random fields are written through `zwr`
-/// while the controller is active, each write followed by the checks,
-/// so a write that leaves the footprint or a site stale shows.
+/// Random tables: a few records of each kind, drawn from each region's
+/// whole index space, get every field written before activation, then
+/// random fields of those or of any other record are written through
+/// `zwr` while the controller is active, each write followed by the
+/// checks, so a write that leaves the footprint or a site stale shows.
 #[test]
 fn footprint_covers_random_table_sets() {
     const LEN: u32 = 32;
     let mut rng = GenRng::new(0xf009);
-    for round in 0..90 {
+    for round in 0..240 {
         let config = CONFIGS()[round % 3];
         let ctx = format!("random round {round} {config}");
         let mut z = Zolc::new(config);
+        let regions = [
+            ZolcRegion::Loop,
+            ZolcRegion::Task,
+            ZolcRegion::Entry,
+            ZolcRegion::Exit,
+        ];
+        let picks: Vec<Vec<u8>> = regions
+            .iter()
+            .map(|&r| picked_records(&mut rng, r))
+            .collect();
+        let picked =
+            |region: ZolcRegion| &picks[regions.iter().position(|&r| r == region).unwrap()];
         for &(region, field) in &FIELDS {
-            for index in 0..records(region, &config) as u8 {
+            for &index in picked(region) {
                 let value = random_value(&mut rng, region, field, index, LEN);
                 z.exec_zwr(region, index, field, value);
             }
         }
-        z.activate(rng.below(8) as u8);
+        let tasks = picked(ZolcRegion::Task);
+        z.activate(tasks[rng.below(tasks.len() as u32) as usize]);
         check(&z, LEN, &mut rng, &ctx);
         for _ in 0..24 {
+            // Run one footprint pc through the hooks, so what the
+            // controller remembers of its last lookup predates the write.
+            let fp = z.hook_pcs().unwrap_or_default().to_vec();
+            if !fp.is_empty() {
+                let pc = fp[rng.below(fp.len() as u32) as usize];
+                z.on_fetch(pc);
+                z.on_execute(pc, ExecEvent::Plain);
+            }
             let (region, field) = FIELDS[rng.below(FIELDS.len() as u32) as usize];
-            let index = rng.below(records(region, &config)) as u8;
+            let mine = picked(region);
+            let index = if rng.chance(1, 2) {
+                mine[rng.below(mine.len() as u32) as usize]
+            } else {
+                rng.below(index_space(region)) as u8
+            };
             let value = random_value(&mut rng, region, field, index, LEN);
             z.exec_zwr(region, index, field, value);
             check(&z, LEN, &mut rng, &ctx);
