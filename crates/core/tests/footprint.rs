@@ -274,18 +274,18 @@ fn index_space(region: ZolcRegion) -> u32 {
 }
 
 /// The records of `region` a random table set writes every field of
-/// before activation: every loop, and a few other records drawn from the
-/// whole index space (the top one, task 31 = `TASK_NONE` among them, in
-/// every other round).
-fn picked_records(rng: &mut GenRng, region: ZolcRegion) -> Vec<u8> {
-    let space = index_space(region);
-    if region == ZolcRegion::Loop {
-        return (0..space as u8).collect();
+/// before activation, out of the `capacity` the configuration has: every
+/// loop, and a few other records drawn from all of them (the top one —
+/// on ZOLCfull task 31 = `TASK_NONE` — in every other round).
+fn picked_records(rng: &mut GenRng, region: ZolcRegion, capacity: usize) -> Vec<u8> {
+    let capacity = capacity as u32;
+    if region == ZolcRegion::Loop || capacity == 0 {
+        return (0..capacity as u8).collect();
     }
     let n = if region == ZolcRegion::Task { 8 } else { 4 };
-    let mut picks: Vec<u8> = (0..n).map(|_| rng.below(space) as u8).collect();
+    let mut picks: Vec<u8> = (0..n).map(|_| rng.below(capacity) as u8).collect();
     if rng.chance(1, 2) {
-        picks.push(space as u8 - 1);
+        picks.push(capacity as u8 - 1);
     }
     picks.sort_unstable();
     picks.dedup();
@@ -330,11 +330,14 @@ fn random_value(rng: &mut GenRng, region: ZolcRegion, field: u8, index: u8, len:
     }
 }
 
-/// Random tables: a few records of each kind, drawn from each region's
-/// whole index space, get every field written before activation, then
-/// random fields of those or of any other record are written through
-/// `zwr` while the controller is active, each write followed by the
-/// checks, so a write that leaves the footprint or a site stale shows.
+/// Random tables: a few records of each kind, drawn from all the records
+/// the configuration has, get every field written before activation,
+/// then random fields of those or of any record index (rejected past the
+/// configuration's capacity) are written through `zwr` while the
+/// controller is active, each write followed by the checks, so a write
+/// that leaves the footprint or a site stale shows. The writes before
+/// activation are all accepted, so the controller's 64 recorded
+/// violations never fill up and hide one.
 #[test]
 fn footprint_covers_random_table_sets() {
     const LEN: u32 = 32;
@@ -349,9 +352,17 @@ fn footprint_covers_random_table_sets() {
             ZolcRegion::Entry,
             ZolcRegion::Exit,
         ];
+        let t = z.tables();
+        let capacity = [
+            t.loops().len(),
+            t.tasks().len(),
+            t.entries().len(),
+            t.exits().len(),
+        ];
         let picks: Vec<Vec<u8>> = regions
             .iter()
-            .map(|&r| picked_records(&mut rng, r))
+            .zip(capacity)
+            .map(|(&r, c)| picked_records(&mut rng, r, c))
             .collect();
         let picked =
             |region: ZolcRegion| &picks[regions.iter().position(|&r| r == region).unwrap()];
@@ -361,8 +372,13 @@ fn footprint_covers_random_table_sets() {
                 z.exec_zwr(region, index, field, value);
             }
         }
+        assert!(z.violations().is_empty(), "{ctx}: {:?}", z.violations());
         let tasks = picked(ZolcRegion::Task);
-        z.activate(tasks[rng.below(tasks.len() as u32) as usize]);
+        z.activate(if tasks.is_empty() {
+            0
+        } else {
+            tasks[rng.below(tasks.len() as u32) as usize]
+        });
         check(&z, LEN, &mut rng, &ctx);
         for _ in 0..24 {
             // Run one footprint pc through the hooks, so what the
@@ -375,7 +391,7 @@ fn footprint_covers_random_table_sets() {
             }
             let (region, field) = FIELDS[rng.below(FIELDS.len() as u32) as usize];
             let mine = picked(region);
-            let index = if rng.chance(1, 2) {
+            let index = if !mine.is_empty() && rng.chance(1, 2) {
                 mine[rng.below(mine.len() as u32) as usize]
             } else {
                 rng.below(index_space(region)) as u8
