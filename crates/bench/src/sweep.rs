@@ -262,6 +262,17 @@ impl SweepConfig {
             .checked_add(u64::try_from(self.programs).ok()?)?;
         Some(self.base_seed..end)
     }
+
+    /// The first seed whose generated program may retire more than
+    /// [`MAX_FUEL`] instructions ([`ProgramSpec::max_retired`]), with
+    /// that bound: its reference run could exhaust the fuel budget, so
+    /// the sweep must not start. `None` when every seed fits, or when
+    /// [`Self::seeds`] is `None`.
+    pub fn over_fuel(&self) -> Option<(u64, u64)> {
+        self.seeds()?
+            .map(|seed| (seed, ProgramSpec::generate(seed, &self.gen).max_retired()))
+            .find(|&(_, bound)| bound > MAX_FUEL)
+    }
 }
 
 impl Default for SweepConfig {
@@ -600,6 +611,38 @@ mod tests {
                 SweepPoint::new("ZOLClite", ZolcConfig::lite()),
                 SweepPoint::new("uZOLC", ZolcConfig::micro()),
             ])
+    }
+
+    /// `max_retired` bounds every reference run, and `over_fuel` refuses
+    /// the seeds whose bound is past the fuel budget.
+    #[test]
+    fn max_retired_bounds_reference_runs_and_gates_the_fuel() {
+        let wide = GenConfig::new().with_max_depth(4).with_max_children(3);
+        for gen in [GenConfig::default(), wide] {
+            for seed in 0..300 {
+                let spec = ProgramSpec::generate(seed, &gen);
+                let program = CompiledProgram::compile(spec.assemble().unwrap().program);
+                let fin = run_session(
+                    ExecutorKind::Functional,
+                    &program,
+                    &mut NullEngine,
+                    MAX_FUEL,
+                )
+                .expect("default-sized programs halt");
+                assert!(fin.stats.retired <= spec.max_retired(), "seed {seed}");
+            }
+        }
+        let cfg = SweepConfig::new();
+        assert_eq!(cfg.clone().with_programs(200).over_fuel(), None);
+        let long = |trips| {
+            let gen = GenConfig::new().with_max_trips(trips);
+            cfg.clone().with_programs(20).with_gen(gen).over_fuel()
+        };
+        assert_eq!(long(24), None);
+        let (seed, bound) = long(1000).expect("a 1000-trip nest is over the budget");
+        assert!(bound > MAX_FUEL && (0..20).contains(&seed));
+        assert!(long(u32::MAX).is_some());
+        assert_eq!(cfg.with_base_seed(u64::MAX).over_fuel(), None);
     }
 
     #[test]

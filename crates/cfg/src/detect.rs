@@ -1,4 +1,4 @@
-//! Counted-loop detection and task-chain planning.
+//! Counted-loop detection.
 //!
 //! This is the analysis direction of the compiler support the paper
 //! assumes: given *software-loop* machine code (the `XRdefault` form), it
@@ -11,16 +11,16 @@
 //!       bne   cnt, r0, top
 //! ```
 //!
-//! (or the `dbnz` equivalent of `XRhrdwil` code), extracts the loop
-//! parameters, and plans the task-switching successors a ZOLC port of
-//! the same program would use. [`crate::retarget`] turns both into an
-//! executable program/overlay pair: it removes the software loop control
-//! and synthesizes the [`ZolcImage`](zolc_core::ZolcImage) against the
-//! relocated addresses.
+//! (or the `dbnz` equivalent of `XRhrdwil` code) and extracts the loop
+//! parameters. [`crate::retarget`] turns them into an executable
+//! program/overlay pair: it removes the software loop control and
+//! synthesizes the [`ZolcImage`](zolc_core::ZolcImage) against the
+//! relocated addresses, planning its task chain with the same
+//! [`ZolcImage::chained`](zolc_core::ZolcImage::chained) rule the
+//! forward lowering uses.
 
 use crate::graph::Cfg;
 use crate::loops::{LoopForest, NaturalLoop};
-use zolc_core::TASK_NONE;
 use zolc_isa::{Instr, Program, Reg, INSTR_BYTES};
 
 /// A register-sourced trip count found in a loop preheader
@@ -188,103 +188,6 @@ fn match_counted(program: &Program, cfg: &Cfg, l: &NaturalLoop) -> Option<Counte
     })
 }
 
-/// The task-switching successors of a counted-loop set, in `counted`
-/// order (the graph is address-independent, so the retargeter plans it
-/// on the original program and records relocated addresses).
-#[derive(Debug, Clone)]
-pub(crate) struct TaskChain {
-    /// Successor task when the loop iterates.
-    pub next_iter: Vec<u8>,
-    /// Successor task when the loop completes ([`TASK_NONE`] at the end).
-    pub next_fallthru: Vec<u8>,
-    /// Task current at activation: the innermost first task of the first
-    /// top-level loop in *execution* (address) order.
-    pub initial_task: u8,
-}
-
-/// Plans iterate/fall-through successors exactly as the forward lowering
-/// would: entering a loop descends to its innermost first-starting
-/// counted descendant; completion falls through to the next counted
-/// sibling's first task, else to the nearest counted ancestor's task.
-pub(crate) fn plan_task_chain(
-    cfg: &Cfg,
-    forest: &LoopForest,
-    counted: &[CountedLoop],
-) -> TaskChain {
-    let idx_of = |lid: usize| counted.iter().position(|c| c.loop_id == lid);
-    let start_of = |lid: usize| cfg.blocks()[forest.loops[lid].header].start;
-    // innermost first-starting counted descendant (inclusive of `lid`)
-    let first_task = |lid: usize| -> usize {
-        let mut cur = lid;
-        loop {
-            let child = forest
-                .loops
-                .iter()
-                .filter(|x| x.parent == Some(cur) && idx_of(x.id).is_some())
-                .min_by_key(|x| start_of(x.id))
-                .map(|x| x.id);
-            match child {
-                Some(c) => cur = c,
-                None => break,
-            }
-        }
-        cur
-    };
-
-    let mut next_iter = Vec::with_capacity(counted.len());
-    let mut next_fallthru = Vec::with_capacity(counted.len());
-    for c in counted {
-        let l = &forest.loops[c.loop_id];
-        next_iter.push(idx_of(first_task(c.loop_id)).expect("counted loop has a task") as u8);
-        // next counted sibling (same parent, later start), entered at its
-        // first task
-        let sibling = forest
-            .loops
-            .iter()
-            .filter(|x| x.parent == l.parent && x.id != l.id && idx_of(x.id).is_some())
-            .filter(|x| start_of(x.id) > start_of(l.id))
-            .min_by_key(|x| start_of(x.id))
-            .map(|x| first_task(x.id));
-        // else the nearest counted ancestor's own task
-        let mut ancestor = l.parent;
-        while let Some(a) = ancestor {
-            if idx_of(a).is_some() {
-                break;
-            }
-            ancestor = forest.loops[a].parent;
-        }
-        next_fallthru.push(
-            sibling
-                .or(ancestor)
-                .and_then(idx_of)
-                .map_or(TASK_NONE, |k| k as u8),
-        );
-    }
-    // initial task: descend from the first (by address) counted loop with
-    // no counted ancestor
-    let initial_task = counted
-        .iter()
-        .filter(|c| {
-            let mut anc = forest.loops[c.loop_id].parent;
-            while let Some(a) = anc {
-                if idx_of(a).is_some() {
-                    return false;
-                }
-                anc = forest.loops[a].parent;
-            }
-            true
-        })
-        .min_by_key(|c| c.start)
-        .and_then(|c| idx_of(first_task(c.loop_id)))
-        .map_or(TASK_NONE, |k| k as u8);
-
-    TaskChain {
-        next_iter,
-        next_fallthru,
-        initial_task,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,16 +321,16 @@ mod tests {
         // outer first (forest orders by body size)
         assert_eq!(c[0].trips, Some(3));
         assert_eq!(c[1].trips, Some(4));
-        let chain = plan_task_chain(&cfg, &f, &c);
-        // outer's next_iter descends into the inner task
-        assert_eq!(chain.next_iter[0], 1);
-        assert_eq!(chain.next_fallthru[1], 0);
-        assert_eq!(chain.initial_task, 1);
         // the retargeted image validates against the lite configuration
         let lite = zolc_core::ZolcConfig::lite();
         let r = crate::retarget(&p, &lite).unwrap();
         assert!(r.unhandled.is_empty());
+        assert_eq!(r.counted, c, "image order is detection order");
         r.image.validate(&lite).unwrap();
+        // outer's next_iter descends into the inner task
+        assert_eq!(r.image.tasks[0].next_iter, 1);
+        assert_eq!(r.image.tasks[1].next_fallthru, 0);
+        assert_eq!(r.image.initial_task, 1);
     }
 
     #[test]
@@ -458,12 +361,14 @@ mod tests {
         let a = (0..3).find(|&k| c[k].start == 4).unwrap();
         let b_outer = (0..3).find(|&k| c[k].trips == Some(3)).unwrap();
         let b_inner = (0..3).find(|&k| c[k].trips == Some(4)).unwrap();
-        let chain = plan_task_chain(&cfg, &f, &c);
+        let r = crate::retarget(&p, &zolc_core::ZolcConfig::lite()).unwrap();
+        assert_eq!(r.counted, c, "image order is detection order");
+        let next_fallthru = |k: usize| r.image.tasks[k].next_fallthru;
         // activation starts at the first nest in address order
-        assert_eq!(chain.initial_task, a as u8);
+        assert_eq!(r.image.initial_task, a as u8);
         // `a` falls through to the *inner* task of the second nest
-        assert_eq!(chain.next_fallthru[a], b_inner as u8);
-        assert_eq!(chain.next_fallthru[b_inner], b_outer as u8);
-        assert_eq!(chain.next_fallthru[b_outer], TASK_NONE);
+        assert_eq!(next_fallthru(a), b_inner as u8);
+        assert_eq!(next_fallthru(b_inner), b_outer as u8);
+        assert_eq!(next_fallthru(b_outer), zolc_core::TASK_NONE);
     }
 }

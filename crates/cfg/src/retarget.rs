@@ -32,6 +32,11 @@
 //!    self-initializing program whose loop control now lives in the
 //!    controller, and validates it against the configuration.
 //!
+//! The task chain is `zolc-core`'s one rule, [`ZolcImage::chained`], the
+//! forward lowering's too: image order is the loop forest's, so each
+//! loop's header address is its execution-order key. In-loop `zwr` limit
+//! updates are padded to the controller's [`ZWR_LEAD`](zolc_core::ZWR_LEAD).
+//!
 //! [`retarget`] is exactly `RetargetPlan::new` followed by one
 //! synthesis; a synthesis reads the plan and never changes it, so a
 //! plan reused across configurations gives the same results as fresh
@@ -65,7 +70,7 @@
 //! and indirect targets) or pre-existing `zwr`/`zctl` instructions are
 //! rejected with [`RetargetError::Unsupported`].
 
-use crate::detect::{detect_counted_loops, plan_task_chain, CountedLoop};
+use crate::detect::{detect_counted_loops, CountedLoop};
 use crate::dom::Dominators;
 use crate::graph::Cfg;
 use crate::loops::LoopForest;
@@ -73,7 +78,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 use zolc_analyze::{solve, Liveness, RegSet};
-use zolc_core::{ImageError, LimitSrc, LoopSpec, TaskSpec, ZolcConfig, ZolcImage};
+use zolc_core::{ImageError, LimitSrc, LoopSpec, ZolcConfig, ZolcImage, ZWR_LEAD};
 use zolc_isa::{
     loop_field, Asm, AsmError, Instr, Label, Program, Reg, ZolcRegion, DATA_BASE, INSTR_BYTES,
     TEXT_BASE,
@@ -431,12 +436,12 @@ impl RetargetPlan {
             }
         }
 
-        // Pad in-loop `zwr` limit updates so the write retires at least 3
-        // instructions before the loop end is fetched (the forward lowering's
-        // lead rule). The static emission count equals the dynamic path only
-        // for straight-line ranges; if a branch inside the range can shorten
-        // the path, assume the worst case — only the range's entry
-        // instruction and the end itself are guaranteed to execute.
+        // Pad in-loop `zwr` limit updates to the controller's `ZWR_LEAD`,
+        // so the write retires before the loop end is fetched. The static
+        // emission count equals the dynamic path only for straight-line
+        // ranges; if a branch inside the range can shorten the path, assume
+        // the worst case — only the range's entry instruction and the end
+        // itself are guaranteed to execute.
         for c in &handled {
             let Some(rl) = c.limit_reg else { continue };
             let zwr_i = text_idx(rl.addr);
@@ -445,7 +450,7 @@ impl RetargetPlan {
             let branchy =
                 ((zwr_i + 1)..=end_i).any(|i| em[i] == Em::Keep && text[i].is_control_flow());
             let min_path = if branchy { lead.min(2) } else { lead };
-            let pads = 3usize.saturating_sub(min_path);
+            let pads = ZWR_LEAD.saturating_sub(min_path);
             if let Em::Replace(v) = &mut em[zwr_i] {
                 v.extend(std::iter::repeat_n(Instr::Nop, pads));
             }
@@ -544,42 +549,35 @@ impl RetargetPlan {
         }
 
         // ---- overlay synthesis --------------------------------------------
-        let chain = plan_task_chain(cfg, forest, &handled);
-        let image = ZolcImage {
-            loops: handled
-                .iter()
-                .enumerate()
-                .map(|(k, c)| LoopSpec {
-                    init: 0,
-                    step: 0,
-                    limit: match (c.trips, c.limit_reg) {
-                        (Some(t), _) => LimitSrc::Const(t),
-                        (None, Some(rl)) => LimitSrc::Reg(rl.reg),
-                        (None, None) => unreachable!("handled loops have a known bound"),
-                    },
-                    index_reg: None,
-                    start: labels[&loop_points[k].0].into(),
-                    end: labels[&loop_points[k].1].into(),
-                })
-                .collect(),
-            tasks: if config.tasks() == 0 {
-                Vec::new()
-            } else {
-                handled
-                    .iter()
-                    .enumerate()
-                    .map(|(k, _)| TaskSpec {
-                        end: labels[&loop_points[k].1].into(),
-                        loop_id: k as u8,
-                        next_iter: chain.next_iter[k],
-                        next_fallthru: chain.next_fallthru[k],
-                    })
-                    .collect()
-            },
-            entries: vec![],
-            exits: vec![],
-            initial_task: chain.initial_task,
-        };
+        // Image order is forest order (body size), so the header address
+        // is the execution-order key of the task chain. A handled loop's
+        // forest parent is handled too: software ancestors pull their
+        // descendants back, and capacity trims whole nests.
+        let tree: Vec<(Option<usize>, u32)> = handled
+            .iter()
+            .map(|c| {
+                let parent = forest.loops[c.loop_id].parent;
+                let parent = parent.and_then(|p| handled.iter().position(|h| h.loop_id == p));
+                (parent, c.start)
+            })
+            .collect();
+        let specs = handled
+            .iter()
+            .zip(&loop_points)
+            .map(|(c, &(start, end))| LoopSpec {
+                init: 0,
+                step: 0,
+                limit: match (c.trips, c.limit_reg) {
+                    (Some(t), _) => LimitSrc::Const(t),
+                    (None, Some(rl)) => LimitSrc::Reg(rl.reg),
+                    (None, None) => unreachable!("handled loops have a known bound"),
+                },
+                index_reg: None,
+                start: labels[&start].into(),
+                end: labels[&end].into(),
+            })
+            .collect();
+        let image = ZolcImage::chained(config, specs, &tree);
 
         let (init_instructions, after_activate) = if handled.is_empty() {
             (0, None)

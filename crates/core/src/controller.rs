@@ -17,7 +17,7 @@
 //! keeps a FIFO *journal* of non-trivial fetch decisions and verifies each
 //! against its replay, recording mismatches as **violations** (these catch
 //! mis-scheduled in-loop `zwr` limit updates, which must precede the
-//! affected task end by at least 3 instructions so the write retires
+//! affected task end by [`ZWR_LEAD`] instructions so the write retires
 //! before the end address is fetched).
 //!
 //! # Executor independence
@@ -85,6 +85,16 @@ use crate::tables::{WriteEffect, ZolcTables};
 use std::collections::VecDeque;
 use zolc_isa::{Reg, ZolcCtl, ZolcRegion};
 use zolc_sim::{ExecEvent, FetchDecision, LoopEngine, RegWrites};
+
+/// The lead an in-loop `zwr` needs before the end of a loop whose record
+/// it writes: counting from the instruction after the `zwr` through the
+/// end instruction, at least this many, so the write retires before the
+/// end address is fetched. With less, the fetch-time decision at the end
+/// reads the old record and its retire-time replay the new one, and the
+/// journal check records the mismatch as a violation
+/// ([`Zolc::violations`]). The forward lowering and the retargeter both
+/// pad their limit updates to this lead.
+pub const ZWR_LEAD: usize = 3;
 
 /// The zero-overhead loop controller.
 ///

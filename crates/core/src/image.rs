@@ -223,6 +223,72 @@ pub struct InitStats {
 }
 
 impl ZolcImage {
+    /// The image of a loop tree: `loops` in image order, one task per
+    /// loop ending at the loop's end, the task chain planned, and no
+    /// entry or exit records. This is the one task-chain rule both the
+    /// forward lowering and the retargeter use.
+    ///
+    /// `tree[k]` gives loop `k`'s nearest ancestor in `loops` (`None`
+    /// at top level) and a key that orders loops by execution. The key
+    /// need not follow image order: the retargeter's image order is the
+    /// loop forest's, and it passes header addresses.
+    ///
+    /// * Entering a loop descends to its innermost first child: that
+    ///   task is the loop's `next_iter`, and the first top-level loop's
+    ///   is the initial task ([`TASK_NONE`] with no loops).
+    /// * Completion falls through to the next sibling's first task,
+    ///   else to the parent's task, else to [`TASK_NONE`].
+    /// * A configuration without a task table (uZOLC) gets no tasks.
+    pub fn chained(
+        config: &ZolcConfig,
+        loops: Vec<LoopSpec>,
+        tree: &[(Option<usize>, u32)],
+    ) -> ZolcImage {
+        let n = tree.len();
+        // children of every loop, and of the root at index `n`, in
+        // execution order (a stable sort keeps image order on ties)
+        let mut kids = vec![Vec::new(); n + 1];
+        for (k, &(parent, _)) in tree.iter().enumerate() {
+            kids[parent.unwrap_or(n)].push(k);
+        }
+        for level in &mut kids {
+            level.sort_by_key(|&k| tree[k].1);
+        }
+        let first_task = |mut k: usize| {
+            while let Some(&child) = kids[k].first() {
+                k = child;
+            }
+            k as u8
+        };
+        let tasks = if config.tasks() == 0 {
+            Vec::new()
+        } else {
+            (0..n)
+                .map(|k| {
+                    let parent = tree[k].0;
+                    let level = &kids[parent.unwrap_or(n)];
+                    let pos = level.iter().position(|&s| s == k).expect("k is a child");
+                    TaskSpec {
+                        end: loops[k].end,
+                        loop_id: k as u8,
+                        next_iter: first_task(k),
+                        next_fallthru: match level.get(pos + 1) {
+                            Some(&next) => first_task(next),
+                            None => parent.map_or(TASK_NONE, |p| p as u8),
+                        },
+                    }
+                })
+                .collect()
+        };
+        ZolcImage {
+            initial_task: kids[n].first().map_or(TASK_NONE, |&k| first_task(k)),
+            loops,
+            tasks,
+            entries: vec![],
+            exits: vec![],
+        }
+    }
+
     /// Checks the image against a hardware configuration.
     ///
     /// # Errors
@@ -657,6 +723,60 @@ mod tests {
             exits: vec![],
             initial_task: 0,
         }
+    }
+
+    /// Entering descends to the innermost first child, completion falls
+    /// through to the next sibling's first task or to the parent, both in
+    /// key order, and uZOLC gets no tasks.
+    #[test]
+    fn chained_follows_execution_order() {
+        let spec = |start: u32, end: u32| LoopSpec {
+            init: 0,
+            step: 0,
+            limit: LimitSrc::Const(2),
+            index_reg: None,
+            start: start.into(),
+            end: end.into(),
+        };
+        // loop 0 holds loops 1 and 3; loop 2 runs first, before loop 0
+        let loops = vec![
+            spec(0x20, 0x40),
+            spec(0x24, 0x28),
+            spec(0x10, 0x14),
+            spec(0x2c, 0x30),
+        ];
+        let tree = [(None, 0x20), (Some(0), 0x24), (None, 0x10), (Some(0), 0x2c)];
+        let image = ZolcImage::chained(&ZolcConfig::lite(), loops.clone(), &tree);
+        assert_eq!(image.initial_task, 2);
+        let links: Vec<_> = image
+            .tasks
+            .iter()
+            .map(|t| (t.end, t.loop_id, t.next_iter, t.next_fallthru))
+            .collect();
+        assert_eq!(
+            links,
+            [
+                (0x40.into(), 0, 1, TASK_NONE),
+                (0x28.into(), 1, 1, 3),
+                (0x14.into(), 2, 2, 1),
+                (0x30.into(), 3, 3, 0),
+            ]
+        );
+        assert_eq!(image.loops, loops);
+        assert!(image.entries.is_empty() && image.exits.is_empty());
+        image.validate(&ZolcConfig::lite()).unwrap();
+
+        let micro = ZolcImage::chained(
+            &ZolcConfig::micro(),
+            vec![spec(0x10, 0x14)],
+            &[(None, 0x10)],
+        );
+        assert!(micro.tasks.is_empty());
+        assert_eq!(micro.initial_task, 0);
+        assert_eq!(
+            ZolcImage::chained(&ZolcConfig::lite(), vec![], &[]).initial_task,
+            TASK_NONE
+        );
     }
 
     #[test]

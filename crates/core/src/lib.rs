@@ -20,7 +20,11 @@
 //!   with speculative/architectural state separation, a consistency
 //!   journal, and [`decide`] compiled into one site per hook-footprint pc;
 //! * [`ZolcImage`] — the software-side table description, its validation,
-//!   the initialization-sequence generator and a direct loader;
+//!   the initialization-sequence generator, and
+//!   [`ZolcImage::chained`], the one task-chain rule: both the forward
+//!   lowering (`zolc-ir`) and the retargeter (`zolc-cfg`) build their
+//!   images with it, and pad in-loop `zwr` limit updates to [`ZWR_LEAD`],
+//!   the lead the controller's journal check enforces;
 //! * [`area`] — storage/combinational-area/timing models calibrated to the
 //!   paper's synthesis results (30/258/642 bytes, 298/4056/4428 gates,
 //!   ~170 MHz on 0.13 µm);
@@ -85,7 +89,7 @@ mod sites;
 mod tables;
 
 pub use config::{ConfigError, ZolcConfig, ZolcVariant, MAX_LOOPS, MAX_TASKS, TASK_NONE};
-pub use controller::Zolc;
+pub use controller::{Zolc, ZWR_LEAD};
 pub use dynamics::{decide, Decision, DecisionKind, DynState};
 pub use image::{
     AddrVal, EntrySpec, ExitSpec, ImageError, InitStats, LimitSrc, LoopSpec, TaskSpec, ZolcImage,

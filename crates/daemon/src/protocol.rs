@@ -315,7 +315,9 @@ pub fn sweep_config_json(cfg: &zolc_bench::SweepConfig) -> Json {
 /// # Errors
 ///
 /// A message naming the missing or invalid field; `programs` is at most
-/// [`MAX_SWEEP_PROGRAMS`], and `base_seed + programs` must fit a `u64`.
+/// [`MAX_SWEEP_PROGRAMS`], `base_seed + programs` must fit a `u64`, and
+/// no seed's program may retire more than the sweep fuel budget
+/// ([`zolc_bench::SweepConfig::over_fuel`]).
 pub fn parse_sweep_config(doc: &Json) -> Result<zolc_bench::SweepConfig, String> {
     let mut cfg = zolc_bench::SweepConfig::new();
     if let Some(v) = int_field(doc, "sweep", "programs", 0..=MAX_SWEEP_PROGRAMS as u64)? {
@@ -349,6 +351,13 @@ pub fn parse_sweep_config(doc: &Json) -> Result<zolc_bench::SweepConfig, String>
         return Err(format!(
             "sweep: `base_seed` {} + `programs` {} does not fit a u64",
             cfg.base_seed, cfg.programs
+        ));
+    }
+    if let Some((seed, bound)) = cfg.over_fuel() {
+        return Err(format!(
+            "sweep: seed {seed}'s program may retire {bound} instructions, over the fuel \
+             budget of {}",
+            zolc_bench::MAX_FUEL
         ));
     }
     Ok(cfg)
@@ -695,6 +704,19 @@ mod tests {
         assert!(parse_sweep_config(&seeds(u64::MAX - 2)).is_ok());
         let err = parse_sweep_config(&seeds(u64::MAX)).unwrap_err();
         assert!(err.contains("base_seed"), "{err}");
+        // knobs whose programs could exhaust the fuel budget
+        let trips = |max_trips: u64| {
+            Json::Obj(vec![
+                ("programs".into(), Json::u64(20)),
+                (
+                    "gen".into(),
+                    Json::Obj(vec![("max_trips".into(), Json::u64(max_trips))]),
+                ),
+            ])
+        };
+        assert!(parse_sweep_config(&trips(24)).is_ok());
+        let err = parse_sweep_config(&trips(1000)).unwrap_err();
+        assert!(err.contains("fuel budget"), "{err}");
     }
 
     #[test]

@@ -242,6 +242,38 @@ impl ProgramSpec {
         self.loops.iter().map(|l| walk(l, false)).sum()
     }
 
+    /// An upper bound on the instructions a run of the assembled
+    /// baseline program retires, saturating at `u64::MAX`: every `li`
+    /// counted as two instructions and no skip branch taken (a taken
+    /// skip only shortens the run). Callers with a fuel budget check a
+    /// spec against it before running anything.
+    pub fn max_retired(&self) -> u64 {
+        fn activation(shape: &LoopShape) -> u64 {
+            let preheader = match shape.bound {
+                BoundKind::Const => 2,
+                BoundKind::Reg => 3,
+            };
+            let latch = match shape.latch {
+                LatchKind::Counter => 2,
+                LatchKind::Dbnz => 1,
+            };
+            let body = shape.children.iter().map(activation).fold(
+                u64::from(shape.emits_tail_skip())
+                    + (shape.pre.len() + shape.post.len()) as u64
+                    + latch,
+                u64::saturating_add,
+            );
+            // the down-counter wraps: a zero trip count runs 2^32 times
+            let trips = u64::from(shape.trips.wrapping_sub(1)) + 1;
+            (u64::from(shape.pre_skip) + preheader).saturating_add(trips.saturating_mul(body))
+        }
+        // the `r1` prologue and the final `halt`
+        self.loops
+            .iter()
+            .map(activation)
+            .fold(3, u64::saturating_add)
+    }
+
     /// Counts, for every [`Feature`], how many loops of the spec
     /// exhibit it (one loop can exhibit several).
     pub fn feature_counts(&self) -> Vec<(Feature, usize)> {
@@ -346,6 +378,28 @@ mod tests {
             rs: reg(2),
             rt: reg(3),
         }]
+    }
+
+    #[test]
+    fn max_retired_counts_every_iteration() {
+        // prologue 2 + (li 2 + 10 × (nested li 2 + 3 × latch 2 + latch 2)) + halt
+        let spec = ProgramSpec::new(vec![LoopShape {
+            children: vec![LoopShape::counted(3)],
+            ..LoopShape::counted(10)
+        }]);
+        assert_eq!(spec.max_retired(), 2 + 2 + 10 * (2 + 3 * 2 + 2) + 1);
+        // a zero trip count wraps the down-counter
+        let wraps = ProgramSpec::new(vec![LoopShape::counted(0)]);
+        assert_eq!(wraps.max_retired(), 2 + 2 + (1 << 32) * 2 + 1);
+        let huge = LoopShape::counted(u32::MAX);
+        let nest = LoopShape {
+            children: vec![LoopShape {
+                children: vec![huge.clone()],
+                ..huge.clone()
+            }],
+            ..huge
+        };
+        assert_eq!(ProgramSpec::new(vec![nest]).max_retired(), u64::MAX);
     }
 
     #[test]

@@ -8,20 +8,22 @@
 //!   dedicated zero-detect resolves in ID (one overhead instruction plus
 //!   a single taken bubble per iteration).
 //! * [`Target::Zolc`] — bodies only: no loop-control instructions at all.
-//!   The lowering plans the task graph (one task per loop, chained ends
-//!   for shared last instructions), emits the initialization sequence, and
-//!   schedules in-loop `zwr` limit updates for data-dependent bounds with
-//!   the required ≥3-instruction lead. `break_if` uses exit records on
-//!   ZOLCfull and a software fixup stub on configurations without records.
+//!   The lowering builds the image through `zolc-core`'s one task-chain
+//!   rule, [`ZolcImage::chained`] (one task per loop in pre-order, chained
+//!   ends for shared last instructions), emits the initialization
+//!   sequence, and schedules in-loop `zwr` limit updates for
+//!   data-dependent bounds with the controller's [`ZWR_LEAD`]. `break_if`
+//!   uses exit records on ZOLCfull and a software fixup stub on
+//!   configurations without records.
 //!
 //! All three lowerings share the body code verbatim, so measured cycle
 //! differences are attributable to loop control alone — the property the
 //! paper's Fig. 2 comparison relies on.
 
-use crate::ir::{Cond, IndexSpec, LoopIr, LoopNode, Node, Trips};
+use crate::ir::{Cond, LoopIr, LoopNode, Node, Trips};
 use std::fmt;
 use zolc_core::{
-    ExitSpec, ImageError, LimitSrc, LoopSpec, TaskSpec, ZolcConfig, ZolcImage, TASK_NONE,
+    ExitSpec, ImageError, LimitSrc, LoopSpec, TaskSpec, ZolcConfig, ZolcImage, TASK_NONE, ZWR_LEAD,
 };
 use zolc_isa::{loop_field, Asm, AsmError, Instr, Label, Reg, ZolcCtl, ZolcRegion};
 
@@ -134,21 +136,11 @@ impl From<AsmError> for LowerError {
 pub fn lower_into(asm: &mut Asm, ir: &LoopIr, target: &Target) -> Result<LoweredInfo, LowerError> {
     check_structure(&ir.nodes)?;
     match target {
-        Target::Baseline => {
+        Target::Baseline | Target::HwLoop => {
             check_register_conflicts(&ir.nodes, false)?;
             let mut sw = SwLower {
                 asm,
-                hw: false,
-                exits: Vec::new(),
-            };
-            sw.nodes(&ir.nodes)?;
-            Ok(LoweredInfo::default())
-        }
-        Target::HwLoop => {
-            check_register_conflicts(&ir.nodes, false)?;
-            let mut sw = SwLower {
-                asm,
-                hw: true,
+                hw: *target == Target::HwLoop,
                 exits: Vec::new(),
             };
             sw.nodes(&ir.nodes)?;
@@ -386,82 +378,26 @@ impl SwLower<'_> {
 
 // ========================= ZOLC lowering ================================
 
-/// Per-loop plan computed before emission.
-#[derive(Debug, Clone)]
-struct PlanLoop {
-    trips: Trips,
-    index: Option<IndexSpec>,
-    /// Task current after this loop iterates (first task end inside its
-    /// body).
-    next_iter: u8,
-    /// Task current after this loop completes.
-    next_fallthru: u8,
-}
-
-/// Recursively assigns pre-order loop ids and successor tasks.
-fn plan_loops(nodes: &[Node]) -> Vec<PlanLoop> {
-    // Pass 1: pre-order collection with children lists.
-    struct Rec {
-        trips: Trips,
-        index: Option<IndexSpec>,
-        children: Vec<u8>,
-        parent: Option<u8>,
-    }
-    fn collect(nodes: &[Node], parent: Option<u8>, out: &mut Vec<Rec>) -> Vec<u8> {
-        let mut level = Vec::new();
+/// The counted loops of `nodes` in pre-order (their ZOLC loop ids), each
+/// with the id of its enclosing loop. Loops never sit inside `if` arms,
+/// and `while` subtrees stay in software.
+fn preorder(nodes: &[Node]) -> Vec<(&LoopNode, Option<usize>)> {
+    fn walk<'a>(
+        nodes: &'a [Node],
+        parent: Option<usize>,
+        out: &mut Vec<(&'a LoopNode, Option<usize>)>,
+    ) {
         for n in nodes {
             if let Node::Loop(l) = n {
-                let id = out.len() as u8;
-                out.push(Rec {
-                    trips: l.trips,
-                    index: l.index,
-                    children: Vec::new(),
-                    parent,
-                });
-                let kids = collect(&l.body, Some(id), out);
-                out[usize::from(id)].children = kids;
-                level.push(id);
+                let id = out.len();
+                out.push((l, parent));
+                walk(&l.body, Some(id), out);
             }
         }
-        if let Some(p) = parent {
-            out[usize::from(p)].children = level.clone();
-        }
-        level
     }
-    let mut recs = Vec::new();
-    let top = collect(nodes, None, &mut recs);
-
-    // first task end reached when entering loop `id`'s body
-    fn first_end(recs: &[Rec], id: u8) -> u8 {
-        match recs[usize::from(id)].children.first() {
-            Some(&c) => first_end(recs, c),
-            None => id,
-        }
-    }
-
-    let mut plans: Vec<PlanLoop> = recs
-        .iter()
-        .map(|r| PlanLoop {
-            trips: r.trips,
-            index: r.index,
-            next_iter: 0,
-            next_fallthru: TASK_NONE,
-        })
-        .collect();
-    for id in 0..recs.len() as u8 {
-        plans[usize::from(id)].next_iter = first_end(&recs, id);
-        // fall-through: next sibling loop's first end, else parent's task
-        let siblings: &[u8] = match recs[usize::from(id)].parent {
-            Some(p) => &recs[usize::from(p)].children,
-            None => &top,
-        };
-        let pos = siblings.iter().position(|&s| s == id).expect("sibling");
-        plans[usize::from(id)].next_fallthru = match siblings.get(pos + 1) {
-            Some(&next) => first_end(&recs, next),
-            None => recs[usize::from(id)].parent.unwrap_or(TASK_NONE),
-        };
-    }
-    plans
+    let mut out = Vec::new();
+    walk(nodes, None, &mut out);
+    out
 }
 
 /// A conservative lower bound of the instructions a body will emit.
@@ -485,6 +421,7 @@ struct LoopLabels {
     after: Label,
 }
 
+#[derive(Clone)]
 struct StubInfo {
     label: Label,
     /// Loops whose counters must clear.
@@ -519,13 +456,13 @@ type BreakPlans = (Vec<PlannedBreak>, Vec<ExitSpec>, Vec<String>);
 fn plan_breaks(
     asm: &mut Asm,
     nodes: &[Node],
-    plans: &[PlanLoop],
+    tasks: &[TaskSpec],
     labels: &[LoopLabels],
     config: &ZolcConfig,
 ) -> Result<BreakPlans, LowerError> {
     struct Walker<'a> {
         asm: &'a mut Asm,
-        plans: &'a [PlanLoop],
+        tasks: &'a [TaskSpec],
         labels: &'a [LoopLabels],
         config: &'a ZolcConfig,
         cursor: usize,
@@ -568,7 +505,11 @@ fn plan_breaks(
                         let exited: Vec<u8> = self.stack[idx..].to_vec();
                         let innermost = *self.stack.last().expect("inside a loop");
                         let resume = self.labels[usize::from(broken)].after;
-                        let target_task = self.plans[usize::from(broken)].next_fallthru;
+                        // no task table (uZOLC): nothing to re-target
+                        let target_task = self
+                            .tasks
+                            .get(usize::from(broken))
+                            .map_or(TASK_NONE, |t| t.next_fallthru);
                         let slot = self.slots_used[usize::from(innermost)];
                         if self.config.exit_slots() > usize::from(slot) {
                             let branch = self.asm.new_label();
@@ -611,10 +552,10 @@ fn plan_breaks(
     // One slot counter per planned loop: a structure with more loops
     // than the configuration is refused by the capacity check later,
     // not here.
-    let loops = plans.len().max(config.loops()).max(1);
+    let loops = labels.len().max(config.loops()).max(1);
     let mut w = Walker {
         asm,
-        plans,
+        tasks,
         labels,
         config,
         cursor: 0,
@@ -631,9 +572,8 @@ fn plan_breaks(
 struct ZolcLower<'a> {
     asm: &'a mut Asm,
     config: ZolcConfig,
-    plans: Vec<PlanLoop>,
     labels: Vec<LoopLabels>,
-    /// Pre-order cursor matching `plans`.
+    /// Pre-order cursor matching `labels`.
     cursor: usize,
     /// Enclosing loop ids, innermost last.
     stack: Vec<u8>,
@@ -647,8 +587,8 @@ struct ZolcLower<'a> {
 }
 
 fn lower_zolc(asm: &mut Asm, ir: &LoopIr, config: ZolcConfig) -> Result<LoweredInfo, LowerError> {
-    let plans = plan_loops(&ir.nodes);
-    if plans.is_empty() {
+    let loops = preorder(&ir.nodes);
+    if loops.is_empty() {
         // No loops: plain code, no controller involvement.
         let mut sw = SwLower {
             asm,
@@ -659,7 +599,7 @@ fn lower_zolc(asm: &mut Asm, ir: &LoopIr, config: ZolcConfig) -> Result<LoweredI
         return Ok(LoweredInfo::default());
     }
 
-    let labels: Vec<LoopLabels> = plans
+    let labels: Vec<LoopLabels> = loops
         .iter()
         .map(|_| LoopLabels {
             start: asm.new_label(),
@@ -670,63 +610,40 @@ fn lower_zolc(asm: &mut Asm, ir: &LoopIr, config: ZolcConfig) -> Result<LoweredI
 
     // Build the (label-addressed) image and emit the init sequence before
     // the first loop; top-level code preceding it runs in inactive mode.
-    let initial_task = {
-        // first top-level loop's first inner end = plan id of the first
-        // pre-order loop reached by descending = simply the first loop's
-        // next_iter.
-        plans[0].next_iter
-    };
-    let image = ZolcImage {
-        loops: plans
-            .iter()
-            .enumerate()
-            .map(|(k, p)| LoopSpec {
-                init: p.index.map_or(0, |ix| ix.init),
-                step: p.index.map_or(0, |ix| ix.step),
-                limit: match p.trips {
-                    Trips::Const(n) => LimitSrc::Const(n),
-                    // data-dependent: written by an in-loop zwr at the
-                    // preheader; the init-time value is a placeholder
-                    Trips::Reg(r) => LimitSrc::Reg(r),
-                },
-                index_reg: p.index.map(|ix| ix.reg),
-                start: labels[k].start.into(),
-                end: labels[k].end.into(),
-            })
-            .collect(),
-        // uZOLC has no task LUT: its single loop is implicit. Multi-loop
-        // structures on uZOLC are rejected by the image validation below
-        // (loops capacity 1).
-        tasks: if config.tasks() == 0 {
-            Vec::new()
-        } else {
-            plans
-                .iter()
-                .enumerate()
-                .map(|(k, p)| TaskSpec {
-                    end: labels[k].end.into(),
-                    loop_id: k as u8,
-                    next_iter: p.next_iter,
-                    next_fallthru: p.next_fallthru,
-                })
-                .collect()
-        },
-        entries: vec![],
-        exits: vec![], // filled from the break pre-pass below
-        initial_task,
-    };
+    // Labels are not bound yet, so pre-order is the execution-order key.
+    let specs = loops
+        .iter()
+        .zip(&labels)
+        .map(|(&(l, _), labels)| LoopSpec {
+            init: l.index.map_or(0, |ix| ix.init),
+            step: l.index.map_or(0, |ix| ix.step),
+            limit: match l.trips {
+                Trips::Const(n) => LimitSrc::Const(n),
+                // data-dependent: written by an in-loop zwr at the
+                // preheader; the init-time value is a placeholder
+                Trips::Reg(r) => LimitSrc::Reg(r),
+            },
+            index_reg: l.index.map(|ix| ix.reg),
+            start: labels.start.into(),
+            end: labels.end.into(),
+        })
+        .collect();
+    let tree: Vec<(Option<usize>, u32)> = loops
+        .iter()
+        .enumerate()
+        .map(|(k, &(_, parent))| (parent, k as u32))
+        .collect();
+    let mut image = ZolcImage::chained(&config, specs, &tree);
 
     // Plan every break before emission so the exit records are written by
     // the initialization sequence (the branch addresses use label fixups).
-    let (breaks, exit_specs, notes) = plan_breaks(asm, &ir.nodes, &plans, &labels, &config)?;
-    let mut image = image;
+    let (breaks, exit_specs, notes) = plan_breaks(asm, &ir.nodes, &image.tasks, &labels, &config)?;
     image.exits = exit_specs;
     image.validate(&config)?;
 
     let mut lower = ZolcLower {
         asm,
         config,
-        plans,
         labels,
         cursor: 0,
         stack: Vec::new(),
@@ -867,11 +784,9 @@ impl ZolcLower<'_> {
     fn lower_loop(&mut self, l: &LoopNode, chain_ends: &[Label]) -> Result<(), LowerError> {
         let id = self.cursor;
         self.cursor += 1;
-        debug_assert_eq!(self.plans[id].trips, l.trips);
 
         // Data-dependent limit: write it here (the preheader), padding so
-        // the write retires before the loop's end address is fetched
-        // (≥ 3 instructions of lead).
+        // the write retires before the loop's end address is fetched.
         if let Trips::Reg(r) = l.trips {
             self.asm.emit(Instr::Zwr {
                 region: ZolcRegion::Loop,
@@ -879,8 +794,8 @@ impl ZolcLower<'_> {
                 field: loop_field::LIMIT,
                 rs: r,
             });
-            let lead = min_len(&l.body).max(1);
-            for _ in lead..3 {
+            let lead = min_len(&l.body).max(1) as usize;
+            for _ in lead..ZWR_LEAD {
                 self.asm.emit(Instr::Nop);
             }
         }
@@ -942,15 +857,8 @@ impl ZolcLower<'_> {
                 self.asm.branch(cond.branch_if(), resume);
             }
             PlannedBreak::Stub(stub) => {
-                let label = stub.label;
-                let info = StubInfo {
-                    label: stub.label,
-                    clear: stub.clear.clone(),
-                    task: stub.task,
-                    resume: stub.resume,
-                };
-                self.asm.branch(cond.branch_if(), label);
-                self.stubs.push(info);
+                self.asm.branch(cond.branch_if(), stub.label);
+                self.stubs.push(stub.clone());
             }
         }
         Ok(())
@@ -960,6 +868,7 @@ impl ZolcLower<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::IndexSpec;
     use zolc_isa::reg;
 
     fn simple_loop(trips: u32, body: Vec<Node>) -> LoopIr {

@@ -18,10 +18,12 @@
 //! `--executor <pipeline|functional|nest>`, `--show SEED`,
 //! `--analyze SEED`, `--oracle-check`, `--oracle-floor PCT`. Flags the
 //! chosen mode would ignore — e.g. `--show` or `--oracle-check` with
-//! `--executor` — and a seed range whose end does not fit a `u64` are
-//! usage errors: one line on stderr, exit status 2.
+//! `--executor` —, an `--oracle-floor` outside 0–100, a seed range whose
+//! end does not fit a `u64`, and knobs that let a seed's program retire
+//! more than the fuel budget are usage errors: one line on stderr, exit
+//! status 2.
 
-use zolc::bench::{run_oracle_check, run_sweep, SweepConfig};
+use zolc::bench::{run_oracle_check, run_sweep, SweepConfig, MAX_FUEL};
 use zolc::cfg::retarget;
 use zolc::core::ZolcConfig;
 use zolc::gen::{GenConfig, ProgramSpec};
@@ -117,6 +119,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--oracle-check always cross-checks all three executors; it cannot be combined with --executor",
         );
     }
+    if let Some(floor) = oracle_floor {
+        reject(
+            !(0.0..=100.0).contains(&floor),
+            &format!("--oracle-floor {floor}: the floor is a percentage from 0 to 100"),
+        );
+    }
 
     if let Some(seed) = show {
         return show_one(seed, &cfg.gen);
@@ -133,6 +141,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         std::process::exit(2);
     };
+    if let Some((seed, bound)) = cfg.over_fuel() {
+        eprintln!(
+            "seed {seed}: the generated program may retire {bound} instructions, over the fuel \
+             budget of {MAX_FUEL}; lower --trips, --depth or --loops"
+        );
+        std::process::exit(2);
+    }
 
     if oracle_check {
         // Cross-check mode: summarize each generated baseline program

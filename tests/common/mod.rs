@@ -1,7 +1,9 @@
 //! Instruction and loop-structure generators shared by the root
 //! property suites (`prop_pipeline` checks pipeline-vs-interpreter,
 //! `prop_exec_equiv` checks pipeline-vs-functional-executor and
-//! retarget equivalence).
+//! retarget equivalence), and the hostile text generator
+//! ([`hostile`]) of the wild-input nets. Each suite uses a different
+//! part of this module.
 //!
 //! Loop-structure generation is delegated to `zolc-gen`: the strategies
 //! here sample `proptest` randomness into [`LoopShape`] values (and the
@@ -9,6 +11,10 @@
 //! `ProgramSpec::assemble` — the same model and emitter the E7
 //! design-space sweeps use, so a shape the property suite falsifies is
 //! immediately replayable in the explorer.
+
+#![allow(dead_code)]
+
+pub mod hostile;
 
 use proptest::prelude::*;
 use zolc::gen::{body_instr_variant, BoundKind, GenRng, LatchKind, LoopShape, BODY_MENU_LEN};
@@ -35,7 +41,6 @@ pub fn any_instr() -> impl Strategy<Value = Instr> {
 /// `tail_skip` from body start to latch). Counter and bound registers
 /// are allocated by `zolc-gen` from the `r10`–`r31` pool, which
 /// [`any_instr`] bodies never touch.
-#[allow(dead_code)]
 pub fn gen_loop() -> impl Strategy<Value = LoopShape> {
     (
         1u32..8,

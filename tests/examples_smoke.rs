@@ -213,9 +213,11 @@ fn explore_analyze_prints_dataflow_view() {
 }
 
 /// The `explore` example's usage errors: a flag the chosen mode would
-/// silently ignore, an unknown flag, or a seed range past `u64::MAX`
-/// must be one line on stderr and exit status 2 — never a silent
-/// default, a wrapped seed or an overflow panic.
+/// silently ignore, an unknown flag, a seed range past `u64::MAX`,
+/// knobs whose programs could exhaust the fuel budget, or an oracle
+/// floor that is no percentage must be one line on stderr and exit
+/// status 2 — never a silent default, a wrapped seed, a panic or a
+/// check that passes everything.
 #[test]
 fn explore_rejects_ignored_flag_combinations() {
     use std::process::Command;
@@ -223,6 +225,8 @@ fn explore_rejects_ignored_flag_combinations() {
     const COMBINED: &str = "cannot be combined";
     const SEEDS: &str = "does not fit a u64";
     const MAX_SEED: &str = "18446744073709551615"; // u64::MAX
+    const FUEL: &str = "over the fuel budget";
+    const FLOOR: &str = "percentage from 0 to 100";
     let cases: &[(&[&str], &str)] = &[
         (&["--show", "17", "--executor", "functional"], COMBINED),
         (&["--show", "17", "--oracle-check"], COMBINED),
@@ -236,6 +240,16 @@ fn explore_rejects_ignored_flag_combinations() {
             &["--seed", MAX_SEED, "--programs", "2", "--oracle-check"],
             SEEDS,
         ),
+        (&["--trips", "1000", "--programs", "20"], FUEL),
+        (&["--trips", "4294967295", "--programs", "3"], FUEL),
+        (
+            &["--oracle-check", "--programs", "3", "--trips", "1000"],
+            FUEL,
+        ),
+        (&["--oracle-check", "--oracle-floor", "nan"], FLOOR),
+        (&["--oracle-check", "--oracle-floor", "inf"], FLOOR),
+        (&["--oracle-check", "--oracle-floor", "-1"], FLOOR),
+        (&["--oracle-check", "--oracle-floor", "100.5"], FLOOR),
     ];
     for &(extra, needle) in cases {
         let out = Command::new(env!("CARGO"))
