@@ -120,7 +120,7 @@ mod tests {
     use crate::solver::solve;
     use zolc_isa::reg;
 
-    fn block(start: u32, instrs: Vec<Instr>, succs: Vec<usize>) -> FlowBlock {
+    fn block<'a>(start: u32, instrs: &'a [Instr], succs: &'a [usize]) -> FlowBlock<'a> {
         FlowBlock {
             start,
             instrs,
@@ -133,9 +133,9 @@ mod tests {
         // li r1, 6 ; li r2, 7 ; add r3, r1, r2 ; halt
         let g = FlowGraph::new(
             0,
-            vec![block(
+            &[block(
                 0,
-                vec![
+                &[
                     Instr::Addi {
                         rt: reg(1),
                         rs: reg(0),
@@ -153,7 +153,7 @@ mod tests {
                     },
                     Instr::Halt,
                 ],
-                vec![],
+                &[],
             )],
         );
         let sol = solve(&g, &ConstProp);
@@ -168,35 +168,35 @@ mod tests {
         // b1: li r1, 1 -> b3 ; b2: li r1, 2 -> b3 ; b3: halt
         let g = FlowGraph::new(
             0,
-            vec![
+            &[
                 block(
                     0,
-                    vec![Instr::Bne {
+                    &[Instr::Bne {
                         rs: reg(9),
                         rt: reg(0),
                         off: 1,
                     }],
-                    vec![1, 2],
+                    &[1, 2],
                 ),
                 block(
                     4,
-                    vec![Instr::Addi {
+                    &[Instr::Addi {
                         rt: reg(1),
                         rs: reg(0),
                         imm: 1,
                     }],
-                    vec![3],
+                    &[3],
                 ),
                 block(
                     8,
-                    vec![Instr::Addi {
+                    &[Instr::Addi {
                         rt: reg(1),
                         rs: reg(0),
                         imm: 2,
                     }],
-                    vec![3],
+                    &[3],
                 ),
-                block(12, vec![Instr::Halt], vec![]),
+                block(12, &[Instr::Halt], &[]),
             ],
         );
         let sol = solve(&g, &ConstProp);

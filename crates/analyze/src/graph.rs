@@ -9,18 +9,20 @@
 
 use zolc_isa::{Instr, INSTR_BYTES};
 
-/// One basic block: a run of instructions plus its successor edges.
-#[derive(Debug, Clone)]
-pub struct FlowBlock {
+/// One basic block of a [`FlowGraph`], borrowed: a run of instructions
+/// plus its successor edges. [`FlowGraph::new`] takes blocks in this
+/// form, and [`FlowGraph::block`] hands them back.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowBlock<'a> {
     /// Byte address of the first instruction.
     pub start: u32,
     /// The block's instructions in program order.
-    pub instrs: Vec<Instr>,
+    pub instrs: &'a [Instr],
     /// Indices of successor blocks in the owning [`FlowGraph`].
-    pub succs: Vec<usize>,
+    pub succs: &'a [usize],
 }
 
-impl FlowBlock {
+impl FlowBlock<'_> {
     /// Byte address of the `i`-th instruction.
     pub fn pc_at(&self, i: usize) -> u32 {
         self.start + (i as u32) * INSTR_BYTES
@@ -34,6 +36,11 @@ impl FlowBlock {
 
 /// A flow graph: blocks, a distinguished entry, and derived predecessors.
 ///
+/// The blocks live in flat arrays: every instruction in one vector, and
+/// successor and predecessor lists as offset ranges into one vector
+/// each, so building a graph allocates a fixed handful of vectors
+/// however many blocks it has.
+///
 /// # Examples
 ///
 /// ```
@@ -42,7 +49,7 @@ impl FlowBlock {
 ///
 /// let g = FlowGraph::new(
 ///     0,
-///     vec![FlowBlock { start: 0, instrs: vec![Instr::Halt], succs: vec![] }],
+///     &[FlowBlock { start: 0, instrs: &[Instr::Halt], succs: &[] }],
 /// );
 /// assert_eq!(g.len(), 1);
 /// assert_eq!(g.block_of(0), Some(0));
@@ -50,8 +57,18 @@ impl FlowBlock {
 #[derive(Debug, Clone)]
 pub struct FlowGraph {
     entry: usize,
-    blocks: Vec<FlowBlock>,
-    preds: Vec<Vec<usize>>,
+    /// Start address of each block.
+    starts: Vec<u32>,
+    /// Block `b`'s instructions are `instrs[instr_at[b]..instr_at[b + 1]]`.
+    instr_at: Vec<usize>,
+    instrs: Vec<Instr>,
+    /// Block `b`'s successors are `succs[succ_at[b]..succ_at[b + 1]]`.
+    succ_at: Vec<usize>,
+    succs: Vec<usize>,
+    /// Block `b`'s predecessors are `preds[pred_at[b]..pred_at[b + 1]]`,
+    /// in ascending order.
+    pred_at: Vec<usize>,
+    preds: Vec<usize>,
 }
 
 impl FlowGraph {
@@ -60,26 +77,51 @@ impl FlowGraph {
     /// # Panics
     ///
     /// Panics if `entry` or any successor index is out of range.
-    pub fn new(entry: usize, blocks: Vec<FlowBlock>) -> FlowGraph {
+    pub fn new(entry: usize, blocks: &[FlowBlock<'_>]) -> FlowGraph {
+        let n = blocks.len();
         assert!(
-            entry < blocks.len() || blocks.is_empty(),
-            "entry block index {entry} out of range ({} blocks)",
-            blocks.len()
+            entry < n || blocks.is_empty(),
+            "entry block index {entry} out of range ({n} blocks)"
         );
-        let mut preds = vec![Vec::new(); blocks.len()];
-        for (i, b) in blocks.iter().enumerate() {
-            for &s in &b.succs {
-                assert!(
-                    s < blocks.len(),
-                    "successor index {s} out of range ({} blocks)",
-                    blocks.len()
-                );
-                preds[s].push(i);
+        let mut starts = Vec::with_capacity(n);
+        let mut instr_at = Vec::with_capacity(n + 1);
+        let mut instrs = Vec::with_capacity(blocks.iter().map(|b| b.instrs.len()).sum());
+        let mut succ_at = Vec::with_capacity(n + 1);
+        let mut succs = Vec::with_capacity(blocks.iter().map(|b| b.succs.len()).sum());
+        // predecessor counts, then each block's running end
+        let mut pred_at = vec![0usize; n + 1];
+        instr_at.push(0);
+        succ_at.push(0);
+        for b in blocks {
+            starts.push(b.start);
+            instrs.extend_from_slice(b.instrs);
+            instr_at.push(instrs.len());
+            for &s in b.succs {
+                assert!(s < n, "successor index {s} out of range ({n} blocks)");
+                pred_at[s] += 1;
+            }
+            succs.extend_from_slice(b.succs);
+            succ_at.push(succs.len());
+        }
+        for b in 1..=n {
+            pred_at[b] += pred_at[b - 1];
+        }
+        // fill from the back, so each block's offset counts down to its start
+        let mut preds = vec![0; succs.len()];
+        for (i, b) in blocks.iter().enumerate().rev() {
+            for &s in b.succs.iter().rev() {
+                pred_at[s] -= 1;
+                preds[pred_at[s]] = i;
             }
         }
         FlowGraph {
             entry,
-            blocks,
+            starts,
+            instr_at,
+            instrs,
+            succ_at,
+            succs,
+            pred_at,
             preds,
         }
     }
@@ -89,34 +131,50 @@ impl FlowGraph {
         self.entry
     }
 
-    /// All blocks, indexable by block id.
-    pub fn blocks(&self) -> &[FlowBlock] {
-        &self.blocks
+    /// All blocks, in block-id order.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = FlowBlock<'_>> + '_ {
+        (0..self.len()).map(|i| self.block(i))
     }
 
     /// The block with index `i`.
-    pub fn block(&self, i: usize) -> &FlowBlock {
-        &self.blocks[i]
+    pub fn block(&self, i: usize) -> FlowBlock<'_> {
+        FlowBlock {
+            start: self.starts[i],
+            instrs: &self.instrs[self.instr_at[i]..self.instr_at[i + 1]],
+            succs: self.succs(i),
+        }
+    }
+
+    /// The instructions of block `i`, for patching in place. The
+    /// successor edges stay as built, so a caller may swap only
+    /// instructions that keep the block's control flow.
+    pub fn instrs_mut(&mut self, i: usize) -> &mut [Instr] {
+        &mut self.instrs[self.instr_at[i]..self.instr_at[i + 1]]
+    }
+
+    /// Successor indices of block `i`.
+    pub fn succs(&self, i: usize) -> &[usize] {
+        &self.succs[self.succ_at[i]..self.succ_at[i + 1]]
     }
 
     /// Predecessor indices of block `i`.
     pub fn preds(&self, i: usize) -> &[usize] {
-        &self.preds[i]
+        &self.preds[self.pred_at[i]..self.pred_at[i + 1]]
     }
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.starts.len()
     }
 
     /// Whether the graph has no blocks.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.starts.is_empty()
     }
 
     /// The block containing byte address `pc`, if any.
     pub fn block_of(&self, pc: u32) -> Option<usize> {
-        self.blocks.iter().position(|b| {
+        self.blocks().position(|b| {
             pc >= b.start && pc < b.end() && (pc - b.start).is_multiple_of(INSTR_BYTES)
         })
     }
@@ -127,10 +185,12 @@ mod tests {
     use super::*;
     use zolc_isa::{reg, Instr};
 
-    fn nop_block(start: u32, n: usize, succs: Vec<usize>) -> FlowBlock {
+    const NOPS: [Instr; 2] = [Instr::Nop; 2];
+
+    fn nop_block(start: u32, n: usize, succs: &[usize]) -> FlowBlock<'_> {
         FlowBlock {
             start,
-            instrs: vec![Instr::Nop; n],
+            instrs: &NOPS[..n],
             succs,
         }
     }
@@ -139,10 +199,10 @@ mod tests {
     fn preds_are_derived_from_succs() {
         let g = FlowGraph::new(
             0,
-            vec![
-                nop_block(0, 1, vec![1, 2]),
-                nop_block(4, 1, vec![2]),
-                nop_block(8, 1, vec![]),
+            &[
+                nop_block(0, 1, &[1, 2]),
+                nop_block(4, 1, &[2]),
+                nop_block(8, 1, &[]),
             ],
         );
         assert_eq!(g.preds(0), &[] as &[usize]);
@@ -152,10 +212,7 @@ mod tests {
 
     #[test]
     fn block_of_respects_alignment_and_bounds() {
-        let g = FlowGraph::new(
-            0,
-            vec![nop_block(0x100, 2, vec![1]), nop_block(0x108, 1, vec![])],
-        );
+        let g = FlowGraph::new(0, &[nop_block(0x100, 2, &[1]), nop_block(0x108, 1, &[])]);
         assert_eq!(g.block_of(0x100), Some(0));
         assert_eq!(g.block_of(0x104), Some(0));
         assert_eq!(g.block_of(0x108), Some(1));
@@ -167,7 +224,7 @@ mod tests {
     fn pc_at_and_end() {
         let b = FlowBlock {
             start: 0x20,
-            instrs: vec![
+            instrs: &[
                 Instr::Addi {
                     rt: reg(1),
                     rs: reg(0),
@@ -175,7 +232,7 @@ mod tests {
                 },
                 Instr::Halt,
             ],
-            succs: vec![],
+            succs: &[],
         };
         assert_eq!(b.pc_at(0), 0x20);
         assert_eq!(b.pc_at(1), 0x24);
@@ -185,6 +242,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "successor index")]
     fn bad_successor_index_panics() {
-        let _ = FlowGraph::new(0, vec![nop_block(0, 1, vec![7])]);
+        let _ = FlowGraph::new(0, &[nop_block(0, 1, &[7])]);
     }
 }

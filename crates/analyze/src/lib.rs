@@ -49,19 +49,19 @@
 //! // b1: add r3, r2, r2 ; halt
 //! let g = FlowGraph::new(
 //!     0,
-//!     vec![
+//!     &[
 //!         FlowBlock {
 //!             start: 0,
-//!             instrs: vec![Instr::Addi { rt: reg(2), rs: reg(0), imm: 7 }],
-//!             succs: vec![1],
+//!             instrs: &[Instr::Addi { rt: reg(2), rs: reg(0), imm: 7 }],
+//!             succs: &[1],
 //!         },
 //!         FlowBlock {
 //!             start: 4,
-//!             instrs: vec![
+//!             instrs: &[
 //!                 Instr::Add { rd: reg(3), rs: reg(2), rt: reg(2) },
 //!                 Instr::Halt,
 //!             ],
-//!             succs: vec![],
+//!             succs: &[],
 //!         },
 //!     ],
 //! );

@@ -32,16 +32,19 @@ impl RegSet {
     pub const ALL: RegSet = RegSet(!1);
 
     /// Adds `r` to the set.
+    #[inline]
     pub fn insert(&mut self, r: Reg) {
         self.0 |= 1 << r.index();
     }
 
     /// Removes `r` from the set.
+    #[inline]
     pub fn remove(&mut self, r: Reg) {
         self.0 &= !(1 << r.index());
     }
 
     /// Whether `r` is in the set.
+    #[inline]
     pub fn contains(self, r: Reg) -> bool {
         self.0 & (1 << r.index()) != 0
     }
@@ -57,6 +60,7 @@ impl RegSet {
     }
 
     /// The union of the two sets.
+    #[inline]
     pub fn union(self, other: RegSet) -> RegSet {
         RegSet(self.0 | other.0)
     }
@@ -152,19 +156,19 @@ mod tests {
         // b2: halt
         let g = FlowGraph::new(
             0,
-            vec![
+            &[
                 FlowBlock {
                     start: 0,
-                    instrs: vec![Instr::Addi {
+                    instrs: &[Instr::Addi {
                         rt: reg(1),
                         rs: reg(0),
                         imm: 10,
                     }],
-                    succs: vec![1],
+                    succs: &[1],
                 },
                 FlowBlock {
                     start: 4,
-                    instrs: vec![
+                    instrs: &[
                         Instr::Addi {
                             rt: reg(1),
                             rs: reg(1),
@@ -176,12 +180,12 @@ mod tests {
                             off: -2,
                         },
                     ],
-                    succs: vec![1, 2],
+                    succs: &[1, 2],
                 },
                 FlowBlock {
                     start: 12,
-                    instrs: vec![Instr::Halt],
-                    succs: vec![],
+                    instrs: &[Instr::Halt],
+                    succs: &[],
                 },
             ],
         );
@@ -203,7 +207,7 @@ mod tests {
     fn at_exit_keeps_final_writes_live() {
         let block = FlowBlock {
             start: 0,
-            instrs: vec![
+            instrs: &[
                 Instr::Addi {
                     rt: reg(2),
                     rs: reg(0),
@@ -211,9 +215,9 @@ mod tests {
                 },
                 Instr::Halt,
             ],
-            succs: vec![],
+            succs: &[],
         };
-        let g = FlowGraph::new(0, vec![block]);
+        let g = FlowGraph::new(0, &[block]);
         let a = Liveness {
             at_exit: RegSet::ALL,
         };

@@ -47,9 +47,9 @@ impl Analysis for Reachability {
 ///
 /// let g = FlowGraph::new(
 ///     0,
-///     vec![
-///         FlowBlock { start: 0, instrs: vec![Instr::Halt], succs: vec![] },
-///         FlowBlock { start: 4, instrs: vec![Instr::Nop], succs: vec![0] },
+///     &[
+///         FlowBlock { start: 0, instrs: &[Instr::Halt], succs: &[] },
+///         FlowBlock { start: 4, instrs: &[Instr::Nop], succs: &[0] },
 ///     ],
 /// );
 /// assert_eq!(reachable_blocks(&g), vec![true, false]);
@@ -63,10 +63,10 @@ mod tests {
     use super::*;
     use crate::graph::FlowBlock;
 
-    fn nops(start: u32, succs: Vec<usize>) -> FlowBlock {
+    fn nops(start: u32, succs: &[usize]) -> FlowBlock<'_> {
         FlowBlock {
             start,
-            instrs: vec![Instr::Nop],
+            instrs: &[Instr::Nop],
             succs,
         }
     }
@@ -76,10 +76,10 @@ mod tests {
         // b0 -> b2; b1 is skipped; b2 -> b3 via b1? no: b2 exits.
         let g = FlowGraph::new(
             0,
-            vec![
-                nops(0, vec![2]),
-                nops(4, vec![2]), // no predecessors reach it
-                nops(8, vec![]),
+            &[
+                nops(0, &[2]),
+                nops(4, &[2]), // no predecessors reach it
+                nops(8, &[]),
             ],
         );
         assert_eq!(reachable_blocks(&g), vec![true, false, true]);
@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn cycles_do_not_confer_reachability() {
         // b1 and b2 form a cycle disconnected from the entry.
-        let g = FlowGraph::new(0, vec![nops(0, vec![]), nops(4, vec![2]), nops(8, vec![1])]);
+        let g = FlowGraph::new(0, &[nops(0, &[]), nops(4, &[2]), nops(8, &[1])]);
         assert_eq!(reachable_blocks(&g), vec![true, false, false]);
     }
 }

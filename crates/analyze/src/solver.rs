@@ -127,7 +127,7 @@ pub fn solve<A: Analysis>(g: &FlowGraph, a: &A) -> Solution<A::Fact> {
         queued[b] = false;
         let mut incoming = a.bottom();
         let at_boundary = if backward {
-            g.block(b).succs.is_empty()
+            g.succs(b).is_empty()
         } else {
             b == g.entry()
         };
@@ -135,7 +135,7 @@ pub fn solve<A: Analysis>(g: &FlowGraph, a: &A) -> Solution<A::Fact> {
             a.join(&mut incoming, &a.boundary());
         }
         if backward {
-            for &s in &g.block(b).succs {
+            for &s in g.succs(b) {
                 a.join(&mut incoming, &flow_out[s]);
             }
         } else {
@@ -162,7 +162,7 @@ pub fn solve<A: Analysis>(g: &FlowGraph, a: &A) -> Solution<A::Fact> {
         }
         if f != flow_out[b] {
             flow_out[b] = f;
-            let deps: &[usize] = if backward { g.preds(b) } else { &blk.succs };
+            let deps = if backward { g.preds(b) } else { blk.succs };
             for &d in deps {
                 if !queued[d] {
                     queued[d] = true;
@@ -240,9 +240,9 @@ mod tests {
         // addi r2, r0, 5 ; add r3, r2, r2 ; halt — with r3 live at exit.
         let g = FlowGraph::new(
             0,
-            vec![FlowBlock {
+            &[FlowBlock {
                 start: 0,
-                instrs: vec![
+                instrs: &[
                     Instr::Addi {
                         rt: reg(2),
                         rs: reg(0),
@@ -255,7 +255,7 @@ mod tests {
                     },
                     Instr::Halt,
                 ],
-                succs: vec![],
+                succs: &[],
             }],
         );
         let mut at_exit = RegSet::EMPTY;

@@ -104,7 +104,7 @@ impl CountedLoop {
 /// assert_eq!(counted[0].counter, zolc_isa::reg(11));
 /// ```
 pub fn detect_counted_loops(program: &Program, cfg: &Cfg, forest: &LoopForest) -> Vec<CountedLoop> {
-    let mut found = Vec::new();
+    let mut found = Vec::with_capacity(forest.len());
     for l in &forest.loops {
         if let Some(c) = match_counted(program, cfg, l) {
             found.push(c);

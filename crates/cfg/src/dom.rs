@@ -17,29 +17,28 @@ impl Dominators {
     pub fn compute(cfg: &Cfg) -> Dominators {
         let n = cfg.blocks().len();
         let entry = cfg.entry();
-        // reverse postorder
+        // reverse postorder; `rpo_index` doubles as the DFS's seen mark
+        // (`usize::MAX` until a block is first reached)
         let mut order = Vec::with_capacity(n);
-        let mut state = vec![0u8; n]; // 0 = unseen, 1 = in progress, 2 = done
+        let mut rpo_index = vec![usize::MAX; n];
         let mut stack = vec![(entry, 0usize)];
         while let Some((b, ci)) = stack.pop() {
             if ci == 0 {
-                if state[b] != 0 {
+                if rpo_index[b] != usize::MAX {
                     continue;
                 }
-                state[b] = 1;
+                rpo_index[b] = 0;
             }
-            if let Some(&s) = cfg.blocks()[b].succs.get(ci) {
+            if let Some(&s) = cfg.succs(b).get(ci) {
                 stack.push((b, ci + 1));
-                if state[s] == 0 {
+                if rpo_index[s] == usize::MAX {
                     stack.push((s, 0));
                 }
             } else {
-                state[b] = 2;
                 order.push(b);
             }
         }
         order.reverse();
-        let mut rpo_index = vec![usize::MAX; n];
         for (k, &b) in order.iter().enumerate() {
             rpo_index[b] = k;
         }
@@ -62,7 +61,7 @@ impl Dominators {
             changed = false;
             for &b in order.iter().skip(1) {
                 let mut new_idom = usize::MAX;
-                for &p in &cfg.blocks()[b].preds {
+                for &p in cfg.preds(b) {
                     if idom[p] == usize::MAX {
                         // Skip `p`: either it is unreachable (its slot
                         // stays MAX forever — e.g. dead code branching

@@ -1,6 +1,5 @@
 //! Control-flow graph construction from XR32 machine code.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use zolc_isa::{Instr, Program, TEXT_BASE};
 
@@ -13,10 +12,6 @@ pub struct BasicBlock {
     pub start: u32,
     /// Byte address one past the last instruction.
     pub end: u32,
-    /// Successor block ids.
-    pub succs: Vec<usize>,
-    /// Predecessor block ids.
-    pub preds: Vec<usize>,
 }
 
 impl BasicBlock {
@@ -58,14 +53,29 @@ impl BasicBlock {
 /// // blocks: [li], [addi, bne], [halt]
 /// assert_eq!(cfg.blocks().len(), 3);
 /// let latch = cfg.block_at(4).unwrap();
-/// assert!(latch.succs.contains(&latch.id), "back edge to itself");
+/// assert!(cfg.succs(latch.id).contains(&latch.id), "back edge to itself");
 /// assert_eq!(cfg.reachable().len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     blocks: Vec<BasicBlock>,
     entry: usize,
-    by_start: BTreeMap<u32, usize>,
+    /// The id of the block containing each instruction, by text index.
+    block_of: Vec<usize>,
+    /// Block `b`'s successors are `succs[succ_at[b]..succ_at[b + 1]]`.
+    succ_at: Vec<usize>,
+    succs: Vec<usize>,
+    /// Block `b`'s predecessors are `preds[pred_at[b]..pred_at[b + 1]]`,
+    /// in ascending order.
+    pred_at: Vec<usize>,
+    preds: Vec<usize>,
+}
+
+/// The text index of byte address `addr`, if it lies inside a text of
+/// `n` instructions (unaligned addresses round down).
+fn text_index(addr: u32, n: usize) -> Option<usize> {
+    let i = (addr.checked_sub(TEXT_BASE)? / 4) as usize;
+    (i < n).then_some(i)
 }
 
 impl Cfg {
@@ -75,91 +85,94 @@ impl Cfg {
         let n = text.len();
         let addr = |idx: usize| TEXT_BASE + 4 * idx as u32;
 
-        // Pass 1: leaders.
-        let mut leaders: BTreeSet<u32> = BTreeSet::new();
-        if n > 0 {
-            leaders.insert(TEXT_BASE);
+        // Pass 1: leaders, flagged 1 in `block_of` until pass 2
+        // overwrites each flag with its instruction's block id.
+        let mut block_of = vec![0usize; n];
+        if let Some(first) = block_of.first_mut() {
+            *first = 1;
         }
         for (i, instr) in text.iter().enumerate() {
-            let pc = addr(i);
-            match instr {
-                Instr::J { target } | Instr::Jal { target } => {
-                    leaders.insert(target << 2);
-                    if i + 1 < n {
-                        leaders.insert(addr(i + 1));
-                    }
-                }
-                Instr::Jr { .. } | Instr::Halt if i + 1 < n => {
-                    leaders.insert(addr(i + 1));
-                }
-                Instr::Jr { .. } | Instr::Halt => {}
-                _ if instr.is_cond_branch() => {
-                    if let Some(t) = instr.branch_target(pc) {
-                        leaders.insert(t);
-                    }
-                    if i + 1 < n {
-                        leaders.insert(addr(i + 1));
-                    }
-                }
-                _ => {}
+            let target = match instr {
+                Instr::J { target } | Instr::Jal { target } => Some(target << 2),
+                Instr::Jr { .. } | Instr::Halt => None,
+                _ if instr.is_cond_branch() => instr.branch_target(addr(i)),
+                _ => continue,
+            };
+            if let Some(t) = target.and_then(|t| text_index(t, n)) {
+                block_of[t] = 1;
+            }
+            if i + 1 < n {
+                block_of[i + 1] = 1;
             }
         }
-        leaders.retain(|&l| l < addr(n));
 
-        // Pass 2: blocks between leaders.
-        let starts: Vec<u32> = leaders.iter().copied().collect();
-        let mut blocks = Vec::with_capacity(starts.len());
-        let mut by_start = BTreeMap::new();
-        for (id, &start) in starts.iter().enumerate() {
-            let end = starts.get(id + 1).copied().unwrap_or(addr(n));
-            by_start.insert(start, id);
-            blocks.push(BasicBlock {
-                id,
-                start,
-                end,
-                succs: Vec::new(),
-                preds: Vec::new(),
-            });
+        // Pass 2: blocks between leaders, and each instruction's block.
+        let mut blocks: Vec<BasicBlock> = Vec::with_capacity(block_of.iter().sum());
+        for (i, slot) in block_of.iter_mut().enumerate() {
+            if *slot == 1 {
+                if let Some(prev) = blocks.last_mut() {
+                    prev.end = addr(i);
+                }
+                blocks.push(BasicBlock {
+                    id: blocks.len(),
+                    start: addr(i),
+                    end: addr(n),
+                });
+            }
+            *slot = blocks.len() - 1;
         }
 
-        // Pass 3: edges.
-        for id in 0..blocks.len() {
-            let last_pc = blocks[id].end - 4;
+        // Pass 3: edges, then predecessors in ascending block order.
+        let nb = blocks.len();
+        let block_at = |t: u32| {
+            text_index(t, n)
+                .map(|i| block_of[i])
+                .filter(|&b| blocks[b].start == t)
+        };
+        let mut succ_at = Vec::with_capacity(nb + 1);
+        let mut succs = Vec::with_capacity(2 * nb);
+        // predecessor counts, then each block's running end
+        let mut pred_at = vec![0usize; nb + 1];
+        succ_at.push(0);
+        for b in &blocks {
+            let last_pc = b.end - 4;
             let instr = text[((last_pc - TEXT_BASE) / 4) as usize];
-            let mut succs = Vec::new();
-            match instr {
-                Instr::J { target } | Instr::Jal { target } => {
-                    if let Some(&t) = by_start.get(&(target << 2)) {
-                        succs.push(t);
-                    }
-                }
-                Instr::Jr { .. } | Instr::Halt => {}
+            let fall = block_at(b.end);
+            let (first, second) = match instr {
+                Instr::J { target } | Instr::Jal { target } => (block_at(target << 2), None),
+                Instr::Jr { .. } | Instr::Halt => (None, None),
                 _ if instr.is_cond_branch() => {
-                    if let Some(&t) = instr.branch_target(last_pc).and_then(|t| by_start.get(&t)) {
-                        succs.push(t);
-                    }
-                    if let Some(&ft) = by_start.get(&blocks[id].end) {
-                        if !succs.contains(&ft) {
-                            succs.push(ft);
-                        }
-                    }
+                    let taken = instr.branch_target(last_pc).and_then(block_at);
+                    (taken, fall.filter(|&f| taken != Some(f)))
                 }
-                _ => {
-                    if let Some(&ft) = by_start.get(&blocks[id].end) {
-                        succs.push(ft);
-                    }
-                }
+                _ => (fall, None),
+            };
+            for s in first.into_iter().chain(second) {
+                succs.push(s);
+                pred_at[s] += 1;
             }
-            for s in &succs {
-                blocks[*s].preds.push(id);
+            succ_at.push(succs.len());
+        }
+        for b in 1..=nb {
+            pred_at[b] += pred_at[b - 1];
+        }
+        // fill from the back, so each block's offset counts down to its start
+        let mut preds = vec![0; succs.len()];
+        for b in (0..nb).rev() {
+            for &s in succs[succ_at[b]..succ_at[b + 1]].iter().rev() {
+                pred_at[s] -= 1;
+                preds[pred_at[s]] = b;
             }
-            blocks[id].succs = succs;
         }
 
         Cfg {
             blocks,
             entry: 0,
-            by_start,
+            block_of,
+            succ_at,
+            succs,
+            pred_at,
+            preds,
         }
     }
 
@@ -173,18 +186,25 @@ impl Cfg {
         self.entry
     }
 
+    /// Successor block ids of block `b`: the taken target first, then
+    /// the fall-through.
+    pub fn succs(&self, b: usize) -> &[usize] {
+        &self.succs[self.succ_at[b]..self.succ_at[b + 1]]
+    }
+
+    /// Predecessor block ids of block `b`, in ascending order.
+    pub fn preds(&self, b: usize) -> &[usize] {
+        &self.preds[self.pred_at[b]..self.pred_at[b + 1]]
+    }
+
     /// The block starting at `addr`, if any.
     pub fn block_at(&self, addr: u32) -> Option<&BasicBlock> {
-        self.by_start.get(&addr).map(|&id| &self.blocks[id])
+        self.block_containing(addr).filter(|b| b.start == addr)
     }
 
     /// The block *containing* `addr`.
     pub fn block_containing(&self, addr: u32) -> Option<&BasicBlock> {
-        self.by_start
-            .range(..=addr)
-            .next_back()
-            .map(|(_, &id)| &self.blocks[id])
-            .filter(|b| addr < b.end)
+        text_index(addr, self.block_of.len()).map(|i| &self.blocks[self.block_of[i]])
     }
 
     /// Converts to the explicit [`zolc_analyze::FlowGraph`] the
@@ -210,19 +230,17 @@ impl Cfg {
     /// ```
     pub fn flow(&self, program: &Program) -> zolc_analyze::FlowGraph {
         let text = program.text();
-        let blocks = self
+        let blocks: Vec<zolc_analyze::FlowBlock<'_>> = self
             .blocks
             .iter()
             .map(|b| zolc_analyze::FlowBlock {
                 start: b.start,
-                instrs: b
-                    .addrs()
-                    .map(|pc| text[((pc - TEXT_BASE) / 4) as usize])
-                    .collect(),
-                succs: b.succs.clone(),
+                instrs: &text
+                    [((b.start - TEXT_BASE) / 4) as usize..((b.end - TEXT_BASE) / 4) as usize],
+                succs: self.succs(b.id),
             })
             .collect();
-        zolc_analyze::FlowGraph::new(self.entry, blocks)
+        zolc_analyze::FlowGraph::new(self.entry, &blocks)
     }
 
     /// Blocks reachable from the entry, as a bitset-ish sorted list.
@@ -233,7 +251,7 @@ impl Cfg {
             if std::mem::replace(&mut seen[b], true) {
                 continue;
             }
-            stack.extend(self.blocks[b].succs.iter().copied());
+            stack.extend_from_slice(self.succs(b));
         }
         (0..self.blocks.len()).filter(|&b| seen[b]).collect()
     }
@@ -245,7 +263,10 @@ impl fmt::Display for Cfg {
             writeln!(
                 f,
                 "bb{} [{:#x}..{:#x}) -> {:?}",
-                b.id, b.start, b.end, b.succs
+                b.id,
+                b.start,
+                b.end,
+                self.succs(b.id)
             )?;
         }
         Ok(())
@@ -266,7 +287,7 @@ mod tests {
         let c = cfg_of("nop\nnop\nhalt\n");
         assert_eq!(c.blocks().len(), 1);
         assert_eq!(c.blocks()[0].len(), 3);
-        assert!(c.blocks()[0].succs.is_empty());
+        assert!(c.succs(0).is_empty());
     }
 
     #[test]
@@ -284,8 +305,8 @@ mod tests {
         let loop_block = c.block_at(4).unwrap();
         assert_eq!(loop_block.len(), 2);
         // back edge to itself and fall-through to halt
-        assert!(loop_block.succs.contains(&loop_block.id));
-        assert_eq!(loop_block.succs.len(), 2);
+        assert!(c.succs(loop_block.id).contains(&loop_block.id));
+        assert_eq!(c.succs(loop_block.id).len(), 2);
     }
 
     #[test]
@@ -322,10 +343,9 @@ mod tests {
         );
         // entry, then, else, join
         assert_eq!(c.blocks().len(), 4);
-        let entry = &c.blocks()[c.entry()];
-        assert_eq!(entry.succs.len(), 2);
+        assert_eq!(c.succs(c.entry()).len(), 2);
         let join = c.block_at(16).unwrap();
-        assert_eq!(join.preds.len(), 2);
+        assert_eq!(c.preds(join.id).len(), 2);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! retires an instruction).
 
 use crate::graph::Cfg;
-use std::collections::BTreeSet;
 use std::fmt;
 use zolc_analyze::{reachable_blocks, solve, ConstProp, FlowBlock, FlowGraph, Liveness, RegSet};
 use zolc_core::ZolcImage;
@@ -148,7 +147,7 @@ fn branch_taken(i: &Instr, val: impl Fn(Reg) -> Option<u32>) -> Option<bool> {
 fn image_flow(program: &Program, image: &ZolcImage) -> FlowGraph {
     let text = program.text();
     let limit = TEXT_BASE + INSTR_BYTES * text.len() as u32;
-    let mut leaders: BTreeSet<u32> = Cfg::build(program)
+    let mut starts: Vec<u32> = Cfg::build(program)
         .blocks()
         .iter()
         .map(|b| b.start)
@@ -161,54 +160,62 @@ fn image_flow(program: &Program, image: &ZolcImage) -> FlowGraph {
         if s >= limit || e >= limit {
             continue; // out-of-text records are verify_image's domain
         }
-        leaders.insert(s);
-        leaders.insert(e + INSTR_BYTES);
+        starts.push(s);
+        starts.push(e + INSTR_BYTES);
         backs.push((e, s));
     }
-    leaders.retain(|&l| l < limit);
-    let starts: Vec<u32> = leaders.into_iter().collect();
+    starts.retain(|&l| l < limit);
+    starts.sort_unstable();
+    starts.dedup();
     let idx_of = |addr: u32| starts.binary_search(&addr).ok();
-    let blocks = starts
+    let at = |pc: u32| text[((pc - TEXT_BASE) / INSTR_BYTES) as usize];
+    // every block's instructions and successors, back to back, with the
+    // end offset of each block's share
+    let mut instrs = Vec::with_capacity(text.len());
+    let mut succs: Vec<usize> = Vec::with_capacity(2 * starts.len());
+    let mut ends = Vec::with_capacity(starts.len());
+    for (i, &start) in starts.iter().enumerate() {
+        let end = starts.get(i + 1).copied().unwrap_or(limit);
+        instrs.extend((start..end).step_by(INSTR_BYTES as usize).map(at));
+        let first = succs.len();
+        let add = |succs: &mut Vec<usize>, t: Option<usize>| {
+            if let Some(t) = t.filter(|t| !succs[first..].contains(t)) {
+                succs.push(t);
+            }
+        };
+        let last_pc = end - INSTR_BYTES;
+        let last = at(last_pc);
+        match last {
+            Instr::J { target } | Instr::Jal { target } => add(&mut succs, idx_of(target << 2)),
+            Instr::Jr { .. } | Instr::Halt => {}
+            _ if last.is_cond_branch() => {
+                add(&mut succs, last.branch_target(last_pc).and_then(idx_of));
+                add(&mut succs, idx_of(end));
+            }
+            _ => add(&mut succs, idx_of(end)),
+        }
+        for &(e, s) in &backs {
+            if e == last_pc {
+                add(&mut succs, idx_of(s));
+            }
+        }
+        ends.push((instrs.len(), succs.len()));
+    }
+    let mut from = (0, 0);
+    let blocks: Vec<FlowBlock<'_>> = starts
         .iter()
-        .enumerate()
-        .map(|(i, &start)| {
-            let end = starts.get(i + 1).copied().unwrap_or(limit);
-            let at = |pc: u32| text[((pc - TEXT_BASE) / INSTR_BYTES) as usize];
-            let last_pc = end - INSTR_BYTES;
-            let last = at(last_pc);
-            let mut succs = Vec::new();
-            match last {
-                Instr::J { target } | Instr::Jal { target } => {
-                    succs.extend(idx_of(target << 2));
-                }
-                Instr::Jr { .. } | Instr::Halt => {}
-                _ if last.is_cond_branch() => {
-                    succs.extend(last.branch_target(last_pc).and_then(idx_of));
-                    if let Some(ft) = idx_of(end) {
-                        if !succs.contains(&ft) {
-                            succs.push(ft);
-                        }
-                    }
-                }
-                _ => succs.extend(idx_of(end)),
-            }
-            for &(e, s) in &backs {
-                if e == last_pc {
-                    if let Some(t) = idx_of(s) {
-                        if !succs.contains(&t) {
-                            succs.push(t);
-                        }
-                    }
-                }
-            }
-            FlowBlock {
+        .zip(&ends)
+        .map(|(&start, &(ie, se))| {
+            let block = FlowBlock {
                 start,
-                instrs: (start..end).step_by(INSTR_BYTES as usize).map(at).collect(),
-                succs,
-            }
+                instrs: &instrs[from.0..ie],
+                succs: &succs[from.1..se],
+            };
+            from = (ie, se);
+            block
         })
         .collect();
-    FlowGraph::new(0, blocks)
+    FlowGraph::new(0, &blocks)
 }
 
 /// Lints `program`, optionally checking loop bodies against the index
@@ -261,7 +268,7 @@ pub fn lint_program(program: &Program, image: Option<&ZolcImage>) -> LintReport 
 
     let in_text = |addr: u32| (TEXT_BASE..TEXT_BASE + INSTR_BYTES * n as u32).contains(&addr);
 
-    for (b, block) in g.blocks().iter().enumerate() {
+    for (b, block) in g.blocks().enumerate() {
         if !reachable[b] {
             lints.push(Lint {
                 kind: LintKind::UnreachableBlock,

@@ -8,7 +8,6 @@
 
 use crate::dom::Dominators;
 use crate::graph::Cfg;
-use std::collections::BTreeSet;
 
 /// One natural loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,10 +83,19 @@ impl LoopForest {
     /// assert!(!forest.has_irreducible());
     /// ```
     pub fn analyze(cfg: &Cfg, dom: &Dominators) -> LoopForest {
+        LoopForest {
+            irreducible: find_irreducible(cfg),
+            ..LoopForest::natural(cfg, dom)
+        }
+    }
+
+    /// The natural loops and their nesting alone, without the
+    /// irreducible-region scan (`irreducible` is left empty).
+    pub(crate) fn natural(cfg: &Cfg, dom: &Dominators) -> LoopForest {
         // collect back edges per header
-        let mut per_header: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut per_header: Vec<(usize, Vec<usize>)> = Vec::with_capacity(cfg.blocks().len());
         for b in cfg.blocks() {
-            for &s in &b.succs {
+            for &s in cfg.succs(b.id) {
                 if dom.is_reachable(b.id) && dom.dominates(s, b.id) {
                     match per_header.iter_mut().find(|(h, _)| *h == s) {
                         Some((_, latches)) => latches.push(b.id),
@@ -97,18 +105,25 @@ impl LoopForest {
             }
         }
 
-        // natural-loop body: reverse reachability from latches up to header
-        let mut loops = Vec::new();
+        // natural-loop body: reverse reachability from latches up to
+        // header, marked in one per-block array shared by every loop
+        let n = cfg.blocks().len();
+        let mut in_body = vec![false; n];
+        let mut stack: Vec<usize> = Vec::with_capacity(n);
+        let mut loops = Vec::with_capacity(per_header.len());
         for (header, latches) in per_header {
-            let mut body: BTreeSet<usize> = BTreeSet::new();
-            body.insert(header);
-            let mut stack: Vec<usize> = latches.clone();
+            in_body.fill(false);
+            in_body[header] = true;
+            let mut size = 1;
+            stack.extend_from_slice(&latches);
             while let Some(b) = stack.pop() {
-                if body.insert(b) {
-                    stack.extend(cfg.blocks()[b].preds.iter().copied());
+                if !std::mem::replace(&mut in_body[b], true) {
+                    size += 1;
+                    stack.extend_from_slice(cfg.preds(b));
                 }
             }
-            let body: Vec<usize> = body.into_iter().collect();
+            let mut body = Vec::with_capacity(size);
+            body.extend((0..n).filter(|&b| in_body[b]));
             loops.push(NaturalLoop {
                 id: 0,
                 header,
@@ -140,7 +155,7 @@ impl LoopForest {
         }
         LoopForest {
             loops,
-            irreducible: find_irreducible(cfg),
+            irreducible: Vec::new(),
         }
     }
 
@@ -174,14 +189,15 @@ impl LoopForest {
 }
 
 /// Finds cyclic strongly connected components with more than one entry
-/// block (Tarjan's algorithm, iterative).
+/// block (Tarjan's algorithm, iterative). Each component is examined
+/// where it is popped, so only multiple-entry regions allocate.
 fn find_irreducible(cfg: &Cfg) -> Vec<IrreducibleRegion> {
     let n = cfg.blocks().len();
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
+    let mut regions = Vec::new();
     let mut counter = 0usize;
 
     // iterative Tarjan
@@ -190,11 +206,12 @@ fn find_irreducible(cfg: &Cfg) -> Vec<IrreducibleRegion> {
         v: usize,
         child: usize,
     }
+    let mut call: Vec<Frame> = Vec::new();
     for root in 0..n {
         if index[root] != usize::MAX {
             continue;
         }
-        let mut call = vec![Frame { v: root, child: 0 }];
+        call.push(Frame { v: root, child: 0 });
         index[root] = counter;
         low[root] = counter;
         counter += 1;
@@ -202,7 +219,7 @@ fn find_irreducible(cfg: &Cfg) -> Vec<IrreducibleRegion> {
         on_stack[root] = true;
         while let Some(frame) = call.last_mut() {
             let v = frame.v;
-            if let Some(&w) = cfg.blocks()[v].succs.get(frame.child) {
+            if let Some(&w) = cfg.succs(v).get(frame.child) {
                 frame.child += 1;
                 if index[w] == usize::MAX {
                     index[w] = counter;
@@ -216,17 +233,30 @@ fn find_irreducible(cfg: &Cfg) -> Vec<IrreducibleRegion> {
                 }
             } else {
                 if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack");
+                    // the component is the stack above `v`, inclusive
+                    let at = stack.iter().rposition(|&w| w == v).expect("tarjan stack");
+                    let scc = &stack[at..];
+                    for &w in scc {
                         on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
                     }
-                    scc.sort_unstable();
-                    sccs.push(scc);
+                    let cyclic = scc.len() > 1 || cfg.succs(v).contains(&v);
+                    // entries: members with a predecessor outside
+                    let entries = || {
+                        scc.iter()
+                            .copied()
+                            .filter(|&b| cfg.preds(b).iter().any(|p| !scc.contains(p)))
+                    };
+                    if cyclic && entries().nth(1).is_some() {
+                        let mut members = scc.to_vec();
+                        members.sort_unstable();
+                        let mut entries: Vec<usize> = entries().collect();
+                        entries.sort_unstable();
+                        regions.push(IrreducibleRegion {
+                            blocks: members,
+                            entries,
+                        });
+                    }
+                    stack.truncate(at);
                 }
                 let l = low[v];
                 call.pop();
@@ -234,30 +264,6 @@ fn find_irreducible(cfg: &Cfg) -> Vec<IrreducibleRegion> {
                     low[parent.v] = low[parent.v].min(l);
                 }
             }
-        }
-    }
-
-    let mut regions = Vec::new();
-    for scc in sccs {
-        let cyclic = scc.len() > 1 || cfg.blocks()[scc[0]].succs.contains(&scc[0]);
-        if !cyclic {
-            continue;
-        }
-        let entries: Vec<usize> = scc
-            .iter()
-            .copied()
-            .filter(|&b| {
-                cfg.blocks()[b]
-                    .preds
-                    .iter()
-                    .any(|p| scc.binary_search(p).is_err())
-            })
-            .collect();
-        if entries.len() > 1 {
-            regions.push(IrreducibleRegion {
-                blocks: scc,
-                entries,
-            });
         }
     }
     regions

@@ -37,6 +37,12 @@
 //! loop's header address is its execution-order key. In-loop `zwr` limit
 //! updates are padded to the controller's [`ZWR_LEAD`](zolc_core::ZWR_LEAD).
 //!
+//! Both halves work over dense arrays indexed by text position: one
+//! emission action, label and register mask per original instruction,
+//! and the plan's control transfers in address order. The fixpoint
+//! builds the virtual program's text and flow graph once and patches
+//! them in place from round to round.
+//!
 //! [`retarget`] is exactly `RetargetPlan::new` followed by one
 //! synthesis; a synthesis reads the plan and never changes it, so a
 //! plan reused across configurations gives the same results as fresh
@@ -74,10 +80,9 @@ use crate::detect::{detect_counted_loops, CountedLoop};
 use crate::dom::Dominators;
 use crate::graph::Cfg;
 use crate::loops::LoopForest;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-use zolc_analyze::{solve, Liveness, RegSet};
+use zolc_analyze::{solve, FlowGraph, Liveness, RegSet, Solution};
 use zolc_core::{ImageError, LimitSrc, LoopSpec, ZolcConfig, ZolcImage, ZWR_LEAD};
 use zolc_isa::{
     loop_field, Asm, AsmError, Instr, Label, Program, Reg, ZolcRegion, DATA_BASE, INSTR_BYTES,
@@ -158,29 +163,55 @@ pub struct Retargeted {
 }
 
 /// Per-original-instruction relocation action.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Em {
     /// Copied (branches/jumps re-linked).
     Keep,
     /// Excised.
     Drop,
-    /// Substituted by this sequence (in-loop `zwr` limit updates with
-    /// their lead padding, or an inserted `nop` loop end).
-    Replace(Vec<Instr>),
+    /// Substituted by an inserted `nop` loop end.
+    Nop,
+    /// Substituted by handled loop `index`'s in-loop `zwr` limit update
+    /// (reading `rs`), then `pads` `nop`s of lead padding.
+    Zwr { index: u8, rs: Reg, pads: usize },
 }
 
 impl Em {
-    fn len(&self) -> usize {
+    fn len(self) -> usize {
         match self {
-            Em::Keep => 1,
+            Em::Keep | Em::Nop => 1,
             Em::Drop => 0,
-            Em::Replace(v) => v.len(),
+            Em::Zwr { pads, .. } => 1 + pads,
         }
+    }
+
+    /// The substituted instructions (none for `Keep` and `Drop`).
+    fn substitute(self) -> impl Iterator<Item = Instr> {
+        let (first, pads) = match self {
+            Em::Keep | Em::Drop => (None, 0),
+            Em::Nop => (Some(Instr::Nop), 0),
+            Em::Zwr { index, rs, pads } => (
+                Some(Instr::Zwr {
+                    region: ZolcRegion::Loop,
+                    index,
+                    field: loop_field::LIMIT,
+                    rs,
+                }),
+                pads,
+            ),
+        };
+        first
+            .into_iter()
+            .chain(std::iter::repeat_n(Instr::Nop, pads))
     }
 }
 
 fn text_idx(addr: u32) -> usize {
     ((addr - TEXT_BASE) / INSTR_BYTES) as usize
+}
+
+fn text_addr(idx: usize) -> u32 {
+    TEXT_BASE + INSTR_BYTES * idx as u32
 }
 
 /// The byte addresses one handled loop's excision removes: the latch
@@ -197,6 +228,16 @@ fn excised_addrs(c: &CountedLoop) -> impl Iterator<Item = u32> + '_ {
     ]
     .into_iter()
     .flatten()
+}
+
+/// The registers an instruction reads or writes (`r0` aside).
+fn touches(instr: Instr) -> RegSet {
+    let mut regs = RegSet::EMPTY;
+    let [a, b] = instr.srcs();
+    for r in [a, b, instr.dst()].into_iter().flatten() {
+        regs.insert(r);
+    }
+    regs
 }
 
 /// The (conditional or unconditional) control-transfer target of an
@@ -282,6 +323,17 @@ pub struct RetargetPlan {
     handled: Vec<CountedLoop>,
     /// The fixpoint's notes; every synthesis starts from these.
     notes: Vec<String>,
+    facts: TextFacts,
+}
+
+/// Per-instruction facts of a plan's text, gathered in one pass.
+#[derive(Debug, Clone)]
+struct TextFacts {
+    /// Every control transfer as (text index, target), in address
+    /// order. A plan holds no `jr`, so every target is static.
+    transfers: Vec<(usize, u32)>,
+    /// The registers each instruction touches.
+    touch: Vec<RegSet>,
 }
 
 impl RetargetPlan {
@@ -309,22 +361,34 @@ impl RetargetPlan {
             };
             return Err(RetargetError::Unsupported(format!(
                 "{what} at {:#x}",
-                TEXT_BASE + INSTR_BYTES * i as u32
+                text_addr(i)
             )));
         }
 
         let cfg = Cfg::build(&program);
         let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::analyze(&cfg, &dom);
+        let forest = LoopForest::natural(&cfg, &dom);
         let all = detect_counted_loops(&program, &cfg, &forest);
+        let mut facts = TextFacts {
+            // every transfer ends a block
+            transfers: Vec::with_capacity(cfg.blocks().len()),
+            touch: Vec::with_capacity(text.len()),
+        };
+        for (i, &instr) in text.iter().enumerate() {
+            facts.touch.push(touches(instr));
+            if let Some(t) = static_target(&instr, text_addr(i)) {
+                facts.transfers.push((i, t));
+            }
+        }
         let mut notes = Vec::new();
-        let handled = filter_handled(&program, &cfg, &forest, &all, &mut notes);
+        let handled = filter_handled(&program, &cfg, &dom, &forest, &all, &facts, &mut notes);
         Ok(RetargetPlan {
             program,
             cfg,
             forest,
             handled,
             notes,
+            facts,
         })
     }
 
@@ -378,12 +442,11 @@ impl RetargetPlan {
             }
             if let Some(rl) = c.limit_reg {
                 // the preheader counter copy becomes the in-loop limit update
-                em[text_idx(rl.addr)] = Em::Replace(vec![Instr::Zwr {
-                    region: ZolcRegion::Loop,
+                em[text_idx(rl.addr)] = Em::Zwr {
                     index: k as u8,
-                    field: loop_field::LIMIT,
                     rs: rl.reg,
-                }]);
+                    pads: 0,
+                };
             }
         }
 
@@ -411,27 +474,28 @@ impl RetargetPlan {
             // were rejected by the handledness filter: they skip the
             // decrement, which a hardware counter cannot reproduce.)
             let targeted = em[latch_i] == Em::Drop
-                && (0..n).any(|i| {
-                    em[i] == Em::Keep
-                        && static_target(&text[i], TEXT_BASE + INSTR_BYTES * i as u32)
-                            == Some(c.latch_start())
-                });
+                && self
+                    .facts
+                    .transfers
+                    .iter()
+                    .any(|&(i, t)| em[i] == Em::Keep && t == c.latch_start());
             let mut need_nop = body_len == 0 || targeted;
             if !need_nop {
                 let end_i = resolve_end(&em, c);
-                let ok = match &em[end_i] {
+                let ok = match em[end_i] {
                     Em::Keep => {
                         let i = text[end_i];
                         !i.is_control_flow() && !matches!(i, Instr::Zwr { .. })
                     }
-                    Em::Replace(v) => v.len() == 1 && v[0] == Instr::Nop,
+                    Em::Nop => true,
+                    Em::Zwr { .. } => false,
                     Em::Drop => unreachable!("resolve_end skips empty emissions"),
                 };
                 need_nop = !ok;
             }
             if need_nop {
                 // the latch position is where branches into the latch land
-                em[latch_i] = Em::Replace(vec![Instr::Nop]);
+                em[latch_i] = Em::Nop;
                 notes.push(format!("loop at {:#x}: inserted nop loop end", c.start));
             }
         }
@@ -450,9 +514,8 @@ impl RetargetPlan {
             let branchy =
                 ((zwr_i + 1)..=end_i).any(|i| em[i] == Em::Keep && text[i].is_control_flow());
             let min_path = if branchy { lead.min(2) } else { lead };
-            let pads = ZWR_LEAD.saturating_sub(min_path);
-            if let Em::Replace(v) = &mut em[zwr_i] {
-                v.extend(std::iter::repeat_n(Instr::Nop, pads));
+            if let Em::Zwr { pads, .. } = &mut em[zwr_i] {
+                *pads += ZWR_LEAD.saturating_sub(min_path);
             }
         }
 
@@ -466,25 +529,16 @@ impl RetargetPlan {
             // no init sequence will be emitted; the value is nominal
             Reg::new(1).expect("r1 is a valid register")
         } else {
-            let mut touched = [false; 32];
-            let mut mark = |instr: &Instr| {
-                for s in instr.srcs().into_iter().flatten() {
-                    touched[s.index()] = true;
-                }
-                if let Some(d) = instr.dst() {
-                    touched[d.index()] = true;
-                }
-            };
-            for (i, e) in em.iter().enumerate() {
-                match e {
-                    Em::Keep => mark(&text[i]),
-                    Em::Replace(v) => v.iter().for_each(&mut mark),
-                    Em::Drop => {}
-                }
+            let mut touched = RegSet::EMPTY;
+            for (i, &e) in em.iter().enumerate() {
+                touched = match e {
+                    Em::Keep => touched.union(self.facts.touch[i]),
+                    e => e.substitute().map(touches).fold(touched, RegSet::union),
+                };
             }
             (1..32)
                 .filter_map(Reg::new)
-                .find(|r| !touched[r.index()])
+                .find(|&r| !touched.contains(r))
                 .ok_or_else(|| {
                     RetargetError::Unsupported(
                         "no free scratch register for the initialization sequence".into(),
@@ -502,40 +556,44 @@ impl RetargetPlan {
             })
         };
 
-        let mut label_points: BTreeSet<usize> = BTreeSet::new();
-        let mut start_points: BTreeSet<usize> = BTreeSet::new();
-        let mut loop_points: Vec<(usize, usize)> = Vec::new(); // (start_i, end_i) per handled loop
+        // Room for the text, its lead pads and the init sequence (about
+        // 18 instructions per loop), and for a label at every relocation
+        // point — each loop's start and end, each transfer's destination
+        // — plus the init sequence's references to them.
+        let transfers = &self.facts.transfers;
+        let mut asm =
+            Asm::with_capacity(n + 24 * handled.len(), 3 * handled.len() + transfers.len());
+        // the label bound where each original instruction is emitted
+        let mut labels: Vec<Option<Label>> = vec![None; n];
+        let mut label_at =
+            |asm: &mut Asm, p: usize| *labels[p].get_or_insert_with(|| asm.new_label());
+
+        let first_emitted = em.iter().position(|e| e.len() > 0);
+        let mut loop_labels: Vec<(Label, Label)> = Vec::with_capacity(handled.len());
+        // whether the relocated body opens with a loop start
+        let mut opens_with_loop = false;
         for c in &handled {
             let s = fwd(&em, c.start)?;
             let e = resolve_end(&em, c);
             debug_assert_eq!(em[e].len(), 1, "loop ends are single-instruction");
-            label_points.insert(s);
-            label_points.insert(e);
-            start_points.insert(s);
-            loop_points.push((s, e));
+            opens_with_loop |= Some(s) == first_emitted;
+            loop_labels.push((label_at(&mut asm, s), label_at(&mut asm, e)));
         }
-        let mut branch_dests: BTreeMap<usize, usize> = BTreeMap::new(); // instr idx -> dest point
-        for i in 0..n {
-            if em[i] != Em::Keep || !text[i].is_control_flow() {
+        // (instr idx, destination label) of every surviving transfer, in order
+        let mut branch_dests: Vec<(usize, Label)> = Vec::with_capacity(transfers.len());
+        for &(i, t) in transfers {
+            if em[i] != Em::Keep {
                 continue;
             }
-            let pc = TEXT_BASE + INSTR_BYTES * i as u32;
-            let t = static_target(&text[i], pc).ok_or_else(|| {
-                RetargetError::Unsupported(format!("indirect control transfer at {pc:#x}"))
-            })?;
             if text_idx(t) >= n {
                 return Err(RetargetError::Unsupported(format!(
-                    "control transfer at {pc:#x} targets {t:#x}, outside text"
+                    "control transfer at {:#x} targets {t:#x}, outside text",
+                    text_addr(i)
                 )));
             }
             let p = fwd(&em, t)?;
-            label_points.insert(p);
-            branch_dests.insert(i, p);
+            branch_dests.push((i, label_at(&mut asm, p)));
         }
-
-        let mut asm = Asm::new();
-        let labels: BTreeMap<usize, Label> =
-            label_points.iter().map(|&p| (p, asm.new_label())).collect();
 
         // data segment and data symbols carry over unchanged; text symbols
         // would be stale after relocation and are dropped
@@ -563,7 +621,7 @@ impl RetargetPlan {
             .collect();
         let specs = handled
             .iter()
-            .zip(&loop_points)
+            .zip(&loop_labels)
             .map(|(c, &(start, end))| LoopSpec {
                 init: 0,
                 step: 0,
@@ -573,60 +631,55 @@ impl RetargetPlan {
                     (None, None) => unreachable!("handled loops have a known bound"),
                 },
                 index_reg: None,
-                start: labels[&start].into(),
-                end: labels[&end].into(),
+                start: start.into(),
+                end: end.into(),
             })
             .collect();
         let image = ZolcImage::chained(config, specs, &tree);
 
-        let (init_instructions, after_activate) = if handled.is_empty() {
-            (0, None)
+        let init_instructions = if handled.is_empty() {
+            0
         } else {
-            let stats = image.emit_init(&mut asm, scratch);
-            (stats.instructions, Some(asm.here()))
+            image.emit_init(&mut asm, scratch).instructions
         };
 
         // ---- emission ------------------------------------------------------
-        for i in 0..n {
-            if em[i].len() == 0 {
+        // a loop body must not start immediately after `zctl.on`: the
+        // activation becomes visible at the post-sync refetch, which
+        // would miss the entry at this start address (same rule as the
+        // forward lowering)
+        if opens_with_loop {
+            asm.emit(Instr::Nop);
+        }
+        let mut dests = branch_dests.iter().peekable();
+        for (i, &e) in em.iter().enumerate() {
+            if e.len() == 0 {
                 continue;
             }
-            // a loop body must not start immediately after `zctl.on`: the
-            // activation becomes visible at the post-sync refetch, which
-            // would miss the entry at this start address (same rule as the
-            // forward lowering)
-            if start_points.contains(&i) && Some(asm.here()) == after_activate {
-                asm.emit(Instr::Nop);
-            }
-            if let Some(&l) = labels.get(&i) {
+            if let Some(l) = labels[i] {
                 asm.bind(l)?;
             }
-            match &em[i] {
-                Em::Keep => {
-                    let instr = text[i];
-                    if let Some(&dest) = branch_dests.get(&i) {
-                        match instr {
-                            Instr::J { .. } => {
-                                asm.jump(labels[&dest]);
-                            }
-                            _ => {
-                                asm.branch(instr, labels[&dest]);
-                            }
-                        }
-                    } else {
-                        asm.emit(instr);
+            match e {
+                Em::Keep => match dests.next_if(|&&(b, _)| b == i) {
+                    Some(&(_, dest)) if matches!(text[i], Instr::J { .. }) => {
+                        asm.jump(dest);
                     }
+                    Some(&(_, dest)) => {
+                        asm.branch(text[i], dest);
+                    }
+                    None => {
+                        asm.emit(text[i]);
+                    }
+                },
+                e => {
+                    asm.emit_all(e.substitute());
                 }
-                Em::Replace(v) => {
-                    asm.emit_all(v.iter().copied());
-                }
-                Em::Drop => unreachable!("empty emissions are skipped"),
             }
         }
 
         let resolved = image.resolve(|l| asm.label_addr(l))?;
         resolved.validate(config)?;
-        let excised = em.iter().filter(|e| **e != Em::Keep).count();
+        let excised = em.iter().filter(|&&e| e != Em::Keep).count();
         let counter_regs: Vec<Reg> = {
             let mut regs: Vec<Reg> = handled.iter().map(|c| c.counter).collect();
             regs.sort_by_key(|r| r.index());
@@ -655,8 +708,10 @@ impl RetargetPlan {
 fn filter_handled(
     program: &Program,
     cfg: &Cfg,
+    dom: &Dominators,
     forest: &LoopForest,
     all: &[CountedLoop],
+    facts: &TextFacts,
     notes: &mut Vec<String>,
 ) -> Vec<CountedLoop> {
     let text = program.text();
@@ -665,10 +720,12 @@ fn filter_handled(
     // Reachability is a property of the CFG alone, and every virtual
     // program below has this CFG, so it is computed once.
     let mut reachable = vec![false; n];
-    for b in cfg.reachable() {
-        let blk = &cfg.blocks()[b];
+    for blk in cfg.blocks().iter().filter(|b| dom.is_reachable(b.id)) {
         reachable[text_idx(blk.start)..text_idx(blk.end)].fill(true);
     }
+    // the registers each reachable virtual instruction touches
+    let reached = |i: usize, regs: RegSet| if reachable[i] { regs } else { RegSet::EMPTY };
+    let mut vtouch: Vec<RegSet> = (0..n).map(|i| reached(i, facts.touch[i])).collect();
 
     // baseline eligibility: a visible bound and a contiguous body
     let mut handled: Vec<CountedLoop> = all
@@ -684,17 +741,73 @@ fn filter_handled(
         .cloned()
         .collect();
 
+    // The *virtual post-excision program*: the text the surviving
+    // software plus the controller's contribution amounts to, with
+    // every address preserved 1:1 so dataflow facts map straight
+    // back. Excised latch branches keep their control flow — the
+    // hardware back edge still iterates the body — as operand-free
+    // always-taken branches; register-limit copies become the
+    // `zwr` that replaces them (still reading the bound source);
+    // every other excised instruction becomes `nop`. Liveness and
+    // reachability over this program answer exactly the questions
+    // the excised machine poses.
+    //
+    // Excision swaps only non-control instructions (for `nop` or
+    // `zwr`) and latch branches (for a branch with the same offset),
+    // so the virtual program's blocks and edges are the input's. Its
+    // text (`vtext`) carries from round to round: each round writes
+    // the text it wants at the positions some eligible loop's
+    // excision touches (the sites) into `next`, and patches what
+    // changed.
+    let mut vtext = text.to_vec();
+    let mut next = vtext.clone();
+    let mut sites: Vec<usize> = handled
+        .iter()
+        .flat_map(excised_addrs)
+        .map(text_idx)
+        .collect();
+    sites.sort_unstable();
+    sites.dedup();
+    // the registers the text outside the sites touches
+    let mut outside = RegSet::EMPTY;
+    let mut site = sites.iter().peekable();
+    for (i, &regs) in facts.touch.iter().enumerate() {
+        if site.next_if_eq(&&i).is_none() {
+            outside = outside.union(regs);
+        }
+    }
+    let mut dropped = vec![false; n];
+    let mut in_hw = vec![false; forest.len()];
+    // Liveness is a per-register problem over a graph that never
+    // changes. A counter no virtual instruction touches is dead
+    // everywhere, and a register's facts can move only where a patched
+    // instruction touches it. So the flow graph is built, and liveness
+    // solved, only for a counter that is touched and has no valid
+    // facts yet; both are kept and patched across rounds.
+    let mut flow: Option<FlowGraph> = None;
+    let mut live: Option<Solution<RegSet>> = None;
+    let mut stale = RegSet::EMPTY;
+    let patch = |flow: &mut FlowGraph, i: usize, instr: Instr| {
+        let b = cfg
+            .block_containing(text_addr(i))
+            .expect("text indices lie inside blocks");
+        flow.instrs_mut(b.id)[i - text_idx(b.start)] = instr;
+    };
+
     // fixpoint: software ancestors pull their descendants back to
     // software, surviving control flow must stay compatible with every
     // hardware loop region, and loops whose counter is still used by
     // surviving code cannot lose their counter updates
     loop {
-        let ids: BTreeSet<usize> = handled.iter().map(|c| c.loop_id).collect();
+        in_hw.fill(false);
+        for c in &handled {
+            in_hw[c.loop_id] = true;
+        }
         let before = handled.len();
         handled.retain(|c| {
             let mut anc = forest.loops[c.loop_id].parent;
             while let Some(a) = anc {
-                if !ids.contains(&a) {
+                if !in_hw[a] {
                     return false;
                 }
                 anc = forest.loops[a].parent;
@@ -702,27 +815,14 @@ fn filter_handled(
             true
         });
 
-        let mut dropped = vec![false; n];
-        for c in &handled {
-            for a in excised_addrs(c) {
-                dropped[text_idx(a)] = true;
-            }
+        for &i in &sites {
+            dropped[i] = false;
+            next[i] = text[i];
         }
-
-        // The *virtual post-excision program*: the text the surviving
-        // software plus the controller's contribution amounts to, with
-        // every address preserved 1:1 so dataflow facts map straight
-        // back. Excised latch branches keep their control flow — the
-        // hardware back edge still iterates the body — as operand-free
-        // always-taken branches; register-limit copies become the
-        // `zwr` that replaces them (still reading the bound source);
-        // every other excised instruction becomes `nop`. Liveness and
-        // reachability over this program answer exactly the questions
-        // the excised machine poses.
-        let mut vtext = text.to_vec();
-        for (i, d) in dropped.iter().enumerate() {
-            if *d {
-                vtext[i] = Instr::Nop;
+        for c in &handled {
+            for i in excised_addrs(c).map(text_idx) {
+                dropped[i] = true;
+                next[i] = Instr::Nop;
             }
         }
         for c in &handled {
@@ -735,14 +835,14 @@ fn filter_handled(
             | Instr::Bgez { off, .. }
             | Instr::Dbnz { off, .. } = text[i]
             {
-                vtext[i] = Instr::Beq {
+                next[i] = Instr::Beq {
                     rs: Reg::ZERO,
                     rt: Reg::ZERO,
                     off,
                 };
             }
             if let Some(rl) = c.limit_reg {
-                vtext[text_idx(rl.addr)] = Instr::Zwr {
+                next[text_idx(rl.addr)] = Instr::Zwr {
                     region: ZolcRegion::Loop,
                     index: 0,
                     field: loop_field::LIMIT,
@@ -750,19 +850,47 @@ fn filter_handled(
                 };
             }
         }
-        // Excision swaps only non-control instructions (for `nop` or
-        // `zwr`) and latch branches (for a branch with the same
-        // offset), so the virtual program's blocks and edges are the
-        // input's.
-        let vprog = Program::from_parts(vtext, Vec::new());
-        debug_assert_eq!(Cfg::build(&vprog), *cfg, "excision keeps the CFG");
-        let vtext = vprog.text();
-        let live = solve(
-            &cfg.flow(&vprog),
-            &Liveness {
-                at_exit: RegSet::EMPTY,
-            },
+        // carry the sites that changed since the last round over
+        let mut touched = outside;
+        for &i in &sites {
+            if next[i] != vtext[i] {
+                // a substitute touches no register its original does not
+                stale = stale.union(facts.touch[i]);
+                vtext[i] = next[i];
+                vtouch[i] = reached(i, touches(vtext[i]));
+                if let Some(flow) = &mut flow {
+                    patch(flow, i, vtext[i]);
+                }
+            }
+            touched = touched.union(touches(vtext[i]));
+        }
+        debug_assert_eq!(
+            Cfg::build(&Program::from_parts(vtext.clone(), Vec::new())),
+            *cfg,
+            "excision keeps the CFG"
         );
+        let queried = |c: &CountedLoop| touched.contains(c.counter);
+        if handled
+            .iter()
+            .any(|c| queried(c) && (live.is_none() || stale.contains(c.counter)))
+        {
+            let flow = flow.get_or_insert_with(|| {
+                let mut flow = cfg.flow(program);
+                for &i in &sites {
+                    if vtext[i] != text[i] {
+                        patch(&mut flow, i, vtext[i]);
+                    }
+                }
+                flow
+            });
+            live = Some(solve(
+                flow,
+                &Liveness {
+                    at_exit: RegSet::EMPTY,
+                },
+            ));
+            stale = RegSet::EMPTY;
+        }
 
         // Control-flow compatibility: the controller visits hardware
         // loops strictly in task-chain order, one end-fetch per
@@ -775,28 +903,22 @@ fn filter_handled(
         // `addi`+`bne` latches a branch targeting the latch branch
         // itself skips the decrement in the original, which no pure
         // hardware counter can reproduce.
-        let cf_compatible = |c: &CountedLoop, dropped: &[bool]| -> bool {
-            (0..n).all(|i| {
-                if dropped[i] {
+        let cf_compatible = |c: &CountedLoop| -> bool {
+            facts.transfers.iter().all(|&(i, t)| {
+                if dropped[i] || !reachable[i] {
                     return true;
                 }
-                if !reachable[i] {
-                    return true;
-                }
-                let pc = TEXT_BASE + INSTR_BYTES * i as u32;
-                let Some(t) = static_target(&text[i], pc) else {
-                    return !text[i].is_control_flow();
-                };
                 if !c.via_dbnz && t == c.branch_addr {
                     return false;
                 }
+                let pc = text_addr(i);
                 let region = c.start..=c.branch_addr;
                 let (in_s, in_t) = (region.contains(&pc), region.contains(&t));
                 in_s == in_t && (in_s || !(pc.min(t) < c.start && pc.max(t) > c.branch_addr))
             })
         };
         handled.retain(|c| {
-            let ok = cf_compatible(c, &dropped);
+            let ok = cf_compatible(c);
             if !ok {
                 notes.push(format!(
                     "loop at {:#x}: surviving control flow crosses the loop region",
@@ -829,17 +951,13 @@ fn filter_handled(
         //    loop (the old scan's false positive) no longer
         //    disqualifies it.
         let counter_free = |c: &CountedLoop| -> bool {
-            let region = c.start..=c.branch_addr;
-            let region_clean = vtext.iter().enumerate().all(|(i, instr)| {
-                let pc = TEXT_BASE + INSTR_BYTES * i as u32;
-                !region.contains(&pc)
-                    || !reachable[i]
-                    || (instr.dst() != Some(c.counter)
-                        && !instr.srcs().iter().flatten().any(|&s| s == c.counter))
-            });
-            let live_at_exit = cfg
-                .block_containing(c.branch_addr + INSTR_BYTES)
-                .is_some_and(|b| live.block_in[b.id].contains(c.counter));
+            let region_clean = (text_idx(c.start)..=text_idx(c.branch_addr))
+                .all(|i| !vtouch[i].contains(c.counter));
+            let live_at_exit = queried(c)
+                && cfg
+                    .block_containing(c.branch_addr + INSTR_BYTES)
+                    .zip(live.as_ref())
+                    .is_some_and(|(b, live)| live.block_in[b.id].contains(c.counter));
             region_clean && !live_at_exit
         };
         handled.retain(|c| {
@@ -869,61 +987,55 @@ fn trim_capacity(
     config: &ZolcConfig,
     notes: &mut Vec<String>,
 ) -> Vec<CountedLoop> {
-    let top_trees = |handled: &[CountedLoop]| -> Vec<usize> {
-        let ids: BTreeSet<usize> = handled.iter().map(|c| c.loop_id).collect();
-        let mut tops: Vec<usize> = handled
-            .iter()
-            .filter(|c| {
-                forest.loops[c.loop_id]
-                    .parent
-                    .is_none_or(|p| !ids.contains(&p))
-            })
-            .map(|c| c.loop_id)
-            .collect();
-        tops.sort_by_key(|&id| cfg.blocks()[forest.loops[id].header].start);
-        tops
-    };
-    let subtree_of = |root: usize, handled: &[CountedLoop]| -> BTreeSet<usize> {
-        handled
-            .iter()
-            .map(|c| c.loop_id)
-            .filter(|&id| {
-                let mut cur = Some(id);
-                while let Some(x) = cur {
-                    if x == root {
-                        return true;
-                    }
-                    cur = forest.loops[x].parent;
-                }
-                false
-            })
-            .collect()
+    let header = |id: usize| cfg.blocks()[forest.loops[id].header].start;
+    // whether `root` is `id` or one of its forest ancestors
+    let within = |mut id: usize, root: usize| loop {
+        if id == root {
+            return true;
+        }
+        match forest.loops[id].parent {
+            Some(p) => id = p,
+            None => return false,
+        }
     };
     let capacity = if config.tasks() == 0 {
         1
     } else {
         config.loops().min(config.tasks())
     };
+    let mut in_hw = Vec::new();
     while handled.len() > capacity {
-        let tops = top_trees(&handled);
-        let Some(&last) = tops.last() else { break };
-        if tops.len() == 1 && config.tasks() > 0 {
+        in_hw.clear();
+        in_hw.resize(forest.len(), false);
+        for c in &handled {
+            in_hw[c.loop_id] = true;
+        }
+        // top-level trees: handled loops whose parent is not handled
+        let mut tops = handled
+            .iter()
+            .map(|c| c.loop_id)
+            .filter(|&id| forest.loops[id].parent.is_none_or(|p| !in_hw[p]));
+        let Some(first) = tops.next() else { break };
+        // the last tree in execution order
+        let (last, more) = tops.fold((first, false), |(last, _), id| {
+            (if header(id) >= header(last) { id } else { last }, true)
+        });
+        if !more && config.tasks() > 0 {
             // a single nest deeper than the configuration: give it up
             // entirely rather than hardware-mapping a partial nest
             notes.push(format!(
                 "nest at {:#x} exceeds the {config} capacity; left in software",
-                cfg.blocks()[forest.loops[last].header].start
+                header(last)
             ));
             handled.clear();
             break;
         }
-        let victims = subtree_of(last, &handled);
         notes.push(format!(
             "capacity: nest at {:#x} left in software ({} loops over {capacity})",
-            cfg.blocks()[forest.loops[last].header].start,
+            header(last),
             handled.len()
         ));
-        handled.retain(|c| !victims.contains(&c.loop_id));
+        handled.retain(|c| !within(c.loop_id, last));
     }
     if config.tasks() == 0 {
         // uZOLC has no task LUT: only a lone single-loop tree fits

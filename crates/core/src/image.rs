@@ -245,43 +245,47 @@ impl ZolcImage {
         tree: &[(Option<usize>, u32)],
     ) -> ZolcImage {
         let n = tree.len();
-        // children of every loop, and of the root at index `n`, in
-        // execution order (a stable sort keeps image order on ties)
-        let mut kids = vec![Vec::new(); n + 1];
-        for (k, &(parent, _)) in tree.iter().enumerate() {
-            kids[parent.unwrap_or(n)].push(k);
-        }
-        for level in &mut kids {
-            level.sort_by_key(|&k| tree[k].1);
+        // Every loop's first child and next sibling, with the root at
+        // index `n`: sorting by (parent, key) lays each level out
+        // contiguously in execution order (a stable sort keeps image
+        // order on ties).
+        let level = |k: usize| tree[k].0.unwrap_or(n);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&k| (level(k), tree[k].1));
+        let mut first_child = vec![usize::MAX; n + 1];
+        let mut next_sibling = vec![usize::MAX; n];
+        for (i, &k) in order.iter().enumerate() {
+            match i.checked_sub(1).map(|j| order[j]) {
+                Some(prev) if level(prev) == level(k) => next_sibling[prev] = k,
+                _ => first_child[level(k)] = k,
+            }
         }
         let first_task = |mut k: usize| {
-            while let Some(&child) = kids[k].first() {
-                k = child;
+            while first_child[k] != usize::MAX {
+                k = first_child[k];
             }
-            k as u8
+            k
         };
         let tasks = if config.tasks() == 0 {
             Vec::new()
         } else {
             (0..n)
-                .map(|k| {
-                    let parent = tree[k].0;
-                    let level = &kids[parent.unwrap_or(n)];
-                    let pos = level.iter().position(|&s| s == k).expect("k is a child");
-                    TaskSpec {
-                        end: loops[k].end,
-                        loop_id: k as u8,
-                        next_iter: first_task(k),
-                        next_fallthru: match level.get(pos + 1) {
-                            Some(&next) => first_task(next),
-                            None => parent.map_or(TASK_NONE, |p| p as u8),
-                        },
-                    }
+                .map(|k| TaskSpec {
+                    end: loops[k].end,
+                    loop_id: k as u8,
+                    next_iter: first_task(k) as u8,
+                    next_fallthru: match next_sibling[k] {
+                        usize::MAX => tree[k].0.map_or(TASK_NONE, |p| p as u8),
+                        next => first_task(next) as u8,
+                    },
                 })
                 .collect()
         };
         ZolcImage {
-            initial_task: kids[n].first().map_or(TASK_NONE, |&k| first_task(k)),
+            initial_task: match first_task(n) {
+                k if k == n => TASK_NONE,
+                k => k as u8,
+            },
             loops,
             tasks,
             entries: vec![],
@@ -302,22 +306,11 @@ impl ZolcImage {
                 capacity: config.loops(),
             });
         }
-        let task_capacity = if config.tasks() == 0 {
-            // uZOLC has no LUT: a single implicit task is allowed.
-            usize::from(!self.tasks.is_empty())
-        } else {
-            config.tasks()
-        };
-        if config.tasks() == 0 && !self.tasks.is_empty() {
+        // a configuration without a task table (uZOLC) has capacity 0
+        if self.tasks.len() > config.tasks() {
             return Err(ImageError::TooManyTasks {
                 have: self.tasks.len(),
-                capacity: 0,
-            });
-        }
-        if self.tasks.len() > task_capacity {
-            return Err(ImageError::TooManyTasks {
-                have: self.tasks.len(),
-                capacity: task_capacity,
+                capacity: config.tasks(),
             });
         }
         for (k, l) in self.loops.iter().enumerate() {
@@ -325,7 +318,8 @@ impl ZolcImage {
                 return Err(ImageError::ZeroTripLimit { loop_id: k as u8 });
             }
         }
-        let check_task_ref = |id: u8, what: &str| -> Result<(), ImageError> {
+        // `what` is formatted only when the reference is bad
+        let check_task_ref = |id: u8, what: fmt::Arguments<'_>| -> Result<(), ImageError> {
             if id != TASK_NONE && usize::from(id) >= self.tasks.len() {
                 return Err(ImageError::BadReference(format!(
                     "{what} references task {id}, image has {}",
@@ -342,8 +336,8 @@ impl ZolcImage {
                     self.loops.len()
                 )));
             }
-            check_task_ref(t.next_iter, &format!("task {k} next_iter"))?;
-            check_task_ref(t.next_fallthru, &format!("task {k} next_fallthru"))?;
+            check_task_ref(t.next_iter, format_args!("task {k} next_iter"))?;
+            check_task_ref(t.next_fallthru, format_args!("task {k} next_fallthru"))?;
         }
         if (!self.entries.is_empty() || !self.exits.is_empty()) && !config.has_records() {
             return Err(ImageError::RecordsUnavailable);
@@ -361,7 +355,7 @@ impl ZolcImage {
                     capacity: config.entry_slots(),
                 });
             }
-            check_task_ref(e.task, "entry record")?;
+            check_task_ref(e.task, format_args!("entry record"))?;
         }
         for x in &self.exits {
             if usize::from(x.loop_id) >= self.loops.len() {
@@ -376,10 +370,10 @@ impl ZolcImage {
                     capacity: config.exit_slots(),
                 });
             }
-            check_task_ref(x.target_task, "exit record")?;
+            check_task_ref(x.target_task, format_args!("exit record"))?;
         }
         if config.tasks() > 0 {
-            check_task_ref(self.initial_task, "initial task")?;
+            check_task_ref(self.initial_task, format_args!("initial task"))?;
         }
         Ok(())
     }
@@ -785,13 +779,26 @@ mod tests {
         assert!(img.validate(&ZolcConfig::lite()).is_ok());
         assert!(img.validate(&ZolcConfig::full()).is_ok());
         // uZOLC takes a single loop but no LUT tasks
-        assert!(matches!(
+        assert_eq!(
             img.validate(&ZolcConfig::micro()),
-            Err(ImageError::TooManyTasks { .. })
-        ));
+            Err(ImageError::TooManyTasks {
+                have: 1,
+                capacity: 0
+            })
+        );
         let mut micro = img.clone();
         micro.tasks.clear();
         assert!(micro.validate(&ZolcConfig::micro()).is_ok());
+        // one task past ZOLClite's table
+        let mut over = img.clone();
+        over.tasks = vec![img.tasks[0]; 33];
+        assert_eq!(
+            over.validate(&ZolcConfig::lite()),
+            Err(ImageError::TooManyTasks {
+                have: 33,
+                capacity: 32
+            })
+        );
     }
 
     #[test]

@@ -318,6 +318,7 @@ impl Instr {
     ///
     /// `r0` destinations are reported as `None` (writes to `r0` are
     /// discarded). [`Instr::Dbnz`] writes back its decremented `rs`.
+    #[inline]
     pub fn dst(&self) -> Option<Reg> {
         self.dst_raw().filter(|r| !r.is_zero())
     }
@@ -327,6 +328,7 @@ impl Instr {
     /// Unlike [`Instr::dst`] this reports a destination even when the
     /// write is architecturally discarded — the form lint passes need
     /// to flag computations whose result silently vanishes.
+    #[inline]
     pub fn dst_raw(&self) -> Option<Reg> {
         use Instr::*;
         match *self {
@@ -365,6 +367,7 @@ impl Instr {
     }
 
     /// The (up to two) registers read by this instruction.
+    #[inline]
     pub fn srcs(&self) -> [Option<Reg>; 2] {
         use Instr::*;
         let (a, b) = match *self {
@@ -425,6 +428,7 @@ impl Instr {
     }
 
     /// Whether this is a conditional branch (including [`Instr::Dbnz`]).
+    #[inline]
     pub fn is_cond_branch(&self) -> bool {
         matches!(
             self,
@@ -439,12 +443,14 @@ impl Instr {
     }
 
     /// Whether this instruction can redirect the PC (branch or jump).
+    #[inline]
     pub fn is_control_flow(&self) -> bool {
         self.is_cond_branch()
             || matches!(self, Instr::J { .. } | Instr::Jal { .. } | Instr::Jr { .. })
     }
 
     /// The branch offset in words, if this is a PC-relative branch.
+    #[inline]
     pub fn branch_off(&self) -> Option<i16> {
         use Instr::*;
         match *self {
@@ -460,6 +466,7 @@ impl Instr {
     }
 
     /// The byte address a PC-relative branch at `pc` targets.
+    #[inline]
     pub fn branch_target(&self, pc: u32) -> Option<u32> {
         self.branch_off().map(|off| {
             pc.wrapping_add(4)

@@ -185,6 +185,17 @@ impl Asm {
         Asm::default()
     }
 
+    /// Creates an empty builder with room for `instrs` instructions and
+    /// `labels` labels (and as many label references).
+    pub fn with_capacity(instrs: usize, labels: usize) -> Asm {
+        Asm {
+            text: Vec::with_capacity(instrs),
+            labels: Vec::with_capacity(labels),
+            fixups: Vec::with_capacity(labels),
+            ..Asm::default()
+        }
+    }
+
     /// The byte address the next emitted instruction will occupy.
     pub fn here(&self) -> u32 {
         TEXT_BASE + 4 * self.text.len() as u32

@@ -64,6 +64,7 @@ impl Reg {
     }
 
     /// The register index in `0..32`.
+    #[inline]
     pub fn index(self) -> usize {
         usize::from(self.0)
     }
@@ -74,6 +75,7 @@ impl Reg {
     }
 
     /// Whether this is the hardwired-zero register `r0`.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }

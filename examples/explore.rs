@@ -264,7 +264,7 @@ fn analyze_one(seed: u64, gen: &GenConfig) -> Result<(), Box<dyn std::error::Err
     let consts = solve(&flow, &ConstProp);
     let reachable = reachable_blocks(&flow);
     println!("\nbaseline dataflow ({} blocks):", flow.len());
-    for (b, block) in flow.blocks().iter().enumerate() {
+    for (b, block) in flow.blocks().enumerate() {
         // Only non-zero constants: every register starts at zero, so
         // printing the zeros would drown the facts that were computed.
         let known: Vec<String> = consts.block_in[b]
