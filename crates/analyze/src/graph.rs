@@ -1,11 +1,13 @@
-//! The explicit flow graph the dataflow solver runs over.
+//! The adjacency format and the explicit flow graph the dataflow
+//! solver runs over.
 //!
-//! `zolc-analyze` sits below `zolc-cfg` in the workspace, so it cannot
-//! consume `zolc_cfg::Cfg` directly; instead the solver runs over this
-//! self-contained [`FlowGraph`] — basic blocks of decoded instructions
-//! plus explicit successor edges — and `zolc-cfg` converts its `Cfg`
-//! into one. Building a graph by hand is a few lines, which keeps the
-//! crate's tests (and any future non-CFG client) independent.
+//! [`Adjacency`] is the one successor/predecessor representation of the
+//! analysis layer: [`Adjacency::new`] is its only builder, [`FlowGraph`]
+//! stores one, and so does `zolc_cfg::Cfg`, which `Cfg::flow` copies
+//! into the graph with the text slices of its blocks. `zolc-analyze`
+//! sits below `zolc-cfg` in the workspace, so the solver runs over this
+//! self-contained graph; building one by hand is a few lines, which
+//! keeps the crate's tests independent of the CFG builder.
 
 use zolc_isa::{Instr, INSTR_BYTES};
 
@@ -34,12 +36,92 @@ impl FlowBlock<'_> {
     }
 }
 
-/// A flow graph: blocks, a distinguished entry, and derived predecessors.
+/// The successor and predecessor lists of a graph's blocks, as offset
+/// ranges into one flat vector each, so a graph of any size is a fixed
+/// handful of allocations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Adjacency {
+    /// Block `b`'s successors are `succs[succ_at[b]..succ_at[b + 1]]`.
+    succ_at: Vec<usize>,
+    succs: Vec<usize>,
+    /// Block `b`'s predecessors are `preds[pred_at[b]..pred_at[b + 1]]`,
+    /// in ascending order.
+    pred_at: Vec<usize>,
+    preds: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Builds the adjacency of a graph from each block's successor list,
+    /// in block order, and derives the predecessor lists. A successor
+    /// already in its block's list is not added again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a successor index is not a block of the graph.
+    pub fn new<L>(lists: impl IntoIterator<Item = L>) -> Adjacency
+    where
+        L: IntoIterator<Item = usize>,
+    {
+        let lists = lists.into_iter();
+        let hint = lists.size_hint().0;
+        let mut succ_at = Vec::with_capacity(hint + 1);
+        let mut succs = Vec::with_capacity(2 * hint);
+        succ_at.push(0);
+        for list in lists {
+            let first = succs.len();
+            for s in list {
+                if !succs[first..].contains(&s) {
+                    succs.push(s);
+                }
+            }
+            succ_at.push(succs.len());
+        }
+        let n = succ_at.len() - 1;
+        // predecessor counts, then each block's running end
+        let mut pred_at = vec![0usize; n + 1];
+        for &s in &succs {
+            assert!(s < n, "successor index {s} out of range ({n} blocks)");
+            pred_at[s] += 1;
+        }
+        for b in 1..=n {
+            pred_at[b] += pred_at[b - 1];
+        }
+        // fill from the back, so each block's offset counts down to its start
+        let mut preds = vec![0; succs.len()];
+        for b in (0..n).rev() {
+            for &s in succs[succ_at[b]..succ_at[b + 1]].iter().rev() {
+                pred_at[s] -= 1;
+                preds[pred_at[s]] = b;
+            }
+        }
+        Adjacency {
+            succ_at,
+            succs,
+            pred_at,
+            preds,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.succ_at.len() - 1
+    }
+
+    /// Successor indices of block `b`, in the order they were given.
+    pub fn succs(&self, b: usize) -> &[usize] {
+        &self.succs[self.succ_at[b]..self.succ_at[b + 1]]
+    }
+
+    /// Predecessor indices of block `b`, in ascending order.
+    pub fn preds(&self, b: usize) -> &[usize] {
+        &self.preds[self.pred_at[b]..self.pred_at[b + 1]]
+    }
+}
+
+/// A flow graph: blocks, a distinguished entry, and their [`Adjacency`].
 ///
-/// The blocks live in flat arrays: every instruction in one vector, and
-/// successor and predecessor lists as offset ranges into one vector
-/// each, so building a graph allocates a fixed handful of vectors
-/// however many blocks it has.
+/// The blocks live in flat arrays, every instruction in one vector, so
+/// building a graph allocates a fixed handful of vectors however many
+/// blocks it has.
 ///
 /// # Examples
 ///
@@ -62,13 +144,7 @@ pub struct FlowGraph {
     /// Block `b`'s instructions are `instrs[instr_at[b]..instr_at[b + 1]]`.
     instr_at: Vec<usize>,
     instrs: Vec<Instr>,
-    /// Block `b`'s successors are `succs[succ_at[b]..succ_at[b + 1]]`.
-    succ_at: Vec<usize>,
-    succs: Vec<usize>,
-    /// Block `b`'s predecessors are `preds[pred_at[b]..pred_at[b + 1]]`,
-    /// in ascending order.
-    pred_at: Vec<usize>,
-    preds: Vec<usize>,
+    adj: Adjacency,
 }
 
 impl FlowGraph {
@@ -78,51 +154,43 @@ impl FlowGraph {
     ///
     /// Panics if `entry` or any successor index is out of range.
     pub fn new(entry: usize, blocks: &[FlowBlock<'_>]) -> FlowGraph {
-        let n = blocks.len();
+        let adj = Adjacency::new(blocks.iter().map(|b| b.succs.iter().copied()));
+        FlowGraph::with_adjacency(entry, adj, blocks.iter().map(|b| (b.start, b.instrs)))
+    }
+
+    /// Builds a graph over an adjacency built elsewhere, from each
+    /// block's start address and instructions, in block order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is out of range, or if `blocks` does not yield
+    /// one block per block of `adj`.
+    pub fn with_adjacency<'a>(
+        entry: usize,
+        adj: Adjacency,
+        blocks: impl IntoIterator<Item = (u32, &'a [Instr])>,
+    ) -> FlowGraph {
+        let n = adj.len();
         assert!(
-            entry < n || blocks.is_empty(),
+            entry < n || n == 0,
             "entry block index {entry} out of range ({n} blocks)"
         );
         let mut starts = Vec::with_capacity(n);
         let mut instr_at = Vec::with_capacity(n + 1);
-        let mut instrs = Vec::with_capacity(blocks.iter().map(|b| b.instrs.len()).sum());
-        let mut succ_at = Vec::with_capacity(n + 1);
-        let mut succs = Vec::with_capacity(blocks.iter().map(|b| b.succs.len()).sum());
-        // predecessor counts, then each block's running end
-        let mut pred_at = vec![0usize; n + 1];
+        let mut instrs = Vec::new();
         instr_at.push(0);
-        succ_at.push(0);
-        for b in blocks {
-            starts.push(b.start);
-            instrs.extend_from_slice(b.instrs);
+        for (start, block) in blocks {
+            starts.push(start);
+            instrs.extend_from_slice(block);
             instr_at.push(instrs.len());
-            for &s in b.succs {
-                assert!(s < n, "successor index {s} out of range ({n} blocks)");
-                pred_at[s] += 1;
-            }
-            succs.extend_from_slice(b.succs);
-            succ_at.push(succs.len());
         }
-        for b in 1..=n {
-            pred_at[b] += pred_at[b - 1];
-        }
-        // fill from the back, so each block's offset counts down to its start
-        let mut preds = vec![0; succs.len()];
-        for (i, b) in blocks.iter().enumerate().rev() {
-            for &s in b.succs.iter().rev() {
-                pred_at[s] -= 1;
-                preds[pred_at[s]] = i;
-            }
-        }
+        assert_eq!(starts.len(), n, "one block per adjacency entry");
         FlowGraph {
             entry,
             starts,
             instr_at,
             instrs,
-            succ_at,
-            succs,
-            pred_at,
-            preds,
+            adj,
         }
     }
 
@@ -154,12 +222,12 @@ impl FlowGraph {
 
     /// Successor indices of block `i`.
     pub fn succs(&self, i: usize) -> &[usize] {
-        &self.succs[self.succ_at[i]..self.succ_at[i + 1]]
+        self.adj.succs(i)
     }
 
     /// Predecessor indices of block `i`.
     pub fn preds(&self, i: usize) -> &[usize] {
-        &self.preds[self.pred_at[i]..self.pred_at[i + 1]]
+        self.adj.preds(i)
     }
 
     /// Number of blocks.
@@ -208,6 +276,14 @@ mod tests {
         assert_eq!(g.preds(0), &[] as &[usize]);
         assert_eq!(g.preds(1), &[0]);
         assert_eq!(g.preds(2), &[0, 1]);
+    }
+
+    #[test]
+    fn adjacency_keeps_a_repeated_successor_once() {
+        let adj = Adjacency::new([vec![1, 2], vec![2, 2], vec![]]);
+        assert_eq!(adj.len(), 3);
+        assert_eq!(adj.succs(1), &[2]);
+        assert_eq!(adj.preds(2), &[0, 1]);
     }
 
     #[test]

@@ -31,11 +31,12 @@
 //! # The flow graph
 //!
 //! The solver runs over a [`FlowGraph`] — basic blocks of decoded
-//! instructions with explicit successor edges. `zolc-cfg` (which sits
-//! *above* this crate) converts its `Cfg` into one via `Cfg::flow`, so
-//! in practice every analysis here runs over `zolc_cfg::Cfg`; the
-//! explicit graph type keeps this crate at the bottom of the workspace
-//! stack where both `zolc-cfg::retarget` and `zolc-lang` can consume it.
+//! instructions with explicit successor edges. This crate owns the
+//! workspace's one adjacency format, [`Adjacency`], with its one
+//! builder. `zolc_cfg::Cfg` (its crate sits *above* this one) stores
+//! an `Adjacency` too, and `Cfg::flow` copies it into a graph with the
+//! blocks' instructions, so in practice every analysis here runs over
+//! a `Cfg`.
 //!
 //! # Examples
 //!
@@ -81,7 +82,7 @@ mod reach;
 mod solver;
 
 pub use constprop::{ConstFact, ConstProp, Cv};
-pub use graph::{FlowBlock, FlowGraph};
+pub use graph::{Adjacency, FlowBlock, FlowGraph};
 pub use live::{Liveness, RegSet};
 pub use reach::{reachable_blocks, Reachability};
 pub use solver::{solve, Analysis, Direction, RegFacts, Solution};

@@ -125,6 +125,18 @@ impl Dominators {
     }
 
     /// Whether `b` is reachable from the entry.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use zolc_cfg::{Cfg, Dominators};
+    ///
+    /// let program = zolc_isa::assemble("j end\nnop\nend: halt").unwrap();
+    /// let cfg = Cfg::build(&program);
+    /// let dom = Dominators::compute(&cfg);
+    /// let reachable = (0..cfg.blocks().len()).filter(|&b| dom.is_reachable(b));
+    /// assert_eq!(reachable.count(), 2, "the nop block is unreachable");
+    /// ```
     pub fn is_reachable(&self, b: usize) -> bool {
         self.idom.get(b).copied() != Some(usize::MAX)
     }

@@ -1,6 +1,7 @@
 //! Control-flow graph construction from XR32 machine code.
 
 use std::fmt;
+use zolc_analyze::{Adjacency, FlowGraph};
 use zolc_isa::{Instr, Program, TEXT_BASE};
 
 /// A basic block: a maximal straight-line instruction run.
@@ -36,7 +37,9 @@ impl BasicBlock {
 /// Fall-through, branch and jump edges are included; `halt` and `jr`
 /// terminate paths (`jr` targets are data-dependent, so functions using
 /// them as computed dispatch are out of scope — the benchmark kernels
-/// return via straight-line code).
+/// return via straight-line code). Its edges are stored in the analysis
+/// layer's one [`Adjacency`] format, which [`Cfg::flow`] hands on to the
+/// dataflow solver as is.
 ///
 /// # Examples
 ///
@@ -54,21 +57,13 @@ impl BasicBlock {
 /// assert_eq!(cfg.blocks().len(), 3);
 /// let latch = cfg.block_at(4).unwrap();
 /// assert!(cfg.succs(latch.id).contains(&latch.id), "back edge to itself");
-/// assert_eq!(cfg.reachable().len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     blocks: Vec<BasicBlock>,
-    entry: usize,
     /// The id of the block containing each instruction, by text index.
     block_of: Vec<usize>,
-    /// Block `b`'s successors are `succs[succ_at[b]..succ_at[b + 1]]`.
-    succ_at: Vec<usize>,
-    succs: Vec<usize>,
-    /// Block `b`'s predecessors are `preds[pred_at[b]..pred_at[b + 1]]`,
-    /// in ascending order.
-    pred_at: Vec<usize>,
-    preds: Vec<usize>,
+    adj: Adjacency,
 }
 
 /// The text index of byte address `addr`, if it lies inside a text of
@@ -81,9 +76,31 @@ fn text_index(addr: u32, n: usize) -> Option<usize> {
 impl Cfg {
     /// Builds the CFG of `program`.
     pub fn build(program: &Program) -> Cfg {
+        Cfg::with_controller_edges(program, [])
+    }
+
+    /// Builds the CFG of `program` combined with a loop controller's
+    /// back edges, each `(end, start)`: fetch returns to `start` after
+    /// the instruction at `end`. Both `start` and `end + 4` lead blocks,
+    /// so the edge leaves exactly where the hardware redirects fetch; it
+    /// follows the text successors of the block ending at `end`. An edge
+    /// with an address outside the text or not on an instruction
+    /// boundary adds nothing.
+    pub(crate) fn with_controller_edges(
+        program: &Program,
+        edges: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Cfg {
         let text = program.text();
         let n = text.len();
         let addr = |idx: usize| TEXT_BASE + 4 * idx as u32;
+        let index = |a: u32| text_index(a, n).filter(|&i| addr(i) == a);
+        // as text indices, by end; a stable sort keeps the given order
+        // among edges sharing an end
+        let mut backs: Vec<(usize, usize)> = edges
+            .into_iter()
+            .filter_map(|(end, start)| Some((index(end)?, index(start)?)))
+            .collect();
+        backs.sort_by_key(|&(end, _)| end);
 
         // Pass 1: leaders, flagged 1 in `block_of` until pass 2
         // overwrites each flag with its instruction's block id.
@@ -92,17 +109,17 @@ impl Cfg {
             *first = 1;
         }
         for (i, instr) in text.iter().enumerate() {
-            let target = match instr {
-                Instr::J { target } | Instr::Jal { target } => Some(target << 2),
-                Instr::Jr { .. } | Instr::Halt => None,
-                _ if instr.is_cond_branch() => instr.branch_target(addr(i)),
-                _ => continue,
-            };
-            if let Some(t) = target.and_then(|t| text_index(t, n)) {
+            if let Some(t) = instr.static_target(addr(i)).and_then(|t| text_index(t, n)) {
                 block_of[t] = 1;
             }
-            if i + 1 < n {
+            if (instr.is_control_flow() || *instr == Instr::Halt) && i + 1 < n {
                 block_of[i + 1] = 1;
+            }
+        }
+        for &(end, start) in &backs {
+            block_of[start] = 1;
+            if end + 1 < n {
+                block_of[end + 1] = 1;
             }
         }
 
@@ -122,57 +139,37 @@ impl Cfg {
             *slot = blocks.len() - 1;
         }
 
-        // Pass 3: edges, then predecessors in ascending block order.
-        let nb = blocks.len();
+        // Pass 3: each block's edges — the taken target, the
+        // fall-through, then the controller's back edges.
         let block_at = |t: u32| {
             text_index(t, n)
                 .map(|i| block_of[i])
                 .filter(|&b| blocks[b].start == t)
         };
-        let mut succ_at = Vec::with_capacity(nb + 1);
-        let mut succs = Vec::with_capacity(2 * nb);
-        // predecessor counts, then each block's running end
-        let mut pred_at = vec![0usize; nb + 1];
-        succ_at.push(0);
-        for b in &blocks {
-            let last_pc = b.end - 4;
-            let instr = text[((last_pc - TEXT_BASE) / 4) as usize];
-            let fall = block_at(b.end);
-            let (first, second) = match instr {
-                Instr::J { target } | Instr::Jal { target } => (block_at(target << 2), None),
-                Instr::Jr { .. } | Instr::Halt => (None, None),
-                _ if instr.is_cond_branch() => {
-                    let taken = instr.branch_target(last_pc).and_then(block_at);
-                    (taken, fall.filter(|&f| taken != Some(f)))
-                }
-                _ => (fall, None),
-            };
-            for s in first.into_iter().chain(second) {
-                succs.push(s);
-                pred_at[s] += 1;
+        let mut next_back = 0;
+        let adj = Adjacency::new(blocks.iter().map(|b| {
+            let last = ((b.end - 4 - TEXT_BASE) / 4) as usize;
+            let instr = text[last];
+            let taken = instr.static_target(addr(last)).and_then(block_at);
+            let falls = !matches!(
+                instr,
+                Instr::J { .. } | Instr::Jal { .. } | Instr::Jr { .. } | Instr::Halt
+            );
+            let fall = if falls { block_at(b.end) } else { None };
+            let from = next_back;
+            while next_back < backs.len() && backs[next_back].0 == last {
+                next_back += 1;
             }
-            succ_at.push(succs.len());
-        }
-        for b in 1..=nb {
-            pred_at[b] += pred_at[b - 1];
-        }
-        // fill from the back, so each block's offset counts down to its start
-        let mut preds = vec![0; succs.len()];
-        for b in (0..nb).rev() {
-            for &s in succs[succ_at[b]..succ_at[b + 1]].iter().rev() {
-                pred_at[s] -= 1;
-                preds[pred_at[s]] = b;
-            }
-        }
+            let backs = backs[from..next_back]
+                .iter()
+                .map(|&(_, start)| block_of[start]);
+            taken.into_iter().chain(fall).chain(backs)
+        }));
 
         Cfg {
             blocks,
-            entry: 0,
             block_of,
-            succ_at,
-            succs,
-            pred_at,
-            preds,
+            adj,
         }
     }
 
@@ -183,18 +180,18 @@ impl Cfg {
 
     /// The entry block id (address [`TEXT_BASE`]).
     pub fn entry(&self) -> usize {
-        self.entry
+        0
     }
 
     /// Successor block ids of block `b`: the taken target first, then
     /// the fall-through.
     pub fn succs(&self, b: usize) -> &[usize] {
-        &self.succs[self.succ_at[b]..self.succ_at[b + 1]]
+        self.adj.succs(b)
     }
 
     /// Predecessor block ids of block `b`, in ascending order.
     pub fn preds(&self, b: usize) -> &[usize] {
-        &self.preds[self.pred_at[b]..self.pred_at[b + 1]]
+        self.adj.preds(b)
     }
 
     /// The block starting at `addr`, if any.
@@ -207,10 +204,10 @@ impl Cfg {
         text_index(addr, self.block_of.len()).map(|i| &self.blocks[self.block_of[i]])
     }
 
-    /// Converts to the explicit [`zolc_analyze::FlowGraph`] the
-    /// dataflow solver runs over, decoding each block's instructions
-    /// from `program` (which must be the program this CFG was built
-    /// from).
+    /// Converts to the explicit [`FlowGraph`] the dataflow solver runs
+    /// over: a copy of this CFG's adjacency, with each block's
+    /// instructions taken from `program` (which must be the program
+    /// this CFG was built from).
     ///
     /// # Examples
     ///
@@ -228,32 +225,16 @@ impl Cfg {
     /// let sol = solve(&cfg.flow(&program), &Liveness { at_exit: RegSet::EMPTY });
     /// assert!(sol.block_in[1].contains(zolc_isa::reg(1)), "counter live in the loop");
     /// ```
-    pub fn flow(&self, program: &Program) -> zolc_analyze::FlowGraph {
+    pub fn flow(&self, program: &Program) -> FlowGraph {
         let text = program.text();
-        let blocks: Vec<zolc_analyze::FlowBlock<'_>> = self
-            .blocks
-            .iter()
-            .map(|b| zolc_analyze::FlowBlock {
-                start: b.start,
-                instrs: &text
-                    [((b.start - TEXT_BASE) / 4) as usize..((b.end - TEXT_BASE) / 4) as usize],
-                succs: self.succs(b.id),
-            })
-            .collect();
-        zolc_analyze::FlowGraph::new(self.entry, &blocks)
-    }
-
-    /// Blocks reachable from the entry, as a bitset-ish sorted list.
-    pub fn reachable(&self) -> Vec<usize> {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut stack = vec![self.entry];
-        while let Some(b) = stack.pop() {
-            if std::mem::replace(&mut seen[b], true) {
-                continue;
-            }
-            stack.extend_from_slice(self.succs(b));
-        }
-        (0..self.blocks.len()).filter(|&b| seen[b]).collect()
+        let at = |a: u32| ((a - TEXT_BASE) / 4) as usize;
+        FlowGraph::with_adjacency(
+            self.entry(),
+            self.adj.clone(),
+            self.blocks
+                .iter()
+                .map(|b| (b.start, &text[at(b.start)..at(b.end)])),
+        )
     }
 }
 
@@ -319,8 +300,46 @@ mod tests {
         ",
         );
         assert_eq!(c.blocks().len(), 3);
-        let reach = c.reachable();
-        assert_eq!(reach.len(), 2); // the nop block is unreachable
+        assert_eq!(c.succs(0), &[2]);
+        let d = crate::Dominators::compute(&c);
+        let reach = (0..3).filter(|&b| d.is_reachable(b)).count();
+        assert_eq!(reach, 2); // the nop block is unreachable
+    }
+
+    #[test]
+    fn controller_edges_lead_blocks_and_follow_text_successors() {
+        let p = assemble(
+            "
+            li   r1, 3
+            addi r2, r2, 1
+            addi r3, r3, 1
+            addi r4, r4, 1
+            halt
+        ",
+        )
+        .unwrap();
+        // fetch returns to 4 after 8, and to 4 after 0 (the fall-through)
+        let c = Cfg::with_controller_edges(&p, [(8, 4), (0, 4)]);
+        let starts: Vec<u32> = c.blocks().iter().map(|b| b.start).collect();
+        assert_eq!(starts, [0, 4, 12], "leaders at the start and at end + 4");
+        assert_eq!(
+            c.succs(1),
+            &[2, 1],
+            "the back edge follows the fall-through"
+        );
+        assert_eq!(
+            c.succs(0),
+            &[1],
+            "an edge equal to the fall-through is kept once"
+        );
+        assert_eq!(c.preds(1), &[0, 1]);
+        // unaligned and out-of-text edges add nothing
+        let build = Cfg::build(&p);
+        assert_eq!(
+            Cfg::with_controller_edges(&p, [(9, 4), (8, 6), (8, 400)]),
+            build
+        );
+        assert_eq!(Cfg::with_controller_edges(&p, []), build);
     }
 
     #[test]

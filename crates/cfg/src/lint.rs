@@ -21,7 +21,7 @@
 
 use crate::graph::Cfg;
 use std::fmt;
-use zolc_analyze::{reachable_blocks, solve, ConstProp, FlowBlock, FlowGraph, Liveness, RegSet};
+use zolc_analyze::{reachable_blocks, solve, ConstProp, Liveness, RegSet};
 use zolc_core::ZolcImage;
 use zolc_isa::{Instr, Program, Reg, INSTR_BYTES, TEXT_BASE};
 
@@ -137,87 +137,6 @@ fn branch_taken(i: &Instr, val: impl Fn(Reg) -> Option<u32>) -> Option<bool> {
     })
 }
 
-/// The flow graph of `program` *combined with* the controller edges an
-/// image adds: each loop record contributes a back edge from right
-/// after its `end` instruction to its `start`. Both addresses become
-/// block leaders, so the edge departs exactly where the hardware
-/// redirects fetch — without this, a ZOLC program's in-loop index step
-/// would look dead (no text branch re-enters the loop) whenever the
-/// register is redefined later.
-fn image_flow(program: &Program, image: &ZolcImage) -> FlowGraph {
-    let text = program.text();
-    let limit = TEXT_BASE + INSTR_BYTES * text.len() as u32;
-    let mut starts: Vec<u32> = Cfg::build(program)
-        .blocks()
-        .iter()
-        .map(|b| b.start)
-        .collect();
-    let mut backs: Vec<(u32, u32)> = Vec::new(); // (end instr, start)
-    for l in &image.loops {
-        let (Some(s), Some(e)) = (l.start.abs(), l.end.abs()) else {
-            continue;
-        };
-        if s >= limit || e >= limit {
-            continue; // out-of-text records are verify_image's domain
-        }
-        starts.push(s);
-        starts.push(e + INSTR_BYTES);
-        backs.push((e, s));
-    }
-    starts.retain(|&l| l < limit);
-    starts.sort_unstable();
-    starts.dedup();
-    let idx_of = |addr: u32| starts.binary_search(&addr).ok();
-    let at = |pc: u32| text[((pc - TEXT_BASE) / INSTR_BYTES) as usize];
-    // every block's instructions and successors, back to back, with the
-    // end offset of each block's share
-    let mut instrs = Vec::with_capacity(text.len());
-    let mut succs: Vec<usize> = Vec::with_capacity(2 * starts.len());
-    let mut ends = Vec::with_capacity(starts.len());
-    for (i, &start) in starts.iter().enumerate() {
-        let end = starts.get(i + 1).copied().unwrap_or(limit);
-        instrs.extend((start..end).step_by(INSTR_BYTES as usize).map(at));
-        let first = succs.len();
-        let add = |succs: &mut Vec<usize>, t: Option<usize>| {
-            if let Some(t) = t.filter(|t| !succs[first..].contains(t)) {
-                succs.push(t);
-            }
-        };
-        let last_pc = end - INSTR_BYTES;
-        let last = at(last_pc);
-        match last {
-            Instr::J { target } | Instr::Jal { target } => add(&mut succs, idx_of(target << 2)),
-            Instr::Jr { .. } | Instr::Halt => {}
-            _ if last.is_cond_branch() => {
-                add(&mut succs, last.branch_target(last_pc).and_then(idx_of));
-                add(&mut succs, idx_of(end));
-            }
-            _ => add(&mut succs, idx_of(end)),
-        }
-        for &(e, s) in &backs {
-            if e == last_pc {
-                add(&mut succs, idx_of(s));
-            }
-        }
-        ends.push((instrs.len(), succs.len()));
-    }
-    let mut from = (0, 0);
-    let blocks: Vec<FlowBlock<'_>> = starts
-        .iter()
-        .zip(&ends)
-        .map(|(&start, &(ie, se))| {
-            let block = FlowBlock {
-                start,
-                instrs: &instrs[from.0..ie],
-                succs: &succs[from.1..se],
-            };
-            from = (ie, se);
-            block
-        })
-        .collect();
-    FlowGraph::new(0, &blocks)
-}
-
 /// Lints `program`, optionally checking loop bodies against the index
 /// registers a resolved `image` claims for the hardware.
 ///
@@ -225,7 +144,9 @@ fn image_flow(program: &Program, image: &ZolcImage) -> FlowGraph {
 /// `start`) are grafted onto the CFG before solving, so the facts hold
 /// for the combined machine — an index step read by the next hardware
 /// iteration is not a dead store even though no text branch re-enters
-/// the loop.
+/// the loop. Records with an unresolved, unaligned or out-of-text
+/// address add no edge: they are [`verify_image`](crate::verify_image)'s
+/// domain.
 ///
 /// # Examples
 ///
@@ -251,10 +172,11 @@ pub fn lint_program(program: &Program, image: Option<&ZolcImage>) -> LintReport 
         return LintReport { lints };
     }
 
-    let g = match image {
-        Some(image) => image_flow(program, image),
-        None => Cfg::build(program).flow(program),
-    };
+    let loops = image.map_or(&[][..], |image| &image.loops[..]);
+    let backs = loops
+        .iter()
+        .filter_map(|l| Some((l.end.abs()?, l.start.abs()?)));
+    let g = Cfg::with_controller_edges(program, backs).flow(program);
     let reachable = reachable_blocks(&g);
     // All registers observable at program end: a final write is *not*
     // dead merely because the program halts right after it.
@@ -266,7 +188,7 @@ pub fn lint_program(program: &Program, image: Option<&ZolcImage>) -> LintReport 
     );
     let consts = solve(&g, &ConstProp);
 
-    let in_text = |addr: u32| (TEXT_BASE..TEXT_BASE + INSTR_BYTES * n as u32).contains(&addr);
+    let in_text = |addr: u32| (TEXT_BASE..program.text_end()).contains(&addr);
 
     for (b, block) in g.blocks().enumerate() {
         if !reachable[b] {
@@ -316,11 +238,7 @@ pub fn lint_program(program: &Program, image: Option<&ZolcImage>) -> LintReport 
             }
 
             // control transfer leaving the text segment
-            let target = match *instr {
-                Instr::J { target } | Instr::Jal { target } => Some(target << 2),
-                _ => instr.branch_target(pc),
-            };
-            if let Some(t) = target {
+            if let Some(t) = instr.static_target(pc) {
                 if !in_text(t) {
                     lints.push(Lint {
                         kind: LintKind::BadBranchTarget,
@@ -350,23 +268,21 @@ pub fn lint_program(program: &Program, image: Option<&ZolcImage>) -> LintReport 
     }
 
     // loop-body writes to hardware-owned index registers
-    if let Some(image) = image {
-        for (k, l) in image.loops.iter().enumerate() {
-            let (Some(r), Some(start), Some(end)) = (l.index_reg, l.start.abs(), l.end.abs())
-            else {
-                continue;
-            };
-            if r.is_zero() {
-                continue; // structural defect, verify_image's domain
-            }
-            for pc in (start..=end).step_by(INSTR_BYTES as usize) {
-                if program.instr_at(pc).and_then(|i| i.dst()) == Some(r) {
-                    lints.push(Lint {
-                        kind: LintKind::IndexRegWrite,
-                        addr: pc,
-                        message: format!("body of hardware loop {k} writes its index register {r}"),
-                    });
-                }
+    for (k, l) in loops.iter().enumerate() {
+        let (Some(r), Some(start), Some(end)) = (l.index_reg, l.start.abs(), l.end.abs()) else {
+            continue;
+        };
+        if r.is_zero() {
+            continue; // structural defect, verify_image's domain
+        }
+        let body = (start..=end).step_by(INSTR_BYTES as usize);
+        for pc in body.take_while(|&pc| pc < program.text_end()) {
+            if program.instr_at(pc).and_then(|i| i.dst()) == Some(r) {
+                lints.push(Lint {
+                    kind: LintKind::IndexRegWrite,
+                    addr: pc,
+                    message: format!("body of hardware loop {k} writes its index register {r}"),
+                });
             }
         }
     }
@@ -540,6 +456,53 @@ mod tests {
                 .addr,
             4
         );
+    }
+
+    #[test]
+    fn malformed_records_add_no_controller_edge() {
+        use zolc_core::{AddrVal, LimitSrc, LoopSpec, TASK_NONE};
+        let p = assemble(
+            "
+            li   r20, 0
+      top:  add  r2, r2, r20
+            addi r20, r20, 1
+            li   r20, 0
+            halt
+        ",
+        )
+        .unwrap();
+        let image = |start: AddrVal, end: AddrVal| ZolcImage {
+            loops: vec![LoopSpec {
+                init: 0,
+                step: 1,
+                limit: LimitSrc::Const(3),
+                index_reg: Some(zolc_isa::reg(5)),
+                start,
+                end,
+            }],
+            tasks: vec![],
+            entries: vec![],
+            exits: vec![],
+            initial_task: TASK_NONE,
+        };
+        // the step at 8 is read only by the next hardware iteration
+        let without = lint_program(&p, None);
+        assert_eq!(without.count(LintKind::DeadStore), 1, "{without}");
+        let with_edge = lint_program(&p, Some(&image(4.into(), 8.into())));
+        assert!(with_edge.is_clean(), "{with_edge}");
+        let label = zolc_isa::Asm::new().new_label();
+        let malformed: [(AddrVal, AddrVal); 6] = [
+            (6.into(), 10.into()),
+            (4.into(), 10.into()),
+            (4.into(), 400.into()),
+            (400.into(), 8.into()),
+            (0.into(), u32::MAX.into()),
+            (label.into(), 8.into()),
+        ];
+        for (start, end) in malformed {
+            let r = lint_program(&p, Some(&image(start, end)));
+            assert_eq!(r, without, "{start:?}..{end:?}");
+        }
     }
 
     #[test]

@@ -240,15 +240,6 @@ fn touches(instr: Instr) -> RegSet {
     regs
 }
 
-/// The (conditional or unconditional) control-transfer target of an
-/// instruction, if statically known.
-fn static_target(instr: &Instr, pc: u32) -> Option<u32> {
-    match instr {
-        Instr::J { target } | Instr::Jal { target } => Some(target << 2),
-        _ => instr.branch_target(pc),
-    }
-}
-
 /// Retargets a software-loop program onto a ZOLC of the given
 /// configuration (see the crate docs for the pipeline).
 ///
@@ -376,7 +367,7 @@ impl RetargetPlan {
         };
         for (i, &instr) in text.iter().enumerate() {
             facts.touch.push(touches(instr));
-            if let Some(t) = static_target(&instr, text_addr(i)) {
+            if let Some(t) = instr.static_target(text_addr(i)) {
                 facts.transfers.push((i, t));
             }
         }

@@ -378,36 +378,39 @@ impl ZolcImage {
         Ok(())
     }
 
-    /// Maps label addresses to resolved addresses using `lookup`.
+    /// Maps label addresses to resolved addresses using `lookup`, in
+    /// place.
     ///
     /// # Errors
     ///
     /// Returns [`ImageError::Unresolved`] if `lookup` cannot resolve a
     /// label.
-    pub fn resolve(&self, lookup: impl Fn(Label) -> Option<u32>) -> Result<ZolcImage, ImageError> {
+    pub fn resolve(
+        mut self,
+        lookup: impl Fn(Label) -> Option<u32>,
+    ) -> Result<ZolcImage, ImageError> {
         let res = |a: AddrVal| -> Result<AddrVal, ImageError> {
             match a {
                 AddrVal::Abs(v) => Ok(AddrVal::Abs(v)),
                 AddrVal::Label(l) => lookup(l).map(AddrVal::Abs).ok_or(ImageError::Unresolved),
             }
         };
-        let mut out = self.clone();
-        for l in &mut out.loops {
+        for l in &mut self.loops {
             l.start = res(l.start)?;
             l.end = res(l.end)?;
         }
-        for t in &mut out.tasks {
+        for t in &mut self.tasks {
             t.end = res(t.end)?;
         }
-        for e in &mut out.entries {
+        for e in &mut self.entries {
             e.addr = res(e.addr)?;
             e.redirect = e.redirect.map(res).transpose()?;
         }
-        for x in &mut out.exits {
+        for x in &mut self.exits {
             x.branch = res(x.branch)?;
             x.target = x.target.map(res).transpose()?;
         }
-        Ok(out)
+        Ok(self)
     }
 
     /// Emits the initialization-mode instruction sequence:
@@ -929,7 +932,7 @@ mod tests {
         asm.emit(Instr::Nop);
         asm.emit(Instr::Halt);
         let start_addr = asm.label_addr(start).unwrap();
-        let resolved = img.resolve(|l| asm.label_addr(l)).unwrap();
+        let resolved = img.clone().resolve(|l| asm.label_addr(l)).unwrap();
         assert_eq!(resolved.loops[0].start, AddrVal::Abs(start_addr));
         assert!(asm.finish().is_ok());
         // unresolved lookup fails

@@ -691,13 +691,11 @@ fn lower_zolc(asm: &mut Asm, ir: &LoopIr, config: ZolcConfig) -> Result<LoweredI
         lower.asm.bind(done)?;
     }
 
-    // Resolve the final image (labels are all bound now).
-    let notes = lower.notes.clone();
-    let resolved = {
-        let asm_ref: &Asm = lower.asm;
-        image.resolve(|l| asm_ref.label_addr(l))?
-    };
-    resolved.validate(&config)?;
+    // Resolve the final image (labels are all bound now). Resolving
+    // changes only addresses, which `validate` does not read, so the
+    // check before emission already stands.
+    let ZolcLower { asm, notes, .. } = lower;
+    let resolved = image.resolve(|l| asm.label_addr(l))?;
 
     Ok(LoweredInfo {
         image: Some(resolved),

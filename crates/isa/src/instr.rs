@@ -474,6 +474,17 @@ impl Instr {
         })
     }
 
+    /// The byte address a control transfer at `pc` statically targets:
+    /// the jump target of `j`/`jal`, the taken target of a conditional
+    /// branch, and `None` for `jr` and every other instruction.
+    #[inline]
+    pub fn static_target(&self, pc: u32) -> Option<u32> {
+        match *self {
+            Instr::J { target } | Instr::Jal { target } => Some(target << 2),
+            _ => self.branch_target(pc),
+        }
+    }
+
     /// Returns a copy with the branch offset replaced (used for fixups).
     ///
     /// Returns `None` if the instruction has no branch offset.
@@ -609,6 +620,9 @@ mod tests {
         assert_eq!(b.branch_target(0x20), Some(0x18));
         let fwd = b.with_branch_off(2).unwrap();
         assert_eq!(fwd.branch_target(0x20), Some(0x2c));
+        assert_eq!(fwd.static_target(0x20), Some(0x2c));
+        assert_eq!(Instr::Jal { target: 0x40 }.static_target(0x20), Some(0x100));
+        assert_eq!(Instr::Jr { rs: Reg::RA }.static_target(0x20), None);
     }
 
     #[test]

@@ -1162,22 +1162,23 @@ impl Executor for NestCpu {
     }
 }
 
-/// Nest-tier tests. The session and differential helpers are shared
-/// with the per-instruction lowering tests in `blocks::tests`.
+/// Nest-tier tests, each program's lowering first checked instruction
+/// by instruction against `exec::step`.
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::engine::NullEngine;
     use crate::exec::{step, Effect};
     use crate::FunctionalCpu;
     use zolc_isa::{assemble, reg, Program};
 
-    pub(crate) fn nest_session(p: &Program) -> NestCpu {
+    fn nest_session(p: &Program) -> NestCpu {
         NestCpu::session(&CompiledProgram::compile(p.clone()), CpuConfig::default()).unwrap()
     }
 
     fn run_nest(src: &str) -> (NestCpu, Stats) {
         let p = assemble(src).expect("assembles");
+        assert_matches_functional(&p, 1_000_000);
         let mut cpu = nest_session(&p);
         let stats = cpu.run(&mut NullEngine, 1_000_000).expect("runs");
         (cpu, stats)
@@ -1197,7 +1198,7 @@ pub(crate) mod tests {
     /// Every instruction of `p` lowers to an op with exactly the
     /// architectural effect `exec::step` computes for it (transfer
     /// targets still pcs), or to `None` where the step core owns it.
-    pub(crate) fn assert_lowers_like_step(p: &Program) {
+    fn assert_lowers_like_step(p: &Program) {
         for regs in operand_sets() {
             let read = |r: Reg| if r.is_zero() { 0 } else { regs[r.index()] };
             for (i, &instr) in p.text().iter().enumerate() {
@@ -1266,7 +1267,7 @@ pub(crate) mod tests {
 
     /// The lowering checked per instruction, then executed by its one
     /// consumer, the nest tier, against the functional reference.
-    pub(crate) fn assert_matches_functional(p: &Program, fuel: u64) {
+    fn assert_matches_functional(p: &Program, fuel: u64) {
         assert_lowers_like_step(p);
         let prog = CompiledProgram::compile(p.clone());
         let mut f = FunctionalCpu::session(&prog, CpuConfig::default()).unwrap();
@@ -1363,8 +1364,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dbnz_in_body_bails_to_the_step_core() {
-        let (cpu, stats) = run_nest(
-            "
+        let src = "
             li   r1, 4
             jal  sub
       top:  addi r2, r2, 1
@@ -1372,8 +1372,19 @@ pub(crate) mod tests {
             halt
       sub:  addi r5, r0, 9
             jr   r31
-        ",
-        );
+        ";
+        // `dbnz` defers to the step core; `jal` precomputes its link.
+        let p = assemble(src).unwrap();
+        assert!(lower(p.text()[3], 12).is_none());
+        assert!(matches!(
+            lower(p.text()[1], 4),
+            Some(NOp::Jl {
+                dst: Reg::RA,
+                value: 8,
+                target: 20,
+            })
+        ));
+        let (cpu, stats) = run_nest(src);
         assert_eq!(cpu.regs().read(reg(2)), 4);
         assert_eq!(cpu.regs().read(reg(5)), 9);
         assert_eq!(stats.dbnz_retired, 4);
@@ -1641,14 +1652,14 @@ pub(crate) mod tests {
     #[test]
     fn trace_retire_falls_back_to_the_step_core() {
         let p = assemble("nop\nnop\nhalt").unwrap();
-        let mut cpu = NestCpu::session(
-            &CompiledProgram::compile(p),
-            CpuConfig { trace_retire: true },
-        )
-        .unwrap();
+        assert_lowers_like_step(&p);
+        let prog = CompiledProgram::compile(p);
+        let mut cpu = NestCpu::session(&prog, CpuConfig { trace_retire: true }).unwrap();
         cpu.run(&mut NullEngine, 100).unwrap();
         let ords: Vec<u64> = cpu.retire_log().iter().map(|e| e.cycle).collect();
         assert_eq!(ords, vec![1, 2, 3]);
+        // Traced runs never compile a superblock.
+        assert_eq!(prog.nest_cache_stats().misses, 0);
     }
 
     /// A non-passive engine that never acts but names a footprint.
@@ -1741,6 +1752,7 @@ pub(crate) mod tests {
         ",
         )
         .unwrap();
+        assert_lowers_like_step(&p);
         let prog = CompiledProgram::compile(p);
         let mut n = NestCpu::session(&prog, CpuConfig::default()).unwrap();
         n.run(&mut NullEngine, 1_000_000).unwrap();

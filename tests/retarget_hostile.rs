@@ -14,14 +14,15 @@
 //!
 //! The same texts, and the texts retargeting makes of them, are linted
 //! (`lint_program`) with no image, with their own image and with another
-//! text's image, and must never panic.
+//! text's image (also with its addresses shifted off instruction
+//! boundaries or past the end of the text), and must never panic.
 
 mod common;
 
 use common::hostile::hostile_text;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use zolc::cfg::{lint_program, retarget, RetargetError, RetargetPlan, Retargeted};
-use zolc::core::ZolcConfig;
+use zolc::core::{AddrVal, ZolcConfig, ZolcImage};
 use zolc::gen::GenRng;
 use zolc::isa::{Instr, Program};
 
@@ -92,10 +93,24 @@ fn hostile_texts_never_panic_and_plans_match_one_shot() {
 /// Random texts the lint net runs (about 2 s in a debug build).
 const LINTED: u64 = 2000;
 
+/// `image` with every resolved loop address moved by `by` bytes.
+fn shifted(image: &ZolcImage, by: u32) -> ZolcImage {
+    let mut image = image.clone();
+    for l in &mut image.loops {
+        for a in [&mut l.start, &mut l.end] {
+            if let Some(v) = a.abs() {
+                *a = AddrVal::Abs(v.wrapping_add(by));
+            }
+        }
+    }
+    image
+}
+
 /// Hostile-input net for `lint_program`, on the same texts: each text
 /// and each of its retargeted texts is linted with no image, with the
-/// text's own retargeted image and with a foreign text's image, on
-/// every configuration, and must never panic.
+/// text's own retargeted image and with a foreign text's image, as is,
+/// shifted by 2 bytes and pushed past the end of the text, on every
+/// configuration, and must never panic.
 #[test]
 fn hostile_texts_lint_without_panicking() {
     let configs = [ZolcConfig::micro(), ZolcConfig::lite(), ZolcConfig::full()];
@@ -107,13 +122,18 @@ fn hostile_texts_lint_without_panicking() {
         let program = Program::from_parts(hostile_text(&mut rng), Vec::new());
         for (c, config) in configs.iter().enumerate() {
             let own = retarget(&program, config).ok();
-            let images = [
-                None,
-                own.as_ref().map(|r| &r.image),
-                foreign[c].as_ref().map(|r| &r.image),
-            ];
+            let foreign_image = foreign[c].as_ref().map(|r| &r.image);
             let texts = std::iter::once(&program).chain(own.as_ref().map(|r| &*r.program));
             for text in texts {
+                let past_end = 4 * text.text().len() as u32;
+                let moved = [2, past_end].map(|by| foreign_image.map(|i| shifted(i, by)));
+                let images = [
+                    None,
+                    own.as_ref().map(|r| &r.image),
+                    foreign_image,
+                    moved[0].as_ref(),
+                    moved[1].as_ref(),
+                ];
                 for image in images {
                     let outcome = catch_unwind(AssertUnwindSafe(|| lint_program(text, image)));
                     assert!(
