@@ -92,6 +92,13 @@ pub mod exec;
 mod functional;
 mod mem;
 mod nest;
+/// Superblock-lowering tests: every instruction's [`nest`] lowering is
+/// checked against `exec::step`, then run on the nest tier against the
+/// functional tier.
+#[cfg(test)]
+mod blocks {
+    mod tests;
+}
 mod pipeline;
 mod program;
 mod regfile;

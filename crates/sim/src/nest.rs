@@ -1163,16 +1163,18 @@ impl Executor for NestCpu {
 }
 
 /// Nest-tier tests, each program's lowering first checked instruction
-/// by instruction against `exec::step`.
+/// by instruction against `exec::step`. The session and differential
+/// helpers are shared with the per-instruction lowering tests in
+/// `blocks::tests`.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::NullEngine;
     use crate::exec::{step, Effect};
     use crate::FunctionalCpu;
     use zolc_isa::{assemble, reg, Program};
 
-    fn nest_session(p: &Program) -> NestCpu {
+    pub(crate) fn nest_session(p: &Program) -> NestCpu {
         NestCpu::session(&CompiledProgram::compile(p.clone()), CpuConfig::default()).unwrap()
     }
 
@@ -1198,7 +1200,7 @@ mod tests {
     /// Every instruction of `p` lowers to an op with exactly the
     /// architectural effect `exec::step` computes for it (transfer
     /// targets still pcs), or to `None` where the step core owns it.
-    fn assert_lowers_like_step(p: &Program) {
+    pub(crate) fn assert_lowers_like_step(p: &Program) {
         for regs in operand_sets() {
             let read = |r: Reg| if r.is_zero() { 0 } else { regs[r.index()] };
             for (i, &instr) in p.text().iter().enumerate() {
@@ -1267,7 +1269,7 @@ mod tests {
 
     /// The lowering checked per instruction, then executed by its one
     /// consumer, the nest tier, against the functional reference.
-    fn assert_matches_functional(p: &Program, fuel: u64) {
+    pub(crate) fn assert_matches_functional(p: &Program, fuel: u64) {
         assert_lowers_like_step(p);
         let prog = CompiledProgram::compile(p.clone());
         let mut f = FunctionalCpu::session(&prog, CpuConfig::default()).unwrap();
