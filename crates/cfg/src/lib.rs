@@ -14,13 +14,13 @@
 //!   synthesize a runnable, self-initializing program/overlay pair
 //!   ([`RetargetPlan`] runs the configuration-independent analysis once
 //!   and synthesizes per configuration);
-//! * [`verify_image`] — independent structural verification of any
-//!   [`zolc_core::ZolcImage`] against the program text (used by the test
-//!   suite to cross-check every lowered benchmark);
 //! * [`lint_program`] — dataflow-backed binary diagnostics (unreachable
 //!   code, dead stores, discarded `r0` writes, out-of-text branches,
-//!   provably non-terminating latches, index-register clobbers), built
-//!   on the `zolc-analyze` solver suite.
+//!   provably non-terminating latches), built on the `zolc-analyze`
+//!   solver suite, plus the structural check of a
+//!   [`zolc_core::ZolcImage`] against the program text (record
+//!   addresses, loop regions, index registers, the task chain and exit
+//!   branches).
 //!
 //! # Examples
 //!
@@ -49,7 +49,6 @@ mod graph;
 mod lint;
 mod loops;
 mod retarget;
-mod verify;
 
 pub use detect::{detect_counted_loops, CountedLoop, RegLimit};
 pub use dom::Dominators;
@@ -57,4 +56,11 @@ pub use graph::{BasicBlock, Cfg};
 pub use lint::{lint_program, Lint, LintKind, LintReport};
 pub use loops::{IrreducibleRegion, LoopForest, NaturalLoop};
 pub use retarget::{retarget, RetargetError, RetargetPlan, Retargeted};
-pub use verify::{verify_image, Finding, FindingKind};
+
+/// Image-checking tests: a lowered image lints clean, and each
+/// structural defect of its records is reported through
+/// [`lint_program`].
+#[cfg(test)]
+mod verify {
+    mod tests;
+}

@@ -6,12 +6,26 @@
 //! happens: code the entry can never reach, register writes no path
 //! ever reads, computations discarded into `r0`, control transfers that
 //! leave the text segment, and counted latches that provably never fall
-//! through. With a [`ZolcImage`] the pass additionally checks loop
-//! bodies against hardware-owned index registers.
+//! through. With a [`ZolcImage`] the pass also checks the image's
+//! records against the text — the structural defects
+//! [`ZolcImage::validate`] cannot see, because it knows the
+//! configuration but not the program:
 //!
-//! Every lint is anchored to the offending byte address, so drivers
-//! (`zolcc --lint`, `explore --analyze`, the `zolcd` `lint` op) can
-//! render, filter and count findings without parsing message text.
+//! * `bad-record-addr` — a loop, task, entry or exit address that is
+//!   unresolved, unaligned or outside the text;
+//! * `inverted-region` — a loop whose start lies after its end;
+//! * `zero-index-reg` — `r0` claimed as a hardware index register;
+//! * `index-reg-write` — a loop-body write to its hardware-owned index
+//!   register;
+//! * `end-mismatch` — a task end that differs from its loop's end;
+//! * `cyclic-fallthru` — a task fall-through chain that never ends;
+//! * `bad-exit-branch` — an exit address holding no conditional branch,
+//!   or a branch whose target differs from the record's.
+//!
+//! Every lint is anchored to the offending byte address (an unresolved
+//! record address at `TEXT_BASE`), so drivers (`zolcc --lint`,
+//! `explore --analyze`, the `zolcd` `lint` op) can render, filter and
+//! count findings without parsing message text.
 //!
 //! The reported facts are *sound by construction of the analyses*: the
 //! root `prop_analysis_sound` suite replays generated programs on the
@@ -22,7 +36,7 @@
 use crate::graph::Cfg;
 use std::fmt;
 use zolc_analyze::{reachable_blocks, solve, ConstProp, Liveness, RegSet};
-use zolc_core::ZolcImage;
+use zolc_core::{AddrVal, LoopSpec, ZolcImage, TASK_NONE};
 use zolc_isa::{Instr, Program, Reg, INSTR_BYTES, TEXT_BASE};
 
 /// The category of a lint finding.
@@ -40,19 +54,24 @@ pub enum LintKind {
     BadBranchTarget,
     /// A backward latch branch that is provably always taken.
     NonTerminatingLatch,
+    /// An image record address that is unresolved, unaligned or outside
+    /// the text segment (unresolved ones anchor at `TEXT_BASE`).
+    BadRecordAddr,
+    /// An image loop record whose start lies after its end.
+    InvertedRegion,
+    /// An image loop record claiming `r0` as its index register.
+    ZeroIndexReg,
+    /// An image task whose end differs from its loop record's end.
+    EndMismatch,
+    /// An image task whose fall-through chain cycles instead of
+    /// terminating.
+    CyclicFallthru,
+    /// An image exit record whose address holds no conditional branch,
+    /// or a branch with another target than the record's.
+    BadExitBranch,
 }
 
 impl LintKind {
-    /// Every kind, in severity-agnostic report order.
-    pub const ALL: [LintKind; 6] = [
-        LintKind::UnreachableBlock,
-        LintKind::DeadStore,
-        LintKind::ZeroRegWrite,
-        LintKind::IndexRegWrite,
-        LintKind::BadBranchTarget,
-        LintKind::NonTerminatingLatch,
-    ];
-
     /// Stable kebab-case label (used by drivers and the daemon wire
     /// format).
     pub fn label(self) -> &'static str {
@@ -63,6 +82,12 @@ impl LintKind {
             LintKind::IndexRegWrite => "index-reg-write",
             LintKind::BadBranchTarget => "bad-branch-target",
             LintKind::NonTerminatingLatch => "non-terminating-latch",
+            LintKind::BadRecordAddr => "bad-record-addr",
+            LintKind::InvertedRegion => "inverted-region",
+            LintKind::ZeroIndexReg => "zero-index-reg",
+            LintKind::EndMismatch => "end-mismatch",
+            LintKind::CyclicFallthru => "cyclic-fallthru",
+            LintKind::BadExitBranch => "bad-exit-branch",
         }
     }
 }
@@ -137,16 +162,20 @@ fn branch_taken(i: &Instr, val: impl Fn(Reg) -> Option<u32>) -> Option<bool> {
     })
 }
 
-/// Lints `program`, optionally checking loop bodies against the index
-/// registers a resolved `image` claims for the hardware.
+/// Lints `program`, optionally checking a resolved `image` against it.
 ///
 /// With an `image`, the loop records' controller back edges (`end` →
 /// `start`) are grafted onto the CFG before solving, so the facts hold
 /// for the combined machine — an index step read by the next hardware
 /// iteration is not a dead store even though no text branch re-enters
 /// the loop. Records with an unresolved, unaligned or out-of-text
-/// address add no edge: they are [`verify_image`](crate::verify_image)'s
-/// domain.
+/// address add no edge; they are reported as
+/// [`LintKind::BadRecordAddr`] instead. The image's records are also
+/// checked against the text ([`LintKind::InvertedRegion`],
+/// [`LintKind::ZeroIndexReg`], [`LintKind::IndexRegWrite`],
+/// [`LintKind::EndMismatch`], [`LintKind::CyclicFallthru`],
+/// [`LintKind::BadExitBranch`]). A record naming a loop or task the image
+/// does not hold is [`ZolcImage::validate`]'s to reject, and is skipped.
 ///
 /// # Examples
 ///
@@ -165,14 +194,21 @@ fn branch_taken(i: &Instr, val: impl Fn(Reg) -> Option<u32>) -> Option<bool> {
 /// assert_eq!(report.count(LintKind::DeadStore), 0, "r2 is read before halt");
 /// ```
 pub fn lint_program(program: &Program, image: Option<&ZolcImage>) -> LintReport {
-    let text = program.text();
-    let n = text.len();
     let mut lints = Vec::new();
-    if n == 0 {
-        return LintReport { lints };
-    }
-
     let loops = image.map_or(&[][..], |image| &image.loops[..]);
+    if !program.text().is_empty() {
+        lint_flow(program, loops, &mut lints);
+    }
+    if let Some(image) = image {
+        lint_image(program, image, &mut lints);
+    }
+    lints.sort_by_key(|l| (l.addr, l.kind));
+    LintReport { lints }
+}
+
+/// The dataflow lints of a non-empty `program` combined with the
+/// controller back edges of `loops`.
+fn lint_flow(program: &Program, loops: &[LoopSpec], lints: &mut Vec<Lint>) {
     let backs = loops
         .iter()
         .filter_map(|l| Some((l.end.abs()?, l.start.abs()?)));
@@ -266,29 +302,134 @@ pub fn lint_program(program: &Program, image: Option<&ZolcImage>) -> LintReport 
             }
         }
     }
+}
 
-    // loop-body writes to hardware-owned index registers
-    for (k, l) in loops.iter().enumerate() {
-        let (Some(r), Some(start), Some(end)) = (l.index_reg, l.start.abs(), l.end.abs()) else {
+/// Checks `image`'s records against the program text. Every check is
+/// O(1) per record except two bounded walks: a body scan stops at the end
+/// of the text, and a fall-through chain at the size of the task table.
+fn lint_image(program: &Program, image: &ZolcImage, lints: &mut Vec<Lint>) {
+    let lint = |kind, addr, message| Lint {
+        kind,
+        addr,
+        message,
+    };
+    let unresolved = |rec: &str, k: usize, what: &str| {
+        lint(
+            LintKind::BadRecordAddr,
+            TEXT_BASE,
+            format!("{rec} {k}: unresolved {what}"),
+        )
+    };
+    // an address on no instruction: `Cfg::with_controller_edges`
+    // grafts no edge for it either
+    let outside = |rec: &str, k: usize, field: &str, a: u32| {
+        program.instr_at(a).is_none().then(|| {
+            lint(
+                LintKind::BadRecordAddr,
+                a,
+                format!("{rec} {k}: {field} {a:#x} outside text"),
+            )
+        })
+    };
+
+    for (k, l) in image.loops.iter().enumerate() {
+        if l.index_reg.is_some_and(Reg::is_zero) {
+            lints.push(lint(
+                LintKind::ZeroIndexReg,
+                l.start.abs().unwrap_or(TEXT_BASE),
+                format!("loop {k}: r0 as index register"),
+            ));
+        }
+        let (Some(start), Some(end)) = (l.start.abs(), l.end.abs()) else {
+            lints.push(unresolved("loop", k, "addresses"));
             continue;
         };
-        if r.is_zero() {
-            continue; // structural defect, verify_image's domain
+        lints.extend(outside("loop", k, "start", start));
+        lints.extend(outside("loop", k, "end", end));
+        if start > end {
+            lints.push(lint(
+                LintKind::InvertedRegion,
+                start,
+                format!("loop {k}: start {start:#x} after end {end:#x}"),
+            ));
         }
+        // body writes to the hardware-owned index register
+        let Some(r) = l.index_reg.filter(|r| !r.is_zero()) else {
+            continue;
+        };
         let body = (start..=end).step_by(INSTR_BYTES as usize);
         for pc in body.take_while(|&pc| pc < program.text_end()) {
             if program.instr_at(pc).and_then(|i| i.dst()) == Some(r) {
-                lints.push(Lint {
-                    kind: LintKind::IndexRegWrite,
-                    addr: pc,
-                    message: format!("body of hardware loop {k} writes its index register {r}"),
-                });
+                lints.push(lint(
+                    LintKind::IndexRegWrite,
+                    pc,
+                    format!("body of hardware loop {k} writes its index register {r}"),
+                ));
             }
         }
     }
 
-    lints.sort_by_key(|l| (l.addr, l.kind));
-    LintReport { lints }
+    for (k, t) in image.tasks.iter().enumerate() {
+        let Some(end) = t.end.abs() else {
+            lints.push(unresolved("task", k, "end"));
+            continue;
+        };
+        lints.extend(outside("task", k, "end", end));
+        let Some(l) = image.loops.get(usize::from(t.loop_id)) else {
+            continue;
+        };
+        if l.end.abs() != Some(end) {
+            lints.push(lint(
+                LintKind::EndMismatch,
+                end,
+                format!("task {k}: end differs from its loop {} end", t.loop_id),
+            ));
+        }
+        // The fall-through chain through same-end tasks must terminate
+        // (a different end is a new wait state and ends the chain); one
+        // longer than the task table repeats a task, so it cycles.
+        let same_end = |id: u8| {
+            let next = image.tasks.get(usize::from(id))?;
+            (id != TASK_NONE && next.end.abs() == Some(end)).then_some(next)
+        };
+        let chain = std::iter::successors(same_end(t.next_fallthru), |c| same_end(c.next_fallthru));
+        if chain.take(image.tasks.len() + 1).count() > image.tasks.len() {
+            lints.push(lint(
+                LintKind::CyclicFallthru,
+                end,
+                format!("task {k}: cyclic fall-through chain"),
+            ));
+        }
+    }
+
+    for (k, x) in image.exits.iter().enumerate() {
+        let Some(branch) = x.branch.abs() else {
+            lints.push(unresolved("exit", k, "branch address"));
+            continue;
+        };
+        lints.extend(outside("exit", k, "branch", branch));
+        let Some(i) = program.instr_at(branch) else {
+            continue;
+        };
+        let message = if !i.is_cond_branch() {
+            format!("exit {k}: instruction at {branch:#x} is `{i}`, not a conditional branch")
+        } else {
+            match (x.target.and_then(AddrVal::abs), i.branch_target(branch)) {
+                (Some(expect), Some(actual)) if expect != actual => {
+                    format!("exit {k}: branch targets {actual:#x}, record says {expect:#x}")
+                }
+                _ => continue,
+            }
+        };
+        lints.push(lint(LintKind::BadExitBranch, branch, message));
+    }
+
+    for (k, e) in image.entries.iter().enumerate() {
+        match e.addr.abs() {
+            Some(a) => lints.extend(outside("entry", k, "address", a)),
+            None => lints.push(unresolved("entry", k, "address")),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -491,17 +632,26 @@ mod tests {
         let with_edge = lint_program(&p, Some(&image(4.into(), 8.into())));
         assert!(with_edge.is_clean(), "{with_edge}");
         let label = zolc_isa::Asm::new().new_label();
-        let malformed: [(AddrVal, AddrVal); 6] = [
-            (6.into(), 10.into()),
-            (4.into(), 10.into()),
-            (4.into(), 400.into()),
-            (400.into(), 8.into()),
-            (0.into(), u32::MAX.into()),
-            (label.into(), 8.into()),
+        use LintKind::{BadRecordAddr as Bad, InvertedRegion as Inverted};
+        // each record's expected (kind, address) lints
+        type Expect = &'static [(LintKind, u32)];
+        let malformed: [(AddrVal, AddrVal, Expect); 6] = [
+            (6.into(), 10.into(), &[(Bad, 6), (Bad, 10)]),
+            (4.into(), 10.into(), &[(Bad, 10)]),
+            (4.into(), 400.into(), &[(Bad, 400)]),
+            (400.into(), 8.into(), &[(Bad, 400), (Inverted, 400)]),
+            (0.into(), u32::MAX.into(), &[(Bad, u32::MAX)]),
+            (label.into(), 8.into(), &[(Bad, TEXT_BASE)]),
         ];
-        for (start, end) in malformed {
+        for (start, end, expect) in malformed {
             let r = lint_program(&p, Some(&image(start, end)));
-            assert_eq!(r, without, "{start:?}..{end:?}");
+            let (record, flow): (Vec<_>, Vec<_>) = r
+                .lints
+                .into_iter()
+                .partition(|l| matches!(l.kind, Bad | Inverted));
+            assert_eq!(flow, without.lints, "{start:?}..{end:?}");
+            let record: Vec<_> = record.iter().map(|l| (l.kind, l.addr)).collect();
+            assert_eq!(record, expect, "{start:?}..{end:?}");
         }
     }
 

@@ -1133,8 +1133,8 @@ mod tests {
         assert_eq!(r.excised, 3);
         assert_eq!(r.counter_regs, vec![reg(11)]);
         assert!(matches!(r.image.loops[0].limit, LimitSrc::Const(10)));
-        let findings = crate::verify_image(&r.program, &r.image);
-        assert!(findings.is_empty(), "{findings:?}");
+        let report = crate::lint_program(&r.program, Some(&r.image));
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

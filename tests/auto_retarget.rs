@@ -5,12 +5,12 @@
 //! unhandled loops, unless explicitly allowlisted below), run bit-exactly
 //! against its reference expectation on **both** executors with identical
 //! retire counts, match the hand-lowered `Target::Zolc` build on final
-//! data memory, verify structurally, and actually be *faster* than both
-//! software-loop configurations. One `RetargetPlan` reused across the
+//! data memory, lint clean against its image, and actually be *faster*
+//! than both software-loop configurations. One `RetargetPlan` reused across the
 //! E7 configurations must equal a fresh one-shot `retarget` for each.
 
 use zolc::bench::GeneratedProgram;
-use zolc::cfg::{retarget, verify_image, RetargetPlan};
+use zolc::cfg::{lint_program, retarget, RetargetPlan};
 use zolc::core::ZolcConfig;
 use zolc::gen::{GenConfig, ProgramSpec};
 use zolc::ir::Target;
@@ -113,8 +113,8 @@ fn auto_images_verify_structurally() {
     for k in kernels() {
         let a = auto(k);
         let image = a.built.info.image.as_ref().expect("auto image");
-        let findings = verify_image(a.built.program.source(), image);
-        assert!(findings.is_empty(), "{}: {findings:?}", k.name);
+        let report = lint_program(a.built.program.source(), Some(image));
+        assert!(report.is_clean(), "{}:\n{report}", k.name);
         assert_eq!(image.loops.len(), a.stats.hw_loops);
     }
 }

@@ -1,12 +1,15 @@
 //! Cross-crate integration: every benchmark on every configuration,
 //! cross-checked three ways — reference model (bit-exact results),
 //! controller consistency journal, and independent structural
-//! verification of the lowered table images by `zolc-cfg`.
+//! checking of the lowered table images by the `zolc-cfg` lint pass.
 
-use zolc::cfg::{verify_image, Cfg, Dominators, LoopForest};
-use zolc::core::ZolcConfig;
+use zolc::cfg::{lint_program, Cfg, Dominators, LintKind, LoopForest};
+use zolc::core::{AddrVal, ZolcConfig, ZolcImage};
 use zolc::ir::Target;
-use zolc::kernels::{extra_kernels, kernels, run_kernel};
+use zolc::isa::{Program, Reg};
+use zolc::kernels::{
+    build_fir, build_me_fs_early, extra_kernels, kernels, run_kernel, BuiltKernel,
+};
 
 const MAX_CYCLES: u64 = 50_000_000;
 
@@ -41,21 +44,73 @@ fn all_kernels_correct_on_zolc_full() {
     }
 }
 
-/// Every lowered kernel image passes the independent structural verifier.
+/// Every lowered kernel image, checked against its program by the lint
+/// pass, is clean.
 #[test]
 fn lowered_images_verify_structurally() {
     for k in kernels().iter().chain(extra_kernels()) {
         for cfg in [ZolcConfig::lite(), ZolcConfig::full()] {
             let built = (k.build)(&Target::Zolc(cfg)).unwrap();
             let image = built.info.image.as_ref().expect("kernels have loops");
-            let findings = verify_image(built.program.source(), image);
-            assert!(
-                findings.is_empty(),
-                "{}/{}: {findings:?}",
-                k.name,
-                cfg.variant()
-            );
+            let report = lint_program(built.program.source(), Some(image));
+            assert!(report.is_clean(), "{}/{}:\n{report}", k.name, cfg.variant());
         }
+    }
+}
+
+fn abs(a: AddrVal) -> u32 {
+    a.abs().expect("lowered images are resolved")
+}
+
+/// Each structural defect planted in a clean lowered image is linted as
+/// exactly its kind, at its address: a ZOLClite image for the loop and
+/// task records, a ZOLCfull image with exit records for the exits.
+#[test]
+fn image_defects_lint_at_their_address() {
+    type Defect = fn(&mut ZolcImage, &Program) -> (LintKind, u32);
+    let lite = build_fir(&Target::Zolc(ZolcConfig::lite())).unwrap();
+    let full = build_me_fs_early(&Target::Zolc(ZolcConfig::full())).unwrap();
+    let rows: [(&str, &BuiltKernel, Defect); 6] = [
+        ("inverted region", &lite, |image, _| {
+            let l = &mut image.loops[0];
+            let start = abs(l.end) + 4;
+            l.start = start.into();
+            (LintKind::InvertedRegion, start)
+        }),
+        ("r0 index", &lite, |image, _| {
+            image.loops[0].index_reg = Some(Reg::ZERO);
+            (LintKind::ZeroIndexReg, abs(image.loops[0].start))
+        }),
+        ("end mismatch", &lite, |image, _| {
+            let end = abs(image.tasks[0].end) - 4;
+            image.tasks[0].end = end.into();
+            (LintKind::EndMismatch, end)
+        }),
+        ("cyclic fall-through", &lite, |image, _| {
+            image.tasks[0].next_fallthru = 0;
+            (LintKind::CyclicFallthru, abs(image.tasks[0].end))
+        }),
+        ("not-a-branch exit", &full, |image, program| {
+            let at = abs(image.exits[0].branch) - 4;
+            assert!(!program.instr_at(at).unwrap().is_cond_branch());
+            image.exits[0].branch = at.into();
+            (LintKind::BadExitBranch, at)
+        }),
+        ("wrong exit target", &full, |image, program| {
+            let x = &mut image.exits[0];
+            let branch = abs(x.branch);
+            let target = program.instr_at(branch).unwrap().branch_target(branch);
+            x.target = Some((target.unwrap() + 4).into());
+            (LintKind::BadExitBranch, branch)
+        }),
+    ];
+    for (name, built, defect) in rows {
+        let program = built.program.source();
+        let mut image = built.info.image.clone().expect("kernels have loops");
+        let expect = defect(&mut image, program);
+        let report = lint_program(program, Some(&image));
+        let got: Vec<_> = report.lints.iter().map(|l| (l.kind, l.addr)).collect();
+        assert_eq!(got, [expect], "{name}:\n{report}");
     }
 }
 

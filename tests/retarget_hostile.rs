@@ -15,7 +15,8 @@
 //! The same texts, and the texts retargeting makes of them, are linted
 //! (`lint_program`) with no image, with their own image and with another
 //! text's image (also with its addresses shifted off instruction
-//! boundaries or past the end of the text), and must never panic.
+//! boundaries or past the end of the text, and with loop 0 claiming the
+//! whole address space), and must never panic.
 
 mod common;
 
@@ -24,7 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use zolc::cfg::{lint_program, retarget, RetargetError, RetargetPlan, Retargeted};
 use zolc::core::{AddrVal, ZolcConfig, ZolcImage};
 use zolc::gen::GenRng;
-use zolc::isa::{Instr, Program};
+use zolc::isa::{reg, Instr, Program};
 
 /// Random texts per run (about 2 s in a debug build).
 const PROGRAMS: u64 = 8000;
@@ -106,11 +107,24 @@ fn shifted(image: &ZolcImage, by: u32) -> ZolcImage {
     image
 }
 
+/// `image` with loop 0 spanning the whole address space, with an index
+/// register: the body scan must stop at the end of the text.
+fn spanning(image: &ZolcImage) -> ZolcImage {
+    let mut image = image.clone();
+    if let Some(l) = image.loops.first_mut() {
+        l.start = AddrVal::Abs(0);
+        l.end = AddrVal::Abs(0xFFFF_FFF0);
+        l.index_reg = Some(reg(2));
+    }
+    image
+}
+
 /// Hostile-input net for `lint_program`, on the same texts: each text
 /// and each of its retargeted texts is linted with no image, with the
 /// text's own retargeted image and with a foreign text's image, as is,
-/// shifted by 2 bytes and pushed past the end of the text, on every
-/// configuration, and must never panic.
+/// shifted by 2 bytes, pushed past the end of the text and with loop 0
+/// spanning the address space, on every configuration, and must never
+/// panic.
 #[test]
 fn hostile_texts_lint_without_panicking() {
     let configs = [ZolcConfig::micro(), ZolcConfig::lite(), ZolcConfig::full()];
@@ -127,12 +141,14 @@ fn hostile_texts_lint_without_panicking() {
             for text in texts {
                 let past_end = 4 * text.text().len() as u32;
                 let moved = [2, past_end].map(|by| foreign_image.map(|i| shifted(i, by)));
+                let spans = foreign_image.map(spanning);
                 let images = [
                     None,
                     own.as_ref().map(|r| &r.image),
                     foreign_image,
                     moved[0].as_ref(),
                     moved[1].as_ref(),
+                    spans.as_ref(),
                 ];
                 for image in images {
                     let outcome = catch_unwind(AssertUnwindSafe(|| lint_program(text, image)));
