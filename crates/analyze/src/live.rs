@@ -31,6 +31,12 @@ impl RegSet {
     /// meaningfully live: reads of it are constant).
     pub const ALL: RegSet = RegSet(!1);
 
+    /// The set whose members are the set bits of `mask` (`r0` dropped).
+    #[inline]
+    pub fn from_mask(mask: u32) -> RegSet {
+        RegSet(mask & !1)
+    }
+
     /// Adds `r` to the set.
     #[inline]
     pub fn insert(&mut self, r: Reg) {
@@ -133,12 +139,11 @@ impl Analysis for Liveness {
     fn transfer(&self, instr: Instr, _pc: u32, fact: &mut RegSet) {
         // live-before = (live-after \ defs) ∪ uses. Kill first so an
         // instruction that reads its own destination (dbnz) stays live.
-        if let Some(d) = instr.dst() {
+        let (def, uses) = instr.def_use();
+        if let Some(d) = def {
             fact.remove(d);
         }
-        for s in instr.srcs().into_iter().flatten() {
-            fact.insert(s);
-        }
+        fact.0 |= uses;
     }
 }
 

@@ -254,7 +254,7 @@ fn lint_flow(program: &Program, loops: &[LoopSpec], lints: &mut Vec<Lint>) {
 
             // dead store: the write is not live immediately after the
             // instruction (no path reads it before redefinition)
-            if let Some(r) = instr.dst() {
+            if let (Some(r), _) = instr.def_use() {
                 if !live_points[i + 1].contains(r) {
                     lints.push(Lint {
                         kind: LintKind::DeadStore,
@@ -359,7 +359,7 @@ fn lint_image(program: &Program, image: &ZolcImage, lints: &mut Vec<Lint>) {
         };
         let body = (start..=end).step_by(INSTR_BYTES as usize);
         for pc in body.take_while(|&pc| pc < program.text_end()) {
-            if program.instr_at(pc).and_then(|i| i.dst()) == Some(r) {
+            if program.instr_at(pc).and_then(|i| i.def_use().0) == Some(r) {
                 lints.push(lint(
                     LintKind::IndexRegWrite,
                     pc,

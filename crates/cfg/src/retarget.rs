@@ -232,10 +232,10 @@ fn excised_addrs(c: &CountedLoop) -> impl Iterator<Item = u32> + '_ {
 
 /// The registers an instruction reads or writes (`r0` aside).
 fn touches(instr: Instr) -> RegSet {
-    let mut regs = RegSet::EMPTY;
-    let [a, b] = instr.srcs();
-    for r in [a, b, instr.dst()].into_iter().flatten() {
-        regs.insert(r);
+    let (def, uses) = instr.def_use();
+    let mut regs = RegSet::from_mask(uses);
+    if let Some(d) = def {
+        regs.insert(d);
     }
     regs
 }

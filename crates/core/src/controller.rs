@@ -77,6 +77,19 @@
 //! bit or an entry redirect (the one cached field outside the footprint);
 //! initialization sequences run before activation and so trigger no
 //! rebuilds.
+//!
+//! # Granted iterates
+//!
+//! The site table also answers [`LoopEngine::iterations`]: at a task end
+//! (uZOLC: loop 0's end) without entry or exit records, when the current
+//! task's loop iterates with no loop finishing first, the next
+//! `limit − 1 − count` decisions there are the same iterate — the same
+//! redirect, the index advancing by the step, the same loop-entry rider
+//! writes — if the task iterates into itself, and one decision
+//! otherwise. The controller grants them only while idle (empty journal,
+//! nothing pending, speculative state equal to architectural) and never
+//! where the count would wrap; [`LoopEngine::retire_iterations`] applies
+//! `n` of them to both states at once, in closed form.
 
 use crate::config::ZolcConfig;
 use crate::dynamics::{Decision, DynState};
@@ -84,7 +97,7 @@ use crate::sites::{invalidates, Outcome, SiteTable};
 use crate::tables::{WriteEffect, ZolcTables};
 use std::collections::VecDeque;
 use zolc_isa::{Reg, ZolcCtl, ZolcRegion};
-use zolc_sim::{ExecEvent, FetchDecision, LoopEngine, RegWrites};
+use zolc_sim::{ExecEvent, FetchDecision, Iterations, LoopEngine, RegWrites};
 
 /// The lead an in-loop `zwr` needs before the end of a loop whose record
 /// it writes: counting from the instruction after the `zwr` through the
@@ -467,6 +480,28 @@ impl LoopEngine for Zolc {
         } else {
             &[]
         })
+    }
+
+    fn iterations(&self, pc: u32) -> Option<Iterations> {
+        let idle = self.journal.is_empty()
+            && self.pending.is_none()
+            && (self.synced || self.spec == self.arch);
+        if !idle {
+            return None;
+        }
+        let i = self.sites.find(pc)?;
+        self.sites.iterations(&self.tables, &self.arch, i)
+    }
+
+    fn retire_iterations(&mut self, pc: u32, n: u32) {
+        if n == 0 {
+            return;
+        }
+        let i = self.sites.find(pc).expect("iterates retire at a site");
+        self.sites
+            .retire_iterations(&self.tables, &mut self.arch, i, n);
+        self.spec = self.arch;
+        self.synced = true;
     }
 }
 

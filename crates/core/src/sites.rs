@@ -17,7 +17,7 @@ use crate::config::MAX_LOOPS;
 use crate::dynamics::{ride, Decision, DecisionKind, DynState};
 use crate::tables::ZolcTables;
 use zolc_isa::{entry_field, exit_field, loop_field, task_field, ZolcRegion};
-use zolc_sim::RegWrites;
+use zolc_sim::{IndexStep, Iterations, RegWrites};
 
 /// What the scans of [`decide`](crate::decide) find at one pc.
 #[derive(Debug, Clone, Copy, Default)]
@@ -277,6 +277,92 @@ impl SiteTable {
         }
 
         o
+    }
+
+    /// The loop the decision at site `i` iterates from state `st` with
+    /// no loop finishing first, and how many decisions in a row do so:
+    /// `(loop, count)`. `None` when the decision is anything else, or
+    /// the site holds an entry or exit record (whose decisions and
+    /// retire-time checks a run of iterates would skip).
+    fn iterating(&self, t: &ZolcTables, st: &DynState, i: usize) -> Option<(usize, u32)> {
+        let site = &self.sites[i];
+        if !st.active || site.entry.is_some() || site.exit.is_some() {
+            return None;
+        }
+        let (lid, repeats) = if site.micro_end {
+            (0, true)
+        } else {
+            let cur = st.current_task;
+            if cur >= 32 || site.tasks & (1 << cur) == 0 {
+                return None;
+            }
+            let task = &t.tasks()[usize::from(cur)];
+            (usize::from(task.loop_id), task.next_iter == cur)
+        };
+        let l = t.loops().get(lid)?;
+        // Iterates while `count + 1 < limit`; a count that would wrap
+        // is left to the per-decision path.
+        let left = l.limit.checked_sub(st.counts[lid].checked_add(1)?)?;
+        match left {
+            0 => None,
+            _ if repeats => Some((lid, left)),
+            _ => Some((lid, 1)),
+        }
+    }
+
+    /// The iterates [`SiteTable::decide`] makes at site `i` from state
+    /// `st` onwards, when the next one is a plain iterate (see
+    /// [`LoopEngine::iterations`](zolc_sim::LoopEngine::iterations)).
+    pub(crate) fn iterations(&self, t: &ZolcTables, st: &DynState, i: usize) -> Option<Iterations> {
+        let (lid, count) = self.iterating(t, st, i)?;
+        let loops = t.loops();
+        let l = &loops[lid];
+        let index = l.index_reg.map(|reg| IndexStep {
+            reg,
+            first: st.index_cur[lid].wrapping_add(l.step),
+            step: l.step,
+        });
+        // Step 3 after the redirect: dormant loops starting where this
+        // one does re-initialize, the same way every time (the
+        // iterating loop's own count is nonzero from the first iterate).
+        let mut rider = RegWrites::new();
+        for k in bits(self.start_masks[lid]) {
+            if k != lid && st.counts[k] == 0 {
+                if let Some(r) = loops[k].index_reg {
+                    rider.push(r, loops[k].init);
+                }
+            }
+        }
+        Some(Iterations {
+            count,
+            target: l.start,
+            index,
+            rider,
+        })
+    }
+
+    /// Applies `n` of the iterates [`SiteTable::iterations`] grants at
+    /// site `i` to `st` at once (`n` at most the granted count).
+    pub(crate) fn retire_iterations(&self, t: &ZolcTables, st: &mut DynState, i: usize, n: u32) {
+        if n == 0 {
+            return;
+        }
+        let Some((lid, count)) = self.iterating(t, st, i) else {
+            panic!("no iterates to retire at site {i}");
+        };
+        assert!(n <= count, "{n} iterates retired, {count} granted");
+        let loops = t.loops();
+        let l = &loops[lid];
+        st.counts[lid] += n;
+        st.index_cur[lid] = st.index_cur[lid].wrapping_add(l.step.wrapping_mul(n));
+        if !self.sites[i].micro_end {
+            st.current_task = t.tasks()[usize::from(st.current_task)].next_iter;
+        }
+        for k in bits(self.start_masks[lid]) {
+            if st.counts[k] == 0 {
+                st.index_cur[k] = loops[k].init;
+            }
+        }
     }
 }
 

@@ -28,11 +28,15 @@
 //! include loop counts of `u32::MAX`, where `count + 1` wraps.
 
 use std::sync::Arc;
-use zolc_core::{decide, DynState, Zolc, ZolcConfig, ZolcTables, MAX_LOOPS, TASK_NONE};
+use zolc_core::{
+    decide, DecisionKind, DynState, Zolc, ZolcConfig, ZolcTables, MAX_LOOPS, TASK_NONE,
+};
 use zolc_gen::{GenConfig, GenRng, ProgramSpec};
 use zolc_ir::Target;
 use zolc_isa::{ZolcRegion, TEXT_BASE};
-use zolc_sim::{CompiledProgram, CpuConfig, ExecEvent, FunctionalCpu, LoopEngine, RunError};
+use zolc_sim::{
+    CompiledProgram, CpuConfig, ExecEvent, FunctionalCpu, LoopEngine, RegWrites, RunError,
+};
 
 /// Instructions single-stepped per program: past every initialization
 /// sequence and into the in-loop `zwr`s of data-dependent limits.
@@ -95,8 +99,8 @@ fn deciding_state(rng: &mut GenRng) -> DynState {
 
 /// Checks the compiled decisions of `z` (active) against `decide` at
 /// every footprint pc; branch targets are drawn from a text of `len`
-/// instructions.
-fn differential(z: &Zolc, len: u32, rng: &mut GenRng, ctx: &str) {
+/// instructions. Returns the grants checked (see [`check_iterations`]).
+fn differential(z: &Zolc, len: u32, rng: &mut GenRng, ctx: &str) -> usize {
     let fp = z.hook_pcs().expect("the controller names its footprint");
     let mut states = vec![*z.arch_state(), *z.spec_state()];
     states.extend((0..8).map(|_| deciding_state(rng)));
@@ -111,6 +115,7 @@ fn differential(z: &Zolc, len: u32, rng: &mut GenRng, ctx: &str) {
     }
     // The hooks, from the controller's own state: the fetch-time
     // decision, and the retire-time replay with an exit record's effect.
+    let mut grants = 0;
     for &pc in fp {
         let mut w = z.clone();
         let mut want_st = *w.spec_state();
@@ -143,13 +148,62 @@ fn differential(z: &Zolc, len: u32, rng: &mut GenRng, ctx: &str) {
             want_st,
             "{ctx}: on_execute state at {pc:#x}"
         );
+        grants += check_iterations(z, pc, rng, ctx);
     }
+    grants
+}
+
+/// Checks what `z` grants at footprint pc `pc`
+/// (`LoopEngine::iterations`) against `decide`: from the controller's
+/// state, each of the next `n` decisions there is a plain iterate with
+/// the granted redirect and rider writes, and `retire_iterations(pc, n)`
+/// leaves the state that those `n` decisions — and `n` hook pairs —
+/// leave, for `n` of 1, the whole grant (capped) and a random count.
+/// Returns the grants checked: 1, or 0 when `z` grants nothing there.
+fn check_iterations(z: &Zolc, pc: u32, rng: &mut GenRng, ctx: &str) -> usize {
+    let Some(it) = z.iterations(pc) else {
+        return 0;
+    };
+    assert!(it.count >= 1, "{ctx}: empty grant at {pc:#x}");
+    let cap = it.count.min(40);
+    for n in [1, cap, 1 + rng.below(cap)] {
+        let mut st = *z.arch_state();
+        for k in 0..n {
+            let d = decide(z.tables(), &mut st, pc);
+            let mut w = RegWrites::new();
+            if let Some(x) = it.index {
+                w.push(x.reg, x.first.wrapping_add(x.step.wrapping_mul(k)));
+            }
+            for (r, v) in it.rider.iter() {
+                w.push(r, v);
+            }
+            assert_eq!(d.redirect, Some(it.target), "{ctx}: iterate {k} at {pc:#x}");
+            assert_eq!(d.writes, w, "{ctx}: iterate {k} riders at {pc:#x}");
+            assert!(
+                matches!(d.kind, DecisionKind::Iterate { chained: 0, .. }),
+                "{ctx}: iterate {k} at {pc:#x} is {:?}",
+                d.kind
+            );
+        }
+        let mut g = z.clone();
+        g.retire_iterations(pc, n);
+        assert_eq!(*g.arch_state(), st, "{ctx}: {n} iterates at {pc:#x}");
+        assert_eq!(*g.spec_state(), st, "{ctx}: {n} iterates at {pc:#x}");
+        let mut h = z.clone();
+        for _ in 0..n {
+            h.on_fetch(pc);
+            h.on_execute(pc, ExecEvent::Plain);
+        }
+        assert_eq!(h.arch_state(), g.arch_state(), "{ctx}: hooks at {pc:#x}");
+        assert_eq!(h.violations(), g.violations(), "{ctx}: hooks at {pc:#x}");
+    }
+    1
 }
 
 /// Checks the footprint of `z` (active) over a text of `len`
-/// instructions, and its compiled decisions.
-fn check(z: &Zolc, len: u32, rng: &mut GenRng, ctx: &str) {
-    differential(z, len, rng, ctx);
+/// instructions, and its compiled decisions. Returns the grants checked.
+fn check(z: &Zolc, len: u32, rng: &mut GenRng, ctx: &str) -> usize {
+    let mut grants = differential(z, len, rng, ctx);
     let fp = z
         .hook_pcs()
         .expect("the controller names its footprint")
@@ -197,7 +251,11 @@ fn check(z: &Zolc, len: u32, rng: &mut GenRng, ctx: &str) {
             },
         };
         w.on_execute(pc, event);
+        for &pc in &fp {
+            grants += check_iterations(&w, pc, rng, ctx);
+        }
     }
+    grants
 }
 
 /// Single-steps `prog` on the functional tier and checks the footprint
@@ -342,6 +400,7 @@ fn random_value(rng: &mut GenRng, region: ZolcRegion, field: u8, index: u8, len:
 fn footprint_covers_random_table_sets() {
     const LEN: u32 = 32;
     let mut rng = GenRng::new(0xf009);
+    let mut grants = 0;
     for round in 0..240 {
         let config = CONFIGS()[round % 3];
         let ctx = format!("random round {round} {config}");
@@ -379,7 +438,7 @@ fn footprint_covers_random_table_sets() {
         } else {
             tasks[rng.below(tasks.len() as u32) as usize]
         });
-        check(&z, LEN, &mut rng, &ctx);
+        grants += check(&z, LEN, &mut rng, &ctx);
         for _ in 0..24 {
             // Run one footprint pc through the hooks, so what the
             // controller remembers of its last lookup predates the write.
@@ -398,9 +457,10 @@ fn footprint_covers_random_table_sets() {
             };
             let value = random_value(&mut rng, region, field, index, LEN);
             z.exec_zwr(region, index, field, value);
-            check(&z, LEN, &mut rng, &ctx);
+            grants += check(&z, LEN, &mut rng, &ctx);
         }
     }
+    assert!(grants >= 1000, "only {grants} grants checked");
 }
 
 const CONFIGS: fn() -> [ZolcConfig; 3] =

@@ -410,6 +410,59 @@ impl Instr {
         [a.filter(|r| !r.is_zero()), b.filter(|r| !r.is_zero())]
     }
 
+    /// The register this instruction writes ([`Instr::dst`]) and a mask
+    /// of the registers it reads, bit `i` for `r<i>` (the
+    /// [`Instr::srcs`]), from one match — for passes that only need
+    /// register sets. `r0` is in neither.
+    #[inline]
+    pub fn def_use(&self) -> (Option<Reg>, u32) {
+        use Instr::*;
+        let bit = |r: Reg| 1u32 << r.index();
+        let (def, uses) = match *self {
+            Add { rd, rs, rt }
+            | Sub { rd, rs, rt }
+            | And { rd, rs, rt }
+            | Or { rd, rs, rt }
+            | Xor { rd, rs, rt }
+            | Nor { rd, rs, rt }
+            | Slt { rd, rs, rt }
+            | Sltu { rd, rs, rt }
+            | Sllv { rd, rs, rt }
+            | Srlv { rd, rs, rt }
+            | Srav { rd, rs, rt }
+            | Mul { rd, rs, rt }
+            | Mulh { rd, rs, rt } => (Some(rd), bit(rs) | bit(rt)),
+            Sll { rd, rt, .. } | Srl { rd, rt, .. } | Sra { rd, rt, .. } => (Some(rd), bit(rt)),
+            Addi { rt, rs, .. }
+            | Slti { rt, rs, .. }
+            | Sltiu { rt, rs, .. }
+            | Andi { rt, rs, .. }
+            | Ori { rt, rs, .. }
+            | Xori { rt, rs, .. }
+            | Lb { rt, rs, .. }
+            | Lbu { rt, rs, .. }
+            | Lh { rt, rs, .. }
+            | Lhu { rt, rs, .. }
+            | Lw { rt, rs, .. } => (Some(rt), bit(rs)),
+            Lui { rt, .. } => (Some(rt), 0),
+            Sb { rs, rt, .. }
+            | Sh { rs, rt, .. }
+            | Sw { rs, rt, .. }
+            | Beq { rs, rt, .. }
+            | Bne { rs, rt, .. } => (None, bit(rs) | bit(rt)),
+            Blez { rs, .. }
+            | Bgtz { rs, .. }
+            | Bltz { rs, .. }
+            | Bgez { rs, .. }
+            | Jr { rs }
+            | Zwr { rs, .. } => (None, bit(rs)),
+            Dbnz { rs, .. } => (Some(rs), bit(rs)),
+            Jal { .. } => (Some(Reg::RA), 0),
+            J { .. } | Zctl { .. } | Nop | Halt => (None, 0),
+        };
+        (def.filter(|r| !r.is_zero()), uses & !1)
+    }
+
     /// Whether this is a memory load.
     pub fn is_load(&self) -> bool {
         matches!(
@@ -590,6 +643,24 @@ mod tests {
             off: -1,
         };
         assert_eq!(i.srcs(), [None, Some(reg(2))]);
+    }
+
+    #[test]
+    fn def_use_matches_dst_and_srcs() {
+        let i = Instr::Sllv {
+            rd: reg(3),
+            rt: reg(0),
+            rs: reg(5),
+        };
+        assert_eq!(i.def_use(), (Some(reg(3)), 1 << 5));
+        let i = Instr::Sw {
+            rt: reg(2),
+            rs: reg(2),
+            off: 0,
+        };
+        assert_eq!(i.def_use(), (None, 1 << 2));
+        let i = Instr::Dbnz { rs: reg(7), off: 1 };
+        assert_eq!(i.def_use(), (Some(reg(7)), 1 << 7));
     }
 
     #[test]

@@ -101,6 +101,13 @@ proptest! {
         }
     }
 
+    /// `def_use` is `dst` with the `srcs` as a mask.
+    #[test]
+    fn def_use_agrees_with_dst_and_srcs(i in any_instr()) {
+        let mask = i.srcs().into_iter().flatten().fold(0u32, |m, r| m | 1 << r.index());
+        prop_assert_eq!(i.def_use(), (i.dst(), mask));
+    }
+
     /// Display output is parseable-looking, non-empty ASCII.
     #[test]
     fn display_nonempty(i in any_instr()) {

@@ -32,10 +32,21 @@
 //! run starts and again after each `exec_zwr`/`exec_zctl` (the only
 //! calls that may change it), keeps it as a dense per-instruction flag
 //! map, and skips both hooks outside it. The nest tier goes further:
-//! footprint pcs, not an active engine, are what end its superblocks
-//! and send instructions to the step core. `None` — the default — means
-//! "every pc", which keeps an engine on the per-instruction hook
-//! schedule everywhere.
+//! footprint pcs, not an active engine, are what end its superblocks.
+//! `None` — the default — means "every pc", which keeps an engine on
+//! the per-instruction hook schedule everywhere.
+//!
+//! # Granted iterations
+//!
+//! [`LoopEngine::iterations`] lets an engine summarize what its hooks
+//! will do at one footprint pc over many visits: the next `count` fetch
+//! decisions there are plain iterates of one loop — the same redirect,
+//! an index register advancing by a fixed step, the same other rider
+//! writes. [`LoopEngine::retire_iterations`] then commits any `n` of
+//! them at once. The nest tier uses the pair to run a loop body and its
+//! task-end instruction inside one superblock for the granted
+//! iterations; every other tier, and every engine that keeps the
+//! defaults, stays on the per-instruction hook schedule.
 
 use zolc_isa::{Reg, ZolcCtl, ZolcRegion, TEXT_BASE};
 
@@ -136,6 +147,45 @@ impl FetchDecision {
     }
 }
 
+/// A run of plain iterate decisions at one hook-footprint pc, as
+/// [`LoopEngine::iterations`] grants it.
+///
+/// Decision `k` of the run (`k` from 0) redirects the next fetch to
+/// `target` and attaches the rider writes `index` at value
+/// `first + k × step` (wrapping), then every write of `rider`, in that
+/// order — exactly the [`FetchDecision`] `on_fetch` would return there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Iterations {
+    /// How many of the next decisions at the pc are such iterates (at
+    /// least 1).
+    pub count: u32,
+    /// Where each redirects the next fetch: the loop's first instruction.
+    pub target: u32,
+    /// The iterating loop's index register, if it has one.
+    pub index: Option<IndexStep>,
+    /// The decision's other rider writes, the same in every iterate.
+    pub rider: RegWrites,
+}
+
+/// An index register written by every granted iterate (see
+/// [`Iterations`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexStep {
+    /// The register.
+    pub reg: Reg,
+    /// Its value in the first iterate.
+    pub first: u32,
+    /// What each further iterate adds (wrapping).
+    pub step: u32,
+}
+
+impl Iterations {
+    /// Rider writes each iterate makes.
+    pub fn writes_per_iteration(&self) -> u64 {
+        u64::from(self.index.is_some()) + self.rider.len() as u64
+    }
+}
+
 /// What happened when an instruction retired in EX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEvent {
@@ -211,6 +261,35 @@ pub trait LoopEngine {
     fn hook_pcs(&self) -> Option<&[u32]> {
         None
     }
+
+    /// How many of the next fetch decisions at footprint pc `pc` are
+    /// plain iterates of one loop, with what they do (see
+    /// [`Iterations`]); a pure query.
+    ///
+    /// The grant assumes strict `on_fetch`/`on_execute` alternation, in
+    /// which the engine sees no hook call at any other footprint pc and
+    /// no `exec_zwr`/`exec_zctl` between the decisions: the caller runs
+    /// only hook-free instructions between visits to `pc`. An engine
+    /// grants only while idle — no decision fetched and not yet
+    /// retired, nothing speculative — and only when the instruction's
+    /// `on_execute` does nothing beyond retiring the decision (for an
+    /// instruction that does not transfer control). `None`, the default,
+    /// grants nothing: the caller drives the hooks instruction by
+    /// instruction as usual.
+    fn iterations(&self, pc: u32) -> Option<Iterations> {
+        let _ = pc;
+        None
+    }
+
+    /// Commits `n` of the iterates the last [`LoopEngine::iterations`]
+    /// at `pc` granted (`n` at most its count, and no other call in
+    /// between): afterwards every state of the engine is what `n`
+    /// strictly alternating `on_fetch(pc)`/`on_execute(pc, Plain)` pairs
+    /// would leave. The default, for engines that grant nothing, does
+    /// nothing.
+    fn retire_iterations(&mut self, pc: u32, n: u32) {
+        let _ = (pc, n);
+    }
 }
 
 /// An executor's dense view of an engine's [`LoopEngine::hook_pcs`]:
@@ -232,7 +311,7 @@ impl HookMap {
     /// rebuilding the flags only when the set (or `len`) changed.
     pub(crate) fn refresh(&mut self, engine: &dyn LoopEngine, len: usize) {
         let pcs = engine.hook_pcs();
-        if self.bits.len() == len && pcs == self.set.as_deref() {
+        if self.bits.len() == len && same_set(pcs, self.set.as_deref()) {
             return;
         }
         self.set = pcs.map(<[u32]>::to_vec);
@@ -275,6 +354,18 @@ impl HookMap {
     /// The rebuild counter (0 until the first refresh).
     pub(crate) fn epoch(&self) -> u64 {
         self.epoch
+    }
+}
+
+/// Whether two footprints are equal. Lengths are compared first: an
+/// init sequence refreshes after every `zwr` with both sides empty, and
+/// slice `==` would still call `memcmp` on them.
+#[inline]
+fn same_set(a: Option<&[u32]>, b: Option<&[u32]>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => a.len() == b.len() && (a.is_empty() || a == b),
+        _ => false,
     }
 }
 

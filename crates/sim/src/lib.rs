@@ -108,7 +108,9 @@ pub use cpu::{
     run_program, run_session, CpuConfig, Executor, ExecutorKind, Finished, RetireEvent, RunError,
     MEM_SIZE,
 };
-pub use engine::{ExecEvent, FetchDecision, LoopEngine, NullEngine, RegWrites};
+pub use engine::{
+    ExecEvent, FetchDecision, IndexStep, Iterations, LoopEngine, NullEngine, RegWrites,
+};
 pub use exec::{Effect, FetchError, TextImage};
 pub use functional::FunctionalCpu;
 pub use mem::{MemError, MemErrorKind, Memory};

@@ -425,7 +425,7 @@ impl Cpu {
         let Some((dst, _)) = exm.dst else {
             return false;
         };
-        slot.instr.srcs().into_iter().flatten().any(|s| s == dst)
+        slot.instr.def_use().1 & (1 << dst.index()) != 0
     }
 
     /// Reads an operand in EX with forwarding from the just-produced

@@ -18,7 +18,8 @@
 //! # The shared cache
 //!
 //! Superblocks are keyed by entry pc and **footprint id** and lazily
-//! populated under a mutex. A superblock ends before every pc of the
+//! populated under a mutex; a loop body's superblock for granted
+//! iterates is keyed by its task-end pc, footprint id and body start. A superblock ends before every pc of the
 //! engine's hook footprint ([`LoopEngine::hook_pcs`]), so one entry pc
 //! compiles differently under different footprints. The program interns
 //! each distinct footprint (as text indices) under a small id — id 0 is
@@ -60,10 +61,14 @@ pub struct BlockCacheStats {
 pub(crate) const MAX_FOOTPRINTS: usize = 64;
 
 /// A concurrent, lazily populated superblock cache keyed by (footprint
-/// id, entry pc).
+/// id, entry pc, loop-body start): the start is `None` for a region
+/// entered at the pc, and names the body for the granted iterates of a
+/// loop whose task ends at the pc.
+type Key = (u32, u32, Option<u32>);
+
 #[derive(Debug)]
 struct SharedCache {
-    map: Mutex<HashMap<(u32, u32), Arc<NestEntry>>>,
+    map: Mutex<HashMap<Key, Arc<NestEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -82,7 +87,7 @@ impl SharedCache {
     /// race on the same entry the first insert wins and the loser's
     /// compile is discarded (both results are identical — text and the
     /// footprint behind an id are immutable).
-    fn get_or_compile(&self, key: (u32, u32), make: impl FnOnce() -> NestEntry) -> Arc<NestEntry> {
+    fn get_or_compile(&self, key: Key, make: impl FnOnce() -> NestEntry) -> Arc<NestEntry> {
         if let Some(b) = self.map.lock().expect("compile cache poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(b);
@@ -211,8 +216,24 @@ impl CompiledProgram {
     /// negative results — regions not worth a superblock — are cached
     /// too, as [`NestEntry::Step`]).
     pub(crate) fn nest_at(&self, fp: u32, stops: &[bool], entry: u32) -> Arc<NestEntry> {
-        self.nests.get_or_compile((fp, entry), || {
+        self.nests.get_or_compile((fp, entry, None), || {
             crate::nest::compile_nest(&self.text, entry, stops)
+        })
+    }
+
+    /// The superblock running the granted iterates of the loop whose
+    /// task ends at footprint pc `end` and whose body starts at
+    /// `target`, under footprint `fp` with flags `stops` (compiling on
+    /// first use; [`NestEntry::Step`] when the body cannot run in one).
+    pub(crate) fn iterations_at(
+        &self,
+        fp: u32,
+        stops: &[bool],
+        end: u32,
+        target: u32,
+    ) -> Arc<NestEntry> {
+        self.nests.get_or_compile((fp, end, Some(target)), || {
+            crate::nest::compile_iterations(&self.text, end, target, stops)
         })
     }
 }

@@ -4,9 +4,13 @@
 //! (`LoopEngine::hook_pcs`), and the nest tier runs everything between
 //! footprint pcs in superblocks. These tests hold that path exact:
 //!
-//! * a fuel sweep over a hand-lowered ZOLClite kernel: at every budget
-//!   the nest tier stops in the functional tier's exact state, controller
-//!   included;
+//! * fuel sweeps over a hand-lowered ZOLClite kernel and over the loop
+//!   shapes the nest tier's granted iterates must get exactly right
+//!   (four loops sharing a one-instruction body, uZOLC's loop 0, an
+//!   index register read in the body, a faulting load as task end or in
+//!   the body, a body branch that leaves the loop early): at every
+//!   budget the nest tier stops in the functional tier's exact state,
+//!   controller included, and its full runs are granted iterates;
 //! * a regression for the rider capacity: a table set whose entry record
 //!   and loop-entry rule write all eight indices in one decision;
 //! * the active-controller wild differential: retargeted `zolc-gen`
@@ -16,52 +20,294 @@
 
 use std::sync::Arc;
 use zolc::cfg::retarget;
-use zolc::core::{Zolc, ZolcConfig, TASK_NONE};
+use zolc::core::{LimitSrc, LoopSpec, TaskSpec, Zolc, ZolcConfig, ZolcImage, TASK_NONE};
 use zolc::gen::{GenConfig, GenRng, ProgramSpec};
 use zolc::ir::Target;
-use zolc::isa::{loop_field, reg, Asm, Instr, Program, Reg, ZolcCtl, ZolcRegion, TEXT_BASE};
+use zolc::isa::{
+    assemble, loop_field, reg, Asm, Instr, Program, Reg, ZolcCtl, ZolcRegion, DATA_BASE, TEXT_BASE,
+};
 use zolc::kernels::build_vec_mac;
 use zolc::sim::{
     run_session, CompiledProgram, CpuConfig, ExecEvent, ExecutorKind, FetchDecision, FunctionalCpu,
-    LoopEngine, NestCpu, RunError, Stats,
+    Iterations, LoopEngine, NestCpu, RunError, Stats, MEM_SIZE,
 };
 
-/// The nest tier, run on a hand-lowered ZOLClite kernel under every
-/// fuel budget up to its retire count, stops in the functional tier's
-/// exact state: outcome, pc, registers, memory, statistics and the
-/// controller's architectural state.
-#[test]
-fn active_nest_fuel_boundary_is_instruction_exact() {
-    let config = ZolcConfig::lite();
-    let built = build_vec_mac(&Target::Zolc(config)).expect("vec_mac builds");
-    let prog = &built.program;
+/// The controller, granting iterates like `Zolc` itself and counting
+/// those the nest tier retires.
+struct Granting {
+    z: Zolc,
+    iterates: u64,
+}
+
+impl LoopEngine for Granting {
+    fn on_fetch(&mut self, pc: u32) -> FetchDecision {
+        self.z.on_fetch(pc)
+    }
+
+    fn on_execute(&mut self, pc: u32, event: ExecEvent) {
+        self.z.on_execute(pc, event);
+    }
+
+    fn exec_zwr(&mut self, region: ZolcRegion, index: u8, field: u8, value: u32) {
+        self.z.exec_zwr(region, index, field, value);
+    }
+
+    fn exec_zctl(&mut self, op: ZolcCtl) {
+        self.z.exec_zctl(op);
+    }
+
+    fn on_flush(&mut self) {
+        self.z.on_flush();
+    }
+
+    fn hook_pcs(&self) -> Option<&[u32]> {
+        self.z.hook_pcs()
+    }
+
+    fn iterations(&self, pc: u32) -> Option<Iterations> {
+        self.z.iterations(pc)
+    }
+
+    fn retire_iterations(&mut self, pc: u32, n: u32) {
+        self.iterates += u64::from(n);
+        self.z.retire_iterations(pc, n);
+    }
+}
+
+/// Runs `prog` with a `config` controller on the functional and nest
+/// tiers under every fuel budget from 1 to one past its retire count and
+/// under a budget with room to spare,
+/// holding the nest tier to the functional tier's exact state: outcome,
+/// pc, registers, memory, statistics, the controller's architectural
+/// state and its violations (none). Returns the retire count, whether
+/// the unlimited run ended in a data fault, and the iterates it was
+/// granted on the nest tier.
+fn active_fuel_sweep(
+    prog: &Arc<CompiledProgram>,
+    config: ZolcConfig,
+    ctx: &str,
+) -> (u64, bool, u64) {
     let functional = |fuel| {
         let mut z = Zolc::new(config);
         let mut cpu = FunctionalCpu::session(prog, CpuConfig::default()).unwrap();
         let r = cpu.run(&mut z, fuel);
         (r, cpu, z)
     };
-    let retired = functional(u64::MAX).0.expect("vec_mac halts").retired;
-    assert_eq!(retired, 347);
-    for fuel in 1..=retired {
+    let (end, f, _) = functional(WILD_FUEL);
+    let (retired, faulted) = (f.stats().retired, matches!(end, Err(RunError::Mem(_))));
+    assert!(
+        faulted || end.is_ok(),
+        "{ctx}: the run neither halts nor faults: {end:?}"
+    );
+    let mut granted = 0;
+    for fuel in (1..=retired + 1).chain([WILD_FUEL]) {
         let (fr, f, fz) = functional(fuel);
-        let mut nz = Zolc::new(config);
+        let mut nz = Granting {
+            z: Zolc::new(config),
+            iterates: 0,
+        };
         let mut n = NestCpu::session(prog, CpuConfig::default()).unwrap();
         let nr = n.run(&mut nz, fuel);
-        assert_eq!(fr, nr, "fuel {fuel}: outcome");
+        assert_eq!(fr, nr, "{ctx} fuel {fuel}: outcome");
         if fuel < retired {
-            assert_eq!(nr, Err(RunError::OutOfFuel { fuel }));
+            assert_eq!(nr, Err(RunError::OutOfFuel { fuel }), "{ctx} fuel {fuel}");
         }
-        assert_eq!(f.pc(), n.pc(), "fuel {fuel}: pc");
-        assert_eq!(f.regs(), n.regs(), "fuel {fuel}: registers");
-        assert!(f.mem() == n.mem(), "fuel {fuel}: memory");
-        assert_eq!(f.stats(), n.stats(), "fuel {fuel}: stats");
-        assert_eq!(fz.arch_state(), nz.arch_state(), "fuel {fuel}: controller");
-        assert!(
-            nz.violations().is_empty(),
-            "fuel {fuel}: {:?}",
-            nz.violations()
+        assert_eq!(f.pc(), n.pc(), "{ctx} fuel {fuel}: pc");
+        assert_eq!(f.regs(), n.regs(), "{ctx} fuel {fuel}: registers");
+        assert!(f.mem() == n.mem(), "{ctx} fuel {fuel}: memory");
+        assert_eq!(f.stats(), n.stats(), "{ctx} fuel {fuel}: stats");
+        assert_eq!(
+            fz.arch_state(),
+            nz.z.arch_state(),
+            "{ctx} fuel {fuel}: controller"
         );
+        assert!(
+            nz.z.violations().is_empty() && fz.violations().is_empty(),
+            "{ctx} fuel {fuel}: {:?}",
+            nz.z.violations()
+        );
+        granted = nz.iterates;
+    }
+    (retired, faulted, granted)
+}
+
+/// The nest tier, run on a hand-lowered ZOLClite kernel under every
+/// fuel budget up to its retire count, stops in the functional tier's
+/// exact state: outcome, pc, registers, memory, statistics and the
+/// controller's architectural state. Its inner loop runs as granted
+/// iterates.
+#[test]
+fn active_nest_fuel_boundary_is_instruction_exact() {
+    let config = ZolcConfig::lite();
+    let built = build_vec_mac(&Target::Zolc(config)).expect("vec_mac builds");
+    let (retired, faulted, granted) = active_fuel_sweep(&built.program, config, "vec_mac");
+    assert!(!faulted, "vec_mac faulted instead of halting");
+    assert_eq!(retired, 347);
+    assert!(granted > 0, "vec_mac: no granted iterates");
+}
+
+/// One ZOLClite loop over the hand-written body `body` (its last
+/// instruction the task end): index register r5 from `init` by `step`,
+/// `trips` iterations; r8 holds 4 on entry, and the label `out` after
+/// the loop's `halt` leads to a second `halt`.
+fn one_loop(init: i32, step: i32, trips: u32, body: &[Instr], leave: Option<usize>) -> Program {
+    let mut a = Asm::new();
+    let start = a.new_label();
+    let end = a.new_label();
+    let out = a.new_label();
+    let image = ZolcImage {
+        loops: vec![LoopSpec {
+            init,
+            step,
+            limit: LimitSrc::Const(trips),
+            index_reg: Some(reg(5)),
+            start: start.into(),
+            end: end.into(),
+        }],
+        tasks: vec![TaskSpec {
+            end: end.into(),
+            loop_id: 0,
+            next_iter: 0,
+            next_fallthru: TASK_NONE,
+        }],
+        entries: vec![],
+        exits: vec![],
+        initial_task: 0,
+    };
+    a.li(reg(8), 4);
+    image.emit_init(&mut a, reg(1));
+    a.emit(Instr::Nop);
+    a.bind(start).unwrap();
+    for (k, &instr) in body.iter().enumerate() {
+        if k + 1 == body.len() {
+            a.bind(end).unwrap();
+        }
+        if leave == Some(k) {
+            // `beq r3, r8, out`: taken once r3 reaches 4.
+            a.branch(
+                Instr::Beq {
+                    rs: reg(3),
+                    rt: reg(8),
+                    off: 0,
+                },
+                out,
+            );
+        } else {
+            a.emit(instr);
+        }
+    }
+    a.emit(Instr::Halt);
+    a.bind(out).unwrap();
+    a.emit(Instr::Addi {
+        rt: reg(9),
+        rs: Reg::ZERO,
+        imm: 1,
+    });
+    a.emit(Instr::Halt);
+    a.finish().unwrap()
+}
+
+/// The loop shapes a granted run of iterates must get exactly right, each
+/// swept over every fuel budget: the nest tier runs them as granted
+/// iterates and stops where the functional tier does.
+#[test]
+fn granted_iterates_are_instruction_exact() {
+    let mut cases: Vec<(&str, ZolcConfig, Program)> = Vec::new();
+    // Four retargeted loops sharing one one-instruction body: the inner
+    // loop iterates in closed form, the outer ones finish in chains.
+    let deep = assemble(
+        "
+        li   r1, 2
+  l1:   li   r2, 3
+  l2:   li   r3, 2
+  l3:   li   r4, 5
+  l4:   addi r10, r10, 1
+        addi r4, r4, -1
+        bne  r4, r0, l4
+        addi r3, r3, -1
+        bne  r3, r0, l3
+        addi r2, r2, -1
+        bne  r2, r0, l2
+        addi r1, r1, -1
+        bne  r1, r0, l1
+        halt
+    ",
+    )
+    .unwrap();
+    let config = ZolcConfig::lite();
+    let r = retarget(&deep, &config).expect("the deep nest retargets");
+    assert_eq!(r.image.loops.len(), 4, "all four loops in hardware");
+    cases.push(("deep nest", config, (*r.program).clone()));
+    // uZOLC: loop 0 only, over a straight-line body with a store.
+    let flat = assemble(
+        "
+        lui  r6, 4
+        li   r1, 7
+  top:  addi r5, r5, 3
+        xor  r3, r3, r5
+        sw   r3, 0(r6)
+        addi r6, r6, 4
+        addi r1, r1, -1
+        bne  r1, r0, top
+        halt
+    ",
+    )
+    .unwrap();
+    assert_eq!(DATA_BASE, 4 << 16, "lui r6, 4 points at the data segment");
+    let config = ZolcConfig::micro();
+    let r = retarget(&flat, &config).expect("the loop retargets onto uZOLC");
+    cases.push(("uZOLC loop", config, (*r.program).clone()));
+    // Index register r5 read in the body, and as a load address that
+    // leaves memory in the fifth iterate: once in the task end, once in
+    // the body.
+    let past_end = MEM_SIZE as i32 - 16;
+    let add = Instr::Add {
+        rd: reg(3),
+        rs: reg(3),
+        rt: reg(5),
+    };
+    let load = Instr::Lw {
+        rt: reg(4),
+        rs: reg(5),
+        off: 0,
+    };
+    let lite = ZolcConfig::lite();
+    cases.push((
+        "index read",
+        lite,
+        one_loop(3, 7, 9, &[add, add, Instr::Nop], None),
+    ));
+    cases.push((
+        "faulting task end",
+        lite,
+        one_loop(past_end, 4, 9, &[add, load], None),
+    ));
+    cases.push((
+        "faulting body",
+        lite,
+        one_loop(past_end, 4, 9, &[load, add], None),
+    ));
+    // A body branch leaves the loop in its fourth iterate.
+    let inc = Instr::Addi {
+        rt: reg(3),
+        rs: reg(3),
+        imm: 1,
+    };
+    cases.push((
+        "early leave",
+        lite,
+        one_loop(0, 1, 9, &[inc, inc, Instr::Nop, add], Some(1)),
+    ));
+    // One-instruction bodies beside the index rider: in closed form
+    // when the instruction leaves the index alone, per iterate when it
+    // reads it.
+    cases.push(("index beside", lite, one_loop(0, 3, 9, &[inc], None)));
+    cases.push(("index read alone", lite, one_loop(5, -2, 9, &[add], None)));
+    for (ctx, config, program) in cases {
+        let prog = CompiledProgram::compile(program);
+        let (_, faulted, granted) = active_fuel_sweep(&prog, config, ctx);
+        assert_eq!(faulted, ctx.starts_with("faulting"), "{ctx}: outcome");
+        assert!(granted > 0, "{ctx}: no granted iterates");
     }
 }
 

@@ -98,22 +98,25 @@ fn oracle_arm(
     true
 }
 
+/// A finished run and, on ZOLC targets, the controller it ran with.
+type Ran = (Finished<Box<dyn Executor>>, Option<Zolc>);
+
 /// Opens a session over `program` on the chosen executor with the
-/// engine `target` calls for (a fresh `Zolc` for ZOLC targets,
-/// `NullEngine` otherwise).
+/// engine `target` calls for (a fresh `Zolc` for ZOLC targets, returned
+/// after the run; `NullEngine` otherwise).
 fn run_on(
     kind: ExecutorKind,
     program: &Arc<CompiledProgram>,
     target: &Target,
-) -> Result<Finished<Box<dyn Executor>>, RunError> {
+) -> Result<Ran, RunError> {
     match target {
         Target::Zolc(cfg) => {
             let mut z = Zolc::new(*cfg);
             let fin = run_session(kind, program, &mut z, BUDGET)?;
             z.assert_consistent();
-            Ok(fin)
+            Ok((fin, Some(z)))
         }
-        _ => run_session(kind, program, &mut NullEngine, BUDGET),
+        _ => Ok((run_session(kind, program, &mut NullEngine, BUDGET)?, None)),
     }
 }
 
@@ -126,11 +129,11 @@ fn assert_equivalent(
     target: &Target,
     context: &str,
 ) -> (Stats, Stats) {
-    let slow = run_on(ExecutorKind::CycleAccurate, program, target)
+    let (slow, _) = run_on(ExecutorKind::CycleAccurate, program, target)
         .unwrap_or_else(|e| panic!("{context}: pipeline failed: {e}"));
-    let mut functional_stats = None;
+    let mut functional: Option<(Stats, Option<Zolc>)> = None;
     for kind in [ExecutorKind::Functional, ExecutorKind::Nest] {
-        let fast = run_on(kind, program, target)
+        let (fast, zolc) = run_on(kind, program, target)
             .unwrap_or_else(|e| panic!("{context}: {kind} failed: {e}"));
         assert_eq!(
             slow.cpu.regs().snapshot(),
@@ -148,17 +151,30 @@ fn assert_equivalent(
             "{context}: {kind} retire count differs"
         );
         // the two functional tiers must agree on *all* stats (both
-        // report zero cycles, so full equality is well-defined)
-        if let Some(prev) = functional_stats {
+        // report zero cycles, so full equality is well-defined) and on
+        // the controller they leave behind
+        if let Some((prev, prev_zolc)) = &functional {
             assert_eq!(
-                prev, fast.stats,
+                *prev, fast.stats,
                 "{context}: functional tiers disagree on stats"
             );
+            if let (Some(a), Some(b)) = (prev_zolc, &zolc) {
+                assert_eq!(
+                    a.arch_state(),
+                    b.arch_state(),
+                    "{context}: functional tiers leave different controller states"
+                );
+                assert_eq!(
+                    a.violations(),
+                    b.violations(),
+                    "{context}: functional tiers disagree on violations"
+                );
+            }
         }
-        functional_stats = Some(fast.stats);
+        functional = Some((fast.stats, zolc));
     }
     oracle_arm(program, &slow, context);
-    (slow.stats, functional_stats.expect("fast tiers ran"))
+    (slow.stats, functional.expect("fast tiers ran").0)
 }
 
 proptest! {
