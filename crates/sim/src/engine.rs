@@ -57,7 +57,7 @@ use zolc_isa::{Reg, ZolcCtl, ZolcRegion, TEXT_BASE};
 /// calculation unit updates several index registers at one task boundary;
 /// the capacity equals the maximum loop nesting depth of the largest ZOLC
 /// configuration (8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegWrites {
     len: u8,
     items: [(Reg, u32); 8],
@@ -65,8 +65,14 @@ pub struct RegWrites {
 
 impl RegWrites {
     /// No writes.
-    pub fn new() -> RegWrites {
-        RegWrites::default()
+    #[inline]
+    pub const fn new() -> RegWrites {
+        // Zeroed as a whole, not entry by entry as a derived `Default`
+        // would: engines build one per hook call.
+        RegWrites {
+            len: 0,
+            items: [(Reg::ZERO, 0); 8],
+        }
     }
 
     /// Adds a write. Writes apply in insertion order (a later write to the
@@ -122,6 +128,13 @@ impl RegWrites {
             .rev()
             .find(|(reg, _)| *reg == r)
             .map(|(_, v)| *v)
+    }
+}
+
+impl Default for RegWrites {
+    #[inline]
+    fn default() -> RegWrites {
+        RegWrites::new()
     }
 }
 

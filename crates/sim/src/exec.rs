@@ -229,6 +229,10 @@ pub enum Effect {
 /// forwarding network, the functional executor the committed register
 /// file. The function itself is pure — it performs no reads beyond
 /// `read`, no writes, and no memory accesses.
+///
+/// Always inlined: each caller then matches on the returned [`Effect`]
+/// inside the arm that built it, so an instruction is decoded once.
+#[inline(always)]
 pub fn step(instr: Instr, pc: u32, read: impl Fn(Reg) -> u32) -> Effect {
     use Instr::*;
     match instr {

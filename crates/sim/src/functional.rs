@@ -134,7 +134,7 @@ impl Machine {
         engine: &mut dyn LoopEngine,
         fuel: u64,
     ) -> Result<Stats, RunError> {
-        let limit = self.stats.retired + fuel;
+        let limit = self.stats.retired.saturating_add(fuel);
         loop {
             if self.stats.retired >= limit {
                 return Err(RunError::OutOfFuel { fuel });

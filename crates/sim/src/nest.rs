@@ -1267,7 +1267,7 @@ impl NestCpu {
                 return self.m.run(engine, fuel);
             }
         }
-        let limit = self.m.stats.retired + fuel;
+        let limit = self.m.stats.retired.saturating_add(fuel);
         loop {
             if self.m.stats.retired >= limit {
                 return Err(RunError::OutOfFuel { fuel });

@@ -27,6 +27,16 @@
 //!   `on_flush` is called on every flush.
 //! * `zctl` is context-synchronizing: executing it flushes the two younger
 //!   slots so mode changes are visible to the very next fetch.
+//! * The four latches stay in place on the core, as two pairs: IF/ID
+//!   with ID/EX, and EX/MEM with MEM/WB. Each latch has a `valid` flag
+//!   (clear for a bubble), and the stages read and write single fields.
+//!   ID and MEM hand an instruction on by swapping the roles of the two
+//!   latches of their pair, never by copying it. That is legal because
+//!   the later latch is empty by then: EX drains ID/EX before ID runs,
+//!   and WB drains MEM/WB before MEM runs. "No destination register" is
+//!   `r0`, whose writes are discarded. EX/MEM and MEM/WB carry a `halt`
+//!   bit instead of the instruction; the retire trace re-reads the
+//!   instruction from the text by pc.
 //! * The index-register writes an engine attaches at fetch (its *rider*,
 //!   up to eight writes) do not travel in the latches. They sit in a
 //!   four-entry ring on the core, one entry per latch, and each latch
@@ -36,18 +46,41 @@
 //!   so the entry it reuses is no longer named by any latch. A squashed
 //!   fetch's entry is simply never read. Most instructions carry no
 //!   rider (none ever does on a build without a loop controller), so
-//!   the latches stay small: 16 bytes for IF/ID and ID/EX, 36 for
-//!   EX/MEM and 28 for MEM/WB, against 68 for one rider.
+//!   the latches stay small: 16 bytes for IF/ID and ID/EX and 20 for
+//!   EX/MEM and MEM/WB, against 68 for one rider.
 //!
 //! The retire point for control purposes is EX: an instruction that enters
 //! EX can no longer be squashed (only EX itself raises flushes, in program
 //! order).
 //!
+//! # Stops
+//!
+//! * **`halt`** stops fetch behind it and ends the run when it leaves
+//!   WB, with nothing else in flight.
+//! * **A fetch fault** is raised when the faulting fetch reaches EX. The
+//!   instruction ahead of it may still be in MEM/WB then: exactly when
+//!   it was fetched in the cycle before the faulting fetch, that is,
+//!   when no redirect from ID or EX put a bubble between the two. At
+//!   such a fault, `retired` and the registers lag the functional tiers
+//!   by that one instruction. This lag is the contract.
+//! * **A data fault** is raised from MEM. The younger instructions in
+//!   IF/ID and ID/EX are squashed (with [`LoopEngine::on_flush`], not
+//!   counted in [`Stats::flushes`]), so the faulting instruction is the
+//!   oldest one that did not retire.
+//!
+//! Each stop leaves fetch parked at the instruction that stopped the run
+//! (the fault's pc), so a second `run` does what the functional tiers
+//! do: it retires `halt` again, raises the fetch fault again (after
+//! retiring the instruction left in MEM/WB), or retries the faulting
+//! access.
+//!
 //! Instruction *semantics* are not implemented here: EX calls
 //! [`crate::exec::step`] with the forwarding network as its operand
 //! reader and then schedules the returned [`Effect`] across the
-//! EX/MEM/WB stages. The timing model — hazards, flushes, penalties —
-//! is this module's entire subject matter.
+//! EX/MEM/WB stages. `step` is always inlined, so the match on its
+//! `Effect` folds into `step`'s own match on the instruction: EX decodes
+//! each instruction once. The timing model — hazards, flushes, penalties
+//! — is this module's entire subject matter.
 
 use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError, MEM_SIZE};
 use crate::engine::{ExecEvent, HookMap, LoopEngine, RegWrites};
@@ -95,11 +128,11 @@ impl RiderRing {
     }
 }
 
-/// Payload of the IF/ID and ID/EX latches.
+/// The IF/ID and ID/EX latches: a fetched instruction on its way to EX.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    pc: u32,
-    instr: Instr,
+struct FetchLatch {
+    /// Whether the latch holds an instruction.
+    valid: bool,
     /// Ring index of the index-register writes the loop engine attached
     /// at fetch, or [`NO_RIDER`].
     rider: u8,
@@ -109,38 +142,56 @@ struct Slot {
     /// `dbnz` outcome already resolved in ID (the hardware-loop unit's
     /// dedicated zero-detect); `None` = resolve in EX like other branches.
     dbnz_taken: Option<bool>,
-}
-
-/// The memory access scheduled for the MEM stage.
-#[derive(Debug, Clone, Copy)]
-enum MemAccess {
-    Load(LoadOp),
-    Store(StoreOp),
-}
-
-/// Payload of the EX/MEM latch.
-#[derive(Debug, Clone, Copy)]
-struct MemSlot {
     pc: u32,
     instr: Instr,
-    /// The access MEM must perform, if any.
-    access: Option<MemAccess>,
+}
+
+/// The EX/MEM and MEM/WB latches: an executed instruction on its way
+/// to retire.
+#[derive(Debug, Clone, Copy)]
+struct ExecLatch {
+    /// Whether the latch holds an instruction.
+    valid: bool,
+    /// The instruction is `halt`.
+    halt: bool,
+    rider: u8,
+    /// Destination register, `r0` for none.
+    dst: Reg,
+    /// The load MEM performs, if any.
+    load: Option<LoadOp>,
+    /// The store MEM performs, if any.
+    store: Option<StoreOp>,
+    pc: u32,
     /// Effective address for loads/stores.
     addr: u32,
-    /// Value to store (stores only).
-    store_val: u32,
-    /// Destination write (loads get their value filled in MEM).
-    dst: Option<(Reg, u32)>,
-    rider: u8,
+    /// The result for `dst`, or the value a store writes. EX computes
+    /// it; MEM replaces it with a load's value.
+    value: u32,
 }
 
-/// Payload of the MEM/WB latch.
-#[derive(Debug, Clone, Copy)]
-struct WbSlot {
-    pc: u32,
-    instr: Instr,
-    dst: Option<(Reg, u32)>,
-    rider: u8,
+impl FetchLatch {
+    const EMPTY: FetchLatch = FetchLatch {
+        valid: false,
+        rider: NO_RIDER,
+        fault: None,
+        dbnz_taken: None,
+        pc: 0,
+        instr: Instr::Nop,
+    };
+}
+
+impl ExecLatch {
+    const EMPTY: ExecLatch = ExecLatch {
+        valid: false,
+        halt: false,
+        rider: NO_RIDER,
+        dst: Reg::ZERO,
+        load: None,
+        store: None,
+        pc: 0,
+        addr: 0,
+        value: 0,
+    };
 }
 
 /// The cycle-accurate simulated processor.
@@ -171,14 +222,18 @@ pub struct Cpu {
     mem: Memory,
     regs: RegFile,
     pc: u32,
-    if_id: Option<Slot>,
-    id_ex: Option<Slot>,
-    ex_mem: Option<MemSlot>,
-    mem_wb: Option<WbSlot>,
+    /// The IF/ID and ID/EX latches: the entry at `if_id` is IF/ID, the
+    /// other one ID/EX (see the module docs).
+    fetched: [FetchLatch; 2],
+    if_id: bool,
+    /// The EX/MEM and MEM/WB latches: the entry at `ex_mem` is EX/MEM,
+    /// the other one MEM/WB.
+    executed: [ExecLatch; 2],
+    ex_mem: bool,
     /// The in-flight riders, named by the latches' `rider` fields.
     riders: RiderRing,
-    /// Fetch is parked (past `halt`, or after a fetch fault) until a flush
-    /// redirects it.
+    /// Fetch is parked behind a `halt` or a fetch fault in flight, until
+    /// that instruction leaves the pipeline or is squashed.
     fetch_stopped: bool,
     stats: Stats,
     retire_log: Vec<RetireEvent>,
@@ -202,10 +257,10 @@ impl Cpu {
             mem: Memory::new(MEM_SIZE),
             regs: RegFile::new(),
             pc: TEXT_BASE,
-            if_id: None,
-            id_ex: None,
-            ex_mem: None,
-            mem_wb: None,
+            fetched: [FetchLatch::EMPTY; 2],
+            if_id: false,
+            executed: [ExecLatch::EMPTY; 2],
+            ex_mem: false,
             riders: RiderRing::default(),
             fetch_stopped: false,
             stats: Stats::default(),
@@ -250,7 +305,8 @@ impl Cpu {
     /// Runs until `halt` retires or `fuel` instructions retire — the
     /// same retired-instruction budget every executor enforces, so a
     /// fuel timeout fires at the same instruction here as on the
-    /// functional tiers (see [`Executor::run`]).
+    /// functional tiers (see [`Executor::run`]). A run after a stop
+    /// resumes as the module docs' "Stops" section says.
     ///
     /// A secondary cycle cap of `8 × fuel + 64` serves purely as a
     /// liveness valve against simulator deadlock bugs. A retired
@@ -269,7 +325,7 @@ impl Cpu {
     ///   reaches a non-4-aligned pc;
     /// * [`RunError::Mem`] on a data access fault.
     pub fn run(&mut self, engine: &mut dyn LoopEngine, fuel: u64) -> Result<Stats, RunError> {
-        let retire_limit = self.stats.retired + fuel;
+        let retire_limit = self.stats.retired.saturating_add(fuel);
         let cycle_valve = self
             .stats
             .cycles
@@ -297,58 +353,86 @@ impl Cpu {
         self.hooks.at((pc.wrapping_sub(TEXT_BASE) / 4) as usize)
     }
 
+    /// The IF/ID latch.
+    fn if_id(&self) -> &FetchLatch {
+        &self.fetched[usize::from(self.if_id)]
+    }
+
+    fn if_id_mut(&mut self) -> &mut FetchLatch {
+        &mut self.fetched[usize::from(self.if_id)]
+    }
+
+    /// The ID/EX latch.
+    fn id_ex(&self) -> &FetchLatch {
+        &self.fetched[usize::from(!self.if_id)]
+    }
+
+    fn id_ex_mut(&mut self) -> &mut FetchLatch {
+        &mut self.fetched[usize::from(!self.if_id)]
+    }
+
+    /// The EX/MEM latch.
+    fn ex_mem(&self) -> &ExecLatch {
+        &self.executed[usize::from(self.ex_mem)]
+    }
+
+    fn ex_mem_mut(&mut self) -> &mut ExecLatch {
+        &mut self.executed[usize::from(self.ex_mem)]
+    }
+
+    /// The MEM/WB latch.
+    fn mem_wb(&self) -> &ExecLatch {
+        &self.executed[usize::from(!self.ex_mem)]
+    }
+
+    fn mem_wb_mut(&mut self) -> &mut ExecLatch {
+        &mut self.executed[usize::from(!self.ex_mem)]
+    }
+
     /// Advances one clock cycle. Returns `true` when `halt` retires.
+    #[inline]
     fn step(&mut self, engine: &mut dyn LoopEngine) -> Result<bool, RunError> {
         self.stats.cycles += 1;
 
         // ---------------- WB ----------------
-        if let Some(wb) = self.mem_wb.take() {
-            if let Some((r, v)) = wb.dst {
-                self.regs.write(r, v);
-            }
-            if let Some(rider) = self.riders.get(wb.rider) {
-                for (r, v) in rider.iter() {
-                    self.regs.write(r, v);
-                }
-                self.stats.zolc_index_writes += rider.len() as u64;
-            }
-            self.stats.retired += 1;
-            if self.config.trace_retire {
-                self.retire_log.push(RetireEvent {
-                    cycle: self.stats.cycles,
-                    pc: wb.pc,
-                    instr: wb.instr,
-                    dst: wb.dst.filter(|(r, _)| !r.is_zero()),
-                });
-            }
-            if matches!(wb.instr, Instr::Halt) {
+        if self.mem_wb().valid {
+            self.mem_wb_mut().valid = false;
+            self.writeback();
+            if self.mem_wb().halt {
+                // Nothing is in flight behind `halt`: fetch resumes at
+                // it if the session runs again.
+                self.fetch_stopped = false;
                 return Ok(true);
             }
         }
 
         // ---------------- MEM ----------------
-        self.mem_wb = match self.ex_mem.take() {
-            Some(m) => Some(self.do_mem(m)?),
-            None => None,
-        };
+        if self.ex_mem().valid {
+            self.do_mem(engine)?;
+        }
 
         // ---------------- EX ----------------
-        // After MEM ran, `mem_wb` holds the immediately preceding
+        // After MEM ran, MEM/WB holds the immediately preceding
         // instruction's final result: forwarding from it plus the committed
         // register file covers all legal same/next-cycle dependencies (the
         // load-use case is excluded by the ID interlock below).
         let mut flush_to: Option<u32> = None;
-        if let Some(ex) = self.id_ex.take() {
+        let ex = self.id_ex_mut();
+        if ex.valid {
+            ex.valid = false;
             if let Some(e) = ex.fault {
-                return Err(RunError::from_fetch(e, ex.pc));
+                let pc = ex.pc;
+                // Fetch stays parked at the faulting pc.
+                self.fetch_stopped = false;
+                return Err(RunError::from_fetch(e, pc));
             }
-            flush_to = self.do_ex(ex, engine);
+            flush_to = self.do_ex(engine);
         }
 
         if let Some(target) = flush_to {
             // Kill the younger instruction in IF/ID and suppress this
             // cycle's fetch: the 2-cycle taken-branch penalty.
-            let killed = self.if_id.take().is_some();
+            let killed = std::mem::replace(&mut self.if_id_mut().valid, false);
             self.pc = target;
             self.fetch_stopped = false;
             engine.on_flush();
@@ -360,72 +444,102 @@ impl Cpu {
         // ---------------- ID ----------------
         // EX always drains ID/EX above, so ID can always advance.
         let mut fetch_suppressed = false;
-        if let Some(mut slot) = self.if_id {
-            if self.load_use_hazard(&slot) {
+        if self.if_id().valid {
+            if self.load_use_hazard() {
                 self.stats.load_use_stalls += 1;
                 fetch_suppressed = true; // IF holds this cycle
             } else {
-                self.if_id = None;
-                // j/jal resolve here: redirect the next fetch
-                // (1-cycle penalty; the fetch slot this cycle is lost).
-                match slot.instr {
-                    Instr::J { target } | Instr::Jal { target } => {
-                        self.pc = target << 2;
-                        self.fetch_stopped = false;
-                        fetch_suppressed = true;
-                        self.stats.flushes += 1;
-                        self.stats.flush_cycles += 1;
-                    }
-                    // The XRhrdwil hardware-loop unit resolves the
-                    // branch-decrement in ID: its loop counter has a
-                    // dedicated zero-detect off the ALU path, so a
-                    // taken dbnz costs a single bubble (not the full
-                    // EX-resolved branch penalty). The decrement still
-                    // writes back through EX.
-                    Instr::Dbnz { rs, .. } => {
-                        if let Some(val) = self.peek_operand(rs) {
-                            let taken = val.wrapping_sub(1) != 0;
-                            slot.dbnz_taken = Some(taken);
-                            if taken {
-                                let target =
-                                    slot.instr.branch_target(slot.pc).expect("dbnz has target");
-                                self.pc = target;
-                                self.fetch_stopped = false;
-                                fetch_suppressed = true;
-                                self.stats.flushes += 1;
-                                self.stats.flush_cycles += 1;
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                self.id_ex = Some(slot);
+                fetch_suppressed = self.decode();
             }
         }
 
         // ---------------- IF ----------------
-        if !fetch_suppressed && self.if_id.is_none() && !self.fetch_stopped {
+        if !fetch_suppressed && !self.if_id().valid && !self.fetch_stopped {
             self.fetch(engine);
         }
 
         Ok(false)
     }
 
-    /// The load-use interlock: whether `slot`, in ID, reads the
-    /// destination of a load that has just left EX and sits in the
-    /// EX/MEM latch. Its value arrives only in MEM, too late for `slot`
-    /// to enter EX this cycle, so `slot` waits one cycle in ID.
-    fn load_use_hazard(&self, slot: &Slot) -> bool {
-        let Some(exm) = &self.ex_mem else {
-            return false;
-        };
-        if !exm.instr.is_load() {
-            return false;
+    /// Performs the WB stage: retires the instruction in MEM/WB.
+    fn writeback(&mut self) {
+        let ExecLatch {
+            rider,
+            dst,
+            pc,
+            value,
+            ..
+        } = *self.mem_wb();
+        self.regs.write(dst, value);
+        if let Some(rider) = self.riders.get(rider) {
+            for (r, v) in rider.iter() {
+                self.regs.write(r, v);
+            }
+            self.stats.zolc_index_writes += rider.len() as u64;
         }
-        let Some((dst, _)) = exm.dst else {
-            return false;
+        self.stats.retired += 1;
+        if self.config.trace_retire {
+            self.retire_log.push(RetireEvent {
+                cycle: self.stats.cycles,
+                pc,
+                instr: self
+                    .prog
+                    .text()
+                    .get(pc)
+                    .expect("a retired instruction was fetched from the text"),
+                dst: (!dst.is_zero()).then_some((dst, value)),
+            });
+        }
+    }
+
+    /// Performs the ID stage on the instruction in IF/ID, handing it to
+    /// ID/EX (drained by EX this cycle), and resolves `j`/`jal` and, when
+    /// it can, `dbnz`. Returns whether it redirected fetch, which loses
+    /// this cycle's fetch slot.
+    fn decode(&mut self) -> bool {
+        // IF/ID becomes ID/EX, and the ID/EX latch EX drained, IF/ID.
+        self.if_id = !self.if_id;
+        let FetchLatch { pc, instr, .. } = *self.id_ex();
+        let target = match instr {
+            // j/jal resolve here: redirect the next fetch
+            // (1-cycle penalty; the fetch slot this cycle is lost).
+            Instr::J { target } | Instr::Jal { target } => target << 2,
+            // The XRhrdwil hardware-loop unit resolves the
+            // branch-decrement in ID: its loop counter has a
+            // dedicated zero-detect off the ALU path, so a
+            // taken dbnz costs a single bubble (not the full
+            // EX-resolved branch penalty). The decrement still
+            // writes back through EX.
+            Instr::Dbnz { rs, .. } => {
+                let Some(val) = self.peek_operand(rs) else {
+                    return false;
+                };
+                let taken = val.wrapping_sub(1) != 0;
+                self.id_ex_mut().dbnz_taken = Some(taken);
+                if !taken {
+                    return false;
+                }
+                instr.branch_target(pc).expect("dbnz has target")
+            }
+            _ => return false,
         };
-        slot.instr.def_use().1 & (1 << dst.index()) != 0
+        self.pc = target;
+        self.fetch_stopped = false;
+        self.stats.flushes += 1;
+        self.stats.flush_cycles += 1;
+        true
+    }
+
+    /// The load-use interlock: whether the instruction in ID reads the
+    /// destination of a load that has just left EX and sits in the
+    /// EX/MEM latch. Its value arrives only in MEM, too late for the
+    /// instruction to enter EX this cycle, so it waits one cycle in ID.
+    fn load_use_hazard(&self) -> bool {
+        let exm = self.ex_mem();
+        exm.valid
+            && exm.load.is_some()
+            && !exm.dst.is_zero()
+            && self.if_id().instr.def_use().1 & (1 << exm.dst.index()) != 0
     }
 
     /// Reads an operand in EX with forwarding from the just-produced
@@ -435,16 +549,15 @@ impl Cpu {
         if r.is_zero() {
             return 0;
         }
-        if let Some(wb) = &self.mem_wb {
+        let wb = self.mem_wb();
+        if wb.valid {
             // Rider writes apply after the instruction's own destination,
             // so they take forwarding priority.
             if let Some(v) = self.riders.value_for(wb.rider, r) {
                 return v;
             }
-            if let Some((dr, v)) = wb.dst {
-                if dr == r {
-                    return v;
-                }
+            if wb.dst == r {
+                return wb.value;
             }
         }
         self.regs.read(r)
@@ -459,66 +572,67 @@ impl Cpu {
         if r.is_zero() {
             return Some(0);
         }
-        if let Some(exm) = &self.ex_mem {
+        let exm = self.ex_mem();
+        if exm.valid {
             if let Some(v) = self.riders.value_for(exm.rider, r) {
                 return Some(v);
             }
-            if let Some((dr, v)) = exm.dst {
-                if dr == r {
-                    if exm.instr.is_load() {
-                        return None; // value arrives in MEM next cycle
-                    }
-                    return Some(v);
+            if exm.dst == r {
+                if exm.load.is_some() {
+                    return None; // value arrives in MEM next cycle
                 }
+                return Some(exm.value);
             }
         }
         Some(self.operand(r))
     }
 
-    /// Executes one instruction in EX: computes its architectural
-    /// [`Effect`] through the shared semantics core, schedules the memory
-    /// half into the EX/MEM latch, and makes the timing decisions (stats,
+    /// Executes the instruction in ID/EX: computes its architectural
+    /// [`Effect`] through the shared semantics core, fills the EX/MEM
+    /// latch with the memory half, and makes the timing decisions (stats,
     /// flushes, engine events). Returns `Some(target)` when the pipeline
     /// must flush and refetch from `target`.
-    fn do_ex(&mut self, ex: Slot, engine: &mut dyn LoopEngine) -> Option<u32> {
-        let pc = ex.pc;
-        let i = ex.instr;
-        let effect = step(i, pc, |r| self.operand(r));
-        let mut out = MemSlot {
+    fn do_ex(&mut self, engine: &mut dyn LoopEngine) -> Option<u32> {
+        let FetchLatch {
             pc,
-            instr: i,
-            access: None,
-            addr: 0,
-            store_val: 0,
-            dst: None,
-            rider: ex.rider,
+            instr,
+            rider,
+            dbnz_taken,
+            ..
+        } = *self.id_ex();
+        let effect = step(instr, pc, |r| self.operand(r));
+        let mut out = ExecLatch {
+            valid: true,
+            rider,
+            pc,
+            ..ExecLatch::EMPTY
         };
         let mut flush_to = None;
         let mut event = ExecEvent::Plain;
 
         let riders = &self.riders;
-        let set_dst = |out: &mut MemSlot, r: Reg, v: u32| {
-            if !r.is_zero() {
-                debug_assert!(
-                    riders.value_for(ex.rider, r).is_none(),
-                    "instruction at {pc:#x} writes the same register as its ZOLC index rider"
-                );
-                out.dst = Some((r, v));
-            }
+        let set_dst = |out: &mut ExecLatch, r: Reg, v: u32| {
+            debug_assert!(
+                r.is_zero() || riders.value_for(rider, r).is_none(),
+                "instruction at {pc:#x} writes the same register as its ZOLC index rider"
+            );
+            out.dst = r;
+            out.value = v;
         };
 
         match effect {
-            Effect::Nop | Effect::Halt => {}
+            Effect::Nop => {}
+            Effect::Halt => out.halt = true,
             Effect::Write { dst, value } => set_dst(&mut out, dst, value),
             Effect::Load { dst, addr, op } => {
-                out.access = Some(MemAccess::Load(op));
+                out.load = Some(op);
                 out.addr = addr;
                 set_dst(&mut out, dst, 0); // value filled by MEM
             }
             Effect::Store { addr, value, op } => {
-                out.access = Some(MemAccess::Store(op));
+                out.store = Some(op);
                 out.addr = addr;
-                out.store_val = value;
+                out.value = value;
             }
             Effect::Branch {
                 taken,
@@ -536,7 +650,7 @@ impl Cpu {
                 } else {
                     event = ExecEvent::NotTaken;
                 }
-                match ex.dbnz_taken {
+                match dbnz_taken {
                     Some(predicted) => {
                         // resolved in ID; the redirect (if any) already
                         // happened with a 1-cycle bubble
@@ -559,7 +673,7 @@ impl Cpu {
                 event = ExecEvent::Taken { target };
                 // j/jal already redirected in ID; only the
                 // register-indirect jump resolves (and flushes) here.
-                if matches!(i, Instr::Jr { .. }) {
+                if matches!(instr, Instr::Jr { .. }) {
                     flush_to = Some(target);
                 }
             }
@@ -586,28 +700,45 @@ impl Cpu {
         if self.hooked(pc) {
             engine.on_execute(pc, event);
         }
-        self.ex_mem = Some(out);
+        // MEM handed the instruction in EX/MEM on, so the latch is free.
+        *self.ex_mem_mut() = out;
         flush_to
     }
 
-    /// Performs the MEM stage.
-    fn do_mem(&mut self, mut m: MemSlot) -> Result<WbSlot, RunError> {
-        match m.access {
-            Some(MemAccess::Load(op)) => {
-                // The access happens (and can fault) even when the
-                // destination is `r0` and the write-back is discarded.
-                let v = op.read(&self.mem, m.addr)?;
-                m.dst = m.dst.map(|(r, _)| (r, v));
-            }
-            Some(MemAccess::Store(op)) => op.write(&mut self.mem, m.addr, m.store_val)?,
-            None => {}
+    /// Performs the MEM stage on the instruction in EX/MEM and hands it
+    /// to MEM/WB (retired by WB this cycle). A data fault squashes the
+    /// younger instructions and parks fetch at the faulting one (see the
+    /// module docs).
+    fn do_mem(&mut self, engine: &mut dyn LoopEngine) -> Result<(), RunError> {
+        let ExecLatch {
+            load,
+            store,
+            pc,
+            addr,
+            value,
+            ..
+        } = *self.ex_mem();
+        let access = match (load, store) {
+            // The access happens (and can fault) even when the
+            // destination is `r0` and the write-back is discarded.
+            (Some(op), _) => op
+                .read(&self.mem, addr)
+                .map(|v| self.ex_mem_mut().value = v),
+            (_, Some(op)) => op.write(&mut self.mem, addr, value),
+            (None, None) => Ok(()),
+        };
+        if let Err(e) = access {
+            self.ex_mem_mut().valid = false;
+            self.if_id_mut().valid = false;
+            self.id_ex_mut().valid = false;
+            self.pc = pc;
+            self.fetch_stopped = false;
+            engine.on_flush();
+            return Err(e.into());
         }
-        Ok(WbSlot {
-            pc: m.pc,
-            instr: m.instr,
-            dst: m.dst,
-            rider: m.rider,
-        })
+        // EX/MEM becomes MEM/WB, and the MEM/WB latch WB drained, EX/MEM.
+        self.ex_mem = !self.ex_mem;
+        Ok(())
     }
 
     /// Performs the IF stage: fetch at `self.pc` from the predecoded text
@@ -621,13 +752,12 @@ impl Cpu {
                 // after a loop's final backward branch); park a fault
                 // marker that only errors if it retires, carrying the
                 // cause (misaligned vs out-of-text) with it.
-                self.if_id = Some(Slot {
-                    pc,
-                    instr: Instr::Nop,
-                    rider: NO_RIDER,
+                *self.if_id_mut() = FetchLatch {
+                    valid: true,
                     fault: Some(e),
-                    dbnz_taken: None,
-                });
+                    pc,
+                    ..FetchLatch::EMPTY
+                };
                 self.fetch_stopped = true;
                 return;
             }
@@ -644,13 +774,13 @@ impl Cpu {
                 rider = self.riders.push(decision.index_writes);
             }
         }
-        self.if_id = Some(Slot {
+        *self.if_id_mut() = FetchLatch {
+            valid: true,
+            rider,
             pc,
             instr,
-            rider,
-            fault: None,
-            dbnz_taken: None,
-        });
+            ..FetchLatch::EMPTY
+        };
         if matches!(instr, Instr::Halt) {
             self.fetch_stopped = true;
         } else {
@@ -934,6 +1064,42 @@ mod tests {
         assert!(matches!(r, Err(RunError::PcOutOfText { .. })));
     }
 
+    /// The fetch-fault contract of the module docs: the fault is raised
+    /// when the faulting fetch reaches EX. If the instruction ahead of it
+    /// was fetched in the cycle before, it is still in MEM/WB then, and
+    /// `retired` and the registers lag the functional tier by it.
+    #[test]
+    fn fetch_fault_leaves_the_instruction_ahead_in_mem_wb() {
+        // (source, faulting pc, the write of the instruction in MEM/WB)
+        let cases = [
+            // falls off the end of text behind `li r2`
+            ("li r1, 5\nli r2, 7", 8, Some((2, 7))),
+            // `jal` resolves in ID: its redirected fetch trails by a bubble
+            ("li r1, 5\njal end\nend:", 8, None),
+            // `jr` resolves in EX: its redirected fetch trails by two
+            ("li r1, 5\nli r2, 64\njr r2", 64, None),
+        ];
+        for (src, pc, lagging) in cases {
+            let prog = crate::CompiledProgram::compile(assemble(src).unwrap());
+            let mut cpu = Cpu::session(&prog, CpuConfig::default()).unwrap();
+            let r = cpu.run(&mut NullEngine, 100);
+            assert_eq!(r, Err(RunError::PcOutOfText { pc }), "{src}");
+            let mut f = crate::FunctionalCpu::session(&prog, CpuConfig::default()).unwrap();
+            assert_eq!(f.run(&mut NullEngine, 100), r, "{src}");
+            let mut regs = f.regs().snapshot();
+            let lag = match lagging {
+                Some((r, v)) => {
+                    assert_eq!(regs[r], v, "{src}");
+                    regs[r] = 0;
+                    1
+                }
+                None => 0,
+            };
+            assert_eq!(cpu.regs().snapshot(), regs, "{src}");
+            assert_eq!(cpu.stats().retired + lag, f.stats().retired, "{src}");
+        }
+    }
+
     #[test]
     fn fuel_limit_detected() {
         let p = assemble("top: j top\nhalt").unwrap();
@@ -1125,16 +1291,13 @@ mod rider_tests {
         cpu.refresh_hooks(&e);
         let mut full_cycles = 0;
         while !cpu.step(&mut e).expect("no fault") {
-            let mut live: Vec<u8> = [
-                cpu.if_id.map(|s| s.rider),
-                cpu.id_ex.map(|s| s.rider),
-                cpu.ex_mem.map(|m| m.rider),
-                cpu.mem_wb.map(|w| w.rider),
-            ]
-            .into_iter()
-            .flatten()
-            .filter(|&ix| ix != NO_RIDER)
-            .collect();
+            let fetched = cpu.fetched.iter().map(|l| (l.valid, l.rider));
+            let executed = cpu.executed.iter().map(|l| (l.valid, l.rider));
+            let mut live: Vec<u8> = fetched
+                .chain(executed)
+                .filter(|&(valid, ix)| valid && ix != NO_RIDER)
+                .map(|(_, ix)| ix)
+                .collect();
             if live.len() == 4 {
                 live.sort_unstable();
                 live.dedup();
@@ -1154,9 +1317,8 @@ mod rider_tests {
     fn latches_are_smaller_than_one_rider() {
         use std::mem::size_of;
         let rider = size_of::<RegWrites>();
-        assert!(size_of::<Slot>() < rider);
-        assert!(size_of::<MemSlot>() < rider);
-        assert!(size_of::<WbSlot>() < rider);
+        assert!(size_of::<FetchLatch>() < rider);
+        assert!(size_of::<ExecLatch>() < rider);
     }
 }
 

@@ -259,3 +259,54 @@ fn pipeline_fuel_ignores_stall_and_flush_cycles() {
     let exact = run_session(ExecutorKind::CycleAccurate, &prog, &mut NullEngine, retired);
     assert!(exact.is_ok(), "budget of {retired} retired instrs suffices");
 }
+
+/// A second `run` after a run stopped picks up from the architectural
+/// state the stop left, alike on every executor: after `halt` it
+/// retires `halt` again, after a fetch fault it raises the fault again,
+/// and after a data fault it retries the faulting instruction, never
+/// the instructions behind it.
+#[test]
+fn second_run_after_a_stop_agrees_on_all_executors() {
+    let programs = [
+        "li r1, 5\nhalt",
+        // falls off the end of text
+        "li r1, 5\nli r2, 7",
+        // a misaligned load with independent instructions behind it
+        "li r1, 2\nlw r2, (r1)\naddi r3, r0, 7\nhalt",
+    ];
+    for src in programs {
+        let prog = CompiledProgram::compile(assemble(src).unwrap());
+        let mut ends = Vec::new();
+        for kind in ExecutorKind::ALL {
+            let mut cpu = kind
+                .new_session(&prog, zolc_sim::CpuConfig::default())
+                .unwrap();
+            let first = cpu.run(&mut NullEngine, 1_000).map(|_| ());
+            let second = cpu.run(&mut NullEngine, 1_000).map(|_| ());
+            assert_eq!(first, second, "{kind}: {src}");
+            ends.push((second, cpu.stats().retired, cpu.regs().snapshot()));
+        }
+        assert!(
+            ends.windows(2).all(|w| w[0] == w[1]),
+            "{src}: executors disagree after the second run: {ends:?}"
+        );
+    }
+}
+
+/// The retire limit of a run is the session's retired count plus the
+/// fuel, saturated: a halting program re-run with `u64::MAX` fuel
+/// retires `halt` again instead of overflowing the limit.
+#[test]
+fn fuel_of_u64_max_on_a_resumed_session_saturates() {
+    let prog = CompiledProgram::compile(assemble("li r1, 5\nhalt").unwrap());
+    for kind in ExecutorKind::ALL {
+        let mut cpu = kind
+            .new_session(&prog, zolc_sim::CpuConfig::default())
+            .unwrap();
+        cpu.run(&mut NullEngine, 100).unwrap();
+        let stats = cpu
+            .run(&mut NullEngine, u64::MAX)
+            .unwrap_or_else(|e| panic!("{kind}: the re-run should halt: {e}"));
+        assert_eq!(stats.retired, 3, "{kind}");
+    }
+}
