@@ -24,14 +24,16 @@
 //! and [`JobMatrix::run`] measures all cells on a scoped thread pool,
 //! returning correctness-checked [`Measurement`]s in cell order. Cell
 //! independence makes the parallel results bit-identical to a serial
-//! walk. Build custom sweeps the same way:
+//! walk. Adjacent cells of one generated program run each distinct
+//! build once ([`Measurement::shared_with`]). Build custom sweeps the
+//! same way:
 //!
 //! ```
 //! use zolc_bench::JobMatrix;
 //! use zolc_ir::Target;
 //! use zolc_kernels::{kernels, ExecutorKind};
 //!
-//! // fast architectural sweep of two kernels on the functional executor
+//! // architectural sweep of two kernels on the functional executor (no cycles)
 //! let results = JobMatrix::cross(&kernels()[..2], &[Target::Baseline])
 //!     .with_executor(ExecutorKind::Functional)
 //!     .run();
@@ -42,7 +44,8 @@
 //!
 //! [`run_sweep`] measures a [`SweepConfig`]'s whole seed range in one
 //! pass over the same parallel [`JobMatrix`]; the standard 400-program
-//! sweep takes well under a second, a 10,000-program one a few seconds.
+//! sweep takes well under a second, a 10,000-program one about half a
+//! second on two cores.
 //! [`report_json`] renders its [`SweepReport`] as JSON (hand-rolled in
 //! [`json`]; no crates.io), savings bit for bit: the document `zolcd`
 //! serves for sweep jobs.

@@ -11,9 +11,26 @@
 //! [`RetargetPlan`] — the binary is analyzed once and synthesized per
 //! configuration, and the plan is dropped when the unit ends. Every
 //! other cell is a unit of its own. Each cell still builds its own
-//! program and simulator, results come back in cell order, and a
-//! failed cell panics the whole run exactly as the serial loops did —
-//! experiment results are only meaningful when every cell is correct.
+//! program and reports its own build statistics, results come back in
+//! cell order, and a failed cell panics the whole run exactly as the
+//! serial loops did — experiment results are only meaningful when every
+//! cell is correct.
+//!
+//! Within a unit, each distinct build runs once. A cell whose build has
+//! the text, data and reference expectation of an earlier cell of its
+//! unit, on the same executor, with the same loop engine *as the text
+//! sees it*, takes that cell's [`Stats`] without opening a session
+//! ([`Measurement::shared_with`] names the cell). The engine a text sees
+//! is none on the baseline targets, and on a ZOLC target the
+//! configuration's [`ZolcConfig::seen_by`] view: none when the text
+//! holds no `zwr` or `zctl` (so such a cell takes the baseline cell's
+//! run), the configuration without its entry and exit record slots when
+//! the text writes neither region (so `ZOLCfull` takes `ZOLClite`'s
+//! run), and the whole configuration otherwise. Different loop or task
+//! counts never share: a task record's loop id is a register value, and
+//! naming a loop past a configuration's capacity behaves differently on
+//! each. The shared run passed the same correctness gate the cell would
+//! have, since its expectation is the cell's.
 //!
 //! A cell's program comes from a [`JobSource`]: a registry benchmark
 //! kernel (built by its `BuildFn`), a *generated* baseline program from
@@ -32,9 +49,9 @@ use std::thread;
 use zolc_cfg::RetargetPlan;
 use zolc_core::ZolcConfig;
 use zolc_ir::{LoweredInfo, Target};
-use zolc_kernels::{kernels, BuildError, BuiltKernel, ExecutorKind, KernelEntry};
+use zolc_kernels::{kernels, BuildError, BuiltKernel, ExecutorKind, Expectation, KernelEntry};
 use zolc_lang::CompiledUnit;
-use zolc_sim::Stats;
+use zolc_sim::{CompiledProgram, Stats};
 
 /// Fuel budget (retired instructions — the one semantic shared by every
 /// executor, see [`zolc_sim::Executor::run`]) generous enough for every
@@ -135,6 +152,12 @@ pub struct Measurement {
     pub info: LoweredInfo,
     /// Retargeting statistics ([`BuildMode::AutoRetarget`] cells only).
     pub auto: Option<AutoStats>,
+    /// `None` when this cell ran its own build; otherwise the matrix
+    /// index of the earlier cell of its unit whose run it took. The two
+    /// builds agree on text, data, expectation and executor, and on the
+    /// loop engine as the text sees it ([`ZolcConfig::seen_by`]), so
+    /// the runs are provably the same.
+    pub shared_with: Option<usize>,
 }
 
 /// Builds one cell's program: [`BuildMode::Lower`] builds the source
@@ -175,32 +198,94 @@ fn build_cell(
     }
 }
 
-fn measure_cell(
-    source: &JobSource,
-    target: &Target,
+/// A run a unit has made: what the run could see, and its statistics.
+/// A later cell of the unit whose build agrees on all of it takes
+/// [`Self::stats`] instead of running (see the module docs).
+struct Run {
+    /// The matrix index of the cell that ran it.
+    cell: usize,
+    program: Arc<CompiledProgram>,
+    expect: Expectation,
     executor: ExecutorKind,
-    mode: BuildMode,
+    /// The controller as the text sees it ([`engine_seen`]).
+    engine: Option<ZolcConfig>,
+    stats: Stats,
+}
+
+impl Run {
+    /// Whether a run of `built` on `executor`, with the controller
+    /// seen as `engine`, is provably this run.
+    fn is(&self, built: &BuiltKernel, executor: ExecutorKind, engine: Option<ZolcConfig>) -> bool {
+        let (a, b) = (self.program.source(), built.program.source());
+        self.executor == executor
+            && self.engine == engine
+            && a.text() == b.text()
+            && a.data() == b.data()
+            && self.expect == built.expect
+    }
+}
+
+/// The loop engine a run of `built` can see: `None` for no controller
+/// (the baseline targets, and ZOLC targets whose text never touches
+/// the controller), else the configuration as
+/// [`ZolcConfig::seen_by`] the text.
+fn engine_seen(built: &BuiltKernel) -> Option<ZolcConfig> {
+    match &built.target {
+        Target::Zolc(config) => config.seen_by(built.program.source().text()),
+        _ => None,
+    }
+}
+
+/// Builds and measures cell `k`, taking the statistics of an earlier
+/// run of its unit (`runs`) when that run is provably this one, and
+/// adding its own run to `runs` otherwise.
+fn measure_cell(
+    k: usize,
+    job: &Job,
     plan: &mut Option<RetargetPlan>,
+    runs: &mut Vec<Run>,
 ) -> Measurement {
-    let (built, auto) = build_cell(source, target, mode, plan);
+    let Job {
+        source,
+        target,
+        executor,
+        mode,
+    } = job;
+    let (built, auto) = build_cell(source, target, *mode, plan);
     let name = source.name();
-    let run = built
-        .run(MAX_FUEL, executor)
-        .unwrap_or_else(|e| panic!("{name}/{target}: run failed: {e}"));
-    assert!(
-        run.is_correct(),
-        "{name}/{target}: incorrect run: {:?} {:?}",
-        run.mismatches,
-        run.violations
-    );
+    let engine = engine_seen(&built);
+    let (stats, shared_with) = match runs.iter().find(|r| r.is(&built, *executor, engine)) {
+        Some(r) => (r.stats, Some(r.cell)),
+        None => {
+            let run = built
+                .run(MAX_FUEL, *executor)
+                .unwrap_or_else(|e| panic!("{name}/{target}: run failed: {e}"));
+            assert!(
+                run.is_correct(),
+                "{name}/{target}: incorrect run: {:?} {:?}",
+                run.mismatches,
+                run.violations
+            );
+            runs.push(Run {
+                cell: k,
+                program: Arc::clone(&built.program),
+                expect: built.expect,
+                executor: *executor,
+                engine,
+                stats: run.stats,
+            });
+            (run.stats, None)
+        }
+    };
     Measurement {
         kernel: name.to_owned(),
         target: target.clone(),
-        executor,
-        mode,
-        stats: run.stats,
+        executor: *executor,
+        mode: *mode,
+        stats,
         info: built.info,
         auto,
+        shared_with,
     }
 }
 
@@ -324,7 +409,7 @@ impl JobMatrix {
     }
 
     /// Switches every cell to `executor` (e.g. [`ExecutorKind::Functional`]
-    /// for a fast correctness-only sweep).
+    /// for a correctness-only sweep that reports no cycles).
     pub fn with_executor(mut self, executor: ExecutorKind) -> JobMatrix {
         for j in &mut self.jobs {
             j.executor = executor;
@@ -380,10 +465,9 @@ impl JobMatrix {
             self.jobs.iter().map(|_| Mutex::new(None)).collect();
         let units = self.units();
         par_map(units.len(), threads, |u| {
-            let mut plan = None;
+            let (mut plan, mut runs) = (None, Vec::new());
             for k in units[u].clone() {
-                let j = &self.jobs[k];
-                let m = measure_cell(&j.source, &j.target, j.executor, j.mode, &mut plan);
+                let m = measure_cell(k, &self.jobs[k], &mut plan, &mut runs);
                 *slots[k].lock().expect("result slot poisoned") = Some(m);
             }
         });

@@ -15,7 +15,15 @@
 //!
 //! Every cell — thousands per sweep — is gated on bit-exact equivalence
 //! with the program's derived reference expectation *and* on an empty
-//! controller-consistency journal before any number is aggregated; on
+//! controller-consistency journal before any number is aggregated. Each
+//! distinct build runs once: a cell whose run is provably an earlier
+//! cell's of the same program takes that run, which passed the same
+//! gate (same text and data, and the same controller as the text sees
+//! it; see [`Measurement::shared_with`](crate::Measurement)). On the
+//! standard sweep that is an auto cell whose text never touches the
+//! controller (it takes the baseline run) and a `ZOLCfull` cell that
+//! writes no entry or exit record (it takes `ZOLClite`'s): 805 of 2000
+//! cells. On
 //! full-capacity configurations the per-program software-fallback count
 //! is additionally held to `zolc_gen`'s documented handledness
 //! prediction, so a silent retargeter regression fails the sweep rather
@@ -162,8 +170,9 @@ pub struct SweepConfig {
     /// The controller configurations swept per program.
     pub points: Vec<SweepPoint>,
     /// The executor cells run on ([`ExecutorKind::CycleAccurate`] for
-    /// savings distributions; [`ExecutorKind::Functional`] for a
-    /// correctness-only sweep at higher throughput).
+    /// savings distributions; [`ExecutorKind::Functional`] or
+    /// [`ExecutorKind::Nest`] for a correctness-only sweep that reports
+    /// no cycles).
     pub executor: ExecutorKind,
 }
 
@@ -344,6 +353,41 @@ pub struct SweepReport {
     pub points: Vec<PointSummary>,
 }
 
+/// Generates the sweep's programs and their reference expectations.
+///
+/// # Panics
+///
+/// Panics if the seed range overflows ([`SweepConfig::seeds`]).
+fn generate(cfg: &SweepConfig) -> Vec<Arc<GeneratedProgram>> {
+    let seeds = cfg.seeds().expect("sweep seed range overflows u64");
+    // generation + reference runs are per-seed independent — spread
+    // them over the same parallelism the cell matrix uses
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    par_map(cfg.programs, threads, |i| {
+        let seed = seeds.start + i as u64;
+        let spec = ProgramSpec::generate(seed, &cfg.gen);
+        Arc::new(GeneratedProgram::from_spec(format!("gen{seed:05}"), spec))
+    })
+}
+
+/// The sweep's cells, program-major: each program's baseline cell,
+/// then one auto-retarget cell per configuration, on the sweep's
+/// executor.
+fn sweep_matrix(cfg: &SweepConfig, generated: &[Arc<GeneratedProgram>]) -> JobMatrix {
+    let mut matrix = JobMatrix::new();
+    for g in generated {
+        matrix.push_generated(Arc::clone(g), Target::Baseline, BuildMode::Lower);
+        for p in &cfg.points {
+            matrix.push_generated(
+                Arc::clone(g),
+                Target::Zolc(p.config),
+                BuildMode::AutoRetarget,
+            );
+        }
+    }
+    matrix.with_executor(cfg.executor)
+}
+
 /// Runs a sweep: generates the programs, fans every (program ×
 /// configuration × build-mode) cell through the [`JobMatrix`], and
 /// aggregates coverage and savings.
@@ -356,28 +400,8 @@ pub struct SweepReport {
 /// a full-capacity configuration's software-fallback count disagrees
 /// with `zolc_gen`'s handledness prediction.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
-    let seeds = cfg.seeds().expect("sweep seed range overflows u64");
-    // generation + reference runs are per-seed independent — spread
-    // them over the same parallelism the cell matrix uses below
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let generated: Vec<Arc<GeneratedProgram>> = par_map(cfg.programs, threads, |i| {
-        let seed = seeds.start + i as u64;
-        let spec = ProgramSpec::generate(seed, &cfg.gen);
-        Arc::new(GeneratedProgram::from_spec(format!("gen{seed:05}"), spec))
-    });
-
-    let mut matrix = JobMatrix::new();
-    for g in &generated {
-        matrix.push_generated(Arc::clone(g), Target::Baseline, BuildMode::Lower);
-        for p in &cfg.points {
-            matrix.push_generated(
-                Arc::clone(g),
-                Target::Zolc(p.config),
-                BuildMode::AutoRetarget,
-            );
-        }
-    }
-    let results = matrix.with_executor(cfg.executor).run();
+    let generated = generate(cfg);
+    let results = sweep_matrix(cfg, &generated).run();
 
     let total_loops: usize = generated.iter().map(|g| g.spec.loop_count()).sum();
     let mut points: Vec<PointSummary> = cfg
@@ -718,6 +742,39 @@ mod tests {
         let report = run_sweep(&cfg);
         assert!(report.points.iter().all(|p| p.savings.is_empty()));
         assert!(report.points[0].hw_loops > 0);
+    }
+
+    /// The standard sweep runs each distinct build once. A ZOLC cell
+    /// whose text never touches the controller takes its program's
+    /// baseline run, and a ZOLCfull cell that writes no entry or exit
+    /// record takes ZOLClite's; every other cell runs.
+    #[test]
+    fn standard_sweep_runs_each_distinct_build_once() {
+        let cfg = SweepConfig::new();
+        let labels: Vec<&str> = cfg.points.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels, ["uZOLC", "ZOLClite", "ZOLCfull", "custom 2L/8T"]);
+        let results = sweep_matrix(&cfg, &generate(&cfg)).run();
+        let stride = 1 + cfg.points.len();
+        let (mut ran, mut baseline, mut lite) = (0, 0, 0);
+        for (k, m) in results.iter().enumerate() {
+            match m.shared_with {
+                None => ran += 1,
+                Some(s) if s % stride == 0 => {
+                    assert_eq!(s, k - k % stride, "cell {k} shares another program's run");
+                    baseline += 1;
+                }
+                Some(s) => {
+                    assert_eq!(
+                        (k % stride, s),
+                        (3, k - 1),
+                        "cell {k}: only ZOLCfull takes ZOLClite's run"
+                    );
+                    lite += 1;
+                }
+            }
+        }
+        assert_eq!(results.len(), 2000);
+        assert_eq!((ran, baseline, lite), (1195, 429, 376));
     }
 
     #[test]

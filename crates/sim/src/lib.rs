@@ -33,7 +33,9 @@
 //!      `zwr`/`zctl`/`dbnz`, the engine's hook-footprint pcs
 //!      ([`LoopEngine::hook_pcs`]), faults and the fuel boundary at an
 //!      instruction-exact resume point. Same architectural results as
-//!      `FunctionalCpu`; the fastest tier — the sweep workhorse.
+//!      `FunctionalCpu`. The fastest tier on long-running loop nests;
+//!      on small programs run once, compiling superblocks costs more
+//!      than it saves.
 //!
 //! All executors enforce one **fuel semantic**: the budget passed to
 //! [`Executor::run`] counts *retired instructions* everywhere, so a

@@ -522,14 +522,17 @@ fn architectural(stats: Stats) -> Stats {
 ///   every architectural counter and the violations. Runs that exhaust
 ///   their fuel are compared on outcome and registers only: the pipeline
 ///   has already executed (counted, stored and shown to the controller)
-///   the instructions in flight past the retire budget. Runs that end in
-///   a fetch fault are compared on the outcome only: the pipeline raises
-///   it from EX while the instruction ahead is still in MEM.
+///   the instructions in flight past the retire budget. On a fetch
+///   fault the pipeline raises the fault from EX, and the instruction
+///   ahead may still be in MEM (the "Stops" contract in
+///   `crates/sim/src/pipeline.rs`): it must have retired the functional
+///   tier's count or one fewer, with the registers of a functional run
+///   given exactly its count as fuel.
 #[test]
 fn active_controller_wild_differential() {
     let configs = [ZolcConfig::micro(), ZolcConfig::lite(), ZolcConfig::full()];
     let gen = GenConfig::default();
-    let (mut runs, mut stopped) = (0, 0);
+    let (mut runs, mut stopped, mut fetch_faults) = (0, 0, 0);
     for seed in 0..40u64 {
         let spec = ProgramSpec::generate(0x5eed_0000 + seed, &gen);
         let base = spec
@@ -593,6 +596,22 @@ fn active_controller_wild_differential() {
                 );
                 match fr {
                     Err(RunError::PcOutOfText { .. } | RunError::MisalignedFetch { .. }) => {
+                        let retired = p.stats().retired;
+                        assert!(
+                            retired == f.stats().retired || retired + 1 == f.stats().retired,
+                            "{ctx}: pipeline retired {retired}, functional {}",
+                            f.stats().retired
+                        );
+                        let mut again =
+                            FunctionalCpu::session(&prog, CpuConfig::default()).unwrap();
+                        let _ = again.run(&mut Zolc::new(config), retired);
+                        assert_eq!(again.stats().retired, retired, "{ctx}: functional re-run");
+                        assert_eq!(
+                            p.regs(),
+                            again.regs(),
+                            "{ctx}: pipeline vs functional registers after {retired} instructions"
+                        );
+                        fetch_faults += 1;
                         continue;
                     }
                     Err(RunError::OutOfFuel { .. }) => {
@@ -624,8 +643,11 @@ fn active_controller_wild_differential() {
             }
         }
     }
-    // The net must actually cover runs that end both ways.
+    // The net must actually cover runs that end both ways, and fetch
+    // faults.
+    eprintln!("{runs} runs: {stopped} halted or hit a data fault, {fetch_faults} fetch faults");
     assert!(runs >= 150, "only {runs} runs");
+    assert!(fetch_faults >= 4, "only {fetch_faults} fetch faults");
     assert!(
         stopped * 2 >= runs,
         "only {stopped} of {runs} runs halted or hit a data fault"

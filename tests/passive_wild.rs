@@ -8,14 +8,16 @@
 //! * The pipeline must give the same outcome. On fuel exhaustion its
 //!   registers must match too; on a halt or a data fault, its whole
 //!   architectural state (registers, memory, retire-side counters). On
-//!   a fetch fault only the outcome is compared: the pipeline raises the
-//!   fault from EX while the instruction ahead of it is still in MEM, so
-//!   its registers and retire count lag the functional tiers by one
-//!   instruction there (which state is architectural is still open).
+//!   a fetch fault it raises the fault from EX, and the instruction
+//!   ahead may still be in MEM (the "Stops" contract in
+//!   `crates/sim/src/pipeline.rs`). So it must have retired the
+//!   functional tier's count or one fewer, and its registers must be
+//!   those of a functional run given exactly its count as fuel.
 
 mod common;
 
 use common::hostile::hostile_text;
+use std::sync::Arc;
 use zolc::gen::GenRng;
 use zolc::isa::Program;
 use zolc::sim::{
@@ -40,10 +42,34 @@ fn architectural(stats: Stats) -> Stats {
     }
 }
 
+/// Checks a fetch fault on the pipeline: it retired the functional
+/// tier's count or one fewer, and its registers are those of a
+/// functional run given exactly that count as fuel. Returns the lag.
+fn fetch_fault_lag(prog: &Arc<CompiledProgram>, p: &Cpu, f: &FunctionalCpu, ctx: &str) -> usize {
+    let retired = p.stats().retired;
+    assert!(
+        retired == f.stats().retired || retired + 1 == f.stats().retired,
+        "{ctx}: pipeline retired {retired}, functional {}",
+        f.stats().retired
+    );
+    let mut again = FunctionalCpu::session(prog, CpuConfig::default()).unwrap();
+    let _ = again.run(&mut NullEngine, retired);
+    assert_eq!(again.stats().retired, retired, "{ctx}: functional re-run");
+    assert_eq!(
+        p.regs(),
+        again.regs(),
+        "{ctx}: pipeline vs functional registers after {retired} instructions"
+    );
+    (f.stats().retired - retired) as usize
+}
+
 #[test]
 fn passive_wild_differential() {
     // halts, data faults, fetch faults, fuel exhaustion
     let mut ends = [0u32; 4];
+    // fetch faults where the pipeline retired as many instructions as
+    // the functional tier, and one fewer
+    let mut lags = [0u32; 2];
     for seed in 0..PROGRAMS {
         let mut rng = GenRng::new(0x9a55_17e0 ^ seed);
         let text = hostile_text(&mut rng);
@@ -70,6 +96,7 @@ fn passive_wild_differential() {
         match fr {
             Err(RunError::PcOutOfText { .. } | RunError::MisalignedFetch { .. }) => {
                 ends[2] += 1;
+                lags[fetch_fault_lag(&prog, &p, &f, &ctx)] += 1;
                 continue;
             }
             Err(RunError::OutOfFuel { .. }) => {
@@ -99,11 +126,16 @@ fn passive_wild_differential() {
             "{ctx}: pipeline vs functional counters"
         );
     }
-    eprintln!("halts, data faults, fetch faults, fuel: {ends:?}");
-    // The net must cover runs that end each way.
+    eprintln!("halts, data faults, fetch faults, fuel: {ends:?}; fetch-fault lags 0, 1: {lags:?}");
+    // The net must cover runs that end each way, and fetch faults with
+    // and without the lag.
     let each = PROGRAMS as u32 / 50;
     assert!(
         ends.iter().all(|&k| k >= each),
         "halts, data faults, fetch faults, fuel: {ends:?}"
+    );
+    assert!(
+        lags.iter().all(|&k| k >= each / 4),
+        "fetch-fault lags 0, 1: {lags:?}"
     );
 }
