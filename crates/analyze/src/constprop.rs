@@ -36,7 +36,9 @@ impl Cv {
 /// The fact is a full register file of [`Cv`]s, wrapped in `Option`:
 /// `None` is the unreachable `⊥` (no execution reaches this point), so
 /// joins at merges of one reachable and one unreachable path lose
-/// nothing. The boundary fact maps every register to `Const(0)` — the
+/// nothing. No branch is pruned, so a block's input is `None` exactly
+/// when no path from the entry reaches it: this `⊥` is the workspace's
+/// block reachability. The boundary fact maps every register to `Const(0)` — the
 /// architected reset state every executor starts from.
 ///
 /// Whenever every source operand is a known constant the transfer
@@ -231,6 +233,44 @@ mod tests {
             &mut fact2,
         );
         assert_eq!(fact2.unwrap()[reg(5)], Cv::Varies);
+    }
+
+    /// Which blocks constant propagation reaches (a non-`⊥` input).
+    fn reached(g: &FlowGraph) -> Vec<bool> {
+        let sol = solve(g, &ConstProp);
+        sol.block_in.iter().map(Option::is_some).collect()
+    }
+
+    #[test]
+    fn code_after_unconditional_jump_is_unreachable() {
+        let nop = [Instr::Nop];
+        // b0 jumps over b1 to b2; b3 is reached only from the
+        // unreachable b1, so it is unreachable too.
+        let g = FlowGraph::new(
+            0,
+            &[
+                block(0, &nop, &[2]),
+                block(4, &nop, &[2, 3]),
+                block(8, &[Instr::Halt], &[]),
+                block(12, &nop, &[2]),
+            ],
+        );
+        assert_eq!(reached(&g), vec![true, false, true, false]);
+    }
+
+    #[test]
+    fn cycles_do_not_confer_reachability() {
+        let nop = [Instr::Nop];
+        // b1 and b2 form a cycle disconnected from the entry.
+        let g = FlowGraph::new(
+            0,
+            &[
+                block(0, &[Instr::Halt], &[]),
+                block(4, &nop, &[2]),
+                block(8, &nop, &[1]),
+            ],
+        );
+        assert_eq!(reached(&g), vec![true, false, false]);
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! own, which values escape a loop, which code can execute at all. This
 //! crate provides the machinery those proofs are built from — a worklist
 //! dataflow solver over an explicit flow graph plus a small lattice
-//! library — and three concrete analyses on top of it:
+//! library — and two concrete analyses on top of it:
 //!
 //! * [`Liveness`] — backward register liveness ([`RegSet`] facts);
-//! * [`ConstProp`] — forward constant propagation ([`Cv`] facts);
-//! * [`Reachability`] — forward block reachability (`bool` facts).
+//! * [`ConstProp`] — forward constant propagation ([`Cv`] facts).
+//!
+//! Block reachability needs no pass of its own: constant propagation
+//! prunes no branch, so its unreachable `⊥` (`None`) marks exactly the
+//! blocks no path from the entry reaches
+//! (`solve(g, &ConstProp).block_in[b].is_none()`).
 //!
 //! A new pass is an [`Analysis`] implementation: a fact type, a join,
 //! and a per-instruction transfer function — the solver does the rest.
@@ -78,11 +82,9 @@
 mod constprop;
 mod graph;
 mod live;
-mod reach;
 mod solver;
 
 pub use constprop::{ConstFact, ConstProp, Cv};
 pub use graph::{Adjacency, FlowBlock, FlowGraph};
 pub use live::{Liveness, RegSet};
-pub use reach::{reachable_blocks, Reachability};
 pub use solver::{solve, Analysis, Direction, RegFacts, Solution};

@@ -15,7 +15,7 @@ use crate::graph::FlowGraph;
 /// Which way facts flow through the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Facts flow from the entry along edges (constants, reachability).
+    /// Facts flow from the entry along edges (constants).
     Forward,
     /// Facts flow from exits against edges (liveness).
     Backward,
@@ -23,9 +23,9 @@ pub enum Direction {
 
 /// One dataflow analysis: a fact lattice plus a transfer function.
 ///
-/// Implementations are small — liveness, constant propagation and
-/// reachability are each well under 50 lines. The solver owns all
-/// iteration concerns (worklists, join accumulation).
+/// Implementations are small — liveness and constant propagation are
+/// each one short `impl`. The solver owns all iteration concerns
+/// (worklists, join accumulation).
 pub trait Analysis {
     /// The fact attached to every program point.
     type Fact: Clone + PartialEq;

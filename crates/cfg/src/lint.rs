@@ -1,12 +1,15 @@
 //! Binary lint pass: dataflow-backed diagnostics over machine code.
 //!
-//! [`lint_program`] runs the `zolc-analyze` solver suite — reachability,
-//! liveness, constant propagation — over a program's CFG and reports
-//! defects a retargeting toolchain cares about before any excision
-//! happens: code the entry can never reach, register writes no path
-//! ever reads, computations discarded into `r0`, control transfers that
-//! leave the text segment, and counted latches that provably never fall
-//! through. With a [`ZolcImage`] the pass also checks the image's
+//! [`lint_program`] runs the two `zolc-analyze` analyses — liveness and
+//! constant propagation, whose unreachable `⊥` marks the blocks no path
+//! reaches — over a program's CFG and reports defects a retargeting
+//! toolchain cares about before any excision happens: code the entry
+//! can never reach, register writes no path ever reads, computations
+//! discarded into `r0`, control transfers that leave the text segment,
+//! and counted latches that provably never fall through. Each reachable
+//! block is walked once forward, carrying the constants, and once
+//! backward, carrying the live registers. With a [`ZolcImage`] the pass
+//! also checks the image's
 //! records against the text — the structural defects
 //! [`ZolcImage::validate`] cannot see, because it knows the
 //! configuration but not the program:
@@ -35,7 +38,7 @@
 
 use crate::graph::Cfg;
 use std::fmt;
-use zolc_analyze::{reachable_blocks, solve, ConstProp, Liveness, RegSet};
+use zolc_analyze::{solve, Analysis, ConstProp, Liveness, RegSet};
 use zolc_core::{AddrVal, LoopSpec, ZolcImage, TASK_NONE};
 use zolc_isa::{Instr, Program, Reg, INSTR_BYTES, TEXT_BASE};
 
@@ -213,21 +216,21 @@ fn lint_flow(program: &Program, loops: &[LoopSpec], lints: &mut Vec<Lint>) {
         .iter()
         .filter_map(|l| Some((l.end.abs()?, l.start.abs()?)));
     let g = Cfg::with_controller_edges(program, backs).flow(program);
-    let reachable = reachable_blocks(&g);
     // All registers observable at program end: a final write is *not*
     // dead merely because the program halts right after it.
-    let live = solve(
-        &g,
-        &Liveness {
-            at_exit: RegSet::ALL,
-        },
-    );
+    let liveness = Liveness {
+        at_exit: RegSet::ALL,
+    };
+    let live = solve(&g, &liveness);
+    // Constant propagation prunes no branch, so its `⊥` input marks
+    // exactly the blocks no path from the entry reaches.
     let consts = solve(&g, &ConstProp);
 
     let in_text = |addr: u32| (TEXT_BASE..program.text_end()).contains(&addr);
 
     for (b, block) in g.blocks().enumerate() {
-        if !reachable[b] {
+        let mut facts = consts.block_in[b];
+        if facts.is_none() {
             lints.push(Lint {
                 kind: LintKind::UnreachableBlock,
                 addr: block.start,
@@ -241,28 +244,9 @@ fn lint_flow(program: &Program, loops: &[LoopSpec], lints: &mut Vec<Lint>) {
             continue;
         }
 
-        let live_points = live.points(
-            &g,
-            &Liveness {
-                at_exit: RegSet::ALL,
-            },
-            b,
-        );
-        let const_points = consts.points(&g, &ConstProp, b);
+        // Forward, carrying the constants before each instruction.
         for (i, instr) in block.instrs.iter().enumerate() {
             let pc = block.pc_at(i);
-
-            // dead store: the write is not live immediately after the
-            // instruction (no path reads it before redefinition)
-            if let (Some(r), _) = instr.def_use() {
-                if !live_points[i + 1].contains(r) {
-                    lints.push(Lint {
-                        kind: LintKind::DeadStore,
-                        addr: pc,
-                        message: format!("write to {r} is never read (`{instr}`)"),
-                    });
-                }
-            }
 
             // discarded computation: encoded destination is r0
             if instr.dst_raw().is_some_and(|r| r.is_zero()) && *instr != Instr::Nop {
@@ -286,20 +270,36 @@ fn lint_flow(program: &Program, loops: &[LoopSpec], lints: &mut Vec<Lint>) {
 
             // provably always-taken backward branch: the loop this
             // latch closes can never exit through its fall-through
-            if let (Some(t), Some(facts)) = (instr.branch_target(pc), &const_points[i]) {
-                if t <= pc {
-                    let taken = branch_taken(instr, |r| facts[r].as_const());
-                    if taken == Some(true) {
-                        lints.push(Lint {
-                            kind: LintKind::NonTerminatingLatch,
-                            addr: pc,
-                            message: format!(
-                                "backward branch `{instr}` is always taken: the loop never falls through"
-                            ),
-                        });
-                    }
+            if let (Some(t), Some(known)) = (instr.branch_target(pc), &facts) {
+                if t <= pc && branch_taken(instr, |r| known[r].as_const()) == Some(true) {
+                    lints.push(Lint {
+                        kind: LintKind::NonTerminatingLatch,
+                        addr: pc,
+                        message: format!(
+                            "backward branch `{instr}` is always taken: the loop never falls through"
+                        ),
+                    });
                 }
             }
+            ConstProp.transfer(*instr, pc, &mut facts);
+        }
+
+        // Backward, carrying the registers live after each instruction.
+        let mut live_after = live.block_out[b];
+        for (i, instr) in block.instrs.iter().enumerate().rev() {
+            let pc = block.pc_at(i);
+
+            // dead store: no path reads the write before redefinition
+            if let (Some(r), _) = instr.def_use() {
+                if !live_after.contains(r) {
+                    lints.push(Lint {
+                        kind: LintKind::DeadStore,
+                        addr: pc,
+                        message: format!("write to {r} is never read (`{instr}`)"),
+                    });
+                }
+            }
+            liveness.transfer(*instr, pc, &mut live_after);
         }
     }
 }

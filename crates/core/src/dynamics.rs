@@ -161,8 +161,9 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
         // uZOLC: one implicit loop, no LUT.
         if let Some(l) = tables.loop_rec(0).copied() {
             if l.limit != 0 && pc == l.end {
-                if st.counts[0] + 1 < l.limit {
-                    st.counts[0] += 1;
+                let count = st.counts[0].wrapping_add(1);
+                if count < l.limit {
+                    st.counts[0] = count;
                     st.index_cur[0] = st.index_cur[0].wrapping_add(l.step);
                     if let Some(r) = l.index_reg {
                         ride(&mut d.writes, &mut written, 0, r, st.index_cur[0]);
@@ -190,8 +191,9 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
             let Some(l) = tables.loop_rec(task.loop_id).copied() else {
                 break;
             };
-            if st.counts[lid] + 1 < l.limit {
-                st.counts[lid] += 1;
+            let count = st.counts[lid].wrapping_add(1);
+            if count < l.limit {
+                st.counts[lid] = count;
                 st.index_cur[lid] = st.index_cur[lid].wrapping_add(l.step);
                 if let Some(r) = l.index_reg {
                     ride(&mut d.writes, &mut written, lid, r, st.index_cur[lid]);
@@ -210,6 +212,14 @@ pub fn decide(tables: &ZolcTables, st: &mut DynState, pc: u32) -> Decision {
             t = task.next_fallthru;
             chained += 1;
             d.kind = DecisionKind::Finish { depth: chained };
+            // A chain runs through distinct tasks into a cycle of
+            // fall-through links. One pass round the cycle leaves each
+            // of its counts at 0; if the next pass finishes every task
+            // too, so does every later one. A chain that ends thus
+            // finishes fewer than twice the tasks the table holds.
+            if usize::from(chained) >= 2 * tables.tasks().len() {
+                break;
+            }
         }
     }
 
@@ -409,6 +419,64 @@ mod tests {
         assert_eq!(last.kind, DecisionKind::Finish { depth: 2 });
         assert_eq!(st.current_task, TASK_NONE);
         assert_eq!(st.counts, [0; MAX_LOOPS]);
+    }
+
+    #[test]
+    fn a_count_of_u32_max_wraps_and_iterates() {
+        for config in [ZolcConfig::micro(), ZolcConfig::lite()] {
+            let t = single_loop_tables(config);
+            let mut st = active_state();
+            st.counts[0] = u32::MAX;
+            let d = decide(&t, &mut st, 0x1c);
+            assert_eq!(d.redirect, Some(0x10), "{config}");
+            assert_eq!(st.counts[0], 0, "{config}");
+        }
+    }
+
+    /// The perfect nest's two loops and tasks on a table of just those
+    /// two tasks, with fall-throughs 0 → 1 → 0 and loop limits `limits`.
+    fn cyclic_chain_tables(limits: [u32; 2]) -> ZolcTables {
+        let nest = perfect_nest_tables();
+        let mut t = ZolcTables::new(ZolcConfig::custom(2, 2, 0, 0).unwrap());
+        for (k, limit) in limits.into_iter().enumerate() {
+            t.loops_mut()[k] = LoopRecord {
+                limit,
+                ..nest.loops()[k]
+            };
+            t.tasks_mut()[k] = TaskRecord {
+                next_fallthru: 1 - k as u8,
+                ..nest.tasks()[k]
+            };
+        }
+        t
+    }
+
+    #[test]
+    fn a_chain_that_never_ends_stops_at_twice_the_task_table() {
+        let t = cyclic_chain_tables([1, 1]);
+        let mut st = active_state();
+        let d = decide(&t, &mut st, 0x28);
+        assert_eq!(d.redirect, None);
+        assert_eq!(d.kind, DecisionKind::Finish { depth: 4 });
+    }
+
+    #[test]
+    fn a_chain_that_finishes_more_tasks_than_the_table_holds_can_end() {
+        // Task 0 finishes, task 1 finishes on its last count, task 0
+        // finishes again, and task 1, back at count 0, iterates.
+        let t = cyclic_chain_tables([1, 5]);
+        let mut st = active_state();
+        st.counts[1] = 4;
+        let d = decide(&t, &mut st, 0x28);
+        assert_eq!(d.redirect, Some(0x10));
+        assert_eq!(
+            d.kind,
+            DecisionKind::Iterate {
+                loop_id: 1,
+                chained: 3
+            }
+        );
+        assert_eq!(st.counts[..2], [0, 1]);
     }
 
     #[test]

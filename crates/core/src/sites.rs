@@ -216,8 +216,9 @@ impl SiteTable {
         if site.micro_end {
             let l = &loops[0];
             if l.limit != 0 {
-                if st.counts[0] + 1 < l.limit {
-                    st.counts[0] += 1;
+                let count = st.counts[0].wrapping_add(1);
+                if count < l.limit {
+                    st.counts[0] = count;
                     st.index_cur[0] = st.index_cur[0].wrapping_add(l.step);
                     if let Some(r) = l.index_reg {
                         ride(w, &mut written, 0, r, st.index_cur[0]);
@@ -242,8 +243,9 @@ impl SiteTable {
                 let Some(l) = loops.get(lid) else {
                     break;
                 };
-                if st.counts[lid] + 1 < l.limit {
-                    st.counts[lid] += 1;
+                let count = st.counts[lid].wrapping_add(1);
+                if count < l.limit {
+                    st.counts[lid] = count;
                     st.index_cur[lid] = st.index_cur[lid].wrapping_add(l.step);
                     if let Some(r) = l.index_reg {
                         ride(w, &mut written, lid, r, st.index_cur[lid]);
@@ -262,6 +264,10 @@ impl SiteTable {
                 t_id = task.next_fallthru;
                 chained += 1;
                 o.kind = DecisionKind::Finish { depth: chained };
+                // `decide`'s bound: a chain this long never ends
+                if usize::from(chained) >= 2 * t.tasks().len() {
+                    break;
+                }
             }
         }
 

@@ -24,8 +24,9 @@
 //! The random table sets write every field of records drawn from each
 //! region's whole index space (task 31 = `TASK_NONE` included), also
 //! while the controller is active and between its own hook calls, so a
-//! site or lookup left stale by any write shows. In release builds they
-//! include loop counts of `u32::MAX`, where `count + 1` wraps.
+//! site or lookup left stale by any write shows. They include loop
+//! counts of `u32::MAX`, where `count + 1` wraps, and fall-through
+//! chains that cycle.
 
 use std::sync::Arc;
 use zolc_core::{
@@ -65,15 +66,12 @@ fn random_state(rng: &mut GenRng, tasks: usize) -> DynState {
     st
 }
 
-/// A random count for a loop record: mostly small, sometimes large, and
-/// in release builds sometimes `u32::MAX`. At that count `decide`'s
-/// `count + 1` overflows: debug builds panic, release builds wrap (the
-/// loop iterates and its count wraps to 0), and the compiled decision
-/// must wrap the same way.
+/// A random count for a loop record: mostly small, sometimes large,
+/// sometimes `u32::MAX`. At that count `count + 1` wraps (the loop
+/// iterates and its count wraps to 0), and the compiled decision must
+/// wrap the same way.
 fn random_count(rng: &mut GenRng) -> u32 {
-    // Draw the chance in every build, so both draw the same sequence.
-    let wrap = rng.chance(1, 16);
-    if wrap && !cfg!(debug_assertions) {
+    if rng.chance(1, 16) {
         u32::MAX
     } else if rng.chance(1, 8) {
         rng.below(u32::MAX - 1)
@@ -350,11 +348,11 @@ fn picked_records(rng: &mut GenRng, region: ZolcRegion, capacity: usize) -> Vec<
     picks
 }
 
-/// A random value for `field` of record `index` of `region`: addresses
+/// A random value for `field` of a record of `region`: addresses
 /// in (or just past) a text of `len` instructions, valid bits mostly
-/// set, small bounds and counts, and fall-through links only to higher
-/// task ids (capped at `TASK_NONE`), so completion chains end.
-fn random_value(rng: &mut GenRng, region: ZolcRegion, field: u8, index: u8, len: u32) -> u32 {
+/// set, small bounds and counts, and fall-through links to any task id,
+/// so completion chains can cycle.
+fn random_value(rng: &mut GenRng, region: ZolcRegion, field: u8, len: u32) -> u32 {
     use zolc_isa::{entry_field as e, exit_field as x, loop_field as l, task_field as t};
     let addr = TEXT_BASE + 4 * rng.below(len + 2);
     let any = rng.next_u64() as u32;
@@ -383,7 +381,7 @@ fn random_value(rng: &mut GenRng, region: ZolcRegion, field: u8, index: u8, len:
         }
         (ZolcRegion::Loop, l::STEP) => any >> rng.below(32),
         (ZolcRegion::Task, t::LOOP_ID) => rng.below(8),
-        (ZolcRegion::Task, t::NEXT_FALLTHRU) => (u32::from(index) + 1 + rng.below(8)).min(31),
+        (ZolcRegion::Task, t::NEXT_FALLTHRU) => rng.below(32),
         _ => any,
     }
 }
@@ -427,7 +425,7 @@ fn footprint_covers_random_table_sets() {
             |region: ZolcRegion| &picks[regions.iter().position(|&r| r == region).unwrap()];
         for &(region, field) in &FIELDS {
             for &index in picked(region) {
-                let value = random_value(&mut rng, region, field, index, LEN);
+                let value = random_value(&mut rng, region, field, LEN);
                 z.exec_zwr(region, index, field, value);
             }
         }
@@ -455,7 +453,7 @@ fn footprint_covers_random_table_sets() {
             } else {
                 rng.below(index_space(region)) as u8
             };
-            let value = random_value(&mut rng, region, field, index, LEN);
+            let value = random_value(&mut rng, region, field, LEN);
             z.exec_zwr(region, index, field, value);
             grants += check(&z, LEN, &mut rng, &ctx);
         }

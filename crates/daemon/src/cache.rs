@@ -1,11 +1,10 @@
 //! A content-addressed, single-flight result cache.
 //!
 //! Keys are the **canonical bytes** of a job (see the protocol module's
-//! canonicalization rules), hashed with FNV-1a; the full canonical form
-//! is kept alongside each entry so a 64-bit collision degrades to a
-//! second slot in the bucket, never to a wrong answer. Because keys are
-//! pure functions of job content, entries can never go stale — there is
-//! no TTL and no invalidation; restarting the daemon is the only flush.
+//! canonicalization rules), held whole as the keys of a [`HashMap`], so
+//! two distinct jobs never share an entry. Because keys are pure
+//! functions of job content, entries can never go stale — there is no
+//! TTL and no invalidation; restarting the daemon is the only flush.
 //!
 //! The cache is **single-flight**: when two clients race on the same
 //! cold key, one computes while the others block on a condvar, and all
@@ -19,19 +18,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// FNV-1a over `bytes` — the same hash family the sweep fingerprint
-/// uses, hand-rolled because the default [`std::collections`] hasher is
-/// randomized per process and cache keys must at least be stable within
-/// one daemon lifetime (and cheap over multi-megabyte canon forms).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 enum State {
     /// Some thread is computing; waiters sleep on the condvar.
     Building,
@@ -39,13 +25,6 @@ enum State {
     Ready(Arc<String>),
     /// The computation failed; the error is replayed to later clients.
     Failed(String),
-}
-
-struct Entry {
-    /// Full canonical bytes — compared on lookup so FNV collisions
-    /// fall into separate slots instead of aliasing.
-    canon: Vec<u8>,
-    state: State,
 }
 
 /// Counters and occupancy of a [`ResultCache`], as returned by
@@ -64,14 +43,10 @@ pub struct CacheStats {
 
 /// A content-addressed result cache with single-flight computation.
 pub struct ResultCache {
-    map: Mutex<HashMap<u64, Vec<Entry>>>,
+    map: Mutex<HashMap<Box<[u8]>, State>>,
     ready: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// The key hash over canonical bytes — FNV-1a in production;
-    /// injectable in tests so a forced collision exercises the
-    /// bucket-split path deterministically.
-    hash: fn(&[u8]) -> u64,
 }
 
 impl ResultCache {
@@ -82,19 +57,6 @@ impl ResultCache {
             ready: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            hash: fnv1a,
-        }
-    }
-
-    /// An empty cache keyed by an arbitrary hash function. Test-only:
-    /// production callers always want [`ResultCache::new`]'s FNV-1a,
-    /// but a degenerate hasher is the only cheap way to force two
-    /// canons into one bucket.
-    #[cfg(test)]
-    fn with_hasher(hash: fn(&[u8]) -> u64) -> ResultCache {
-        ResultCache {
-            hash,
-            ..ResultCache::new()
         }
     }
 
@@ -114,35 +76,26 @@ impl ResultCache {
         canon: &[u8],
         compute: impl FnOnce() -> Result<String, String>,
     ) -> Result<Arc<String>, String> {
-        let key = (self.hash)(canon);
-        let slot;
         {
             let mut map = self.map.lock().expect("cache poisoned");
             loop {
-                let bucket = map.entry(key).or_default();
-                match bucket.iter().position(|e| e.canon == canon) {
+                match map.get(canon) {
                     None => {
-                        slot = bucket.len();
-                        bucket.push(Entry {
-                            canon: canon.to_vec(),
-                            state: State::Building,
-                        });
+                        map.insert(canon.into(), State::Building);
                         self.misses.fetch_add(1, Ordering::Relaxed);
                         break;
                     }
-                    Some(i) => match &bucket[i].state {
-                        State::Building => {
-                            map = self.ready.wait(map).expect("cache poisoned");
-                        }
-                        State::Ready(result) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok(Arc::clone(result));
-                        }
-                        State::Failed(e) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Err(e.clone());
-                        }
-                    },
+                    Some(State::Building) => {
+                        map = self.ready.wait(map).expect("cache poisoned");
+                    }
+                    Some(State::Ready(result)) => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return Ok(Arc::clone(result));
+                    }
+                    Some(State::Failed(e)) => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return Err(e.clone());
+                    }
                 }
             }
         }
@@ -159,15 +112,15 @@ impl ResultCache {
             Err(format!("job panicked: {msg}"))
         });
         let mut map = self.map.lock().expect("cache poisoned");
-        let entry = &mut map.get_mut(&key).expect("building entry vanished")[slot];
+        let state = map.get_mut(canon).expect("building entry vanished");
         let result = match outcome {
             Ok(doc) => {
                 let doc = Arc::new(doc);
-                entry.state = State::Ready(Arc::clone(&doc));
+                *state = State::Ready(Arc::clone(&doc));
                 Ok(doc)
             }
             Err(e) => {
-                entry.state = State::Failed(e.clone());
+                *state = State::Failed(e.clone());
                 Err(e)
             }
         };
@@ -182,8 +135,7 @@ impl ResultCache {
         let map = self.map.lock().expect("cache poisoned");
         let entries = map
             .values()
-            .flatten()
-            .filter(|e| !matches!(e.state, State::Building))
+            .filter(|state| !matches!(state, State::Building))
             .count();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -279,50 +231,12 @@ mod tests {
 
     #[test]
     fn colliding_hashes_would_still_disambiguate_by_canon() {
-        // We can't cheaply forge an FNV collision, but the bucket logic
-        // is exercised by two keys that differ only in canon bytes.
+        // Two keys that differ only in their canonical bytes get an
+        // entry each.
         let cache = ResultCache::new();
         let a = cache.get_or_compute(b"k1", || Ok("one".into())).unwrap();
         let b = cache.get_or_compute(b"k2", || Ok("two".into())).unwrap();
         assert_ne!(*a, *b);
         assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn forced_collision_splits_the_bucket_by_canon() {
-        // A constant hasher drives every canon into one 64-bit key:
-        // the bucket must split into one slot per canon — two misses,
-        // two resident entries — and later lookups must replay each
-        // canon's own result as a hit, never the bucket-mate's.
-        let cache = ResultCache::with_hasher(|_| 0);
-        let a = cache.get_or_compute(b"left", || Ok("L".into())).unwrap();
-        let b = cache.get_or_compute(b"right", || Ok("R".into())).unwrap();
-        assert_eq!((a.as_str(), b.as_str()), ("L", "R"));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
-        let a2 = cache
-            .get_or_compute(b"left", || panic!("must not recompute"))
-            .unwrap();
-        let b2 = cache
-            .get_or_compute(b"right", || panic!("must not recompute"))
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &a2) && Arc::ptr_eq(&b, &b2));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (2, 2, 2));
-        // Failures split the same way: a third canon in the same
-        // bucket caches its error without disturbing its mates.
-        assert_eq!(
-            cache.get_or_compute(b"bad", || Err("boom".into())),
-            Err("boom".into())
-        );
-        assert_eq!(
-            cache.get_or_compute(b"bad", || panic!("must not recompute")),
-            Err("boom".into())
-        );
-        assert_eq!(cache.stats().entries, 3);
-        assert_eq!(
-            *cache.get_or_compute(b"left", || unreachable!()).unwrap(),
-            "L"
-        );
     }
 }

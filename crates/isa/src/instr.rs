@@ -314,6 +314,60 @@ pub enum Instr {
 }
 
 impl Instr {
+    /// The *encoded* destination register (`r0` included) and the two
+    /// source slots in operand order, `r0` filling an unused slot (a read
+    /// of `r0` is a constant, so no view reports it) — the one operand
+    /// table [`Instr::dst_raw`], [`Instr::dst`], [`Instr::srcs`] and
+    /// [`Instr::def_use`] are views of. [`Instr::Dbnz`] reads and writes
+    /// back its `rs`; [`Instr::Jal`] writes `r31`.
+    #[inline]
+    fn operands(&self) -> (Option<Reg>, [Reg; 2]) {
+        const NONE: Reg = Reg::ZERO;
+        use Instr::*;
+        match *self {
+            Add { rd, rs, rt }
+            | Sub { rd, rs, rt }
+            | And { rd, rs, rt }
+            | Or { rd, rs, rt }
+            | Xor { rd, rs, rt }
+            | Nor { rd, rs, rt }
+            | Slt { rd, rs, rt }
+            | Sltu { rd, rs, rt }
+            | Sllv { rd, rs, rt }
+            | Srlv { rd, rs, rt }
+            | Srav { rd, rs, rt }
+            | Mul { rd, rs, rt }
+            | Mulh { rd, rs, rt } => (Some(rd), [rs, rt]),
+            Sll { rd, rt, .. } | Srl { rd, rt, .. } | Sra { rd, rt, .. } => (Some(rd), [rt, NONE]),
+            Addi { rt, rs, .. }
+            | Slti { rt, rs, .. }
+            | Sltiu { rt, rs, .. }
+            | Andi { rt, rs, .. }
+            | Ori { rt, rs, .. }
+            | Xori { rt, rs, .. }
+            | Lb { rt, rs, .. }
+            | Lbu { rt, rs, .. }
+            | Lh { rt, rs, .. }
+            | Lhu { rt, rs, .. }
+            | Lw { rt, rs, .. } => (Some(rt), [rs, NONE]),
+            Lui { rt, .. } => (Some(rt), [NONE, NONE]),
+            Sb { rs, rt, .. }
+            | Sh { rs, rt, .. }
+            | Sw { rs, rt, .. }
+            | Beq { rs, rt, .. }
+            | Bne { rs, rt, .. } => (None, [rs, rt]),
+            Blez { rs, .. }
+            | Bgtz { rs, .. }
+            | Bltz { rs, .. }
+            | Bgez { rs, .. }
+            | Jr { rs }
+            | Zwr { rs, .. } => (None, [rs, NONE]),
+            Dbnz { rs, .. } => (Some(rs), [rs, NONE]),
+            Jal { .. } => (Some(Reg::RA), [NONE, NONE]),
+            J { .. } | Zctl { .. } | Nop | Halt => (None, [NONE, NONE]),
+        }
+    }
+
     /// The register written by this instruction, if any.
     ///
     /// `r0` destinations are reported as `None` (writes to `r0` are
@@ -330,137 +384,26 @@ impl Instr {
     /// to flag computations whose result silently vanishes.
     #[inline]
     pub fn dst_raw(&self) -> Option<Reg> {
-        use Instr::*;
-        match *self {
-            Add { rd, .. }
-            | Sub { rd, .. }
-            | And { rd, .. }
-            | Or { rd, .. }
-            | Xor { rd, .. }
-            | Nor { rd, .. }
-            | Slt { rd, .. }
-            | Sltu { rd, .. }
-            | Sllv { rd, .. }
-            | Srlv { rd, .. }
-            | Srav { rd, .. }
-            | Mul { rd, .. }
-            | Mulh { rd, .. }
-            | Sll { rd, .. }
-            | Srl { rd, .. }
-            | Sra { rd, .. } => Some(rd),
-            Addi { rt, .. }
-            | Slti { rt, .. }
-            | Sltiu { rt, .. }
-            | Andi { rt, .. }
-            | Ori { rt, .. }
-            | Xori { rt, .. }
-            | Lui { rt, .. }
-            | Lb { rt, .. }
-            | Lbu { rt, .. }
-            | Lh { rt, .. }
-            | Lhu { rt, .. }
-            | Lw { rt, .. } => Some(rt),
-            Jal { .. } => Some(Reg::RA),
-            Dbnz { rs, .. } => Some(rs),
-            _ => None,
-        }
+        self.operands().0
     }
 
-    /// The (up to two) registers read by this instruction.
+    /// The (up to two) registers read by this instruction, in operand
+    /// order. Reads of `r0` never create hazards, so they are dropped
+    /// here and the forwarding logic does not have to special-case them.
     #[inline]
     pub fn srcs(&self) -> [Option<Reg>; 2] {
-        use Instr::*;
-        let (a, b) = match *self {
-            Add { rs, rt, .. }
-            | Sub { rs, rt, .. }
-            | And { rs, rt, .. }
-            | Or { rs, rt, .. }
-            | Xor { rs, rt, .. }
-            | Nor { rs, rt, .. }
-            | Slt { rs, rt, .. }
-            | Sltu { rs, rt, .. }
-            | Sllv { rs, rt, .. }
-            | Srlv { rs, rt, .. }
-            | Srav { rs, rt, .. }
-            | Mul { rs, rt, .. }
-            | Mulh { rs, rt, .. } => (Some(rs), Some(rt)),
-            Sll { rt, .. } | Srl { rt, .. } | Sra { rt, .. } => (Some(rt), None),
-            Addi { rs, .. }
-            | Slti { rs, .. }
-            | Sltiu { rs, .. }
-            | Andi { rs, .. }
-            | Ori { rs, .. }
-            | Xori { rs, .. } => (Some(rs), None),
-            Lui { .. } => (None, None),
-            Lb { rs, .. } | Lbu { rs, .. } | Lh { rs, .. } | Lhu { rs, .. } | Lw { rs, .. } => {
-                (Some(rs), None)
-            }
-            Sb { rs, rt, .. } | Sh { rs, rt, .. } | Sw { rs, rt, .. } => (Some(rs), Some(rt)),
-            Beq { rs, rt, .. } | Bne { rs, rt, .. } => (Some(rs), Some(rt)),
-            Blez { rs, .. } | Bgtz { rs, .. } | Bltz { rs, .. } | Bgez { rs, .. } => {
-                (Some(rs), None)
-            }
-            Jr { rs } => (Some(rs), None),
-            Dbnz { rs, .. } => (Some(rs), None),
-            Zwr { rs, .. } => (Some(rs), None),
-            J { .. } | Jal { .. } | Zctl { .. } | Nop | Halt => (None, None),
-        };
-        // Reads of r0 never create hazards; drop them here so the
-        // forwarding logic does not have to special-case them.
-        [a.filter(|r| !r.is_zero()), b.filter(|r| !r.is_zero())]
+        self.operands().1.map(|r| (!r.is_zero()).then_some(r))
     }
 
     /// The register this instruction writes ([`Instr::dst`]) and a mask
     /// of the registers it reads, bit `i` for `r<i>` (the
-    /// [`Instr::srcs`]), from one match — for passes that only need
-    /// register sets. `r0` is in neither.
+    /// [`Instr::srcs`]) — for passes that only need register sets. `r0`
+    /// is in neither.
     #[inline]
     pub fn def_use(&self) -> (Option<Reg>, u32) {
-        use Instr::*;
-        let bit = |r: Reg| 1u32 << r.index();
-        let (def, uses) = match *self {
-            Add { rd, rs, rt }
-            | Sub { rd, rs, rt }
-            | And { rd, rs, rt }
-            | Or { rd, rs, rt }
-            | Xor { rd, rs, rt }
-            | Nor { rd, rs, rt }
-            | Slt { rd, rs, rt }
-            | Sltu { rd, rs, rt }
-            | Sllv { rd, rs, rt }
-            | Srlv { rd, rs, rt }
-            | Srav { rd, rs, rt }
-            | Mul { rd, rs, rt }
-            | Mulh { rd, rs, rt } => (Some(rd), bit(rs) | bit(rt)),
-            Sll { rd, rt, .. } | Srl { rd, rt, .. } | Sra { rd, rt, .. } => (Some(rd), bit(rt)),
-            Addi { rt, rs, .. }
-            | Slti { rt, rs, .. }
-            | Sltiu { rt, rs, .. }
-            | Andi { rt, rs, .. }
-            | Ori { rt, rs, .. }
-            | Xori { rt, rs, .. }
-            | Lb { rt, rs, .. }
-            | Lbu { rt, rs, .. }
-            | Lh { rt, rs, .. }
-            | Lhu { rt, rs, .. }
-            | Lw { rt, rs, .. } => (Some(rt), bit(rs)),
-            Lui { rt, .. } => (Some(rt), 0),
-            Sb { rs, rt, .. }
-            | Sh { rs, rt, .. }
-            | Sw { rs, rt, .. }
-            | Beq { rs, rt, .. }
-            | Bne { rs, rt, .. } => (None, bit(rs) | bit(rt)),
-            Blez { rs, .. }
-            | Bgtz { rs, .. }
-            | Bltz { rs, .. }
-            | Bgez { rs, .. }
-            | Jr { rs }
-            | Zwr { rs, .. } => (None, bit(rs)),
-            Dbnz { rs, .. } => (Some(rs), bit(rs)),
-            Jal { .. } => (Some(Reg::RA), 0),
-            J { .. } | Zctl { .. } | Nop | Halt => (None, 0),
-        };
-        (def.filter(|r| !r.is_zero()), uses & !1)
+        let (def, [a, b]) = self.operands();
+        let uses = (1u32 << a.index() | 1 << b.index()) & !1;
+        (def.filter(|r| !r.is_zero()), uses)
     }
 
     /// Whether this is a memory load.

@@ -246,7 +246,7 @@ fn show_one(seed: u64, gen: &GenConfig) -> Result<(), Box<dyn std::error::Error>
 /// (`ZOLClite`) form — the latter linted against its table image so the
 /// hardware back edges are part of the graph.
 fn analyze_one(seed: u64, gen: &GenConfig) -> Result<(), Box<dyn std::error::Error>> {
-    use zolc::analyze::{reachable_blocks, solve, ConstProp, Liveness, RegSet};
+    use zolc::analyze::{solve, ConstProp, Liveness, RegSet};
     use zolc::cfg::{lint_program, Cfg};
 
     let spec = ProgramSpec::generate(seed, gen);
@@ -267,7 +267,6 @@ fn analyze_one(seed: u64, gen: &GenConfig) -> Result<(), Box<dyn std::error::Err
         },
     );
     let consts = solve(&flow, &ConstProp);
-    let reachable = reachable_blocks(&flow);
     println!("\nbaseline dataflow ({} blocks):", flow.len());
     for (b, block) in flow.blocks().enumerate() {
         // Only non-zero constants: every register starts at zero, so
@@ -285,7 +284,12 @@ fn analyze_one(seed: u64, gen: &GenConfig) -> Result<(), Box<dyn std::error::Err
             "  block {b} @ {:#06x}..{:#06x}{}: live-in {}{}",
             block.start,
             block.end(),
-            if reachable[b] { "" } else { " (unreachable)" },
+            // constant propagation's ⊥ marks the unreachable blocks
+            if consts.block_in[b].is_some() {
+                ""
+            } else {
+                " (unreachable)"
+            },
             live.block_in[b],
             if known.is_empty() {
                 String::new()

@@ -370,6 +370,73 @@ fn entry_and_loop_entry_writes_fit_the_rider() {
     }
 }
 
+/// Tables a program can write but no lowering emits must neither
+/// overflow nor hang the controller, on any tier: a loop count of
+/// `u32::MAX` (`count + 1` wraps, so the loop iterates from count 0)
+/// and two one-trip tasks ending at one pc that fall through to each
+/// other (a completion chain that never ends; it is cut at twice the
+/// task table).
+#[test]
+fn hostile_tables_neither_overflow_nor_hang() {
+    use zolc::core::ZWR_LEAD;
+    use zolc::isa::task_field;
+    // (case, loop 0's limit, the count written to it, task 1's
+    // fall-through, body runs)
+    let cases = [
+        ("count u32::MAX", 3, -1, i32::from(TASK_NONE), 4),
+        ("cyclic chain", 1, 0, 0, 1),
+    ];
+    for (ctx, limit, count, back, runs) in cases {
+        let mut a = Asm::new();
+        let body = a.new_label();
+        a.li_addr(reg(1), body);
+        a.li(reg(2), limit);
+        a.li(reg(3), 1);
+        for k in 0..2u8 {
+            a.emit(zwr(ZolcRegion::Loop, k, loop_field::START, reg(1)));
+            a.emit(zwr(ZolcRegion::Loop, k, loop_field::END, reg(1)));
+            a.emit(zwr(ZolcRegion::Task, k, task_field::END, reg(1)));
+            a.emit(zwr(ZolcRegion::Task, k, task_field::CTL, reg(3)));
+        }
+        a.emit(zwr(ZolcRegion::Loop, 0, loop_field::LIMIT, reg(2)));
+        a.emit(zwr(ZolcRegion::Loop, 1, loop_field::LIMIT, reg(3)));
+        a.emit(zwr(ZolcRegion::Task, 0, task_field::NEXT_ITER, Reg::ZERO));
+        a.emit(zwr(ZolcRegion::Task, 1, task_field::LOOP_ID, reg(3)));
+        a.emit(zwr(ZolcRegion::Task, 1, task_field::NEXT_ITER, reg(3)));
+        a.emit(zwr(ZolcRegion::Task, 0, task_field::NEXT_FALLTHRU, reg(3)));
+        a.li(reg(4), back);
+        a.emit(zwr(ZolcRegion::Task, 1, task_field::NEXT_FALLTHRU, reg(4)));
+        a.li(reg(4), count);
+        a.emit(zwr(ZolcRegion::Loop, 0, loop_field::COUNT, reg(4)));
+        a.emit(Instr::Zctl {
+            op: ZolcCtl::Activate { task: 0 },
+        });
+        // the activation retires before the task end is fetched
+        for _ in 0..ZWR_LEAD {
+            a.emit(Instr::Nop);
+        }
+        a.bind(body).unwrap();
+        a.emit(Instr::Addi {
+            rt: reg(10),
+            rs: reg(10),
+            imm: 1,
+        });
+        a.emit(Instr::Halt);
+        let prog = CompiledProgram::compile(a.finish().unwrap());
+        for kind in ExecutorKind::ALL {
+            let mut z = Zolc::new(ZolcConfig::lite());
+            let f = run_session(kind, &prog, &mut z, WILD_FUEL)
+                .unwrap_or_else(|e| panic!("{ctx} on {kind}: {e}"));
+            assert_eq!(f.cpu.regs().read(reg(10)), runs, "{ctx} on {kind}");
+            assert!(
+                z.violations().is_empty(),
+                "{ctx} on {kind}: {:?}",
+                z.violations()
+            );
+        }
+    }
+}
+
 /// Fuel of one wild run: generated programs retire a few thousand
 /// instructions; mutations that loop forever stop here.
 const WILD_FUEL: u64 = 20_000;

@@ -7,8 +7,9 @@
 //! falsifiable reading against a retire-order trace of the same
 //! program:
 //!
-//! * **reachability** — a retired pc must sit in a reachable block
-//!   (and no `unreachable-block` lint may name a block that retired);
+//! * **reachability** — a retired pc must sit in a block whose
+//!   constant-propagation input is not the unreachable `⊥` (and no
+//!   `unreachable-block` lint may name a block that retired);
 //! * **liveness** — a register an instruction actually reads must be
 //!   live at that instruction's program point, and a store the lint
 //!   pass calls dead must never be read before the next write to the
@@ -32,7 +33,7 @@ use std::sync::Arc;
 
 use common::any_instr;
 use proptest::prelude::*;
-use zolc::analyze::{reachable_blocks, solve, Analysis, ConstProp, Liveness, RegSet, Solution};
+use zolc::analyze::{solve, Analysis, ConstProp, Liveness, RegSet, Solution};
 use zolc::cfg::{lint_program, Cfg, LintKind};
 use zolc::gen::{GenConfig, ProgramSpec};
 use zolc::isa::{reg, Asm, Instr, Program, Reg, DATA_BASE, INSTR_BYTES, TEXT_BASE};
@@ -62,7 +63,6 @@ fn check_sound(program: &Program, trace: &[RetireEvent], ctx: &str) {
     };
     let live = solve(&flow, &liveness);
     let consts = solve(&flow, &ConstProp);
-    let reachable = reachable_blocks(&flow);
     let report = lint_program(program, None);
 
     // Per-block program-point facts, computed on first touch.
@@ -111,9 +111,10 @@ fn check_sound(program: &Program, trace: &[RetireEvent], ctx: &str) {
         let block = flow.block(b);
         let idx = ((ev.pc - block.start) / INSTR_BYTES) as usize;
 
-        // reachability: executed code must be abstractly reachable
+        // reachability (constant propagation's ⊥): executed code must
+        // be abstractly reachable
         assert!(
-            reachable[b],
+            consts.block_in[b].is_some(),
             "{ctx}: pc {:#x} retired inside a block reachability calls dead",
             ev.pc
         );
