@@ -19,36 +19,37 @@
 //!
 //! # The batched job API
 //!
-//! Experiments no longer walk their (kernel, target) cells serially:
-//! they declare a [`JobMatrix`] — kernel × target × executor cells —
-//! and [`JobMatrix::run`] measures all cells on a scoped thread pool,
-//! returning correctness-checked [`Measurement`]s in cell order. Cell
-//! independence makes the parallel results bit-identical to a serial
-//! walk. Adjacent cells of one generated program run each distinct
-//! build once ([`Measurement::shared_with`]). Build custom sweeps the
-//! same way:
+//! Experiments declare a [`JobMatrix`] — kernel × target cells — and
+//! [`JobMatrix::run`] measures all cells on a scoped thread pool,
+//! returning correctness-checked [`Measurement`]s in cell order. Cells
+//! are independent, so the parallel results are bit-identical to a
+//! serial walk. Build custom matrices the same way:
 //!
 //! ```
-//! use zolc_bench::JobMatrix;
+//! use zolc_bench::{BuildMode, JobMatrix};
+//! use zolc_core::ZolcConfig;
 //! use zolc_ir::Target;
-//! use zolc_kernels::{kernels, ExecutorKind};
+//! use zolc_kernels::kernels;
 //!
-//! // architectural sweep of two kernels on the functional executor (no cycles)
-//! let results = JobMatrix::cross(&kernels()[..2], &[Target::Baseline])
-//!     .with_executor(ExecutorKind::Functional)
-//!     .run();
-//! assert!(results.iter().all(|m| m.stats.cycles == 0 && m.stats.retired > 0));
+//! // two kernels on the software baseline and auto-retargeted onto ZOLClite
+//! let mut matrix = JobMatrix::cross(&kernels()[..2], &[Target::Baseline]);
+//! matrix.push_auto(kernels()[0], ZolcConfig::lite());
+//! let results = matrix.run();
+//! assert_eq!(results[2].mode, BuildMode::AutoRetarget);
+//! assert!(results[2].stats.cycles < results[0].stats.cycles);
 //! ```
 //!
 //! # Design-space sweeps
 //!
-//! [`run_sweep`] measures a [`SweepConfig`]'s whole seed range in one
-//! pass over the same parallel [`JobMatrix`]; the standard 400-program
-//! sweep takes well under a second, a 10,000-program one about half a
-//! second on two cores.
-//! [`report_json`] renders its [`SweepReport`] as JSON (hand-rolled in
-//! [`json`]; no crates.io), savings bit for bit: the document `zolcd`
-//! serves for sweep jobs.
+//! [`run_sweep`] measures a [`SweepConfig`]'s whole seed range with one
+//! parallel job per program ([`measure_program`]): the job generates the
+//! program, measures its baseline cell and one auto-retarget cell per
+//! configuration, and runs each distinct build once
+//! ([`SweepCell::shared_with`]). The standard 400-program sweep takes
+//! well under a second, a 10,000-program one about 0.6 s on two cores
+//! (`BENCH_sweep.json`). [`report_json`] renders its [`SweepReport`] as
+//! JSON (hand-rolled in [`json`]; no crates.io), savings bit for bit:
+//! the document `zolcd` serves for sweep jobs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,8 +70,8 @@ pub use matrix::{
 };
 pub use oracle_check::{run_oracle_check, OracleReport};
 pub use sweep::{
-    e7_design_space, report_json, run_sweep, GeneratedProgram, PointSummary, SweepConfig,
-    SweepPoint, SweepReport,
+    e7_design_space, measure_program, report_json, run_sweep, GeneratedProgram, PointSummary,
+    SweepCell, SweepConfig, SweepPoint, SweepReport,
 };
 pub use table::{render_bars, render_table};
 

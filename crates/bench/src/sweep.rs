@@ -5,51 +5,52 @@
 //! complex loop structures" space; this module sweeps the space itself.
 //! `zolc-gen` samples a family of baseline programs from seeds
 //! (parameterized loop depth, imperfection, sibling inner loops, bound
-//! sourcing, latch style and loop-crossing branches), and every program
-//! is fanned through the [`JobMatrix`] as
+//! sourcing, latch style and loop-crossing branches). [`run_sweep`]
+//! hands each seed to one parallel job, which generates the program and
+//! derives its reference expectation, then measures
 //!
 //! * one **baseline** cell (the software-loop program as-is, the cycle
 //!   reference), and
 //! * one **auto-retarget** cell per controller configuration (the same
-//!   binary excised and overlaid by `zolc_cfg::retarget`).
+//!   binary excised and overlaid from one shared [`RetargetPlan`]),
 //!
-//! Every cell — thousands per sweep — is gated on bit-exact equivalence
-//! with the program's derived reference expectation *and* on an empty
-//! controller-consistency journal before any number is aggregated. Each
-//! distinct build runs once: a cell whose run is provably an earlier
-//! cell's of the same program takes that run, which passed the same
-//! gate (same text and data, and the same controller as the text sees
-//! it; see [`Measurement::shared_with`](crate::Measurement)). On the
-//! standard sweep that is an auto cell whose text never touches the
-//! controller (it takes the baseline run) and a `ZOLCfull` cell that
-//! writes no entry or exit record (it takes `ZOLClite`'s): 805 of 2000
-//! cells. On
-//! full-capacity configurations the per-program software-fallback count
-//! is additionally held to `zolc_gen`'s documented handledness
-//! prediction, so a silent retargeter regression fails the sweep rather
-//! than skewing a distribution. The report aggregates retarget coverage
-//! per shape feature (which loop shapes reach hardware on which
-//! configuration) and the distribution of cycle savings per
-//! configuration.
+//! in that order ([`measure_program`]). Every cell — thousands per
+//! sweep — is gated on bit-exact equivalence with the program's derived
+//! reference expectation *and* on an empty controller-consistency
+//! journal before any number is aggregated. Each distinct build runs
+//! once: a cell whose run is provably an earlier cell's of the same
+//! program takes that run, which passed the same gate (same text, data
+//! and expectation, and the same controller as the text sees it; see
+//! [`SweepCell::shared_with`]). On the standard sweep that is an auto
+//! cell whose text never touches the controller (it takes the baseline
+//! run) and a `ZOLCfull` cell that writes no entry or exit record (it
+//! takes `ZOLClite`'s): 805 of 2000 cells. On full-capacity
+//! configurations the per-program software-fallback count is
+//! additionally held to `zolc_gen`'s documented handledness prediction,
+//! so a silent retargeter regression fails the sweep rather than
+//! skewing a distribution. The sweep folds the jobs' cells, in seed
+//! order, into retarget coverage per shape feature (which loop shapes
+//! reach hardware on which configuration) and the distribution of cycle
+//! savings per configuration.
 
 use crate::json::Json;
-use crate::matrix::{par_map, BuildMode, JobMatrix, MAX_FUEL};
+use crate::matrix::{par_map, MAX_FUEL};
 use crate::table::render_table;
 use std::fmt;
+use std::iter;
 use std::ops::Range;
 use std::sync::Arc;
+use zolc_cfg::RetargetPlan;
 use zolc_core::ZolcConfig;
 use zolc_gen::{Feature, GenConfig, ProgramSpec};
 use zolc_ir::Target;
 use zolc_isa::{reg, DATA_BASE};
-use zolc_kernels::Expectation;
-use zolc_sim::{run_session, CompiledProgram, ExecutorKind, NullEngine};
+use zolc_kernels::{AutoStats, BuiltKernel, Expectation};
+use zolc_sim::{run_session, CompiledProgram, ExecutorKind, NullEngine, Stats};
 
 /// A generated baseline program, assembled once and shared by every
-/// matrix cell that measures it, together with the reference
-/// expectation derived from its own functional execution
-/// ([`Measurement`](crate::Measurement) cells report it under
-/// [`Self::name`]).
+/// cell that measures it, together with the reference expectation
+/// derived from its own functional execution.
 ///
 /// The derivation runs the program on the functional executor with no
 /// loop controller attached and captures the architectural results
@@ -60,8 +61,7 @@ use zolc_sim::{run_session, CompiledProgram, ExecutorKind, NullEngine};
 /// down-counters are the one permitted architectural difference.
 #[derive(Debug, Clone)]
 pub struct GeneratedProgram {
-    /// Stable cell name (appears in
-    /// [`Measurement::kernel`](crate::Measurement::kernel)).
+    /// Stable program name (appears in failure messages).
     pub name: String,
     /// The shape the program was assembled from.
     pub spec: ProgramSpec,
@@ -82,9 +82,9 @@ impl GeneratedProgram {
     /// # Panics
     ///
     /// Panics if the spec fails to assemble or the reference run faults
-    /// — a generated cell that cannot produce its own reference is a
-    /// generator bug, fatal by the same convention as any other matrix
-    /// cell failure.
+    /// — a generated program that cannot produce its own reference is a
+    /// generator bug, fatal by the same convention as any other cell
+    /// failure.
     pub fn from_spec(name: impl Into<String>, spec: ProgramSpec) -> GeneratedProgram {
         let name = name.into();
         let assembled = spec
@@ -119,11 +119,10 @@ impl GeneratedProgram {
     }
 
     /// Wraps the baseline program as a runnable, expectation-carrying
-    /// build for `target` (how the matrix builds every generated-program
-    /// cell; auto-retarget cells then call
-    /// [`BuiltKernel::retarget`](zolc_kernels::BuiltKernel::retarget)).
-    pub fn as_built(&self, target: Target) -> zolc_kernels::BuiltKernel {
-        zolc_kernels::BuiltKernel {
+    /// build for `target` (how [`measure_program`] builds every cell;
+    /// auto-retarget cells then call [`BuiltKernel::retarget_with`]).
+    pub fn as_built(&self, target: Target) -> BuiltKernel {
+        BuiltKernel {
             name: self.name.clone(),
             program: Arc::clone(&self.program),
             target,
@@ -154,10 +153,9 @@ impl SweepPoint {
 
 /// Parameters of one design-space sweep (see [`run_sweep`]).
 ///
-/// Non-exhaustive: construct with [`SweepConfig::new`] (or
-/// [`SweepConfig::standard`]) and shape it with the `with_*` builders,
-/// so sweeps keep deserializing and fingerprinting cleanly when knobs
-/// are added.
+/// Non-exhaustive: construct with [`SweepConfig::new`] and shape it
+/// with the `with_*` builders, so sweeps keep deserializing and
+/// fingerprinting cleanly when knobs are added.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SweepConfig {
@@ -180,9 +178,7 @@ impl SweepConfig {
     /// The standard E7 sweep shape: 400 programs from seed 1, the
     /// default generator knobs, the three paper configurations plus one
     /// under-provisioned custom point (2 loops / 8 tasks, where
-    /// capacity trimming becomes visible), cycle-accurate. Reads no
-    /// environment — see [`SweepConfig::standard`] for the CLI-facing
-    /// variant with the `ZOLC_E7_PROGRAMS` knob.
+    /// capacity trimming becomes visible), cycle-accurate.
     pub fn new() -> SweepConfig {
         SweepConfig {
             programs: 400,
@@ -236,27 +232,7 @@ impl SweepConfig {
         self
     }
 
-    /// The standard E7 sweep ([`SweepConfig::new`]) with the program
-    /// count scaled by the `ZOLC_E7_PROGRAMS` environment variable —
-    /// CI's bench smoke sets a smaller budget, still ≥ 1000 cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ZOLC_E7_PROGRAMS` is set but malformed (not a
-    /// positive integer, or not unicode): a knob typo must fail the run
-    /// loudly, never silently fall back to the default sweep size.
-    pub fn standard() -> SweepConfig {
-        let cfg = SweepConfig::new();
-        match std::env::var("ZOLC_E7_PROGRAMS") {
-            Ok(raw) => cfg.with_programs(parse_programs_knob(&raw)),
-            Err(std::env::VarError::NotPresent) => cfg,
-            Err(e @ std::env::VarError::NotUnicode(_)) => {
-                panic!("ZOLC_E7_PROGRAMS is not valid unicode: {e}")
-            }
-        }
-    }
-
-    /// Total matrix cells this sweep measures (one baseline cell plus
+    /// Total cells this sweep measures (one baseline cell plus
     /// one auto-retarget cell per configuration, per program).
     pub fn cells(&self) -> usize {
         self.programs * (1 + self.points.len())
@@ -287,16 +263,6 @@ impl SweepConfig {
 impl Default for SweepConfig {
     fn default() -> SweepConfig {
         SweepConfig::new()
-    }
-}
-
-/// Parses the `ZOLC_E7_PROGRAMS` value, failing loudly — with the
-/// offending string — on anything but a positive integer.
-fn parse_programs_knob(raw: &str) -> usize {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => panic!("ZOLC_E7_PROGRAMS must be >= 1, got `{raw}`"),
-        Ok(n) => n,
-        Err(e) => panic!("ZOLC_E7_PROGRAMS must be a positive integer, got `{raw}`: {e}"),
     }
 }
 
@@ -345,7 +311,7 @@ impl PointSummary {
 pub struct SweepReport {
     /// Programs swept.
     pub programs: usize,
-    /// Matrix cells measured (all correctness-gated).
+    /// Cells measured (all correctness-gated).
     pub cells: usize,
     /// Total generated loops across all programs.
     pub total_loops: usize,
@@ -353,57 +319,135 @@ pub struct SweepReport {
     pub points: Vec<PointSummary>,
 }
 
-/// Generates the sweep's programs and their reference expectations.
+/// One measured cell of a sweep program (see [`measure_program`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepCell {
+    /// The run's statistics.
+    pub stats: Stats,
+    /// Retargeting statistics (`None` on the baseline cell).
+    pub auto: Option<AutoStats>,
+    /// `None` when this cell ran its own build; otherwise the index of
+    /// the earlier cell of its program whose run it took. The two
+    /// builds agree on text, data and expectation, and on the loop
+    /// engine as the text sees it ([`ZolcConfig::seen_by`]: none on the
+    /// baseline cell and for a text that never touches the controller,
+    /// `ZOLCfull` as `ZOLClite` for a text that writes no entry or exit
+    /// record), so the runs are provably the same. Different loop or
+    /// task counts never share: a task record's loop id is a register
+    /// value, and naming a loop past a configuration's capacity behaves
+    /// differently on each.
+    pub shared_with: Option<usize>,
+}
+
+/// Measures one generated program's cells on `cfg.executor`: the
+/// baseline cell, then one auto-retarget cell per point of `cfg`, all
+/// auto cells synthesized from one [`RetargetPlan`] of the binary. A
+/// cell whose run is provably an earlier cell's takes that cell's
+/// statistics ([`SweepCell::shared_with`]); every other cell runs.
 ///
 /// # Panics
 ///
-/// Panics if the seed range overflows ([`SweepConfig::seeds`]).
-fn generate(cfg: &SweepConfig) -> Vec<Arc<GeneratedProgram>> {
+/// Panics if a cell fails to build, run, or verify bit-exactly, if a
+/// controller reports consistency violations, if the retargeter loses
+/// track of a loop, or if a full-capacity configuration's
+/// software-fallback count disagrees with `zolc_gen`'s handledness
+/// prediction.
+pub fn measure_program(cfg: &SweepConfig, g: &GeneratedProgram) -> Vec<SweepCell> {
+    let name = &g.name;
+    let plan = RetargetPlan::new(Arc::clone(g.program.source()))
+        .unwrap_or_else(|e| panic!("{name} (auto): retarget failed: {e}"));
+    // the runs made so far: cell, build, controller as the build's text
+    // sees it, statistics
+    let mut runs: Vec<(usize, BuiltKernel, Option<ZolcConfig>, Stats)> = Vec::new();
+    let mut cells = Vec::with_capacity(1 + cfg.points.len());
+    for point in iter::once(None).chain(cfg.points.iter().map(Some)) {
+        let (built, auto) = match point {
+            None => (g.as_built(Target::Baseline), None),
+            Some(p) => {
+                let a = g
+                    .as_built(Target::Baseline)
+                    .retarget_with(&plan, p.config)
+                    .unwrap_or_else(|e| {
+                        let target = Target::Zolc(p.config);
+                        panic!("{name}/{target} (auto): retarget failed: {e}")
+                    });
+                assert_eq!(
+                    a.stats.hw_loops + a.stats.unhandled,
+                    g.spec.loop_count(),
+                    "{name}/{}: retargeter lost track of loops",
+                    p.label
+                );
+                // On configurations with capacity for the whole generated
+                // space, handledness must match the documented prediction
+                // — a mismatch is a retargeter (or predictor) regression.
+                if p.config.loops() >= cfg.gen.max_loops && p.config.tasks() >= cfg.gen.max_loops {
+                    assert_eq!(
+                        a.stats.unhandled,
+                        g.spec.predicted_unhandled(),
+                        "{name}/{}: handledness prediction violated (notes: {:?})",
+                        p.label,
+                        a.built.info.notes
+                    );
+                }
+                (a.built, Some(a.stats))
+            }
+        };
+        let target = &built.target;
+        let text = built.program.source().text();
+        let seen = match target {
+            Target::Zolc(config) => config.seen_by(text),
+            _ => None,
+        };
+        let data = built.program.source().data();
+        let same = runs.iter().find(|(_, b, s, _)| {
+            let p = b.program.source();
+            *s == seen && p.text() == text && p.data() == data && b.expect == built.expect
+        });
+        let (stats, shared_with) = match same {
+            Some(&(k, _, _, stats)) => (stats, Some(k)),
+            None => {
+                let run = built
+                    .run(MAX_FUEL, cfg.executor)
+                    .unwrap_or_else(|e| panic!("{name}/{target}: run failed: {e}"));
+                assert!(
+                    run.is_correct(),
+                    "{name}/{target}: incorrect run: {:?} {:?}",
+                    run.mismatches,
+                    run.violations
+                );
+                runs.push((cells.len(), built, seen, run.stats));
+                (run.stats, None)
+            }
+        };
+        cells.push(SweepCell {
+            stats,
+            auto,
+            shared_with,
+        });
+    }
+    cells
+}
+
+/// Runs a sweep: one parallel job per seed generates the program and
+/// measures its cells ([`measure_program`]), and the cells fold, in seed
+/// order, into per-configuration coverage and savings.
+///
+/// # Panics
+///
+/// Panics if the seed range overflows ([`SweepConfig::seeds`]), or if
+/// any program's cells fail (see [`measure_program`]).
+pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     let seeds = cfg.seeds().expect("sweep seed range overflows u64");
-    // generation + reference runs are per-seed independent — spread
-    // them over the same parallelism the cell matrix uses
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    par_map(cfg.programs, threads, |i| {
+    // a job keeps what the fold reads and drops the program itself
+    let swept = par_map(cfg.programs, threads, |i| {
         let seed = seeds.start + i as u64;
         let spec = ProgramSpec::generate(seed, &cfg.gen);
-        Arc::new(GeneratedProgram::from_spec(format!("gen{seed:05}"), spec))
-    })
-}
+        let g = GeneratedProgram::from_spec(format!("gen{seed:05}"), spec);
+        let cells = measure_program(cfg, &g);
+        (g.spec, g.loop_starts, cells)
+    });
 
-/// The sweep's cells, program-major: each program's baseline cell,
-/// then one auto-retarget cell per configuration, on the sweep's
-/// executor.
-fn sweep_matrix(cfg: &SweepConfig, generated: &[Arc<GeneratedProgram>]) -> JobMatrix {
-    let mut matrix = JobMatrix::new();
-    for g in generated {
-        matrix.push_generated(Arc::clone(g), Target::Baseline, BuildMode::Lower);
-        for p in &cfg.points {
-            matrix.push_generated(
-                Arc::clone(g),
-                Target::Zolc(p.config),
-                BuildMode::AutoRetarget,
-            );
-        }
-    }
-    matrix.with_executor(cfg.executor)
-}
-
-/// Runs a sweep: generates the programs, fans every (program ×
-/// configuration × build-mode) cell through the [`JobMatrix`], and
-/// aggregates coverage and savings.
-///
-/// # Panics
-///
-/// Panics if the seed range overflows ([`SweepConfig::seeds`]), if any
-/// cell fails to build, run, or verify bit-exactly (the matrix
-/// convention), if a controller reports consistency violations, or if
-/// a full-capacity configuration's software-fallback count disagrees
-/// with `zolc_gen`'s handledness prediction.
-pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
-    let generated = generate(cfg);
-    let results = sweep_matrix(cfg, &generated).run();
-
-    let total_loops: usize = generated.iter().map(|g| g.spec.loop_count()).sum();
     let mut points: Vec<PointSummary> = cfg
         .points
         .iter()
@@ -415,39 +459,18 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
             savings: Vec::new(),
         })
         .collect();
-
-    let stride = 1 + cfg.points.len();
-    for (g, chunk) in generated.iter().zip(results.chunks_exact(stride)) {
-        let base = &chunk[0];
-        for (j, (p, m)) in cfg.points.iter().zip(&chunk[1..]).enumerate() {
+    let mut total_loops = 0;
+    for (spec, loop_starts, cells) in &swept {
+        total_loops += spec.loop_count();
+        let base = &cells[0];
+        for (summary, m) in points.iter_mut().zip(&cells[1..]) {
             let auto = m
                 .auto
                 .as_ref()
                 .expect("auto-retarget cells carry retarget stats");
-            assert_eq!(
-                auto.hw_loops + auto.unhandled,
-                g.spec.loop_count(),
-                "{}/{}: retargeter lost track of loops",
-                g.name,
-                p.label
-            );
-            // On configurations with capacity for the whole generated
-            // space, handledness must match the documented prediction —
-            // a mismatch is a retargeter (or predictor) regression.
-            if p.config.loops() >= cfg.gen.max_loops && p.config.tasks() >= cfg.gen.max_loops {
-                assert_eq!(
-                    auto.unhandled,
-                    g.spec.predicted_unhandled(),
-                    "{}/{}: handledness prediction violated (notes: {:?})",
-                    g.name,
-                    p.label,
-                    m.info.notes
-                );
-            }
-            let summary = &mut points[j];
             summary.hw_loops += auto.hw_loops;
             summary.unhandled += auto.unhandled;
-            for ((depth, shape), start) in g.spec.flatten().iter().zip(&g.loop_starts) {
+            for ((depth, shape), start) in spec.flatten().iter().zip(loop_starts) {
                 let handled = auto.hw_loop_starts.contains(start);
                 for f in shape.features(*depth) {
                     let slot = &mut summary.coverage[f as usize];
@@ -469,8 +492,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
         p.savings.sort_by(f64::total_cmp);
     }
     SweepReport {
-        programs: generated.len(),
-        cells: results.len(),
+        programs: swept.len(),
+        cells: cfg.cells(),
         total_loops,
         points,
     }
@@ -599,7 +622,7 @@ fn point_json(p: &PointSummary) -> Json {
 /// to pay — mirroring E4's claim that initialization is small only
 /// relative to real workloads.
 pub fn e7_design_space() -> String {
-    let cfg = SweepConfig::standard();
+    let cfg = SweepConfig::new();
     let report = run_sweep(&cfg);
     let seeds = cfg.seeds().expect("run_sweep checked the seed range");
     let long = SweepConfig::new()
@@ -744,6 +767,12 @@ mod tests {
         assert!(report.points[0].hw_loops > 0);
     }
 
+    /// Program `seed` of `cfg`, named as [`run_sweep`] names it.
+    fn generated(cfg: &SweepConfig, seed: u64) -> GeneratedProgram {
+        let spec = ProgramSpec::generate(seed, &cfg.gen);
+        GeneratedProgram::from_spec(format!("gen{seed:05}"), spec)
+    }
+
     /// The standard sweep runs each distinct build once. A ZOLC cell
     /// whose text never touches the controller takes its program's
     /// baseline run, and a ZOLCfull cell that writes no entry or exit
@@ -753,46 +782,64 @@ mod tests {
         let cfg = SweepConfig::new();
         let labels: Vec<&str> = cfg.points.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, ["uZOLC", "ZOLClite", "ZOLCfull", "custom 2L/8T"]);
-        let results = sweep_matrix(&cfg, &generate(&cfg)).run();
-        let stride = 1 + cfg.points.len();
-        let (mut ran, mut baseline, mut lite) = (0, 0, 0);
-        for (k, m) in results.iter().enumerate() {
-            match m.shared_with {
-                None => ran += 1,
-                Some(s) if s % stride == 0 => {
-                    assert_eq!(s, k - k % stride, "cell {k} shares another program's run");
-                    baseline += 1;
-                }
-                Some(s) => {
-                    assert_eq!(
-                        (k % stride, s),
-                        (3, k - 1),
-                        "cell {k}: only ZOLCfull takes ZOLClite's run"
-                    );
-                    lite += 1;
+        let (mut cells, mut ran, mut baseline, mut lite) = (0, 0, 0, 0);
+        for seed in cfg.seeds().expect("seeds fit") {
+            let program = measure_program(&cfg, &generated(&cfg, seed));
+            for (k, c) in program.iter().enumerate() {
+                cells += 1;
+                match c.shared_with {
+                    None => ran += 1,
+                    Some(0) => baseline += 1,
+                    Some(s) => {
+                        assert_eq!(
+                            (k, s),
+                            (3, 2),
+                            "seed {seed}: only ZOLCfull takes ZOLClite's"
+                        );
+                        lite += 1;
+                    }
                 }
             }
         }
-        assert_eq!(results.len(), 2000);
+        assert_eq!(cells, 2000);
         assert_eq!((ran, baseline, lite), (1195, 429, 376));
     }
 
+    /// Sharing a plan and sharing runs change no result: each cell of a
+    /// program equals a one-shot [`BuiltKernel::retarget`] build of its
+    /// point, run alone.
     #[test]
-    fn programs_knob_accepts_positive_integers() {
-        assert_eq!(parse_programs_knob("25"), 25);
-        assert_eq!(parse_programs_knob(" 400 "), 400);
-    }
-
-    #[test]
-    #[should_panic(expected = "ZOLC_E7_PROGRAMS must be a positive integer, got `40O`")]
-    fn programs_knob_rejects_malformed_values_loudly() {
-        parse_programs_knob("40O"); // letter O, the classic typo
-    }
-
-    #[test]
-    #[should_panic(expected = "ZOLC_E7_PROGRAMS must be >= 1")]
-    fn programs_knob_rejects_zero_loudly() {
-        parse_programs_knob("0");
+    fn cells_equal_one_shot_builds_run_alone() {
+        let cfg = SweepConfig::new();
+        let run = |built: &BuiltKernel| {
+            let r = built.run(MAX_FUEL, cfg.executor).expect("runs");
+            assert!(r.is_correct(), "{}/{}", built.name, built.target);
+            r.stats
+        };
+        let mut shared = Vec::new();
+        for seed in 1..=6 {
+            let g = generated(&cfg, seed);
+            let cells = measure_program(&cfg, &g);
+            assert_eq!(cells.len(), 1 + cfg.points.len());
+            assert_eq!(
+                cells[0].stats,
+                run(&g.as_built(Target::Baseline)),
+                "{}",
+                g.name
+            );
+            assert_eq!(cells[0].auto, None);
+            for (p, c) in cfg.points.iter().zip(&cells[1..]) {
+                let a = g
+                    .as_built(Target::Baseline)
+                    .retarget(p.config)
+                    .expect("retargets");
+                assert_eq!(c.stats, run(&a.built), "{}/{}", g.name, p.label);
+                assert_eq!(c.auto.as_ref(), Some(&a.stats), "{}/{}", g.name, p.label);
+            }
+            shared.extend(cells.iter().filter_map(|c| c.shared_with));
+        }
+        // the seeds reach both sharing rules
+        assert!(shared.contains(&0) && shared.contains(&2), "{shared:?}");
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! The run sharing of `JobMatrix`, checked by running what it skips.
+//! The run sharing of the E7 sweep, checked by running what it skips.
 //!
-//! A matrix cell takes an earlier cell's statistics instead of running
-//! when both builds have the same text, data and expectation, run on
-//! the same executor, and see the same controller
-//! (`ZolcConfig::seen_by`: none for a text that never touches it, and
-//! `ZOLCfull` as `ZOLClite` for a text that writes no entry or exit
-//! record). This measures every E7 cell of seeds 1–400 of the standard
-//! shape, of the `--trips 24` shape and of the `--no-dbnz` shape
-//! through the matrix, and checks that each cell took the run of the
-//! first earlier cell of its program that agrees with it on that key,
-//! and ran otherwise. Then it runs every cell that took a run, and the
-//! cell that made it, on all three executor tiers. The two runs must
-//! agree on the outcome, the statistics, the registers, the memory, and
-//! the controller's violations and architectural state.
+//! A cell of a sweep program takes an earlier cell's statistics instead
+//! of running when both builds have the same text, data and
+//! expectation, and see the same controller (`ZolcConfig::seen_by`:
+//! none for a text that never touches it, and `ZOLCfull` as `ZOLClite`
+//! for a text that writes no entry or exit record). This measures every
+//! E7 cell of seeds 1–400 of the standard shape, of the `--trips 24`
+//! shape and of the `--no-dbnz` shape through `measure_program`, and
+//! checks that each cell took the run of the first earlier cell of its
+//! program that agrees with it on that key, and ran otherwise. Then it
+//! runs every cell that took a run, and the cell that made it, on all
+//! three executor tiers. The two runs must agree on the outcome, the
+//! statistics, the registers, the memory, and the controller's
+//! violations and architectural state.
 
 use std::sync::Arc;
-use zolc_bench::{BuildMode, GeneratedProgram, JobMatrix, SweepConfig, MAX_FUEL};
+use zolc_bench::{measure_program, GeneratedProgram, SweepConfig, MAX_FUEL};
 use zolc_cfg::RetargetPlan;
 use zolc_core::{Zolc, ZolcConfig};
 use zolc_gen::{GenConfig, ProgramSpec};
@@ -55,7 +55,7 @@ fn run(built: &BuiltKernel, kind: ExecutorKind) -> Ran {
     }
 }
 
-/// The controller as a run of `built` sees it (the matrix's key).
+/// The controller as a run of `built` sees it (the sweep's key).
 fn seen(built: &BuiltKernel) -> Option<ZolcConfig> {
     match built.target {
         Target::Zolc(config) => config.seen_by(built.program.source().text()),
@@ -63,7 +63,7 @@ fn seen(built: &BuiltKernel) -> Option<ZolcConfig> {
     }
 }
 
-/// Whether the matrix lets one of `a` and `b` take the other's run.
+/// Whether the sweep lets one of `a` and `b` take the other's run.
 fn shared(a: &BuiltKernel, b: &BuiltKernel) -> bool {
     let (pa, pb) = (a.program.source(), b.program.source());
     pa.text() == pb.text() && pa.data() == pb.data() && a.expect == b.expect && seen(a) == seen(b)
@@ -93,46 +93,22 @@ fn assert_same_runs(a: &BuiltKernel, b: &BuiltKernel, ctx: &str) {
 
 #[test]
 fn shared_cells_run_alike_on_every_tier() {
-    let points = SweepConfig::new().points;
     let shapes = [
         ("standard", GenConfig::default()),
         ("trips 24", GenConfig::default().with_max_trips(24)),
         ("no dbnz", GenConfig::default().with_dbnz(false)),
     ];
     for (shape, gen) in shapes {
-        let programs: Vec<Arc<GeneratedProgram>> = SEEDS
-            .map(|seed| {
-                let spec = ProgramSpec::generate(seed, &gen);
-                Arc::new(GeneratedProgram::from_spec(
-                    format!("{shape} gen{seed:05}"),
-                    spec,
-                ))
-            })
-            .collect();
-        // the sweep's cells, as `run_sweep` lays them out
-        let mut matrix = JobMatrix::new();
-        for g in &programs {
-            matrix.push_generated(Arc::clone(g), Target::Baseline, BuildMode::Lower);
-            for p in &points {
-                matrix.push_generated(
-                    Arc::clone(g),
-                    Target::Zolc(p.config),
-                    BuildMode::AutoRetarget,
-                );
-            }
-        }
-        let results = matrix.run();
-        let stride = 1 + points.len();
+        let cfg = SweepConfig::new().with_gen(gen);
         // cells sharing a run with no controller, and with one
         let (mut inert, mut active) = (0, 0);
-        for (n, (g, measured)) in programs
-            .iter()
-            .zip(results.chunks_exact(stride))
-            .enumerate()
-        {
+        for seed in SEEDS {
+            let spec = ProgramSpec::generate(seed, &cfg.gen);
+            let g = GeneratedProgram::from_spec(format!("{shape} gen{seed:05}"), spec);
+            let measured = measure_program(&cfg, &g);
             let plan = RetargetPlan::new(Arc::clone(g.program.source())).expect("plan builds");
             let mut cells = vec![g.as_built(Target::Baseline)];
-            for p in &points {
+            for p in &cfg.points {
                 let auto = g
                     .as_built(Target::Baseline)
                     .retarget_with(&plan, p.config)
@@ -140,15 +116,13 @@ fn shared_cells_run_alike_on_every_tier() {
                 cells.push(auto.built);
             }
             // each cell against the first earlier cell it shares a run
-            // with: the one the matrix took the run from
+            // with: the one the sweep took the run from
             for (j, b) in cells.iter().enumerate() {
                 let first = cells[..j].iter().position(|a| shared(a, b));
                 assert_eq!(
-                    measured[j].shared_with,
-                    first.map(|i| n * stride + i),
-                    "{} {}: the run the matrix took",
-                    g.name,
-                    b.target
+                    measured[j].shared_with, first,
+                    "{} {}: the run the sweep took",
+                    g.name, b.target
                 );
                 let Some(i) = first else {
                     continue;

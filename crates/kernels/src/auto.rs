@@ -11,10 +11,12 @@
 //! [`BuiltKernel::retarget`] is the one place that derivation happens,
 //! for any baseline build: a registry kernel, a `zolc-lang` unit or a
 //! generated program ([`BuiltKernel::retarget_with`] is the same
-//! derivation from a [`RetargetPlan`] shared across configurations). The result is an ordinary [`BuiltKernel`], so the
-//! whole measurement stack ([`BuiltKernel::run`], the bench `JobMatrix`)
-//! runs it unchanged; correctness is still judged against the same
-//! bit-exact reference expectation the hand-lowered builds use.
+//! derivation from a [`RetargetPlan`] shared across configurations, as
+//! the bench's E7 sweep shares one per generated program). The result
+//! is an ordinary [`BuiltKernel`], so the whole measurement stack
+//! ([`BuiltKernel::run`], the bench `JobMatrix` and sweep) runs it
+//! unchanged; correctness is still judged against the same bit-exact
+//! reference expectation the hand-lowered builds use.
 
 use crate::common::{BuildError, BuiltKernel};
 use crate::KernelEntry;

@@ -25,8 +25,8 @@
 //!
 //! On the standard shape no tier is much faster than the cycle-accurate
 //! default. `--programs 10000` on one core of a 2-core machine, four
-//! alternating rounds, took 0.74–0.82 s on the pipeline, 0.64–0.83 s on
-//! `functional` and 0.96–1.34 s on `nest`.
+//! rounds, took 1.07–1.10 s on the pipeline, 0.94–0.97 s on
+//! `functional` and 0.95–1.32 s on `nest`, with a peak RSS of 24 MiB.
 
 use zolc::bench::{run_oracle_check, run_sweep, SweepConfig, MAX_FUEL};
 use zolc::cfg::retarget;
@@ -48,7 +48,7 @@ fn parse_flag<T: std::str::FromStr>(args: &mut std::env::Args, flag: &str) -> T 
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut cfg = SweepConfig::standard();
+    let mut cfg = SweepConfig::new();
     let mut show: Option<u64> = None;
     let mut analyze: Option<u64> = None;
     let mut oracle_check = false;

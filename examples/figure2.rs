@@ -2,7 +2,8 @@
 //! `cargo bench --bench fig2_cycles`; this example is the same artifact
 //! through the public API).
 //!
-//! The 36 (kernel, target) cells are measured batch-parallel through
+//! The 48 (kernel, target) cells, the figure's three configurations
+//! plus the `ZOLCauto` column, are measured batch-parallel through
 //! `zolc::bench::JobMatrix`; results are deterministic regardless of
 //! thread count because every cell builds its own program and simulator.
 //!

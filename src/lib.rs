@@ -32,7 +32,8 @@
 //!   corpus wired into the differential suites;
 //! * [`mod@bench`] — the experiment harness regenerating every table and
 //!   figure of the paper (run `cargo bench`), built on a batch-parallel
-//!   kernel × target × executor [`bench::JobMatrix`];
+//!   kernel × target [`bench::JobMatrix`] and the per-program E7 sweep
+//!   [`bench::run_sweep`];
 //! * [`mod@daemon`] — `zolcd`, a persistent retarget/sweep job daemon
 //!   with content-addressed result caches (see the `zolcd` and
 //!   `zolc-client` examples);

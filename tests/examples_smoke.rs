@@ -123,7 +123,7 @@ fn explore_sweep_and_show_paths() {
     use zolc::gen::ProgramSpec;
 
     // the sweep path, scaled down
-    let mut cfg = SweepConfig::standard();
+    let mut cfg = SweepConfig::new();
     cfg.programs = 6;
     let report = run_sweep(&cfg);
     assert_eq!(report.cells, cfg.cells());

@@ -9,7 +9,8 @@
 //!
 //! * **reachability** — a retired pc must sit in a block whose
 //!   constant-propagation input is not the unreachable `⊥` (and no
-//!   `unreachable-block` lint may name a block that retired);
+//!   `unreachable-block` lint may name a block that retired), and that
+//!   `⊥` must agree block by block with the dominator tree's answer;
 //! * **liveness** — a register an instruction actually reads must be
 //!   live at that instruction's program point, and a store the lint
 //!   pass calls dead must never be read before the next write to the
@@ -34,7 +35,7 @@ use std::sync::Arc;
 use common::any_instr;
 use proptest::prelude::*;
 use zolc::analyze::{solve, Analysis, ConstProp, Liveness, RegSet, Solution};
-use zolc::cfg::{lint_program, Cfg, LintKind};
+use zolc::cfg::{lint_program, Cfg, Dominators, LintKind};
 use zolc::gen::{GenConfig, ProgramSpec};
 use zolc::isa::{reg, Asm, Instr, Program, Reg, DATA_BASE, INSTR_BYTES, TEXT_BASE};
 use zolc::sim::{CompiledProgram, CpuConfig, ExecutorKind, NullEngine, RetireEvent};
@@ -57,13 +58,25 @@ fn traced_run(program: &Program) -> Vec<RetireEvent> {
 /// Checks every abstract claim of the analysis layer against one
 /// concrete trace of `program`. `ctx` labels failures.
 fn check_sound(program: &Program, trace: &[RetireEvent], ctx: &str) {
-    let flow = Cfg::build(program).flow(program);
+    let cfg = Cfg::build(program);
+    let flow = cfg.flow(program);
     let liveness = Liveness {
         at_exit: RegSet::ALL,
     };
     let live = solve(&flow, &liveness);
     let consts = solve(&flow, &ConstProp);
     let report = lint_program(program, None);
+
+    // The two reachability answers agree: lint reads constant
+    // propagation's ⊥, retarget's `filter_handled` the dominator tree.
+    let dom = Dominators::compute(&cfg);
+    for (b, fact) in consts.block_in.iter().enumerate() {
+        assert_eq!(
+            fact.is_some(),
+            dom.is_reachable(b),
+            "{ctx}: block {b} reachability"
+        );
+    }
 
     // Per-block program-point facts, computed on first touch.
     let mut live_pts: HashMap<usize, Vec<RegSet>> = HashMap::new();
