@@ -44,9 +44,9 @@
 //! [`run_sweep`] measures a [`SweepConfig`]'s whole seed range with one
 //! parallel job per program ([`measure_program`]): the job generates the
 //! program, measures its baseline cell and one auto-retarget cell per
-//! configuration, and runs each distinct build once
+//! configuration, synthesizing and running each synthesis class once
 //! ([`SweepCell::shared_with`]). The standard 400-program sweep takes
-//! well under a second, a 10,000-program one about 0.6 s on two cores
+//! well under a second, a 10,000-program one about 0.3 s on two cores
 //! (`BENCH_sweep.json`). [`report_json`] renders its [`SweepReport`] as
 //! JSON (hand-rolled in [`json`]; no crates.io), savings bit for bit:
 //! the document `zolcd` serves for sweep jobs.

@@ -17,30 +17,29 @@
 //! in that order ([`measure_program`]). Every cell — thousands per
 //! sweep — is gated on bit-exact equivalence with the program's derived
 //! reference expectation *and* on an empty controller-consistency
-//! journal before any number is aggregated. Each distinct build runs
-//! once: a cell whose run is provably an earlier cell's of the same
-//! program takes that run, which passed the same gate (same text, data
-//! and expectation, and the same controller as the text sees it; see
-//! [`SweepCell::shared_with`]). On the standard sweep that is an auto
-//! cell whose text never touches the controller (it takes the baseline
-//! run) and a `ZOLCfull` cell that writes no entry or exit record (it
-//! takes `ZOLClite`'s): 805 of 2000 cells. On full-capacity
+//! journal before any number is aggregated. Each synthesis class of
+//! the plan ([`zolc_cfg::SynthesisKey`]) is synthesized, compiled and
+//! run once, and its other cells take that run, which passed the same
+//! gate (see [`SweepCell::shared_with`]). On the standard sweep an auto
+//! cell whose configuration keeps every loop in software takes the
+//! baseline run, and ZOLCfull and custom 2L/8T take ZOLClite's run
+//! whenever their capacity holds every handled loop: 986 of 2000
+//! cells, and 614 of 1600 syntheses relink. On full-capacity
 //! configurations the per-program software-fallback count is
 //! additionally held to `zolc_gen`'s documented handledness prediction,
 //! so a silent retargeter regression fails the sweep rather than
-//! skewing a distribution. The sweep folds the jobs' cells, in seed
-//! order, into retarget coverage per shape feature (which loop shapes
-//! reach hardware on which configuration) and the distribution of cycle
-//! savings per configuration.
+//! skewing a distribution. Each job folds its program's cells into its
+//! share of the retarget coverage per shape feature (which loop shapes
+//! reach hardware on which configuration) and of the cycle savings per
+//! configuration; the sweep sums the shares in seed order.
 
 use crate::json::Json;
 use crate::matrix::{par_map, MAX_FUEL};
 use crate::table::render_table;
 use std::fmt;
-use std::iter;
 use std::ops::Range;
 use std::sync::Arc;
-use zolc_cfg::RetargetPlan;
+use zolc_cfg::{RetargetPlan, SynthesisKey};
 use zolc_core::ZolcConfig;
 use zolc_gen::{Feature, GenConfig, ProgramSpec};
 use zolc_ir::Target;
@@ -327,23 +326,25 @@ pub struct SweepCell {
     /// Retargeting statistics (`None` on the baseline cell).
     pub auto: Option<AutoStats>,
     /// `None` when this cell ran its own build; otherwise the index of
-    /// the earlier cell of its program whose run it took. The two
-    /// builds agree on text, data and expectation, and on the loop
-    /// engine as the text sees it ([`ZolcConfig::seen_by`]: none on the
-    /// baseline cell and for a text that never touches the controller,
-    /// `ZOLCfull` as `ZOLClite` for a text that writes no entry or exit
-    /// record), so the runs are provably the same. Different loop or
-    /// task counts never share: a task record's loop id is a register
-    /// value, and naming a loop past a configuration's capacity behaves
-    /// differently on each.
+    /// the earlier cell of its program whose run it took. Cells share
+    /// by the plan's [`SynthesisKey`]: a configuration that keeps every
+    /// loop in software gets the baseline binary itself, with no
+    /// initialization sequence, so it takes the baseline cell's run
+    /// (`Some(0)`); every later member of another class takes its first
+    /// member's build and run. The task-table configurations that hold
+    /// every handled loop form one class whatever their loop and task
+    /// counts: the shared text names only loop and task records below
+    /// the handled-loop count, which fit every one of them, and writes
+    /// no entry or exit record.
     pub shared_with: Option<usize>,
 }
 
 /// Measures one generated program's cells on `cfg.executor`: the
 /// baseline cell, then one auto-retarget cell per point of `cfg`, all
-/// auto cells synthesized from one [`RetargetPlan`] of the binary. A
-/// cell whose run is provably an earlier cell's takes that cell's
-/// statistics ([`SweepCell::shared_with`]); every other cell runs.
+/// synthesized from one [`RetargetPlan`] of the binary. Each synthesis
+/// class ([`RetargetPlan::synthesis_key`]) is synthesized, compiled and
+/// run once; its other members take that build and run
+/// ([`SweepCell::shared_with`]).
 ///
 /// # Panics
 ///
@@ -354,16 +355,38 @@ pub struct SweepCell {
 /// prediction.
 pub fn measure_program(cfg: &SweepConfig, g: &GeneratedProgram) -> Vec<SweepCell> {
     let name = &g.name;
+    let run = |built: &BuiltKernel| {
+        let target = &built.target;
+        let run = built
+            .run(MAX_FUEL, cfg.executor)
+            .unwrap_or_else(|e| panic!("{name}/{target}: run failed: {e}"));
+        assert!(
+            run.is_correct(),
+            "{name}/{target}: incorrect run: {:?} {:?}",
+            run.mismatches,
+            run.violations
+        );
+        run.stats
+    };
     let plan = RetargetPlan::new(Arc::clone(g.program.source()))
         .unwrap_or_else(|e| panic!("{name} (auto): retarget failed: {e}"));
-    // the runs made so far: cell, build, controller as the build's text
-    // sees it, statistics
-    let mut runs: Vec<(usize, BuiltKernel, Option<ZolcConfig>, Stats)> = Vec::new();
     let mut cells = Vec::with_capacity(1 + cfg.points.len());
-    for point in iter::once(None).chain(cfg.points.iter().map(Some)) {
-        let (built, auto) = match point {
-            None => (g.as_built(Target::Baseline), None),
-            Some(p) => {
+    cells.push(SweepCell {
+        stats: run(&g.as_built(Target::Baseline)),
+        auto: None,
+        shared_with: None,
+    });
+    // each class met so far: its key, its first member's cell and the
+    // notes of its synthesis
+    let mut classes: Vec<(SynthesisKey, usize, Vec<String>)> = Vec::new();
+    for p in &cfg.points {
+        let key = plan.synthesis_key(&p.config);
+        let cell = match classes.iter().find(|(k, _, _)| *k == key) {
+            Some(&(_, first, _)) => SweepCell {
+                shared_with: Some(cells[first].shared_with.unwrap_or(first)),
+                ..cells[first].clone()
+            },
+            None => {
                 let a = g
                     .as_built(Target::Baseline)
                     .retarget_with(&plan, p.config)
@@ -371,66 +394,111 @@ pub fn measure_program(cfg: &SweepConfig, g: &GeneratedProgram) -> Vec<SweepCell
                         let target = Target::Zolc(p.config);
                         panic!("{name}/{target} (auto): retarget failed: {e}")
                     });
-                assert_eq!(
-                    a.stats.hw_loops + a.stats.unhandled,
-                    g.spec.loop_count(),
-                    "{name}/{}: retargeter lost track of loops",
-                    p.label
-                );
-                // On configurations with capacity for the whole generated
-                // space, handledness must match the documented prediction
-                // — a mismatch is a retargeter (or predictor) regression.
-                if p.config.loops() >= cfg.gen.max_loops && p.config.tasks() >= cfg.gen.max_loops {
-                    assert_eq!(
-                        a.stats.unhandled,
-                        g.spec.predicted_unhandled(),
-                        "{name}/{}: handledness prediction violated (notes: {:?})",
-                        p.label,
-                        a.built.info.notes
-                    );
+                let (stats, shared_with) = match key {
+                    SynthesisKey::Software => (cells[0].stats, Some(0)),
+                    _ => (run(&a.built), None),
+                };
+                classes.push((key, cells.len(), a.built.info.notes));
+                SweepCell {
+                    stats,
+                    auto: Some(a.stats),
+                    shared_with,
                 }
-                (a.built, Some(a.stats))
             }
         };
-        let target = &built.target;
-        let text = built.program.source().text();
-        let seen = match target {
-            Target::Zolc(config) => config.seen_by(text),
-            _ => None,
-        };
-        let data = built.program.source().data();
-        let same = runs.iter().find(|(_, b, s, _)| {
-            let p = b.program.source();
-            *s == seen && p.text() == text && p.data() == data && b.expect == built.expect
-        });
-        let (stats, shared_with) = match same {
-            Some(&(k, _, _, stats)) => (stats, Some(k)),
-            None => {
-                let run = built
-                    .run(MAX_FUEL, cfg.executor)
-                    .unwrap_or_else(|e| panic!("{name}/{target}: run failed: {e}"));
-                assert!(
-                    run.is_correct(),
-                    "{name}/{target}: incorrect run: {:?} {:?}",
-                    run.mismatches,
-                    run.violations
-                );
-                runs.push((cells.len(), built, seen, run.stats));
-                (run.stats, None)
-            }
-        };
-        cells.push(SweepCell {
-            stats,
-            auto,
-            shared_with,
-        });
+        let auto = cell.auto.as_ref().expect("auto cells carry retarget stats");
+        assert_eq!(
+            auto.hw_loops + auto.unhandled,
+            g.spec.loop_count(),
+            "{name}/{}: retargeter lost track of loops",
+            p.label
+        );
+        // On configurations with capacity for the whole generated
+        // space, handledness must match the documented prediction — a
+        // mismatch is a retargeter (or predictor) regression.
+        if p.config.loops() >= cfg.gen.max_loops && p.config.tasks() >= cfg.gen.max_loops {
+            let notes = classes.iter().find(|(k, _, _)| *k == key).map(|c| &c.2);
+            assert_eq!(
+                auto.unhandled,
+                g.spec.predicted_unhandled(),
+                "{name}/{}: handledness prediction violated (notes: {notes:?})",
+                p.label
+            );
+        }
+        cells.push(cell);
     }
     cells
 }
 
-/// Runs a sweep: one parallel job per seed generates the program and
-/// measures its cells ([`measure_program`]), and the cells fold, in seed
-/// order, into per-configuration coverage and savings.
+/// One program's share of a sweep's summaries.
+struct Tally {
+    /// The program's generated loops.
+    loops: usize,
+    /// Loops exhibiting each feature, in [`Feature::ALL`] order.
+    with_feature: [usize; Feature::ALL.len()],
+    /// One entry per point of the sweep.
+    points: Vec<PointTally>,
+}
+
+/// One program's share of one point's [`PointSummary`].
+struct PointTally {
+    hw_loops: usize,
+    unhandled: usize,
+    /// Hardware-mapped loops exhibiting each feature.
+    mapped: [usize; Feature::ALL.len()],
+    /// The cycle saving over the baseline (cycle-accurate sweeps only).
+    saving: Option<f64>,
+}
+
+/// Folds one program's measured cells into its [`Tally`].
+fn tally(cfg: &SweepConfig, spec: &ProgramSpec, loop_starts: &[u32], cells: &[SweepCell]) -> Tally {
+    // each loop's start and the features it exhibits
+    let loops: Vec<(u32, Vec<Feature>)> = spec
+        .flatten()
+        .into_iter()
+        .zip(loop_starts)
+        .map(|((depth, shape), &start)| (start, shape.features(depth)))
+        .collect();
+    let mut with_feature = [0; Feature::ALL.len()];
+    for f in loops.iter().flat_map(|(_, fs)| fs) {
+        with_feature[*f as usize] += 1;
+    }
+    let base = cells[0].stats.cycles as f64;
+    let points = cells[1..]
+        .iter()
+        .map(|m| {
+            let auto = m
+                .auto
+                .as_ref()
+                .expect("auto-retarget cells carry retarget stats");
+            let mut mapped = [0; Feature::ALL.len()];
+            for (start, fs) in &loops {
+                if auto.hw_loop_starts.contains(start) {
+                    for &f in fs {
+                        mapped[f as usize] += 1;
+                    }
+                }
+            }
+            PointTally {
+                hw_loops: auto.hw_loops,
+                unhandled: auto.unhandled,
+                mapped,
+                saving: (cfg.executor == ExecutorKind::CycleAccurate)
+                    .then(|| 100.0 * (base - m.stats.cycles as f64) / base),
+            }
+        })
+        .collect();
+    Tally {
+        loops: spec.loop_count(),
+        with_feature,
+        points,
+    }
+}
+
+/// Runs a sweep: one parallel job per seed generates the program,
+/// measures its cells ([`measure_program`]) and folds them into the
+/// program's share of each configuration's coverage and savings; the
+/// shares then sum, in seed order.
 ///
 /// # Panics
 ///
@@ -439,13 +507,12 @@ pub fn measure_program(cfg: &SweepConfig, g: &GeneratedProgram) -> Vec<SweepCell
 pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     let seeds = cfg.seeds().expect("sweep seed range overflows u64");
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    // a job keeps what the fold reads and drops the program itself
-    let swept = par_map(cfg.programs, threads, |i| {
+    let tallies = par_map(cfg.programs, threads, |i| {
         let seed = seeds.start + i as u64;
         let spec = ProgramSpec::generate(seed, &cfg.gen);
         let g = GeneratedProgram::from_spec(format!("gen{seed:05}"), spec);
         let cells = measure_program(cfg, &g);
-        (g.spec, g.loop_starts, cells)
+        tally(cfg, &g.spec, &g.loop_starts, &cells)
     });
 
     let mut points: Vec<PointSummary> = cfg
@@ -460,39 +527,28 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
         })
         .collect();
     let mut total_loops = 0;
-    for (spec, loop_starts, cells) in &swept {
-        total_loops += spec.loop_count();
-        let base = &cells[0];
-        for (summary, m) in points.iter_mut().zip(&cells[1..]) {
-            let auto = m
-                .auto
-                .as_ref()
-                .expect("auto-retarget cells carry retarget stats");
-            summary.hw_loops += auto.hw_loops;
-            summary.unhandled += auto.unhandled;
-            for ((depth, shape), start) in spec.flatten().iter().zip(loop_starts) {
-                let handled = auto.hw_loop_starts.contains(start);
-                for f in shape.features(*depth) {
-                    let slot = &mut summary.coverage[f as usize];
-                    slot.2 += 1;
-                    if handled {
-                        slot.1 += 1;
-                    }
-                }
+    for t in &tallies {
+        total_loops += t.loops;
+        for (summary, p) in points.iter_mut().zip(&t.points) {
+            summary.hw_loops += p.hw_loops;
+            summary.unhandled += p.unhandled;
+            for ((slot, mapped), total) in summary
+                .coverage
+                .iter_mut()
+                .zip(p.mapped)
+                .zip(t.with_feature)
+            {
+                slot.1 += mapped;
+                slot.2 += total;
             }
-            if cfg.executor == ExecutorKind::CycleAccurate {
-                let b = base.stats.cycles as f64;
-                summary
-                    .savings
-                    .push(100.0 * (b - m.stats.cycles as f64) / b);
-            }
+            summary.savings.extend(p.saving);
         }
     }
     for p in &mut points {
         p.savings.sort_by(f64::total_cmp);
     }
     SweepReport {
-        programs: swept.len(),
+        programs: tallies.len(),
         cells: cfg.cells(),
         total_loops,
         points,
@@ -649,6 +705,7 @@ pub fn e7_design_space() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::iter;
 
     fn small_sweep() -> SweepConfig {
         SweepConfig::new()
@@ -773,36 +830,53 @@ mod tests {
         GeneratedProgram::from_spec(format!("gen{seed:05}"), spec)
     }
 
-    /// The standard sweep runs each distinct build once. A ZOLC cell
-    /// whose text never touches the controller takes its program's
-    /// baseline run, and a ZOLCfull cell that writes no entry or exit
-    /// record takes ZOLClite's; every other cell runs.
+    /// The standard sweep synthesizes and runs each synthesis class
+    /// once. A ZOLC cell whose configuration keeps every loop in
+    /// software takes its program's baseline run, and a later member
+    /// of any other class takes its first member's; every other cell
+    /// runs.
     #[test]
     fn standard_sweep_runs_each_distinct_build_once() {
         let cfg = SweepConfig::new();
         let labels: Vec<&str> = cfg.points.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, ["uZOLC", "ZOLClite", "ZOLCfull", "custom 2L/8T"]);
-        let (mut cells, mut ran, mut baseline, mut lite) = (0, 0, 0, 0);
+        let (mut cells, mut ran, mut baseline, mut class, mut syntheses) = (0, 0, 0, 0, 0);
         for seed in cfg.seeds().expect("seeds fit") {
-            let program = measure_program(&cfg, &generated(&cfg, seed));
-            for (k, c) in program.iter().enumerate() {
+            let g = generated(&cfg, seed);
+            let plan = RetargetPlan::new(Arc::clone(g.program.source())).expect("plan builds");
+            // the key of every cell, `None` for the baseline
+            let keys: Vec<Option<SynthesisKey>> = iter::once(None)
+                .chain(
+                    cfg.points
+                        .iter()
+                        .map(|p| Some(plan.synthesis_key(&p.config))),
+                )
+                .collect();
+            // the first member of each class that relinks the text
+            syntheses += (1..keys.len())
+                .filter(|&k| {
+                    keys[k] != Some(SynthesisKey::Software) && !keys[..k].contains(&keys[k])
+                })
+                .count();
+            let measured = measure_program(&cfg, &g);
+            for (k, c) in measured.iter().enumerate() {
                 cells += 1;
                 match c.shared_with {
                     None => ran += 1,
-                    Some(0) => baseline += 1,
+                    Some(0) => {
+                        assert_eq!(keys[k], Some(SynthesisKey::Software), "seed {seed}");
+                        baseline += 1;
+                    }
                     Some(s) => {
-                        assert_eq!(
-                            (k, s),
-                            (3, 2),
-                            "seed {seed}: only ZOLCfull takes ZOLClite's"
-                        );
-                        lite += 1;
+                        assert!(s < k && keys[s] == keys[k], "seed {seed}: {k} took {s}");
+                        assert_eq!(measured[s].shared_with, None, "seed {seed}");
+                        class += 1;
                     }
                 }
             }
         }
         assert_eq!(cells, 2000);
-        assert_eq!((ran, baseline, lite), (1195, 429, 376));
+        assert_eq!((ran, baseline, class, syntheses), (1014, 429, 557, 614));
     }
 
     /// Sharing a plan and sharing runs change no result: each cell of a

@@ -1,22 +1,25 @@
 //! The run sharing of the E7 sweep, checked by running what it skips.
 //!
 //! A cell of a sweep program takes an earlier cell's statistics instead
-//! of running when both builds have the same text, data and
-//! expectation, and see the same controller (`ZolcConfig::seen_by`:
-//! none for a text that never touches it, and `ZOLCfull` as `ZOLClite`
-//! for a text that writes no entry or exit record). This measures every
-//! E7 cell of seeds 1–400 of the standard shape, of the `--trips 24`
-//! shape and of the `--no-dbnz` shape through `measure_program`, and
-//! checks that each cell took the run of the first earlier cell of its
-//! program that agrees with it on that key, and ran otherwise. Then it
-//! runs every cell that took a run, and the cell that made it, on all
-//! three executor tiers. The two runs must agree on the outcome, the
-//! statistics, the registers, the memory, and the controller's
-//! violations and architectural state.
+//! of running when the retarget plan puts both in one synthesis class
+//! (`RetargetPlan::synthesis_key`): a configuration that keeps every
+//! loop in software takes the baseline cell's run, and every later
+//! member of another class takes its first member's run. That includes
+//! task-table configurations of different loop and task counts that
+//! hold every handled loop (ZOLClite, ZOLCfull and custom 2L/8T). This
+//! measures every E7 cell of seeds 1–400 of the standard shape, of the
+//! `--trips 24` shape and of the `--no-dbnz` shape through
+//! `measure_program`, and checks that each cell took the run of the
+//! first earlier cell of its class, and ran otherwise. Then it builds
+//! every cell on its own and runs every cell that took a run, and the
+//! cell that made it, on all three executor tiers. The two builds must
+//! have the same text, data and expectation, and the two runs must agree
+//! on the outcome, the statistics, the registers, the memory, and the
+//! controller's violations and architectural state.
 
 use std::sync::Arc;
 use zolc_bench::{measure_program, GeneratedProgram, SweepConfig, MAX_FUEL};
-use zolc_cfg::RetargetPlan;
+use zolc_cfg::{RetargetPlan, SynthesisKey};
 use zolc_core::{Zolc, ZolcConfig};
 use zolc_gen::{GenConfig, ProgramSpec};
 use zolc_ir::Target;
@@ -55,20 +58,6 @@ fn run(built: &BuiltKernel, kind: ExecutorKind) -> Ran {
     }
 }
 
-/// The controller as a run of `built` sees it (the sweep's key).
-fn seen(built: &BuiltKernel) -> Option<ZolcConfig> {
-    match built.target {
-        Target::Zolc(config) => config.seen_by(built.program.source().text()),
-        _ => None,
-    }
-}
-
-/// Whether the sweep lets one of `a` and `b` take the other's run.
-fn shared(a: &BuiltKernel, b: &BuiltKernel) -> bool {
-    let (pa, pb) = (a.program.source(), b.program.source());
-    pa.text() == pb.text() && pa.data() == pb.data() && a.expect == b.expect && seen(a) == seen(b)
-}
-
 /// The violations and architectural state of a run's controller; a run
 /// with none shows the state of a controller that never ran.
 fn controller(r: &Ran) -> (Vec<String>, zolc_core::DynState) {
@@ -100,25 +89,30 @@ fn shared_cells_run_alike_on_every_tier() {
     ];
     for (shape, gen) in shapes {
         let cfg = SweepConfig::new().with_gen(gen);
-        // cells sharing a run with no controller, and with one
-        let (mut inert, mut active) = (0, 0);
+        // cells sharing the baseline run, a run of their class, and a
+        // run of a configuration with other loop or task counts
+        let (mut baseline, mut class, mut across) = (0, 0, 0);
         for seed in SEEDS {
             let spec = ProgramSpec::generate(seed, &cfg.gen);
             let g = GeneratedProgram::from_spec(format!("{shape} gen{seed:05}"), spec);
             let measured = measure_program(&cfg, &g);
             let plan = RetargetPlan::new(Arc::clone(g.program.source())).expect("plan builds");
             let mut cells = vec![g.as_built(Target::Baseline)];
+            let mut keys = vec![None];
             for p in &cfg.points {
                 let auto = g
                     .as_built(Target::Baseline)
-                    .retarget_with(&plan, p.config)
+                    .retarget(p.config)
                     .expect("retarget succeeds");
                 cells.push(auto.built);
+                keys.push(Some(plan.synthesis_key(&p.config)));
             }
-            // each cell against the first earlier cell it shares a run
-            // with: the one the sweep took the run from
+            // each cell against the cell the sweep took the run from
             for (j, b) in cells.iter().enumerate() {
-                let first = cells[..j].iter().position(|a| shared(a, b));
+                let first = match keys[j] {
+                    Some(SynthesisKey::Software) => Some(0),
+                    key => keys[..j].iter().position(|&k| k == key),
+                };
                 assert_eq!(
                     measured[j].shared_with, first,
                     "{} {}: the run the sweep took",
@@ -128,20 +122,37 @@ fn shared_cells_run_alike_on_every_tier() {
                     continue;
                 };
                 let a = &cells[i];
-                if seen(a).is_none() {
-                    inert += 1;
-                } else {
-                    active += 1;
-                }
                 let ctx = format!("{} {} vs {}", g.name, a.target, b.target);
+                let (pa, pb) = (a.program.source(), b.program.source());
+                assert!(
+                    pa.text() == pb.text() && pa.data() == pb.data(),
+                    "{ctx}: program"
+                );
+                assert_eq!(a.expect, b.expect, "{ctx}: expectation");
+                match (&a.target, &b.target) {
+                    (Target::Zolc(x), Target::Zolc(y))
+                        if (x.loops(), x.tasks()) != (y.loops(), y.tasks()) =>
+                    {
+                        across += 1;
+                    }
+                    _ => {}
+                }
+                if i == 0 {
+                    baseline += 1;
+                } else {
+                    class += 1;
+                }
                 assert_same_runs(a, b, &ctx);
             }
         }
-        eprintln!("{shape}: {inert} cells share a run with no controller, {active} with one");
-        // the net must reach both sharing rules on every shape
+        eprintln!(
+            "{shape}: {baseline} cells share the baseline run, {class} a run of their class \
+             ({across} across loop or task counts)"
+        );
+        // the net must reach every sharing rule on every shape
         assert!(
-            inert >= 100 && active >= 100,
-            "{shape}: only {inert} and {active} shared cells"
+            baseline >= 100 && class >= 100 && across >= 100,
+            "{shape}: only {baseline}, {class} and {across} shared cells"
         );
     }
 }

@@ -55,7 +55,7 @@ pub use dom::Dominators;
 pub use graph::{BasicBlock, Cfg};
 pub use lint::{lint_program, Lint, LintKind, LintReport};
 pub use loops::{IrreducibleRegion, LoopForest, NaturalLoop};
-pub use retarget::{retarget, RetargetError, RetargetPlan, Retargeted};
+pub use retarget::{retarget, RetargetError, RetargetPlan, Retargeted, SynthesisKey};
 
 /// Image-checking tests: a lowered image lints clean, and each
 /// structural defect of its records is reported through

@@ -46,7 +46,11 @@
 //! [`retarget`] is exactly `RetargetPlan::new` followed by one
 //! synthesis; a synthesis reads the plan and never changes it, so a
 //! plan reused across configurations gives the same results as fresh
-//! one-shot calls (the root `auto_retarget` suite holds this).
+//! one-shot calls (the root `auto_retarget` suite holds this). A
+//! synthesis reads the configuration only through its capacity trim and
+//! whether it has a task table, so configurations fall into synthesis
+//! classes ([`RetargetPlan::synthesis_key`]); one whose trim leaves
+//! every loop in software gets the plan's own binary back, unrelinked.
 //!
 //! The result is *architecturally equivalent* to the input: final data
 //! memory and every register except the freed down-counters (and the
@@ -206,6 +210,12 @@ impl Em {
     }
 }
 
+/// The scratch register a synthesis with no initialization sequence
+/// reports; no instruction clobbers it.
+fn nominal_scratch() -> Reg {
+    Reg::new(1).expect("r1 is a valid register")
+}
+
 fn text_idx(addr: u32) -> usize {
     ((addr - TEXT_BASE) / INSTR_BYTES) as usize
 }
@@ -315,6 +325,40 @@ pub struct RetargetPlan {
     /// The fixpoint's notes; every synthesis starts from these.
     notes: Vec<String>,
     facts: TextFacts,
+    /// Whether relinking the text with nothing excised rebuilds the
+    /// binary exactly: it has no text symbol (relocation drops those),
+    /// every control transfer lands inside the text (relocation refuses
+    /// the others), and no jump's target field carries bits its target
+    /// address drops.
+    relinks_to_itself: bool,
+}
+
+/// The synthesis class of a configuration under one [`RetargetPlan`]
+/// ([`RetargetPlan::synthesis_key`]). Configurations with equal keys
+/// get the same program, and runs of it on their controllers are the
+/// same run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SynthesisKey {
+    /// The configuration's capacity trim leaves every loop in software.
+    /// The synthesis emits no initialization sequence, excises nothing
+    /// and relinks every transfer to its own target, so a run of it
+    /// never touches the controller: it is the run of the binary with
+    /// no controller at all. Its program is the plan's own binary
+    /// whenever relinking would rebuild it exactly. (The notes still
+    /// name each configuration's trim.)
+    Software,
+    /// A configuration with a task table whose capacity, `min(loops,
+    /// tasks)`, holds every handled loop. The trim keeps every loop,
+    /// and the synthesis then reads the configuration only through
+    /// whether it has a task table, so every such configuration gets an
+    /// equal [`Retargeted`]. Its text writes only loop and task records
+    /// below the handled-loop count `n`, names only loops and tasks
+    /// below `n` (or no task), and writes no entry or exit record: a
+    /// run of it cannot tell the configurations apart.
+    Whole,
+    /// Any other configuration (uZOLC keeping its loop, a trimmed task
+    /// table): a synthesis of its own.
+    Own(ZolcConfig),
 }
 
 /// Per-instruction facts of a plan's text, gathered in one pass.
@@ -373,6 +417,13 @@ impl RetargetPlan {
         }
         let mut notes = Vec::new();
         let handled = filter_handled(&program, &cfg, &dom, &forest, &all, &facts, &mut notes);
+        // relinking re-encodes every transfer from its target, and a
+        // jump names its target's word
+        let relinks_to_itself = program.symbols().values().all(|&a| a >= DATA_BASE)
+            && facts.transfers.iter().all(|&(i, t)| {
+                text_idx(t) < text.len()
+                    && !matches!(text[i], Instr::J { target } if target != t >> 2)
+            });
         Ok(RetargetPlan {
             program,
             cfg,
@@ -380,12 +431,65 @@ impl RetargetPlan {
             handled,
             notes,
             facts,
+            relinks_to_itself,
         })
     }
 
     /// The analyzed binary.
     pub fn program(&self) -> &Arc<Program> {
         &self.program
+    }
+
+    /// The synthesis class of `config` (see [`SynthesisKey`]): two
+    /// configurations with equal keys get equal syntheses, except that
+    /// the notes of [`SynthesisKey::Software`] members name their own
+    /// trims.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use zolc_cfg::{RetargetPlan, SynthesisKey};
+    /// use zolc_core::ZolcConfig;
+    ///
+    /// let program = zolc_isa::assemble("
+    ///     li   r11, 3
+    /// oth: li   r12, 4
+    /// inh: add  r2, r2, r3
+    ///     addi r12, r12, -1
+    ///     bne  r12, r0, inh
+    ///     addi r11, r11, -1
+    ///     bne  r11, r0, oth
+    ///     halt
+    /// ").unwrap();
+    /// let plan = RetargetPlan::new(program).unwrap();
+    /// let key = |c: ZolcConfig| plan.synthesis_key(&c);
+    /// // both loops fit every task table of two or more entries
+    /// assert_eq!(key(ZolcConfig::lite()), SynthesisKey::Whole);
+    /// assert_eq!(key(ZolcConfig::custom(2, 8, 0, 0).unwrap()), SynthesisKey::Whole);
+    /// // the nest does not fit uZOLC or one task entry
+    /// assert_eq!(key(ZolcConfig::micro()), SynthesisKey::Software);
+    /// assert_eq!(key(ZolcConfig::custom(1, 1, 0, 0).unwrap()), SynthesisKey::Software);
+    /// ```
+    pub fn synthesis_key(&self, config: &ZolcConfig) -> SynthesisKey {
+        let n = self.handled.len();
+        if n == 0 {
+            return SynthesisKey::Software;
+        }
+        if config.tasks() > 0 && n <= config.loops().min(config.tasks()) {
+            return SynthesisKey::Whole;
+        }
+        let kept = trim_capacity(
+            &self.cfg,
+            &self.forest,
+            self.handled.clone(),
+            config,
+            &mut Vec::new(),
+        );
+        if kept.is_empty() {
+            SynthesisKey::Software
+        } else {
+            SynthesisKey::Own(*config)
+        }
     }
 
     /// Synthesizes the plan for a ZOLC of configuration `config`: trims
@@ -401,13 +505,9 @@ impl RetargetPlan {
     /// validation, and [`RetargetError::Asm`] if the relocated text
     /// cannot be re-linked.
     pub fn retarget(&self, config: &ZolcConfig) -> Result<Retargeted, RetargetError> {
-        let program = &*self.program;
         let (cfg, forest) = (&self.cfg, &self.forest);
-        let text = program.text();
-        let n = text.len();
         let mut notes = self.notes.clone();
-
-        let mut handled = trim_capacity(cfg, forest, self.handled.clone(), config, &mut notes);
+        let handled = trim_capacity(cfg, forest, self.handled.clone(), config, &mut notes);
         let unhandled: Vec<usize> = forest
             .loops
             .iter()
@@ -422,6 +522,37 @@ impl RetargetPlan {
                 l.depth
             ));
         }
+        if handled.is_empty() && self.relinks_to_itself {
+            // nothing to excise, and relinking would rebuild the binary
+            return Ok(Retargeted {
+                program: Arc::clone(&self.program),
+                image: ZolcImage::chained(config, Vec::new(), &[]),
+                counted: handled,
+                unhandled,
+                counter_regs: Vec::new(),
+                scratch: nominal_scratch(),
+                excised: 0,
+                init_instructions: 0,
+                notes,
+            });
+        }
+        self.synthesize(config, handled, unhandled, notes)
+    }
+
+    /// Excises, relocates and relinks the text for the trimmed loops
+    /// `handled`, and synthesizes and validates the overlay (the rest
+    /// of [`RetargetPlan::retarget`]).
+    fn synthesize(
+        &self,
+        config: &ZolcConfig,
+        mut handled: Vec<CountedLoop>,
+        unhandled: Vec<usize>,
+        mut notes: Vec<String>,
+    ) -> Result<Retargeted, RetargetError> {
+        let program = &*self.program;
+        let forest = &self.forest;
+        let text = program.text();
+        let n = text.len();
         // keep image order deterministic: forest order (detection order)
         handled.sort_by_key(|c| c.loop_id);
 
@@ -517,8 +648,7 @@ impl RetargetPlan {
         // counts — and a write-only register may still be checked as an
         // output). Freed counters typically qualify.
         let scratch = if handled.is_empty() {
-            // no init sequence will be emitted; the value is nominal
-            Reg::new(1).expect("r1 is a valid register")
+            nominal_scratch()
         } else {
             let mut touched = RegSet::EMPTY;
             for (i, &e) in em.iter().enumerate() {
@@ -1643,5 +1773,111 @@ mod tests {
         assert_eq!(slow.cpu.regs().snapshot(), fast.cpu.regs().snapshot());
         assert_eq!(slow.stats.retired, fast.stats.retired);
         assert!(slow.stats.cycles > 0);
+    }
+
+    /// A binary that relinking would change gets the relinked program
+    /// even when every loop stays in software: here the text symbol is
+    /// dropped, and so is the high bit of the jump's target field.
+    #[test]
+    fn software_synthesis_relinks_what_relinking_changes() {
+        let labelled = assemble(
+            "
+            li   r1, 1
+      here: add  r2, r2, r1
+            halt
+        ",
+        )
+        .unwrap();
+        let jump = Program::from_parts(
+            vec![
+                Instr::J {
+                    target: 1 << 30 | 2,
+                },
+                Instr::Nop,
+                Instr::Halt,
+            ],
+            Vec::new(),
+        );
+        for program in [labelled, jump] {
+            let plan = RetargetPlan::new(program.clone()).unwrap();
+            let config = ZolcConfig::lite();
+            assert_eq!(plan.synthesis_key(&config), SynthesisKey::Software);
+            let r = plan.retarget(&config).unwrap();
+            assert!(!Arc::ptr_eq(&r.program, plan.program()));
+            assert_ne!(*r.program, program);
+            assert_eq!(r.program.text().len(), program.text().len());
+        }
+    }
+
+    /// The synthesis classes over seeds 1–400 of the default generator
+    /// and the Fig. 2 kernels' baseline binaries, on the standard E7
+    /// points and custom points around them. Every configuration's
+    /// synthesis equals a fresh one-shot [`retarget`]; every member of
+    /// a class gets its first member's synthesis (in `Software`, all
+    /// but the notes); and a `Software` synthesis is the plan's own
+    /// binary, equal to what relinking it would build.
+    #[test]
+    fn synthesis_classes_hold_equal_syntheses() {
+        let custom = |loops, tasks| ZolcConfig::custom(loops, tasks, 0, 0).unwrap();
+        let configs = [
+            ZolcConfig::micro(),
+            ZolcConfig::lite(),
+            ZolcConfig::full(),
+            custom(2, 8),
+            custom(1, 1),
+            custom(3, 2),
+            custom(8, 4),
+            custom(1, 0),
+            ZolcConfig::custom(4, 16, 2, 1).unwrap(),
+        ];
+        let gen = zolc_gen::GenConfig::default();
+        let generated = (1..=400).map(|seed| {
+            let spec = zolc_gen::ProgramSpec::generate(seed, &gen);
+            (format!("gen{seed}"), spec.assemble().unwrap().program)
+        });
+        let kernels = zolc_kernels::kernels().iter().map(|k| {
+            let built = (k.build)(&zolc_ir::Target::Baseline).unwrap();
+            (k.name.to_owned(), Program::clone(built.program.source()))
+        });
+        let (mut software, mut whole, mut own) = (0, 0, 0);
+        for (name, program) in generated.chain(kernels) {
+            let plan = RetargetPlan::new(program.clone()).unwrap();
+            let mut firsts: Vec<(SynthesisKey, Retargeted)> = Vec::new();
+            for config in &configs {
+                let ctx = format!("{name} on {config}");
+                let key = plan.synthesis_key(config);
+                let r = plan.retarget(config).unwrap();
+                assert_eq!(r, retarget(&program, config).unwrap(), "{ctx}: one-shot");
+                match key {
+                    SynthesisKey::Software => {
+                        software += 1;
+                        assert!(r.counted.is_empty(), "{ctx}");
+                        assert!(Arc::ptr_eq(&r.program, plan.program()), "{ctx}");
+                        let (unhandled, notes) = (r.unhandled.clone(), r.notes.clone());
+                        let relinked = plan.synthesize(config, Vec::new(), unhandled, notes);
+                        assert_eq!(relinked.as_ref(), Ok(&r), "{ctx}: relinked");
+                    }
+                    SynthesisKey::Whole => {
+                        whole += 1;
+                        assert_eq!(r.counted, plan.handled, "{ctx}");
+                    }
+                    SynthesisKey::Own(c) => {
+                        own += 1;
+                        assert_eq!(c, *config, "{ctx}");
+                    }
+                }
+                match firsts.iter().find(|(k, _)| *k == key) {
+                    Some((_, first)) if key == SynthesisKey::Software => {
+                        let notes = first.notes.clone();
+                        assert_eq!(Retargeted { notes, ..r }, *first, "{ctx}: class");
+                    }
+                    Some((_, first)) => assert_eq!(r, *first, "{ctx}: class"),
+                    None => firsts.push((key, r)),
+                }
+            }
+        }
+        eprintln!("software {software}, whole {whole}, own {own}");
+        // every class is reached
+        assert!(software >= 400 && whole >= 400 && own >= 400);
     }
 }

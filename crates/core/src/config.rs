@@ -13,7 +13,6 @@
 //! [`crate::area`] extrapolates over them).
 
 use std::fmt;
-use zolc_isa::{Instr, ZolcRegion};
 
 /// Hardware maximum number of loops any configuration may declare.
 pub const MAX_LOOPS: usize = 8;
@@ -206,59 +205,6 @@ impl ZolcConfig {
     pub fn is_wide(&self) -> bool {
         self.wide
     }
-
-    /// This configuration as a run of `text` can see it: two runs of
-    /// one text and data whose views are equal retire the same
-    /// instructions, with the same statistics, registers, memory,
-    /// controller state and violations.
-    ///
-    /// * `None` when `text` holds no `zwr` and no `zctl`. The
-    ///   controller then never leaves its reset state: it stays
-    ///   inactive, its hook footprint stays empty and it records no
-    ///   violation, so the run is the one with no controller at all.
-    /// * This configuration without its entry and exit record slots
-    ///   (`ZOLCfull` seen as `ZOLClite`) when `text` writes neither
-    ///   region. Records are only written by `zwr`, whose region and
-    ///   index are fixed in the instruction, and the controller acts
-    ///   only on *valid* entry and exit records. Without such a write
-    ///   every slot stays invalid, and the slot count is unobservable.
-    /// * The whole configuration otherwise.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use zolc_core::ZolcConfig;
-    /// use zolc_isa::{reg, Instr, ZolcCtl, ZolcRegion};
-    ///
-    /// let on = Instr::Zctl { op: ZolcCtl::Activate { task: 0 } };
-    /// let full = ZolcConfig::full();
-    /// assert_eq!(full.seen_by(&[Instr::Halt]), None);
-    /// assert_eq!(full.seen_by(&[on, Instr::Halt]), Some(ZolcConfig::lite()));
-    /// let entry = Instr::Zwr { region: ZolcRegion::Entry, index: 0, field: 0, rs: reg(1) };
-    /// assert_eq!(full.seen_by(&[entry, on, Instr::Halt]), Some(full));
-    /// ```
-    pub fn seen_by(&self, text: &[Instr]) -> Option<ZolcConfig> {
-        let mut controller = false;
-        for i in text {
-            match i {
-                Instr::Zwr {
-                    region: ZolcRegion::Entry | ZolcRegion::Exit,
-                    ..
-                } => return Some(*self),
-                Instr::Zwr { .. } | Instr::Zctl { .. } => controller = true,
-                _ => {}
-            }
-        }
-        controller.then_some(ZolcConfig {
-            variant: match self.variant {
-                ZolcVariant::Full => ZolcVariant::Lite,
-                v => v,
-            },
-            entry_slots: 0,
-            exit_slots: 0,
-            ..*self
-        })
-    }
 }
 
 impl Default for ZolcConfig {
@@ -281,7 +227,6 @@ impl fmt::Display for ZolcConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zolc_isa::{reg, ZolcCtl};
 
     #[test]
     fn paper_design_points() {
@@ -314,103 +259,6 @@ mod tests {
         assert_eq!(ZolcConfig::lite().variant().to_string(), "ZOLClite");
         assert_eq!(ZolcConfig::full().variant().to_string(), "ZOLCfull");
         assert!(ZolcConfig::full().to_string().contains("8 loops"));
-    }
-
-    fn zwr(region: ZolcRegion) -> Instr {
-        Instr::Zwr {
-            region,
-            index: 1,
-            field: 0,
-            rs: reg(3),
-        }
-    }
-
-    /// Every configuration E7 sweeps, and a custom point with records.
-    fn configs() -> [ZolcConfig; 5] {
-        [
-            ZolcConfig::micro(),
-            ZolcConfig::lite(),
-            ZolcConfig::full(),
-            ZolcConfig::custom(2, 8, 0, 0).unwrap(),
-            ZolcConfig::custom(4, 16, 2, 1).unwrap(),
-        ]
-    }
-
-    #[test]
-    fn an_inert_text_sees_no_controller() {
-        let text = [
-            Instr::Addi {
-                rt: reg(1),
-                rs: reg(0),
-                imm: 3,
-            },
-            Instr::Dbnz {
-                rs: reg(1),
-                off: -1,
-            },
-            Instr::Halt,
-        ];
-        for c in configs() {
-            assert_eq!(c.seen_by(&text), None, "{c}");
-            assert_eq!(c.seen_by(&[]), None, "{c}");
-        }
-    }
-
-    #[test]
-    fn lite_and_full_look_alike_without_entry_or_exit_writes() {
-        let on = Instr::Zctl {
-            op: ZolcCtl::Activate { task: 0 },
-        };
-        let texts = [
-            vec![on, Instr::Halt],
-            vec![zwr(ZolcRegion::Loop), Instr::Halt],
-            vec![
-                zwr(ZolcRegion::Loop),
-                zwr(ZolcRegion::Task),
-                zwr(ZolcRegion::Global),
-                on,
-                Instr::Zctl { op: ZolcCtl::Reset },
-                Instr::Halt,
-            ],
-        ];
-        let (lite, full) = (ZolcConfig::lite(), ZolcConfig::full());
-        for text in &texts {
-            assert_eq!(lite.seen_by(text), Some(lite), "{text:?}");
-            assert_eq!(full.seen_by(text), Some(lite), "{text:?}");
-            let records = ZolcConfig::custom(4, 16, 2, 1).unwrap();
-            let seen = records.seen_by(text).unwrap();
-            assert_eq!(seen, ZolcConfig::custom(4, 16, 0, 0).unwrap(), "{text:?}");
-        }
-    }
-
-    #[test]
-    fn one_entry_or_exit_write_shows_the_whole_configuration() {
-        for region in [ZolcRegion::Entry, ZolcRegion::Exit] {
-            // the write alone, with no `zctl`, still counts: on a
-            // configuration without the region it is a violation
-            for text in [vec![zwr(region)], vec![zwr(ZolcRegion::Loop), zwr(region)]] {
-                for c in configs() {
-                    assert_eq!(c.seen_by(&text), Some(c), "{c} {text:?}");
-                }
-                assert_ne!(
-                    ZolcConfig::lite().seen_by(&text),
-                    ZolcConfig::full().seen_by(&text)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn micro_and_the_custom_point_stay_distinct() {
-        let text = [zwr(ZolcRegion::Loop), Instr::Halt];
-        let seen: Vec<Option<ZolcConfig>> = configs().iter().map(|c| c.seen_by(&text)).collect();
-        assert_eq!(seen[0], Some(ZolcConfig::micro()));
-        assert_eq!(seen[3], Some(ZolcConfig::custom(2, 8, 0, 0).unwrap()));
-        // uZOLC, ZOLClite (= ZOLCfull here) and custom 2L/8T: three views
-        for (a, b) in [(0, 1), (0, 3), (1, 3), (0, 2), (2, 3)] {
-            assert_ne!(seen[a], seen[b], "{} vs {}", configs()[a], configs()[b]);
-        }
-        assert_eq!(seen[1], seen[2]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! dispatch, and the two content-addressed result caches.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -284,8 +284,11 @@ impl Daemon {
     }
 
     /// Serves connections until a client sends `shutdown`, then drains:
-    /// already-accepted connections finish their in-flight jobs before
-    /// this returns.
+    /// already-accepted connections finish their in-flight jobs and
+    /// send their replies before this returns. The drain closes the
+    /// read side of every open connection, so each worker ends once it
+    /// has answered the requests already received, and an idle client
+    /// cannot hold the drain open.
     ///
     /// Each accept first joins the workers whose connections have
     /// closed, so finished threads do not pile up over a long life.
@@ -295,32 +298,50 @@ impl Daemon {
     /// A fatal accept-loop error (per-connection I/O errors only drop
     /// that connection).
     pub fn run(self) -> io::Result<()> {
-        let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
+        // each worker, with a handle on its connection for the drain
+        let mut workers: Vec<(thread::JoinHandle<()>, TcpStream)> = Vec::new();
         for conn in self.listener.incoming() {
             if self.shared.stop.load(Ordering::SeqCst) {
                 break;
             }
-            for done in workers.extract_if(.., |w| w.is_finished()) {
+            for (done, _) in workers.extract_if(.., |(w, _)| w.is_finished()) {
                 let _ = done.join();
             }
             let stream = conn?;
+            let Ok(handle) = stream.try_clone() else {
+                continue;
+            };
             let shared = Arc::clone(&self.shared);
-            workers.push(thread::spawn(move || serve_connection(stream, &shared)));
+            let worker = thread::spawn(move || serve_connection(stream, &shared));
+            workers.push((worker, handle));
         }
-        for w in workers {
+        for (_, handle) in &workers {
+            // wakes a worker blocked reading; its replies still go out
+            let _ = handle.shutdown(Shutdown::Read);
+        }
+        for (w, _) in workers {
             let _ = w.join();
         }
         Ok(())
     }
 }
 
+/// Serves one connection ([`serve_frames`]), then closes it. The
+/// accept loop keeps a handle on the socket until it reaps this worker,
+/// so dropping this one alone would leave the client waiting for the
+/// end of the connection.
+fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+    serve_frames(&mut stream, shared);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
 /// Serves one connection: frames in, responses out, until EOF or a
 /// fatal I/O error. On `shutdown` the reply is written first, then the
 /// accept loop is woken with a throwaway self-connection.
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
-    while let Ok(Some(payload)) = read_frame(&mut stream) {
+fn serve_frames(stream: &mut TcpStream, shared: &Shared) {
+    while let Ok(Some(payload)) = read_frame(stream) {
         let (response, shutdown) = shared.dispatch(&payload);
-        if write_frame(&mut stream, &response).is_err() {
+        if write_frame(stream, &response).is_err() {
             return;
         }
         if shutdown {
@@ -549,7 +570,7 @@ mod tests {
             assert!(body.starts_with("{\"ok\":false"), "{body}");
             assert!(body.contains("nesting"), "{body}");
         }
-        // Shutdown drains open connections, so close this one first.
+        // the daemon still serves a fresh connection
         drop(c);
         let mut fresh = Client::connect(addr).unwrap();
         assert!(fresh.ping().unwrap());

@@ -89,7 +89,9 @@ impl BuiltKernel {
 
     /// [`BuiltKernel::retarget`] from an existing plan of this build's
     /// binary, so the configurations one binary is retargeted onto
-    /// share a single analysis ([`RetargetPlan`]).
+    /// share a single analysis ([`RetargetPlan`]). A configuration that
+    /// keeps every loop in software gets the plan's binary back, and
+    /// the result then reuses this build's compiled program.
     ///
     /// # Errors
     ///
@@ -124,10 +126,17 @@ impl BuiltKernel {
         if init_instructions > 0 {
             expect.regs.retain(|(rg, _)| *rg != scratch);
         }
+        // a configuration that keeps every loop in software gets this
+        // very binary back, already compiled
+        let program = if Arc::ptr_eq(&program, self.program.source()) {
+            self.program
+        } else {
+            CompiledProgram::compile(program)
+        };
         Ok(AutoKernel {
             built: BuiltKernel {
                 name: self.name,
-                program: CompiledProgram::compile(program),
+                program,
                 target: Target::Zolc(config),
                 expect,
                 info: LoweredInfo {

@@ -25,8 +25,8 @@
 //!
 //! On the standard shape no tier is much faster than the cycle-accurate
 //! default. `--programs 10000` on one core of a 2-core machine, four
-//! rounds, took 1.07–1.10 s on the pipeline, 0.94–0.97 s on
-//! `functional` and 0.95–1.32 s on `nest`, with a peak RSS of 24 MiB.
+//! rounds, took 0.44–0.45 s on the pipeline, 0.38–0.40 s on
+//! `functional` and 0.53–0.60 s on `nest`, with a peak RSS of 14 MiB.
 
 use zolc::bench::{run_oracle_check, run_sweep, SweepConfig, MAX_FUEL};
 use zolc::cfg::retarget;
