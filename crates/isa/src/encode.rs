@@ -3,70 +3,30 @@
 //! XR32 uses fixed 32-bit instruction words with MIPS-like formats:
 //!
 //! ```text
-//! R-type:  [31:26]=0x00  [25:21]=rs [20:16]=rt [15:11]=rd [10:6]=sh [5:0]=funct
-//! I-type:  [31:26]=op    [25:21]=rs [20:16]=rt [15:0]=imm
-//! J-type:  [31:26]=op    [25:0]=target (word address)
-//! DBNZ:    [31:26]=0x1d  [25:21]=rs [15:0]=off
-//! ZOLC:    [31:26]=0x1c  [25:21]=rs/op [20:16]=region [15:8]=index [7:3]=field [2:0]=funct
+//! R-type:  [31:26]=RTYPE  [25:21]=rs [20:16]=rt [15:11]=rd [10:6]=sh [5:0]=funct
+//! I-type:  [31:26]=op     [25:21]=rs [20:16]=rt [15:0]=imm
+//! REGIMM:  [31:26]=REGIMM [25:21]=rs [20:16]=selector [15:0]=off
+//! J-type:  [31:26]=op     [25:0]=target (word address)
+//! zwr:     [31:26]=ZOLC   [25:21]=rs [20:16]=region [15:8]=index [7:3]=field [2:0]=funct
+//! zctl:    [31:26]=ZOLC   [25:21]=operation [12:5]=task [2:0]=funct
 //! ```
 //!
-//! The all-zero word is the canonical `nop` (as on MIPS, where it aliases
-//! `sll r0, r0, 0`); decoding maps it to [`Instr::Nop`].
+//! Each instruction's row in the instruction table gives its opcode or
+//! selector and its operand form; encoding and decoding are written once
+//! per form. The all-zero word is the canonical `nop` (as on MIPS, where
+//! it aliases `sll r0, r0, 0`); decoding maps it to [`Instr::Nop`].
 
 use crate::instr::{Instr, ZolcCtl, ZolcRegion};
 use crate::reg::Reg;
+use crate::table::{Enc, Form, Ops, ROWS};
 use std::fmt;
 
-/// Opcode constants (bits `[31:26]`).
-mod op {
-    pub const RTYPE: u32 = 0x00;
-    pub const REGIMM: u32 = 0x01;
-    pub const J: u32 = 0x02;
-    pub const JAL: u32 = 0x03;
-    pub const BEQ: u32 = 0x04;
-    pub const BNE: u32 = 0x05;
-    pub const BLEZ: u32 = 0x06;
-    pub const BGTZ: u32 = 0x07;
-    pub const ADDI: u32 = 0x08;
-    pub const SLTI: u32 = 0x0a;
-    pub const SLTIU: u32 = 0x0b;
-    pub const ANDI: u32 = 0x0c;
-    pub const ORI: u32 = 0x0d;
-    pub const XORI: u32 = 0x0e;
-    pub const LUI: u32 = 0x0f;
-    pub const ZOLC: u32 = 0x1c;
-    pub const DBNZ: u32 = 0x1d;
-    pub const LB: u32 = 0x20;
-    pub const LH: u32 = 0x21;
-    pub const LW: u32 = 0x23;
-    pub const LBU: u32 = 0x24;
-    pub const LHU: u32 = 0x25;
-    pub const SB: u32 = 0x28;
-    pub const SH: u32 = 0x29;
-    pub const SW: u32 = 0x2b;
-    pub const HALT: u32 = 0x3f;
-}
-
-/// R-type function codes (bits `[5:0]`).
-mod funct {
-    pub const SLL: u32 = 0x00;
-    pub const SRL: u32 = 0x02;
-    pub const SRA: u32 = 0x03;
-    pub const SLLV: u32 = 0x04;
-    pub const SRLV: u32 = 0x06;
-    pub const SRAV: u32 = 0x07;
-    pub const JR: u32 = 0x08;
-    pub const MUL: u32 = 0x18;
-    pub const MULH: u32 = 0x19;
-    pub const ADD: u32 = 0x20;
-    pub const SUB: u32 = 0x22;
-    pub const AND: u32 = 0x24;
-    pub const OR: u32 = 0x25;
-    pub const XOR: u32 = 0x26;
-    pub const NOR: u32 = 0x27;
-    pub const SLT: u32 = 0x2a;
-    pub const SLTU: u32 = 0x2b;
-}
+/// The opcode of R-type instructions, selected by [`Enc::Funct`].
+const RTYPE: u32 = 0x00;
+/// The opcode of the `rt`-selected branches, [`Enc::RegImm`].
+const REGIMM: u32 = 0x01;
+/// The opcode of the ZOLC coprocessor instructions, [`Enc::Zolc`].
+const ZOLC: u32 = 0x1c;
 
 /// The error returned when a 32-bit word is not a valid XR32 instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,19 +49,6 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn rfmt(rs: Reg, rt: Reg, rd: Reg, sh: u32, fc: u32) -> u32 {
-    (op::RTYPE << 26)
-        | (rs.field() << 21)
-        | (rt.field() << 16)
-        | (rd.field() << 11)
-        | ((sh & 0x1f) << 6)
-        | fc
-}
-
-fn ifmt(opc: u32, rs: Reg, rt: Reg, imm: u16) -> u32 {
-    (opc << 26) | (rs.field() << 21) | (rt.field() << 16) | u32::from(imm)
-}
-
 /// Encodes an instruction to its 32-bit binary form.
 ///
 /// # Examples
@@ -112,73 +59,46 @@ fn ifmt(opc: u32, rs: Reg, rt: Reg, imm: u16) -> u32 {
 /// assert_eq!(decode(encode(&i)).unwrap(), i);
 /// ```
 pub fn encode(instr: &Instr) -> u32 {
-    use Instr::*;
-    match *instr {
-        Add { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::ADD),
-        Sub { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::SUB),
-        And { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::AND),
-        Or { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::OR),
-        Xor { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::XOR),
-        Nor { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::NOR),
-        Slt { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::SLT),
-        Sltu { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::SLTU),
-        Sllv { rd, rt, rs } => rfmt(rs, rt, rd, 0, funct::SLLV),
-        Srlv { rd, rt, rs } => rfmt(rs, rt, rd, 0, funct::SRLV),
-        Srav { rd, rt, rs } => rfmt(rs, rt, rd, 0, funct::SRAV),
-        Mul { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::MUL),
-        Mulh { rd, rs, rt } => rfmt(rs, rt, rd, 0, funct::MULH),
-        Sll { rd, rt, sh } => rfmt(Reg::ZERO, rt, rd, u32::from(sh), funct::SLL),
-        Srl { rd, rt, sh } => rfmt(Reg::ZERO, rt, rd, u32::from(sh), funct::SRL),
-        Sra { rd, rt, sh } => rfmt(Reg::ZERO, rt, rd, u32::from(sh), funct::SRA),
-        Jr { rs } => rfmt(rs, Reg::ZERO, Reg::ZERO, 0, funct::JR),
-        Addi { rt, rs, imm } => ifmt(op::ADDI, rs, rt, imm as u16),
-        Slti { rt, rs, imm } => ifmt(op::SLTI, rs, rt, imm as u16),
-        Sltiu { rt, rs, imm } => ifmt(op::SLTIU, rs, rt, imm as u16),
-        Andi { rt, rs, imm } => ifmt(op::ANDI, rs, rt, imm),
-        Ori { rt, rs, imm } => ifmt(op::ORI, rs, rt, imm),
-        Xori { rt, rs, imm } => ifmt(op::XORI, rs, rt, imm),
-        Lui { rt, imm } => ifmt(op::LUI, Reg::ZERO, rt, imm),
-        Lb { rt, rs, off } => ifmt(op::LB, rs, rt, off as u16),
-        Lbu { rt, rs, off } => ifmt(op::LBU, rs, rt, off as u16),
-        Lh { rt, rs, off } => ifmt(op::LH, rs, rt, off as u16),
-        Lhu { rt, rs, off } => ifmt(op::LHU, rs, rt, off as u16),
-        Lw { rt, rs, off } => ifmt(op::LW, rs, rt, off as u16),
-        Sb { rt, rs, off } => ifmt(op::SB, rs, rt, off as u16),
-        Sh { rt, rs, off } => ifmt(op::SH, rs, rt, off as u16),
-        Sw { rt, rs, off } => ifmt(op::SW, rs, rt, off as u16),
-        Beq { rs, rt, off } => ifmt(op::BEQ, rs, rt, off as u16),
-        Bne { rs, rt, off } => ifmt(op::BNE, rs, rt, off as u16),
-        Blez { rs, off } => ifmt(op::BLEZ, rs, Reg::ZERO, off as u16),
-        Bgtz { rs, off } => ifmt(op::BGTZ, rs, Reg::ZERO, off as u16),
-        Bltz { rs, off } => ifmt(op::REGIMM, rs, Reg::from_field(0), off as u16),
-        Bgez { rs, off } => ifmt(op::REGIMM, rs, Reg::from_field(1), off as u16),
-        J { target } => (op::J << 26) | (target & 0x03ff_ffff),
-        Jal { target } => (op::JAL << 26) | (target & 0x03ff_ffff),
-        Dbnz { rs, off } => ifmt(op::DBNZ, rs, Reg::ZERO, off as u16),
-        Zwr {
-            region,
-            index,
-            field,
-            rs,
-        } => {
-            (op::ZOLC << 26)
-                | (rs.field() << 21)
-                | (region.field() << 16)
-                | (u32::from(index) << 8)
-                | ((u32::from(field) & 0x1f) << 3)
-                | 1
-        }
-        Zctl { op: ctl } => {
-            let (code, imm) = match ctl {
-                ZolcCtl::Activate { task } => (0u32, u32::from(task)),
-                ZolcCtl::Deactivate => (1, 0),
-                ZolcCtl::Reset => (2, 0),
-            };
-            (op::ZOLC << 26) | (code << 21) | ((imm & 0xffff) << 5)
-        }
-        Nop => 0,
-        Halt => op::HALT << 26,
-    }
+    instr.view(|row, ops| {
+        let selector = match row.enc {
+            Enc::Op(op) => op << 26,
+            Enc::Funct(funct) => RTYPE << 26 | funct,
+            Enc::RegImm(rt) => REGIMM << 26 | rt << 16,
+            Enc::Zolc(funct) => ZOLC << 26 | funct,
+            Enc::Zero => 0,
+        };
+        let (rs, rt, low) = match ops {
+            Ops::R3 { rd, rs, rt } | Ops::R3v { rd, rt, rs } => (rs, rt, rd.field() << 11),
+            Ops::Shift { rd, rt, sh } => (
+                Reg::ZERO,
+                rt,
+                rd.field() << 11 | (u32::from(sh) & 0x1f) << 6,
+            ),
+            Ops::SImm { rt, rs, imm } => (rs, rt, u32::from(imm as u16)),
+            Ops::UImm { rt, rs, imm } => (rs, rt, u32::from(imm)),
+            Ops::Lui { rt, imm } => (Reg::ZERO, rt, u32::from(imm)),
+            Ops::Mem { rt, rs, off } | Ops::Br2 { rs, rt, off } => (rs, rt, u32::from(off as u16)),
+            Ops::Br1 { rs, off } => (rs, Reg::ZERO, u32::from(off as u16)),
+            Ops::Jump { target } => (Reg::ZERO, Reg::ZERO, target & 0x03ff_ffff),
+            Ops::Jr { rs } => (rs, Reg::ZERO, 0),
+            Ops::Zwr {
+                region,
+                index,
+                field,
+                rs,
+            } => {
+                let low =
+                    region.field() << 16 | u32::from(index) << 8 | (u32::from(field) & 0x1f) << 3;
+                (rs, Reg::ZERO, low)
+            }
+            Ops::Zctl { op } => {
+                let (code, task) = op.code();
+                (Reg::from_field(code), Reg::ZERO, u32::from(task) << 5)
+            }
+            Ops::Bare => (Reg::ZERO, Reg::ZERO, 0),
+        };
+        selector | rs.field() << 21 | rt.field() << 16 | low
+    })
 }
 
 /// Decodes a 32-bit word into an instruction.
@@ -188,95 +108,50 @@ pub fn encode(instr: &Instr) -> u32 {
 /// Returns [`DecodeError`] if the opcode or function field does not name a
 /// valid XR32 instruction.
 pub fn decode(word: u32) -> Result<Instr, DecodeError> {
-    use Instr::*;
-    if word == 0 {
-        return Ok(Nop);
-    }
-    let err = Err(DecodeError { word });
-    let opc = word >> 26;
+    let err = DecodeError { word };
     let rs = Reg::from_field(word >> 21);
     let rt = Reg::from_field(word >> 16);
     let rd = Reg::from_field(word >> 11);
-    let sh = ((word >> 6) & 0x1f) as u8;
-    let imm = (word & 0xffff) as u16;
-    let simm = imm as i16;
-    Ok(match opc {
-        op::RTYPE => match word & 0x3f {
-            funct::SLL => Sll { rd, rt, sh },
-            funct::SRL => Srl { rd, rt, sh },
-            funct::SRA => Sra { rd, rt, sh },
-            funct::SLLV => Sllv { rd, rt, rs },
-            funct::SRLV => Srlv { rd, rt, rs },
-            funct::SRAV => Srav { rd, rt, rs },
-            funct::JR => Jr { rs },
-            funct::MUL => Mul { rd, rs, rt },
-            funct::MULH => Mulh { rd, rs, rt },
-            funct::ADD => Add { rd, rs, rt },
-            funct::SUB => Sub { rd, rs, rt },
-            funct::AND => And { rd, rs, rt },
-            funct::OR => Or { rd, rs, rt },
-            funct::XOR => Xor { rd, rs, rt },
-            funct::NOR => Nor { rd, rs, rt },
-            funct::SLT => Slt { rd, rs, rt },
-            funct::SLTU => Sltu { rd, rs, rt },
-            _ => return err,
+    let imm = word as u16;
+    let off = imm as i16;
+    let enc = match word >> 26 {
+        _ if word == 0 => Enc::Zero,
+        RTYPE => Enc::Funct(word & 0x3f),
+        REGIMM => Enc::RegImm(rt.field()),
+        ZOLC => Enc::Zolc(word & 0x7),
+        op => Enc::Op(op),
+    };
+    let row = ROWS.iter().find(|row| row.enc == enc).ok_or(err)?;
+    let ops = match row.form {
+        Form::R3 => Ops::R3 { rd, rs, rt },
+        Form::R3v => Ops::R3v { rd, rt, rs },
+        Form::Shift => Ops::Shift {
+            rd,
+            rt,
+            sh: ((word >> 6) & 0x1f) as u8,
         },
-        op::REGIMM => match rt.field() {
-            0 => Bltz { rs, off: simm },
-            1 => Bgez { rs, off: simm },
-            _ => return err,
-        },
-        op::J => J {
+        Form::SImm => Ops::SImm { rt, rs, imm: off },
+        Form::UImm => Ops::UImm { rt, rs, imm },
+        Form::Lui => Ops::Lui { rt, imm },
+        Form::Mem => Ops::Mem { rt, rs, off },
+        Form::Br2 => Ops::Br2 { rs, rt, off },
+        Form::Br1 => Ops::Br1 { rs, off },
+        Form::Jump => Ops::Jump {
             target: word & 0x03ff_ffff,
         },
-        op::JAL => Jal {
-            target: word & 0x03ff_ffff,
+        Form::Jr => Ops::Jr { rs },
+        Form::Zwr => Ops::Zwr {
+            region: ZolcRegion::from_field(word >> 16).ok_or(err)?,
+            index: (word >> 8) as u8,
+            field: ((word >> 3) & 0x1f) as u8,
+            rs,
         },
-        op::BEQ => Beq { rs, rt, off: simm },
-        op::BNE => Bne { rs, rt, off: simm },
-        op::BLEZ => Blez { rs, off: simm },
-        op::BGTZ => Bgtz { rs, off: simm },
-        op::ADDI => Addi { rt, rs, imm: simm },
-        op::SLTI => Slti { rt, rs, imm: simm },
-        op::SLTIU => Sltiu { rt, rs, imm: simm },
-        op::ANDI => Andi { rt, rs, imm },
-        op::ORI => Ori { rt, rs, imm },
-        op::XORI => Xori { rt, rs, imm },
-        op::LUI => Lui { rt, imm },
-        op::LB => Lb { rt, rs, off: simm },
-        op::LH => Lh { rt, rs, off: simm },
-        op::LW => Lw { rt, rs, off: simm },
-        op::LBU => Lbu { rt, rs, off: simm },
-        op::LHU => Lhu { rt, rs, off: simm },
-        op::SB => Sb { rt, rs, off: simm },
-        op::SH => Sh { rt, rs, off: simm },
-        op::SW => Sw { rt, rs, off: simm },
-        op::DBNZ => Dbnz { rs, off: simm },
-        op::ZOLC => match word & 0x7 {
-            1 => {
-                let region = ZolcRegion::from_field(word >> 16).ok_or(DecodeError { word })?;
-                Zwr {
-                    region,
-                    index: ((word >> 8) & 0xff) as u8,
-                    field: ((word >> 3) & 0x1f) as u8,
-                    rs,
-                }
-            }
-            0 => {
-                let imm16 = ((word >> 5) & 0xffff) as u16;
-                let ctl = match rs.field() {
-                    0 => ZolcCtl::Activate { task: imm16 as u8 },
-                    1 => ZolcCtl::Deactivate,
-                    2 => ZolcCtl::Reset,
-                    _ => return err,
-                };
-                Zctl { op: ctl }
-            }
-            _ => return err,
+        Form::Zctl => Ops::Zctl {
+            op: ZolcCtl::from_code(rs.field(), (word >> 5) as u8).ok_or(err)?,
         },
-        op::HALT => Halt,
-        _ => return err,
-    })
+        Form::Bare => Ops::Bare,
+    };
+    Ok(Instr::from_parts(row.op, ops))
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! the *next* instruction (`pc + 4`), as on MIPS. There are no delay slots.
 
 use crate::reg::Reg;
+use crate::table::{Class, Ops};
 use std::fmt;
 
 /// Destination table selector of a [`Instr::Zwr`] write.
@@ -37,16 +38,18 @@ pub enum ZolcRegion {
 }
 
 impl ZolcRegion {
+    /// Every region in encoding order, with its name in assembler syntax.
+    pub(crate) const NAMES: [(ZolcRegion, &'static str); 5] = [
+        (ZolcRegion::Loop, "loop"),
+        (ZolcRegion::Task, "task"),
+        (ZolcRegion::Entry, "entry"),
+        (ZolcRegion::Exit, "exit"),
+        (ZolcRegion::Global, "global"),
+    ];
+
     /// Decodes a region from its 5-bit encoding field.
     pub fn from_field(bits: u32) -> Option<ZolcRegion> {
-        match bits & 0x1f {
-            0 => Some(ZolcRegion::Loop),
-            1 => Some(ZolcRegion::Task),
-            2 => Some(ZolcRegion::Entry),
-            3 => Some(ZolcRegion::Exit),
-            4 => Some(ZolcRegion::Global),
-            _ => None,
-        }
+        Self::NAMES.get((bits & 0x1f) as usize).map(|&(r, _)| r)
     }
 
     /// The 5-bit encoding field.
@@ -57,14 +60,7 @@ impl ZolcRegion {
 
 impl fmt::Display for ZolcRegion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ZolcRegion::Loop => "loop",
-            ZolcRegion::Task => "task",
-            ZolcRegion::Entry => "entry",
-            ZolcRegion::Exit => "exit",
-            ZolcRegion::Global => "global",
-        };
-        f.write_str(s)
+        f.write_str(Self::NAMES[*self as usize].1)
     }
 }
 
@@ -156,13 +152,34 @@ pub enum ZolcCtl {
     Reset,
 }
 
+impl ZolcCtl {
+    /// The `zctl.` suffix naming each operation, in encoding order.
+    pub(crate) const SUFFIXES: [&'static str; 3] = ["on", "off", "rst"];
+
+    /// The operation encoded as `code`, activating task `task`.
+    pub(crate) fn from_code(code: u32, task: u8) -> Option<ZolcCtl> {
+        [
+            ZolcCtl::Activate { task },
+            ZolcCtl::Deactivate,
+            ZolcCtl::Reset,
+        ]
+        .get(code as usize)
+        .copied()
+    }
+
+    /// The operation's encoding: its code and the task it activates.
+    pub(crate) fn code(self) -> (u32, u8) {
+        match self {
+            ZolcCtl::Activate { task } => (0, task),
+            ZolcCtl::Deactivate => (1, 0),
+            ZolcCtl::Reset => (2, 0),
+        }
+    }
+}
+
 impl fmt::Display for ZolcCtl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ZolcCtl::Activate { task } => write!(f, "zctl.on {task}"),
-            ZolcCtl::Deactivate => write!(f, "zctl.off"),
-            ZolcCtl::Reset => write!(f, "zctl.rst"),
-        }
+        Instr::Zctl { op: *self }.fmt(f)
     }
 }
 
@@ -314,60 +331,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// The *encoded* destination register (`r0` included) and the two
-    /// source slots in operand order, `r0` filling an unused slot (a read
-    /// of `r0` is a constant, so no view reports it) — the one operand
-    /// table [`Instr::dst_raw`], [`Instr::dst`], [`Instr::srcs`] and
-    /// [`Instr::def_use`] are views of. [`Instr::Dbnz`] reads and writes
-    /// back its `rs`; [`Instr::Jal`] writes `r31`.
-    #[inline]
-    fn operands(&self) -> (Option<Reg>, [Reg; 2]) {
-        const NONE: Reg = Reg::ZERO;
-        use Instr::*;
-        match *self {
-            Add { rd, rs, rt }
-            | Sub { rd, rs, rt }
-            | And { rd, rs, rt }
-            | Or { rd, rs, rt }
-            | Xor { rd, rs, rt }
-            | Nor { rd, rs, rt }
-            | Slt { rd, rs, rt }
-            | Sltu { rd, rs, rt }
-            | Sllv { rd, rs, rt }
-            | Srlv { rd, rs, rt }
-            | Srav { rd, rs, rt }
-            | Mul { rd, rs, rt }
-            | Mulh { rd, rs, rt } => (Some(rd), [rs, rt]),
-            Sll { rd, rt, .. } | Srl { rd, rt, .. } | Sra { rd, rt, .. } => (Some(rd), [rt, NONE]),
-            Addi { rt, rs, .. }
-            | Slti { rt, rs, .. }
-            | Sltiu { rt, rs, .. }
-            | Andi { rt, rs, .. }
-            | Ori { rt, rs, .. }
-            | Xori { rt, rs, .. }
-            | Lb { rt, rs, .. }
-            | Lbu { rt, rs, .. }
-            | Lh { rt, rs, .. }
-            | Lhu { rt, rs, .. }
-            | Lw { rt, rs, .. } => (Some(rt), [rs, NONE]),
-            Lui { rt, .. } => (Some(rt), [NONE, NONE]),
-            Sb { rs, rt, .. }
-            | Sh { rs, rt, .. }
-            | Sw { rs, rt, .. }
-            | Beq { rs, rt, .. }
-            | Bne { rs, rt, .. } => (None, [rs, rt]),
-            Blez { rs, .. }
-            | Bgtz { rs, .. }
-            | Bltz { rs, .. }
-            | Bgez { rs, .. }
-            | Jr { rs }
-            | Zwr { rs, .. } => (None, [rs, NONE]),
-            Dbnz { rs, .. } => (Some(rs), [rs, NONE]),
-            Jal { .. } => (Some(Reg::RA), [NONE, NONE]),
-            J { .. } | Zctl { .. } | Nop | Halt => (None, [NONE, NONE]),
-        }
-    }
-
     /// The register written by this instruction, if any.
     ///
     /// `r0` destinations are reported as `None` (writes to `r0` are
@@ -408,57 +371,25 @@ impl Instr {
 
     /// Whether this is a memory load.
     pub fn is_load(&self) -> bool {
-        matches!(
-            self,
-            Instr::Lb { .. }
-                | Instr::Lbu { .. }
-                | Instr::Lh { .. }
-                | Instr::Lhu { .. }
-                | Instr::Lw { .. }
-        )
+        self.view(|row, _| row.class == Class::Load)
     }
 
     /// Whether this is a memory store.
     pub fn is_store(&self) -> bool {
-        matches!(self, Instr::Sb { .. } | Instr::Sh { .. } | Instr::Sw { .. })
+        self.view(|row, _| row.class == Class::Store)
     }
 
     /// Whether this is a conditional branch (including [`Instr::Dbnz`]).
     #[inline]
     pub fn is_cond_branch(&self) -> bool {
-        matches!(
-            self,
-            Instr::Beq { .. }
-                | Instr::Bne { .. }
-                | Instr::Blez { .. }
-                | Instr::Bgtz { .. }
-                | Instr::Bltz { .. }
-                | Instr::Bgez { .. }
-                | Instr::Dbnz { .. }
-        )
+        self.view(|row, _| matches!(row.class, Class::Branch | Class::DecBranch))
     }
 
     /// Whether this instruction can redirect the PC (branch or jump).
     #[inline]
     pub fn is_control_flow(&self) -> bool {
         self.is_cond_branch()
-            || matches!(self, Instr::J { .. } | Instr::Jal { .. } | Instr::Jr { .. })
-    }
-
-    /// The branch offset in words, if this is a PC-relative branch.
-    #[inline]
-    pub fn branch_off(&self) -> Option<i16> {
-        use Instr::*;
-        match *self {
-            Beq { off, .. }
-            | Bne { off, .. }
-            | Blez { off, .. }
-            | Bgtz { off, .. }
-            | Bltz { off, .. }
-            | Bgez { off, .. }
-            | Dbnz { off, .. } => Some(off),
-            _ => None,
-        }
+            || self.view(|_, ops| matches!(ops, Ops::Jump { .. } | Ops::Jr { .. }))
     }
 
     /// The byte address a PC-relative branch at `pc` targets.
@@ -485,75 +416,50 @@ impl Instr {
     ///
     /// Returns `None` if the instruction has no branch offset.
     pub fn with_branch_off(&self, off: i16) -> Option<Instr> {
-        use Instr::*;
-        Some(match *self {
-            Beq { rs, rt, .. } => Beq { rs, rt, off },
-            Bne { rs, rt, .. } => Bne { rs, rt, off },
-            Blez { rs, .. } => Blez { rs, off },
-            Bgtz { rs, .. } => Bgtz { rs, off },
-            Bltz { rs, .. } => Bltz { rs, off },
-            Bgez { rs, .. } => Bgez { rs, off },
-            Dbnz { rs, .. } => Dbnz { rs, off },
-            _ => return None,
+        self.view(|row, ops| {
+            let ops = match ops {
+                Ops::Br2 { rs, rt, .. } => Ops::Br2 { rs, rt, off },
+                Ops::Br1 { rs, .. } => Ops::Br1 { rs, off },
+                _ => return None,
+            };
+            Some(Instr::from_parts(row.op, ops))
         })
     }
 }
 
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use Instr::*;
-        match *self {
-            Add { rd, rs, rt } => write!(f, "add   {rd}, {rs}, {rt}"),
-            Sub { rd, rs, rt } => write!(f, "sub   {rd}, {rs}, {rt}"),
-            And { rd, rs, rt } => write!(f, "and   {rd}, {rs}, {rt}"),
-            Or { rd, rs, rt } => write!(f, "or    {rd}, {rs}, {rt}"),
-            Xor { rd, rs, rt } => write!(f, "xor   {rd}, {rs}, {rt}"),
-            Nor { rd, rs, rt } => write!(f, "nor   {rd}, {rs}, {rt}"),
-            Slt { rd, rs, rt } => write!(f, "slt   {rd}, {rs}, {rt}"),
-            Sltu { rd, rs, rt } => write!(f, "sltu  {rd}, {rs}, {rt}"),
-            Sllv { rd, rt, rs } => write!(f, "sllv  {rd}, {rt}, {rs}"),
-            Srlv { rd, rt, rs } => write!(f, "srlv  {rd}, {rt}, {rs}"),
-            Srav { rd, rt, rs } => write!(f, "srav  {rd}, {rt}, {rs}"),
-            Mul { rd, rs, rt } => write!(f, "mul   {rd}, {rs}, {rt}"),
-            Mulh { rd, rs, rt } => write!(f, "mulh  {rd}, {rs}, {rt}"),
-            Sll { rd, rt, sh } => write!(f, "sll   {rd}, {rt}, {sh}"),
-            Srl { rd, rt, sh } => write!(f, "srl   {rd}, {rt}, {sh}"),
-            Sra { rd, rt, sh } => write!(f, "sra   {rd}, {rt}, {sh}"),
-            Addi { rt, rs, imm } => write!(f, "addi  {rt}, {rs}, {imm}"),
-            Slti { rt, rs, imm } => write!(f, "slti  {rt}, {rs}, {imm}"),
-            Sltiu { rt, rs, imm } => write!(f, "sltiu {rt}, {rs}, {imm}"),
-            Andi { rt, rs, imm } => write!(f, "andi  {rt}, {rs}, {imm:#x}"),
-            Ori { rt, rs, imm } => write!(f, "ori   {rt}, {rs}, {imm:#x}"),
-            Xori { rt, rs, imm } => write!(f, "xori  {rt}, {rs}, {imm:#x}"),
-            Lui { rt, imm } => write!(f, "lui   {rt}, {imm:#x}"),
-            Lb { rt, rs, off } => write!(f, "lb    {rt}, {off}({rs})"),
-            Lbu { rt, rs, off } => write!(f, "lbu   {rt}, {off}({rs})"),
-            Lh { rt, rs, off } => write!(f, "lh    {rt}, {off}({rs})"),
-            Lhu { rt, rs, off } => write!(f, "lhu   {rt}, {off}({rs})"),
-            Lw { rt, rs, off } => write!(f, "lw    {rt}, {off}({rs})"),
-            Sb { rt, rs, off } => write!(f, "sb    {rt}, {off}({rs})"),
-            Sh { rt, rs, off } => write!(f, "sh    {rt}, {off}({rs})"),
-            Sw { rt, rs, off } => write!(f, "sw    {rt}, {off}({rs})"),
-            Beq { rs, rt, off } => write!(f, "beq   {rs}, {rt}, {off}"),
-            Bne { rs, rt, off } => write!(f, "bne   {rs}, {rt}, {off}"),
-            Blez { rs, off } => write!(f, "blez  {rs}, {off}"),
-            Bgtz { rs, off } => write!(f, "bgtz  {rs}, {off}"),
-            Bltz { rs, off } => write!(f, "bltz  {rs}, {off}"),
-            Bgez { rs, off } => write!(f, "bgez  {rs}, {off}"),
-            J { target } => write!(f, "j     {:#x}", target << 2),
-            Jal { target } => write!(f, "jal   {:#x}", target << 2),
-            Jr { rs } => write!(f, "jr    {rs}"),
-            Dbnz { rs, off } => write!(f, "dbnz  {rs}, {off}"),
-            Zwr {
-                region,
-                index,
-                field,
-                rs,
-            } => write!(f, "zwr   {region}[{index}].{field}, {rs}"),
-            Zctl { op } => write!(f, "{op}"),
-            Nop => write!(f, "nop"),
-            Halt => write!(f, "halt"),
-        }
+        self.view(|row, ops| {
+            let mnem = row.mnem;
+            match ops {
+                Ops::R3 { rd, rs, rt } => write!(f, "{mnem:<5} {rd}, {rs}, {rt}"),
+                Ops::R3v { rd, rt, rs } => write!(f, "{mnem:<5} {rd}, {rt}, {rs}"),
+                Ops::Shift { rd, rt, sh } => write!(f, "{mnem:<5} {rd}, {rt}, {sh}"),
+                Ops::SImm { rt, rs, imm } => write!(f, "{mnem:<5} {rt}, {rs}, {imm}"),
+                Ops::UImm { rt, rs, imm } => write!(f, "{mnem:<5} {rt}, {rs}, {imm:#x}"),
+                Ops::Lui { rt, imm } => write!(f, "{mnem:<5} {rt}, {imm:#x}"),
+                Ops::Mem { rt, rs, off } => write!(f, "{mnem:<5} {rt}, {off}({rs})"),
+                Ops::Br2 { rs, rt, off } => write!(f, "{mnem:<5} {rs}, {rt}, {off}"),
+                Ops::Br1 { rs, off } => write!(f, "{mnem:<5} {rs}, {off}"),
+                Ops::Jump { target } => write!(f, "{mnem:<5} {:#x}", target << 2),
+                Ops::Jr { rs } => write!(f, "{mnem:<5} {rs}"),
+                Ops::Zwr {
+                    region,
+                    index,
+                    field,
+                    rs,
+                } => write!(f, "{mnem:<5} {region}[{index}].{field}, {rs}"),
+                Ops::Zctl { op } => {
+                    let (code, task) = op.code();
+                    write!(f, "{mnem}.{}", ZolcCtl::SUFFIXES[code as usize])?;
+                    match op {
+                        ZolcCtl::Activate { .. } => write!(f, " {task}"),
+                        _ => Ok(()),
+                    }
+                }
+                Ops::Bare => f.write_str(mnem),
+            }
+        })
     }
 }
 

@@ -20,6 +20,12 @@
 //!   [`Program`] images;
 //! * a text assembler ([`assemble`]) for examples and tests.
 //!
+//! Each instruction is one row of an instruction table (variant,
+//! mnemonic, operand form, encoding, class); all of the above is written
+//! once per operand form. Adding an instruction means one row and an
+//! [`Instr`] variant, plus its semantics in `zolc_sim::exec::step`,
+//! `zolc_sim::nest::lower` and `zolc-oracle`.
+//!
 //! # Examples
 //!
 //! Building a count-down loop with the builder:
@@ -46,11 +52,12 @@ mod instr;
 mod parse;
 mod program;
 mod reg;
+mod table;
 
 pub use encode::{decode, encode, DecodeError};
 pub use instr::{
     entry_field, exit_field, global_field, loop_field, task_field, Instr, ZolcCtl, ZolcRegion,
 };
 pub use parse::{assemble, ParseAsmError};
-pub use program::{Asm, AsmError, Label, Program, DATA_BASE, INSTR_BYTES, TEXT_BASE};
+pub use program::{Asm, AsmError, Label, Program, DATA_BASE, DATA_SIZE, INSTR_BYTES, TEXT_BASE};
 pub use reg::{reg, ParseRegError, Reg};

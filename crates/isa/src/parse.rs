@@ -27,8 +27,9 @@
 //! optionally negative.
 
 use crate::instr::{Instr, ZolcCtl, ZolcRegion};
-use crate::program::{Asm, Program, TEXT_BASE};
+use crate::program::{Asm, Program, DATA_BASE, DATA_SIZE, TEXT_BASE};
 use crate::reg::Reg;
+use crate::table::{Form, Op, Ops, ROWS};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -69,11 +70,7 @@ enum Item {
     /// Conditional branch to a named label (offset patched in pass 2).
     BranchTo(Instr, String, usize),
     /// `j`/`jal` to a named label.
-    JumpTo {
-        link: bool,
-        label: String,
-        line: usize,
-    },
+    JumpTo(Op, String, usize),
     /// `la rd, label`: two words (`lui`+`ori`), address patched in pass 2.
     La(Reg, String, usize),
     /// Wide `li rd, imm32`: two words.
@@ -90,17 +87,20 @@ impl Item {
 }
 
 fn parse_int(tok: &str, line: usize) -> Result<i64, ParseAsmError> {
+    let invalid = || ParseAsmError::new(line, format!("invalid integer `{tok}`"));
     let t = tok.trim();
     let (neg, t) = match t.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, t),
     };
-    let v = if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16)
-    } else {
-        t.parse::<i64>()
+    let (radix, digits) = match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
+        Some(hex) => (16, hex),
+        None => (10, t),
+    };
+    if neg && digits.starts_with(['+', '-']) {
+        return Err(invalid());
     }
-    .map_err(|_| ParseAsmError::new(line, format!("invalid integer `{tok}`")))?;
+    let v = i64::from_str_radix(digits, radix).map_err(|_| invalid())?;
     Ok(if neg { -v } else { v })
 }
 
@@ -110,18 +110,22 @@ fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseAsmError> {
         .map_err(|e| ParseAsmError::new(line, e.to_string()))
 }
 
-fn parse_i16(tok: &str, line: usize) -> Result<i16, ParseAsmError> {
+/// Parses a `bits`-wide value, signed or unsigned, naming it `what` in
+/// the error.
+fn parse_bits(tok: &str, bits: u32, what: &str, line: usize) -> Result<i64, ParseAsmError> {
     let v = parse_int(tok, line)?;
-    i16::try_from(v)
-        .or_else(|_| u16::try_from(v).map(|u| u as i16))
-        .map_err(|_| ParseAsmError::new(line, format!("immediate `{tok}` out of 16-bit range")))
+    if !(-(1 << (bits - 1))..1 << bits).contains(&v) {
+        return Err(ParseAsmError::new(
+            line,
+            format!("{what} `{tok}` out of {bits}-bit range"),
+        ));
+    }
+    Ok(v)
 }
 
-fn parse_u16(tok: &str, line: usize) -> Result<u16, ParseAsmError> {
-    let v = parse_int(tok, line)?;
-    u16::try_from(v)
-        .or_else(|_| i16::try_from(v).map(|s| s as u16))
-        .map_err(|_| ParseAsmError::new(line, format!("immediate `{tok}` out of 16-bit range")))
+/// Parses a 16-bit immediate, signed or unsigned, to its bits.
+fn parse_imm16(tok: &str, line: usize) -> Result<u16, ParseAsmError> {
+    Ok(parse_bits(tok, 16, "immediate", line)? as u16)
 }
 
 /// Parses `off(rs)` memory operands.
@@ -137,7 +141,7 @@ fn parse_mem(tok: &str, line: usize) -> Result<(i16, Reg), ParseAsmError> {
     let off = if off_s.trim().is_empty() {
         0
     } else {
-        parse_i16(off_s, line)?
+        parse_imm16(off_s, line)? as i16
     };
     let rs = parse_reg(&t[open + 1..close], line)?;
     Ok((off, rs))
@@ -221,37 +225,47 @@ pub fn assemble(source: &str) -> Result<Program, ParseAsmError> {
         };
         let mnem_lc = mnem.to_ascii_lowercase();
         if let Some(directive) = mnem_lc.strip_prefix('.') {
+            // Whether the data segment, `grow` bytes longer, fits the data memory.
+            let fits = |asm: &Asm, grow: u64| {
+                let end = u64::from(asm.data_here() - DATA_BASE) + grow;
+                (end <= u64::from(DATA_SIZE)).then_some(()).ok_or_else(|| {
+                    let msg =
+                        format!("data segment would exceed the {DATA_SIZE} bytes of data memory");
+                    ParseAsmError::new(line, msg)
+                })
+            };
             match directive {
                 "text" => section = Section::Text,
                 "data" => section = Section::Data,
-                "word" => {
+                "word" | "half" | "byte" => {
+                    let width = match directive {
+                        "word" => 4,
+                        "half" => 2,
+                        _ => 1,
+                    };
                     for tok in split_operands(rest) {
-                        let v = parse_int(&tok, line)?;
-                        asm.words(&[v as i32]);
-                    }
-                }
-                "half" => {
-                    for tok in split_operands(rest) {
-                        let v = parse_int(&tok, line)?;
-                        asm.halves(&[v as i16]);
-                    }
-                }
-                "byte" => {
-                    for tok in split_operands(rest) {
-                        let v = parse_int(&tok, line)?;
-                        asm.bytes(&[v as u8]);
+                        let v = parse_bits(&tok, 8 * width as u32, "value", line)?;
+                        asm.align_data(width);
+                        fits(&asm, width as u64)?;
+                        asm.bytes(&v.to_le_bytes()[..width]);
                     }
                 }
                 "space" => {
-                    let n = parse_int(rest, line)? as usize;
-                    asm.bytes(&vec![0u8; n]);
+                    let n = parse_int(rest, line)?;
+                    let n = u64::try_from(n).map_err(|_| {
+                        ParseAsmError::new(line, format!(".space count `{n}` is negative"))
+                    })?;
+                    fits(&asm, n)?;
+                    asm.bytes(&vec![0u8; n as usize]);
                 }
                 "align" => {
-                    let n = parse_int(rest, line)? as usize;
-                    if !n.is_power_of_two() {
-                        return Err(ParseAsmError::new(line, ".align takes a power of two"));
-                    }
-                    asm.align_data(n);
+                    let n = u64::try_from(parse_int(rest, line)?)
+                        .ok()
+                        .filter(|n| n.is_power_of_two())
+                        .ok_or_else(|| ParseAsmError::new(line, ".align takes a power of two"))?;
+                    let len = u64::from(asm.data_here() - DATA_BASE);
+                    fits(&asm, len.next_multiple_of(n) - len)?;
+                    asm.align_data(n as usize);
                 }
                 other => {
                     return Err(ParseAsmError::new(
@@ -295,13 +309,9 @@ pub fn assemble(source: &str) -> Result<Program, ParseAsmError> {
                 })?;
                 asm.emit(i.with_branch_off(off).expect("branch item holds a branch"));
             }
-            Item::JumpTo { link, label, line } => {
+            Item::JumpTo(op, label, line) => {
                 let target = lookup(&label, line)? >> 2;
-                asm.emit(if link {
-                    Instr::Jal { target }
-                } else {
-                    Instr::J { target }
-                });
+                asm.emit(Instr::from_parts(op, Ops::Jump { target }));
             }
             Item::La(rd, label, line) => {
                 let addr = lookup(&label, line)?;
@@ -315,7 +325,7 @@ pub fn assemble(source: &str) -> Result<Program, ParseAsmError> {
 
     // record text labels as program symbols too
     for (name, addr) in &labels {
-        if *addr < crate::program::DATA_BASE {
+        if *addr < DATA_BASE {
             asm.global_at(name, *addr);
         }
     }
@@ -338,7 +348,6 @@ fn emit_wide(asm: &mut Asm, rd: Reg, value: u32) {
 }
 
 fn parse_instr_line(mnem: &str, rest: &str, line: usize) -> Result<Item, ParseAsmError> {
-    use Instr::*;
     let ops = split_operands(rest);
     let need = |n: usize| -> Result<(), ParseAsmError> {
         if ops.len() == n {
@@ -351,246 +360,172 @@ fn parse_instr_line(mnem: &str, rest: &str, line: usize) -> Result<Item, ParseAs
         }
     };
     let r = |k: usize| parse_reg(&ops[k], line);
-    let i16_ = |k: usize| parse_i16(&ops[k], line);
-    let u16_ = |k: usize| parse_u16(&ops[k], line);
+    let int = |k: usize| parse_int(&ops[k], line);
+    let label = |k: usize| ops[k].clone();
 
-    let rrr = |f: fn(Reg, Reg, Reg) -> Instr| -> Result<Item, ParseAsmError> {
-        need(3)?;
-        Ok(Item::Instr(f(r(0)?, r(1)?, r(2)?)))
-    };
-    let branch2 = |f: fn(Reg, Reg, i16) -> Instr| -> Result<Item, ParseAsmError> {
-        need(3)?;
-        Ok(Item::BranchTo(f(r(0)?, r(1)?, 0), ops[2].clone(), line))
-    };
-    let branch1 = |f: fn(Reg, i16) -> Instr| -> Result<Item, ParseAsmError> {
-        need(2)?;
-        Ok(Item::BranchTo(f(r(0)?, 0), ops[1].clone(), line))
-    };
-    let mem = |f: fn(Reg, Reg, i16) -> Instr| -> Result<Item, ParseAsmError> {
-        need(2)?;
-        let (off, rs) = parse_mem(&ops[1], line)?;
-        Ok(Item::Instr(f(r(0)?, rs, off)))
-    };
-
+    // Pseudo-instructions.
     match mnem {
-        "add" => rrr(|rd, rs, rt| Add { rd, rs, rt }),
-        "sub" => rrr(|rd, rs, rt| Sub { rd, rs, rt }),
-        "and" => rrr(|rd, rs, rt| And { rd, rs, rt }),
-        "or" => rrr(|rd, rs, rt| Or { rd, rs, rt }),
-        "xor" => rrr(|rd, rs, rt| Xor { rd, rs, rt }),
-        "nor" => rrr(|rd, rs, rt| Nor { rd, rs, rt }),
-        "slt" => rrr(|rd, rs, rt| Slt { rd, rs, rt }),
-        "sltu" => rrr(|rd, rs, rt| Sltu { rd, rs, rt }),
-        "mul" => rrr(|rd, rs, rt| Mul { rd, rs, rt }),
-        "mulh" => rrr(|rd, rs, rt| Mulh { rd, rs, rt }),
-        "sllv" => rrr(|rd, rt, rs| Sllv { rd, rt, rs }),
-        "srlv" => rrr(|rd, rt, rs| Srlv { rd, rt, rs }),
-        "srav" => rrr(|rd, rt, rs| Srav { rd, rt, rs }),
-        "sll" | "srl" | "sra" => {
+        "b" => {
+            need(1)?;
+            let beq = Instr::Beq {
+                rs: Reg::ZERO,
+                rt: Reg::ZERO,
+                off: 0,
+            };
+            return Ok(Item::BranchTo(beq, label(0), line));
+        }
+        "mv" | "move" => {
+            need(2)?;
+            return Ok(Item::Instr(Instr::Add {
+                rd: r(0)?,
+                rs: r(1)?,
+                rt: Reg::ZERO,
+            }));
+        }
+        "li" => {
+            need(2)?;
+            let v = int(1)?;
+            let v32 = i32::try_from(v)
+                .or_else(|_| u32::try_from(v).map(|u| u as i32))
+                .map_err(|_| ParseAsmError::new(line, "li immediate out of 32-bit range"))?;
+            return Ok(if (-32768..=32767).contains(&v32) {
+                Item::Instr(Instr::Addi {
+                    rt: r(0)?,
+                    rs: Reg::ZERO,
+                    imm: v32 as i16,
+                })
+            } else {
+                Item::LiWide(r(0)?, v32 as u32)
+            });
+        }
+        "la" => {
+            need(2)?;
+            return Ok(Item::La(r(0)?, label(1), line));
+        }
+        _ => {}
+    }
+
+    // Table instructions; `zctl.<op>` names the operation after a dot.
+    let unknown = || ParseAsmError::new(line, format!("unknown mnemonic `{mnem}`"));
+    let (base, suffix) = match mnem.split_once('.') {
+        Some((base, suffix)) => (base, Some(suffix)),
+        None => (mnem, None),
+    };
+    let row = ROWS
+        .iter()
+        .find(|row| row.mnem == base && (row.form == Form::Zctl) == suffix.is_some())
+        .ok_or_else(unknown)?;
+    let imm = |k: usize| parse_imm16(&ops[k], line);
+    let operands = match row.form {
+        Form::R3 => {
             need(3)?;
-            let sh = parse_int(&ops[2], line)?;
+            let (rd, rs, rt) = (r(0)?, r(1)?, r(2)?);
+            Ops::R3 { rd, rs, rt }
+        }
+        Form::R3v => {
+            need(3)?;
+            let (rd, rt, rs) = (r(0)?, r(1)?, r(2)?);
+            Ops::R3v { rd, rt, rs }
+        }
+        Form::Shift => {
+            need(3)?;
+            let sh = int(2)?;
             if !(0..32).contains(&sh) {
                 return Err(ParseAsmError::new(line, "shift amount must be 0..32"));
             }
             let (rd, rt, sh) = (r(0)?, r(1)?, sh as u8);
-            Ok(Item::Instr(match mnem {
-                "sll" => Sll { rd, rt, sh },
-                "srl" => Srl { rd, rt, sh },
-                _ => Sra { rd, rt, sh },
-            }))
+            Ops::Shift { rd, rt, sh }
         }
-        "addi" => {
+        Form::SImm => {
             need(3)?;
-            Ok(Item::Instr(Addi {
-                rt: r(0)?,
-                rs: r(1)?,
-                imm: i16_(2)?,
-            }))
+            let (rt, rs, imm) = (r(0)?, r(1)?, imm(2)? as i16);
+            Ops::SImm { rt, rs, imm }
         }
-        "slti" => {
+        Form::UImm => {
             need(3)?;
-            Ok(Item::Instr(Slti {
-                rt: r(0)?,
-                rs: r(1)?,
-                imm: i16_(2)?,
-            }))
+            let (rt, rs, imm) = (r(0)?, r(1)?, imm(2)?);
+            Ops::UImm { rt, rs, imm }
         }
-        "sltiu" => {
-            need(3)?;
-            Ok(Item::Instr(Sltiu {
-                rt: r(0)?,
-                rs: r(1)?,
-                imm: i16_(2)?,
-            }))
-        }
-        "andi" => {
-            need(3)?;
-            Ok(Item::Instr(Andi {
-                rt: r(0)?,
-                rs: r(1)?,
-                imm: u16_(2)?,
-            }))
-        }
-        "ori" => {
-            need(3)?;
-            Ok(Item::Instr(Ori {
-                rt: r(0)?,
-                rs: r(1)?,
-                imm: u16_(2)?,
-            }))
-        }
-        "xori" => {
-            need(3)?;
-            Ok(Item::Instr(Xori {
-                rt: r(0)?,
-                rs: r(1)?,
-                imm: u16_(2)?,
-            }))
-        }
-        "lui" => {
+        Form::Lui => {
             need(2)?;
-            Ok(Item::Instr(Lui {
-                rt: r(0)?,
-                imm: u16_(1)?,
-            }))
+            let (rt, imm) = (r(0)?, imm(1)?);
+            Ops::Lui { rt, imm }
         }
-        "lb" => mem(|rt, rs, off| Lb { rt, rs, off }),
-        "lbu" => mem(|rt, rs, off| Lbu { rt, rs, off }),
-        "lh" => mem(|rt, rs, off| Lh { rt, rs, off }),
-        "lhu" => mem(|rt, rs, off| Lhu { rt, rs, off }),
-        "lw" => mem(|rt, rs, off| Lw { rt, rs, off }),
-        "sb" => mem(|rt, rs, off| Sb { rt, rs, off }),
-        "sh" => mem(|rt, rs, off| Sh { rt, rs, off }),
-        "sw" => mem(|rt, rs, off| Sw { rt, rs, off }),
-        "beq" => branch2(|rs, rt, off| Beq { rs, rt, off }),
-        "bne" => branch2(|rs, rt, off| Bne { rs, rt, off }),
-        "blez" => branch1(|rs, off| Blez { rs, off }),
-        "bgtz" => branch1(|rs, off| Bgtz { rs, off }),
-        "bltz" => branch1(|rs, off| Bltz { rs, off }),
-        "bgez" => branch1(|rs, off| Bgez { rs, off }),
-        "dbnz" => branch1(|rs, off| Dbnz { rs, off }),
-        "j" => {
-            need(1)?;
-            Ok(Item::JumpTo {
-                link: false,
-                label: ops[0].clone(),
-                line,
-            })
-        }
-        "jal" => {
-            need(1)?;
-            Ok(Item::JumpTo {
-                link: true,
-                label: ops[0].clone(),
-                line,
-            })
-        }
-        "jr" => {
-            need(1)?;
-            Ok(Item::Instr(Jr { rs: r(0)? }))
-        }
-        "b" => {
-            need(1)?;
-            Ok(Item::BranchTo(
-                Beq {
-                    rs: Reg::ZERO,
-                    rt: Reg::ZERO,
-                    off: 0,
-                },
-                ops[0].clone(),
-                line,
-            ))
-        }
-        "mv" | "move" => {
+        Form::Mem => {
             need(2)?;
-            Ok(Item::Instr(Add {
-                rd: r(0)?,
-                rs: r(1)?,
-                rt: Reg::ZERO,
-            }))
+            let (off, rs) = parse_mem(&ops[1], line)?;
+            Ops::Mem { rt: r(0)?, rs, off }
         }
-        "li" => {
+        // The branch forms take the target label last; see below.
+        Form::Br2 => {
+            need(3)?;
+            let (rs, rt) = (r(0)?, r(1)?);
+            Ops::Br2 { rs, rt, off: 0 }
+        }
+        Form::Br1 => {
             need(2)?;
-            let v = parse_int(&ops[1], line)?;
-            let v32 = i32::try_from(v)
-                .or_else(|_| u32::try_from(v).map(|u| u as i32))
-                .map_err(|_| ParseAsmError::new(line, "li immediate out of 32-bit range"))?;
-            if (-32768..=32767).contains(&v32) {
-                Ok(Item::Instr(Addi {
-                    rt: r(0)?,
-                    rs: Reg::ZERO,
-                    imm: v32 as i16,
-                }))
-            } else {
-                Ok(Item::LiWide(r(0)?, v32 as u32))
-            }
+            Ops::Br1 { rs: r(0)?, off: 0 }
         }
-        "la" => {
-            need(2)?;
-            Ok(Item::La(r(0)?, ops[1].clone(), line))
+        Form::Jump => {
+            need(1)?;
+            return Ok(Item::JumpTo(row.op, label(0), line));
         }
-        // ZOLC coprocessor: `zwr <region>, <index>, <field>, <rs>` and
-        // `zctl.on <task>` / `zctl.off` / `zctl.rst`
-        "zwr" => {
+        Form::Jr => {
+            need(1)?;
+            Ops::Jr { rs: r(0)? }
+        }
+        // `zwr <region>, <index>, <field>, <rs>`
+        Form::Zwr => {
             need(4)?;
-            let region = match ops[0].as_str() {
-                "loop" => ZolcRegion::Loop,
-                "task" => ZolcRegion::Task,
-                "entry" => ZolcRegion::Entry,
-                "exit" => ZolcRegion::Exit,
-                "global" => ZolcRegion::Global,
-                other => {
-                    return Err(ParseAsmError::new(
-                        line,
-                        format!("unknown ZOLC region `{other}`"),
-                    ))
-                }
-            };
-            let index = parse_int(&ops[1], line)?;
-            let field = parse_int(&ops[2], line)?;
+            let (region, _) = *ZolcRegion::NAMES
+                .iter()
+                .find(|&&(_, name)| name == ops[0])
+                .ok_or_else(|| {
+                    ParseAsmError::new(line, format!("unknown ZOLC region `{}`", ops[0]))
+                })?;
+            let (index, field) = (int(1)?, int(2)?);
             if !(0..256).contains(&index) || !(0..32).contains(&field) {
-                return Err(ParseAsmError::new(line, "zwr index/field out of range"));
+                return Err(ParseAsmError::new(
+                    line,
+                    format!("{base} index/field out of range"),
+                ));
             }
-            Ok(Item::Instr(Zwr {
+            Ops::Zwr {
                 region,
                 index: index as u8,
                 field: field as u8,
                 rs: r(3)?,
-            }))
-        }
-        "zctl.on" => {
-            need(1)?;
-            let task = parse_int(&ops[0], line)?;
-            if !(0..256).contains(&task) {
-                return Err(ParseAsmError::new(line, "task id out of range"));
             }
-            Ok(Item::Instr(Zctl {
-                op: ZolcCtl::Activate { task: task as u8 },
-            }))
         }
-        "zctl.off" => {
+        // `zctl.on <task>`, `zctl.off`, `zctl.rst`
+        Form::Zctl => {
+            let op = ZolcCtl::SUFFIXES
+                .iter()
+                .position(|&s| Some(s) == suffix)
+                .and_then(|code| ZolcCtl::from_code(code as u32, 0))
+                .ok_or_else(unknown)?;
+            if let ZolcCtl::Activate { .. } = op {
+                need(1)?;
+                let task = u8::try_from(int(0)?)
+                    .map_err(|_| ParseAsmError::new(line, "task id out of range"))?;
+                Ops::Zctl {
+                    op: ZolcCtl::Activate { task },
+                }
+            } else {
+                need(0)?;
+                Ops::Zctl { op }
+            }
+        }
+        Form::Bare => {
             need(0)?;
-            Ok(Item::Instr(Zctl {
-                op: ZolcCtl::Deactivate,
-            }))
+            Ops::Bare
         }
-        "zctl.rst" => {
-            need(0)?;
-            Ok(Item::Instr(Zctl { op: ZolcCtl::Reset }))
-        }
-        "nop" => {
-            need(0)?;
-            Ok(Item::Instr(Nop))
-        }
-        "halt" => {
-            need(0)?;
-            Ok(Item::Instr(Halt))
-        }
-        other => Err(ParseAsmError::new(
-            line,
-            format!("unknown mnemonic `{other}`"),
-        )),
-    }
+    };
+    let instr = Instr::from_parts(row.op, operands);
+    Ok(match instr.branch_off() {
+        Some(_) => Item::BranchTo(instr, ops[ops.len() - 1].clone(), line),
+        None => Item::Instr(instr),
+    })
 }
 
 #[cfg(test)]
@@ -798,5 +733,105 @@ mod tests {
         assert!(assemble("zwr bogus, 0, 0, r1\n").is_err());
         assert!(assemble("zwr loop, 900, 0, r1\n").is_err());
         assert!(assemble("zctl.on 300\n").is_err());
+    }
+
+    fn error(source: &str) -> String {
+        match assemble(source) {
+            Ok(_) => panic!("`{source}` assembled"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn negative_space_rejected() {
+        assert_eq!(
+            error(".data\n.space -1\n"),
+            "line 2: .space count `-1` is negative"
+        );
+    }
+
+    #[test]
+    fn data_segment_capped_at_data_memory() {
+        let full = format!(".data\n.space {DATA_SIZE}\n");
+        assert_eq!(assemble(&full).unwrap().data().len(), DATA_SIZE as usize);
+        let past = "line 2: data segment would exceed the 1048576 bytes of data memory";
+        // Rejected before anything is allocated.
+        assert_eq!(error(".data\n.space 1099511627776\n"), past);
+        assert_eq!(
+            error(".data\n.byte 1\n.align 1099511627776\n"),
+            past.replace('2', "3")
+        );
+        let over = format!(".data\n.space {}\n", DATA_SIZE + 1);
+        assert_eq!(error(&over), past);
+        let then = format!(".data\n.space {}\n.half 1\n", DATA_SIZE - 1);
+        assert_eq!(error(&then), past.replace('2', "3"));
+        let aligned = format!(".data\n.space {}\n.align 4\n.word 1\n", DATA_SIZE - 3);
+        assert_eq!(error(&aligned), past.replace('2', "4"));
+        // Padding to an alignment already met grows nothing.
+        let at_end = format!(".data\n.space {DATA_SIZE}\n.align 1048576\n");
+        assert!(assemble(&at_end).is_ok());
+        assert_eq!(
+            error(".data\n.align -8\n"),
+            "line 2: .align takes a power of two"
+        );
+    }
+
+    #[test]
+    fn data_values_must_fit_their_width() {
+        let p = assemble(
+            ".data\n.word 4294967295, -2147483648\n.half 65535, -32768\n.byte 255, -128\n",
+        )
+        .unwrap();
+        let bytes = [[0xff; 4], [0, 0, 0, 0x80]].concat();
+        assert_eq!(&p.data()[..8], &bytes[..]);
+        assert_eq!(&p.data()[8..], &[0xff, 0xff, 0, 0x80, 0xff, 0x80]);
+        assert_eq!(
+            error(".data\n.word 4294967296\n"),
+            "line 2: value `4294967296` out of 32-bit range"
+        );
+        assert_eq!(
+            error(".data\n.word -2147483649\n"),
+            "line 2: value `-2147483649` out of 32-bit range"
+        );
+        assert_eq!(
+            error(".data\n.half 65536\n"),
+            "line 2: value `65536` out of 16-bit range"
+        );
+        assert_eq!(
+            error(".data\n.byte -129\n"),
+            "line 2: value `-129` out of 8-bit range"
+        );
+    }
+
+    #[test]
+    fn second_sign_rejected() {
+        for tok in ["--5", "-+5", "-0x-5", "-0x+5"] {
+            assert_eq!(
+                error(&format!("li r1, {tok}\n")),
+                format!("line 1: invalid integer `{tok}`")
+            );
+        }
+        assert_eq!(
+            assemble("li r1, -5\nli r2, +5\nli r3, -0x10\n")
+                .unwrap()
+                .text()[..3],
+            [
+                Instr::Addi {
+                    rt: reg(1),
+                    rs: Reg::ZERO,
+                    imm: -5
+                },
+                Instr::Addi {
+                    rt: reg(2),
+                    rs: Reg::ZERO,
+                    imm: 5
+                },
+                Instr::Addi {
+                    rt: reg(3),
+                    rs: Reg::ZERO,
+                    imm: -16
+                },
+            ]
+        );
     }
 }

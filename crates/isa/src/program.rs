@@ -17,6 +17,10 @@ use std::fmt;
 pub const TEXT_BASE: u32 = 0x0000_0000;
 /// Byte address at which the data segment is loaded.
 pub const DATA_BASE: u32 = 0x0004_0000;
+/// Bytes of data memory above [`DATA_BASE`]: the most a data segment
+/// may hold (the assembler rejects a larger one), and the memory every
+/// simulator session provides for it.
+pub const DATA_SIZE: u32 = 1 << 20;
 /// Size of one encoded instruction in bytes (XR32 is fixed-width).
 pub const INSTR_BYTES: u32 = 4;
 

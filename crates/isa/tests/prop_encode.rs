@@ -25,6 +25,12 @@ fn any_instr() -> impl Strategy<Value = Instr> {
     fn rrr() -> impl Strategy<Value = (Reg, Reg, Reg)> {
         (any_reg(), any_reg(), any_reg())
     }
+    fn simm() -> impl Strategy<Value = (Reg, Reg, i16)> {
+        (any_reg(), any_reg(), any::<i16>())
+    }
+    fn uimm() -> impl Strategy<Value = (Reg, Reg, u16)> {
+        (any_reg(), any_reg(), any::<u16>())
+    }
     prop_oneof![
         rrr().prop_map(|(rd, rs, rt)| Add { rd, rs, rt }),
         rrr().prop_map(|(rd, rs, rt)| Sub { rd, rs, rt }),
@@ -36,16 +42,33 @@ fn any_instr() -> impl Strategy<Value = Instr> {
         rrr().prop_map(|(rd, rs, rt)| Sltu { rd, rs, rt }),
         rrr().prop_map(|(rd, rs, rt)| Mul { rd, rs, rt }),
         rrr().prop_map(|(rd, rs, rt)| Mulh { rd, rs, rt }),
+        rrr().prop_map(|(rd, rt, rs)| Sllv { rd, rt, rs }),
+        rrr().prop_map(|(rd, rt, rs)| Srlv { rd, rt, rs }),
+        rrr().prop_map(|(rd, rt, rs)| Srav { rd, rt, rs }),
         (any_reg(), any_reg(), 1u8..32).prop_map(|(rd, rt, sh)| Sll { rd, rt, sh }),
         (any_reg(), any_reg(), 0u8..32).prop_map(|(rd, rt, sh)| Srl { rd, rt, sh }),
-        (any_reg(), any_reg(), any::<i16>()).prop_map(|(rt, rs, imm)| Addi { rt, rs, imm }),
-        (any_reg(), any_reg(), any::<u16>()).prop_map(|(rt, rs, imm)| Andi { rt, rs, imm }),
+        (any_reg(), any_reg(), 0u8..32).prop_map(|(rd, rt, sh)| Sra { rd, rt, sh }),
+        simm().prop_map(|(rt, rs, imm)| Addi { rt, rs, imm }),
+        simm().prop_map(|(rt, rs, imm)| Slti { rt, rs, imm }),
+        simm().prop_map(|(rt, rs, imm)| Sltiu { rt, rs, imm }),
+        uimm().prop_map(|(rt, rs, imm)| Andi { rt, rs, imm }),
+        uimm().prop_map(|(rt, rs, imm)| Ori { rt, rs, imm }),
+        uimm().prop_map(|(rt, rs, imm)| Xori { rt, rs, imm }),
         (any_reg(), any::<u16>()).prop_map(|(rt, imm)| Lui { rt, imm }),
-        (any_reg(), any_reg(), any::<i16>()).prop_map(|(rt, rs, off)| Lw { rt, rs, off }),
-        (any_reg(), any_reg(), any::<i16>()).prop_map(|(rt, rs, off)| Sb { rt, rs, off }),
-        (any_reg(), any_reg(), any::<i16>()).prop_map(|(rs, rt, off)| Beq { rs, rt, off }),
-        (any_reg(), any_reg(), any::<i16>()).prop_map(|(rs, rt, off)| Bne { rs, rt, off }),
+        simm().prop_map(|(rt, rs, off)| Lb { rt, rs, off }),
+        simm().prop_map(|(rt, rs, off)| Lbu { rt, rs, off }),
+        simm().prop_map(|(rt, rs, off)| Lh { rt, rs, off }),
+        simm().prop_map(|(rt, rs, off)| Lhu { rt, rs, off }),
+        simm().prop_map(|(rt, rs, off)| Lw { rt, rs, off }),
+        simm().prop_map(|(rt, rs, off)| Sb { rt, rs, off }),
+        simm().prop_map(|(rt, rs, off)| Sh { rt, rs, off }),
+        simm().prop_map(|(rt, rs, off)| Sw { rt, rs, off }),
+        simm().prop_map(|(rs, rt, off)| Beq { rs, rt, off }),
+        simm().prop_map(|(rs, rt, off)| Bne { rs, rt, off }),
+        (any_reg(), any::<i16>()).prop_map(|(rs, off)| Blez { rs, off }),
+        (any_reg(), any::<i16>()).prop_map(|(rs, off)| Bgtz { rs, off }),
         (any_reg(), any::<i16>()).prop_map(|(rs, off)| Bltz { rs, off }),
+        (any_reg(), any::<i16>()).prop_map(|(rs, off)| Bgez { rs, off }),
         (any_reg(), any::<i16>()).prop_map(|(rs, off)| Dbnz { rs, off }),
         (0u32..(1 << 26)).prop_map(|target| J { target }),
         (0u32..(1 << 26)).prop_map(|target| Jal { target }),

@@ -16,14 +16,14 @@ use crate::program::CompiledProgram;
 use crate::regfile::RegFile;
 use crate::stats::Stats;
 use crate::{Cpu, FunctionalCpu};
-use zolc_isa::{Instr, Program, Reg, DATA_BASE};
+use zolc_isa::{Instr, Program, Reg, DATA_BASE, DATA_SIZE};
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
 /// Memory size in bytes of every session: the text and data segments
-/// below [`DATA_BASE`] plus 1 MiB of data memory.
+/// below [`DATA_BASE`] plus [`DATA_SIZE`] (1 MiB) of data memory.
 ///
 /// Every address below it reads zero until the program image or a run
 /// writes it, and every access at or beyond it faults with
@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// Sessions do not pay for zeroing all of it: a dropped session's memory
 /// is recycled by the next session on the same thread, with only the
 /// pages the run wrote reset (see [`Memory`]).
-pub const MEM_SIZE: usize = (DATA_BASE as usize) + (1 << 20);
+pub const MEM_SIZE: usize = (DATA_BASE + DATA_SIZE) as usize;
 
 /// Configuration of the simulated core.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -237,8 +237,8 @@ impl ExecutorKind {
         })
     }
 
-    /// All executor kinds, in speed order (slowest first) — the axis the
-    /// differential suites iterate over.
+    /// All executor kinds — the axis the differential suites iterate
+    /// over.
     pub const ALL: [ExecutorKind; 3] = [
         ExecutorKind::CycleAccurate,
         ExecutorKind::Functional,
